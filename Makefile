@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-batch loadbench serve docs clean
+.PHONY: all build test race bench bench-batch bench-check loadbench serve docs clean
 
 all: build test
 
@@ -16,7 +16,7 @@ build:
 # (kept in lockstep with .github/workflows/ci.yml).
 test:
 	$(GO) test ./...
-	$(GO) test -race ./internal/sweep ./internal/machine ./internal/obs ./internal/core ./internal/refstream ./internal/refstream/store ./internal/serve ./internal/hostproc ./internal/cluster
+	$(GO) test -race ./internal/sweep ./internal/machine ./internal/obs ./internal/core ./internal/sim ./internal/ir ./internal/refstream ./internal/refstream/store ./internal/serve ./internal/hostproc ./internal/cluster
 
 race:
 	$(GO) test -race ./...
@@ -38,6 +38,12 @@ bench-batch:
 	$(GO) test -run=NONE -bench='BenchmarkGroup(Direct|SingleReplay|BatchReplay)$$' -benchmem ./internal/refstream
 	$(GO) test -run=NONE -bench=BenchmarkGroupBatchReplayPar -benchmem -cpu=1,4,8 ./internal/refstream
 	REFSTREAM_PERF_GATE=1 $(GO) test -run 'TestBatchNoSlowerThanSingleReplay|TestBatchParNoSlowerThanSerial' -count=1 -v ./internal/refstream
+
+# Vet and test the benchmark module (benchmark/ has its own go.mod, so
+# ./... does not reach it): it compiles against exported names of
+# internal/... that it freezes, and this is where breaking one shows.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Append a "serve" section to the same history: throughput, latency
 # quantiles and cache hit rate of the classification service under the

@@ -110,9 +110,11 @@ func InputSeed(ordinal int) func(i int) float64 {
 	}
 }
 
-// Kernel compiles the program into a runnable loops.Kernel. Input
-// arrays are filled with deterministic data; every written array is an
-// output. The kernel's problem size parameter binds the IR variable n.
+// Kernel compiles the program into a runnable loops.Kernel: names are
+// resolved to frame slots and array ordinals once, here (see body.go),
+// and every execution runs the compiled body. Input arrays are filled
+// with deterministic data; every written array is an output. The
+// kernel's problem size parameter binds the IR variable n.
 func (p *Program) Kernel(defaultN int) (*loops.Kernel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -125,7 +127,7 @@ func (p *Program) Kernel(defaultN int) (*loops.Kernel, error) {
 		return nil, fmt.Errorf("ir: program %s writes no arrays", p.Name)
 	}
 	decls := p.Arrays
-	body := p.Body
+	body := p.compileBody()
 	return &loops.Kernel{
 		ID: 0, Key: "ir:" + p.Name, Name: p.Name,
 		DefaultN: defaultN, MinN: 1,
@@ -151,69 +153,7 @@ func (p *Program) Kernel(defaultN int) (*loops.Kernel, error) {
 			}
 			return specs
 		},
-		Run: func(c *loops.Ctx, n int) {
-			env := map[string]int{"n": n}
-			execStmts(c, body, env)
-		},
+		Run:     body.run,
 		Outputs: outputs,
 	}, nil
-}
-
-func execStmts(c *loops.Ctx, stmts []Stmt, env map[string]int) {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *Loop:
-			lo := evalAffine(st.Lo, env)
-			hi := evalAffine(st.Hi, env)
-			if st.Step > 0 {
-				for v := lo; v <= hi; v += st.Step {
-					env[st.Var] = v
-					execStmts(c, st.Body, env)
-				}
-			} else {
-				for v := lo; v >= hi; v += st.Step {
-					env[st.Var] = v
-					execStmts(c, st.Body, env)
-				}
-			}
-			delete(env, st.Var)
-		case *Assign:
-			execAssign(c, st, env)
-		}
-	}
-}
-
-// evalAffine evaluates a bound or write subscript, which must be
-// affine (Validate enforces this for writes; bounds with indirection
-// panic here by design).
-func evalAffine(e Expr, env map[string]int) int {
-	return e.Eval(env, func(array string, idx int) float64 {
-		panic(fmt.Sprintf("ir: indirection through %q in an affine-only position", array))
-	})
-}
-
-func execAssign(c *loops.Ctx, a *Assign, env map[string]int) {
-	lhs := c.A(a.LHS.Array)
-	idx := make([]int, len(a.LHS.Index))
-	for i, e := range a.LHS.Index {
-		idx[i] = evalAffine(e, env)
-	}
-	rhs := a.RHS
-	lhs.Set(func() float64 {
-		// Reads — including indirect subscript loads — happen here, on
-		// the owning PE only.
-		reads := func(array string, i int) float64 {
-			return c.A(array).Get(i)
-		}
-		v := rhs.Bias
-		for _, t := range rhs.Terms {
-			arr := c.A(t.Read.Array)
-			ridx := make([]int, len(t.Read.Index))
-			for i, e := range t.Read.Index {
-				ridx[i] = e.Eval(env, reads)
-			}
-			v += t.Coef * arr.Get(ridx...)
-		}
-		return v
-	}, idx...)
 }

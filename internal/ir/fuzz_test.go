@@ -45,7 +45,9 @@ func FuzzParse(f *testing.F) {
 
 // FuzzAffineProgramRuns property-tests the generated-program pipeline:
 // every FuzzAffineProgram output is SA-clean by construction, compiles
-// to a runnable kernel, and survives the sequential reference engine.
+// to a runnable kernel, survives the sequential reference engine, and
+// captures byte-identically through the slot-compiled body and the
+// reference tree walker (walker_test.go).
 func FuzzAffineProgramRuns(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{7, 3, 200, 41, 0})
@@ -62,5 +64,7 @@ func FuzzAffineProgramRuns(f *testing.F) {
 		if _, err := loops.RunSeq(k, 8); err != nil {
 			t.Fatalf("generated program fails the reference engine: %v", err)
 		}
+		requireSameCapture(t, p, 8)
+		requireSameCapture(t, p, 1+len(seed)%40)
 	})
 }

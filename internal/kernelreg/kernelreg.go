@@ -47,6 +47,7 @@ const (
 	MetricEvictions     = "kernelreg.evictions"      // LRU evictions under capacity pressure
 	MetricQuotaRejects  = "kernelreg.quota_rejects"  // compiles rejected by the per-tenant quota
 	MetricResolveMisses = "kernelreg.resolve_misses" // lookups of unknown compiled ids
+	MetricVerifyRuns    = "kernelreg.verify_runs"    // sentinel-size reference executions (a compile hit runs none)
 	MetricEntries       = "kernelreg.entries"        // gauge: registered compiled kernels
 )
 
@@ -144,6 +145,7 @@ type Registry struct {
 	evictions     *obs.Counter
 	quotaRejects  *obs.Counter
 	resolveMisses *obs.Counter
+	verifyRuns    *obs.Counter
 	entriesGauge  *obs.Gauge
 
 	mu      sync.Mutex
@@ -162,6 +164,7 @@ func New(lim Limits, reg *obs.Registry) *Registry {
 		evictions:     reg.Counter(MetricEvictions),
 		quotaRejects:  reg.Counter(MetricQuotaRejects),
 		resolveMisses: reg.Counter(MetricResolveMisses),
+		verifyRuns:    reg.Counter(MetricVerifyRuns),
 		entriesGauge:  reg.Gauge(MetricEntries),
 		entries:       map[string]*entry{},
 		lru:           list.New(),
@@ -211,6 +214,7 @@ func (r *Registry) compileTimed(req CompileRequest) (*CompileResponse, error) {
 		err  error
 	}
 	ch := make(chan outcome, 1)
+	start := time.Now()
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
@@ -224,11 +228,15 @@ func (r *Registry) compileTimed(req CompileRequest) (*CompileResponse, error) {
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.resp, o.err
+		// Both channels can be ready at once; the clock, not select's
+		// coin, decides whether the compile made its deadline.
+		if time.Since(start) <= r.lim.CompileDeadline {
+			return o.resp, o.err
+		}
 	case <-timer.C:
-		return nil, errf(400, CodeDeadline,
-			"kernelreg: compile exceeded the %s deadline", r.lim.CompileDeadline)
 	}
+	return nil, errf(400, CodeDeadline,
+		"kernelreg: compile exceeded the %s deadline", r.lim.CompileDeadline)
 }
 
 func (r *Registry) compileSource(req CompileRequest) (*CompileResponse, error) {
@@ -264,9 +272,42 @@ func (r *Registry) compileSource(req CompileRequest) (*CompileResponse, error) {
 		}
 	}
 
-	// Canonical form: the rendering must be a parse/render fixed point,
-	// or content addressing would assign one program several ids.
+	// The id is a pure function of the canonical rendering, and an id is
+	// only ever registered after its content passed every check below,
+	// so a re-submission is answered from the registry: no reparse, no
+	// resource derivation, no kernel build, no verification runs.
 	canon := Canonicalize(final)
+	e := r.hit(IDOf(canon))
+	if e == nil {
+		if e, err = r.admit(canon, req, converted); err != nil {
+			return nil, err
+		}
+	}
+
+	resp := &CompileResponse{
+		Kernel:      e.info.ID,
+		Name:        e.info.Name,
+		Converted:   converted,
+		DefaultN:    e.info.DefaultN, // first registration wins
+		MaxN:        e.info.MaxN,
+		Arity:       e.info.Arity,
+		Outputs:     e.k.Outputs,
+		Diagnostics: WireDiags(diags),
+	}
+	if conv != nil {
+		resp.Rewrites = wireRewrites(conv.Rewrites)
+		resp.ExtraElems = conv.ExtraElems
+		resp.Notes = conv.Notes
+	}
+	return resp, nil
+}
+
+// admit is the first-registration half of a compile: it checks that the
+// canonical rendering is a parse/render fixed point (or content
+// addressing would assign one program several ids), derives the
+// resource ceiling, builds the kernel, verifies it on the reference
+// engine at the sentinel sizes, and registers it.
+func (r *Registry) admit(canon string, req CompileRequest, converted bool) (*entry, error) {
 	back, err := ir.Parse(canon)
 	if err != nil {
 		return nil, errf(422, CodeNotCanonical,
@@ -281,47 +322,48 @@ func (r *Registry) compileSource(req CompileRequest) (*CompileResponse, error) {
 	if merr != nil {
 		return nil, merr
 	}
-	id := IDOf(canon)
 	dn := r.defaultN(req.DefaultN, maxN)
 
 	k, err := back.Kernel(dn)
 	if err != nil {
 		return nil, errf(422, CodeCompileFailed, "kernelreg: %v", err)
 	}
-	k.Key = id
+	k.Key = IDOf(canon)
 	k.MaxN = maxN
 	if converted {
 		k.Notes = "compiled from the affine loop IR (SA-converted)"
 	}
 
 	for _, vn := range verifySizes(dn, maxN) {
+		r.verifyRuns.Inc()
 		if verr := runVerify(k, vn); verr != nil {
 			return nil, errf(422, CodeVerifyFailed,
 				"kernelreg: kernel fails the reference engine at n=%d: %v", vn, verr)
 		}
 	}
-
 	e, rerr := r.register(k, canon, req.Tenant, dn, maxN)
 	if rerr != nil {
 		return nil, rerr
 	}
+	return e, nil
+}
 
-	resp := &CompileResponse{
-		Kernel:      e.info.ID,
-		Name:        e.info.Name,
-		Converted:   converted,
-		DefaultN:    e.info.DefaultN, // first registration wins
-		MaxN:        e.info.MaxN,
-		Arity:       e.info.Arity,
-		Outputs:     k.Outputs,
-		Diagnostics: WireDiags(diags),
+// hit returns the entry registered under id, refreshing its LRU
+// position and counting a compile hit, or nil.
+func (r *Registry) hit(id string) *entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.hitLocked(id)
+}
+
+func (r *Registry) hitLocked(id string) *entry {
+	e, ok := r.entries[id]
+	if !ok {
+		return nil
 	}
-	if conv != nil {
-		resp.Rewrites = wireRewrites(conv.Rewrites)
-		resp.ExtraElems = conv.ExtraElems
-		resp.Notes = conv.Notes
-	}
-	return resp, nil
+	r.hits.Inc()
+	r.lru.MoveToFront(e.el)
+	return e
 }
 
 // Canonicalize renders a program in its canonical, content-addressable
@@ -410,14 +452,13 @@ func runVerify(k *loops.Kernel, n int) (err error) {
 }
 
 // register installs a compiled kernel under the capacity and tenant
-// bounds. Re-registering an existing id is an idempotent hit: it
-// refreshes LRU position and is not charged against any quota.
+// bounds. Losing a race to register an id is an idempotent hit like any
+// other: it refreshes LRU position and is not charged against any
+// quota.
 func (r *Registry) register(k *loops.Kernel, canon, tenant string, defaultN, maxN int) (*entry, *Error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[k.Key]; ok {
-		r.hits.Inc()
-		r.lru.MoveToFront(e.el)
+	if e := r.hitLocked(k.Key); e != nil {
 		return e, nil
 	}
 	if r.tenants[tenant] >= r.lim.TenantQuota {

@@ -8,6 +8,8 @@ package kernelreg
 // evict and reject exactly as documented.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -83,10 +85,24 @@ func TestRecompileIsIdempotentHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	verified := mreg.Snapshot().Counters[MetricVerifyRuns]
+	if verified == 0 {
+		t.Fatalf("%s = 0 after a first registration", MetricVerifyRuns)
+	}
 	// The second compile asks for a different default_n: first wins.
 	r2, err := reg.Compile(CompileRequest{Source: source, DefaultN: 96})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A hit is answered from the registry — the content was verified
+	// when it was registered — with the bytes of the first answer.
+	if got := mreg.Snapshot().Counters[MetricVerifyRuns]; got != verified {
+		t.Fatalf("recompile ran %d verification(s); a hit must run none", got-verified)
+	}
+	b1, _ := json.Marshal(r1)
+	b2, _ := json.Marshal(r2)
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("recompile body differs:\n%s\n%s", b1, b2)
 	}
 	if r1.Kernel != r2.Kernel || r2.DefaultN != 48 {
 		t.Fatalf("recompile: id %q->%q default_n %d (want first-wins 48)", r1.Kernel, r2.Kernel, r2.DefaultN)

@@ -12,12 +12,15 @@
 // Reads inside the closure are attributed to the owning PE and
 // classified local / cached / remote.
 //
-// Three engines implement this interface:
+// Four engines implement this interface:
 //
 //   - the sequential reference engine in this package (ground truth for
 //     values, single-assignment validation);
-//   - internal/sim, the access-counting simulator replicating the
-//     paper's measurement methodology;
+//   - internal/sim's counting engine, the access-counting simulator
+//     replicating the paper's measurement methodology;
+//   - internal/sim's recording engine, which executes a kernel once
+//     with no machine model at all and writes down its reference stream
+//     for internal/refstream to classify under any configuration;
 //   - internal/machine, a concurrent engine with one goroutine per PE
 //     and real message passing.
 package loops
@@ -181,6 +184,16 @@ func (c *Ctx) A(name string) *Arr {
 
 // Arrays returns all handles in declaration order.
 func (c *Ctx) Arrays() []*Arr { return c.list }
+
+// Rebind points the context and its array handles at another engine
+// over the same declarations, so a back end that hosts more than one
+// engine on shared storage (internal/sim) binds a kernel once.
+func (c *Ctx) Rebind(eng Engine) {
+	c.eng = eng
+	for _, a := range c.list {
+		a.eng = eng
+	}
+}
 
 // ReduceSum sums term(i) for i in [lo, hi), attributing each term to the
 // owner of driver[i] and collecting through the host processor.

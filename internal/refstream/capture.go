@@ -3,77 +3,26 @@ package refstream
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/loops"
-	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
-// capturePageSize is the page size of the one-shot validation run. The
-// captured stream is independent of it — page geometry is re-derived at
-// replay time — so any valid size works; 32 is the paper's default.
-const capturePageSize = 32
-
-// encoder records the reference stream of a capture run. It implements
-// sim.StreamTracer: the classified Event stream supplies reads and
-// assignment closings (a Write event is emitted exactly when an
-// assignment finishes), and the marker methods supply the structure the
-// Event stream alone cannot express. The capture run uses NPE=1, so a
-// replicated control read arrives as exactly one Event.
-//
-// Events are recorded as one packed word per event — a single append
-// keeps the tracer callback cheap inside the instrumented run — and
-// Capture unpacks them into the replay-side columns afterwards. The
-// compressed columns are built lazily on first demand.
-type encoder struct {
-	st *Stream
-}
-
-// Event implements sim.Tracer.
-func (e *encoder) Event(pe int, kind stats.Access, array, lin, page int) {
-	if kind == stats.Write {
-		// FinishAssign: the write itself is re-derived at replay from
-		// the matching opAssign; this event closes the context.
-		e.st.record(opEnd, 0, 0)
-		return
-	}
-	e.st.record(opRead, array, lin)
-}
-
-// BeginAssign implements sim.StreamTracer.
-func (e *encoder) BeginAssign(array, lin int) {
-	e.st.record(opAssign, array, lin)
-}
-
-// BeginReduceTerm implements sim.StreamTracer.
-func (e *encoder) BeginReduceTerm(driver, i int) {
-	e.st.record(opTerm, driver, i)
-}
-
-// EndReduce implements sim.StreamTracer.
-func (e *encoder) EndReduce(driver int) {
-	e.st.record(opEndReduce, driver, 0)
-}
-
-// Capture executes kernel k at problem size n once through the
-// counting simulator — validating single assignment and computing the
-// output checksums exactly as any direct run would — and returns the
-// encoded reference stream. The capture configuration is a 1-PE,
-// cache-less machine: with a single PE every access stream collapses to
-// one classified event per access, and the recorded stream plus its
+// Capture executes kernel k at problem size n once on the recording
+// engine — validating single assignment and computing the output
+// checksums exactly as any direct run would — and returns the reference
+// stream. No machine is simulated: the recorded accesses and their
 // structural markers are independent of every machine parameter.
 func Capture(k *loops.Kernel, n int) (*Stream, error) {
 	return CaptureScratch(nil, k, n)
 }
 
 // CaptureScratch is Capture against a reusable simulator scratch: the
-// capture run borrows sc's buffers instead of allocating fresh kernel
-// arrays, which removes most of a capture's cost beyond the one
-// unavoidable execution (sweep workers and the serving engine hold a
-// scratch per worker for exactly this). A nil sc runs with a private
-// one. The returned Stream is identical either way and shares nothing
-// with sc.
+// execution borrows sc's value slabs, initialization memo and event
+// columns instead of allocating fresh ones, which leaves a capture
+// costing one execution of the kernel plus a copy of its events (sweep
+// workers and the serving engine hold a scratch per worker for exactly
+// this). A nil sc runs with a private one. The returned Stream is
+// identical either way and shares nothing with sc.
 func CaptureScratch(sc *sim.Scratch, k *loops.Kernel, n int) (st *Stream, err error) {
 	if k == nil {
 		return nil, fmt.Errorf("refstream: nil kernel")
@@ -89,33 +38,25 @@ func CaptureScratch(sc *sim.Scratch, k *loops.Kernel, n int) (st *Stream, err er
 		}
 	}()
 	n = k.ClampN(n)
-	specs := k.Arrays(n)
-	st = &Stream{Kernel: k, N: n, ArrayLens: make([]int, len(specs))}
-	for i, spec := range specs {
-		dims, err := partition.NewDims(spec.Dims...)
-		if err != nil {
-			return nil, fmt.Errorf("refstream: %s array %q: %w", k.Key, spec.Name, err)
-		}
-		st.ArrayLens[i] = dims.Elems()
+	if sc == nil {
+		sc = sim.NewScratch()
 	}
-	enc := &encoder{st: st}
-	cfg := sim.Config{
-		NPE:      1,
-		PageSize: capturePageSize,
-		Policy:   cache.LRU,
-		Layout:   partition.KindModulo,
-		Tracer:   enc,
-	}
-	var res *sim.Result
-	if sc != nil {
-		res, err = sc.Run(k, n, cfg)
-	} else {
-		res, err = sim.Run(k, n, cfg)
-	}
+	rec, err := sc.Record(k, n)
 	if err != nil {
 		return nil, fmt.Errorf("refstream: capturing %s/n=%d: %w", k.Key, n, err)
 	}
-	st.Checksums = res.Checksums
-	st.finishCapture()
-	return st, nil
+	// The columns are the scratch's; the stream keeps exact-size copies
+	// (make immediately followed by copy skips zeroing them first).
+	heads := make([]uint32, len(rec.Heads))
+	copy(heads, rec.Heads)
+	lins := make([]int32, len(rec.Lins))
+	copy(lins, rec.Lins)
+	return &Stream{
+		Kernel: k, N: n,
+		ArrayLens: rec.ArrayLens,
+		Checksums: rec.Checksums,
+		events:    len(heads),
+		dheads:    heads,
+		dlins:     lins,
+	}, nil
 }

@@ -10,11 +10,11 @@
 //
 // This package therefore splits a simulated run into two phases:
 //
-//   - Capture executes the kernel once, through the full counting
-//     simulator (so single assignment is validated and the output
-//     checksums are computed exactly once), and records the program
-//     property: a compact columnar encoding of the reference stream
-//     with its structural markers.
+//   - Capture executes the kernel once, on internal/sim's recording
+//     engine (so single assignment is validated and the output
+//     checksums are computed exactly once, at the cost of one execution
+//     and no machine model), and keeps the program property: a columnar
+//     encoding of the reference stream with its structural markers.
 //   - Replayer applies the machine property: it re-derives every
 //     counter of a sim.Result — per-PE access classes, cache
 //     statistics, the traffic matrix, reduction sends/broadcasts —
@@ -54,19 +54,17 @@ import (
 	"sync"
 
 	"repro/internal/loops"
+	"repro/internal/sim"
 )
 
-// Opcodes of the reference stream. The stream is a flat state machine:
-// opAssign and opTerm open a classification context (the owner of the
-// named element), opEnd and opEndReduce close it, and opRead events
-// classify in whichever context is open — none meaning a replicated
-// control read, executed by every PE.
+// Opcodes of the reference stream, as the recording engine writes them
+// (see the sim.Op* constants for the state machine they drive).
 const (
-	opRead      = 0 // read a[lin] in the current context
-	opAssign    = 1 // open an assignment targeting a[lin]; charges the write to its owner
-	opEnd       = 2 // close the open assignment (no payload)
-	opTerm      = 3 // open reduction term lin, driven by array a
-	opEndReduce = 4 // close the reduction driven by array a: account host collection
+	opRead      = sim.OpRead
+	opAssign    = sim.OpAssign
+	opEnd       = sim.OpEnd
+	opTerm      = sim.OpTerm
+	opEndReduce = sim.OpEndReduce
 )
 
 // opHasLin reports whether the opcode carries an element-index payload
@@ -94,9 +92,8 @@ type Stream struct {
 	Checksums []loops.ArraySum
 
 	events int
-	heads  []byte   // per event: varint(arrayID<<3 | opcode)
-	lins   []byte   // per payload-carrying event: zigzag varint delta of lin, keyed per array
-	raw    []uint64 // capture-time scratch: head<<32 | lin, released by finishCapture
+	heads  []byte // per event: varint(arrayID<<3 | opcode)
+	lins   []byte // per payload-carrying event: zigzag varint delta of lin, keyed per array
 
 	// Replay-side memos, built lazily on first use and shared by every
 	// Replayer of this stream (a group replays one stream dozens of
@@ -141,27 +138,6 @@ func (s *Stream) emit(op byte, array, lin int, last []int) {
 		s.lins = binary.AppendUvarint(s.lins, zigzag(delta))
 	}
 	s.events++
-}
-
-// record appends one event to the raw capture column: the capture
-// tracer's fast path, run inside the instrumented simulation, so it is
-// a single append of head and element index packed into one word.
-// finishCapture splits the column into the replay-side views.
-func (s *Stream) record(op byte, array, lin int) {
-	s.raw = append(s.raw, uint64(array)<<35|uint64(op)<<32|uint64(uint32(lin)))
-}
-
-// finishCapture unpacks the raw capture column into the fixed-width
-// event columns and releases it.
-func (s *Stream) finishCapture() {
-	s.dheads = make([]uint32, len(s.raw))
-	s.dlins = make([]int32, len(s.raw))
-	for i, w := range s.raw {
-		s.dheads[i] = uint32(w >> 32)
-		s.dlins[i] = int32(uint32(w))
-	}
-	s.events = len(s.raw)
-	s.raw = nil
 }
 
 // compress batch-builds the compressed columns from the recorded
@@ -210,9 +186,9 @@ func (c *cursor) next() (op byte, array, lin int, ok bool) {
 }
 
 // decoded returns the stream's fixed-width event columns. Captured
-// streams already carry them (record fills them during the capture
-// run); a stream built from its compressed columns alone decompresses
-// here, exactly once.
+// streams already carry them (the recording engine writes that form);
+// a stream built from its compressed columns alone decompresses here,
+// exactly once.
 func (s *Stream) decoded() (heads []uint32, lins []int32) {
 	s.decodeOnce.Do(func() {
 		if s.dheads != nil {

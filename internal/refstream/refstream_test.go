@@ -10,6 +10,7 @@ import (
 	"repro/internal/loops"
 	"repro/internal/partition"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // shapeGrid is the seeded configuration grid of the equivalence suite:
@@ -233,7 +234,7 @@ func TestReplayUnsupportedConfigs(t *testing.T) {
 		t.Error("partial-fill config accepted by replay")
 	}
 	tr := sim.PaperConfig(8, 32)
-	tr.Tracer = &encoder{st: &Stream{}}
+	tr.Tracer = nopTracer{}
 	if _, err := NewReplayer().Run(st, tr); err == nil {
 		t.Error("tracing config accepted by replay")
 	}
@@ -244,6 +245,10 @@ func TestReplayUnsupportedConfigs(t *testing.T) {
 		t.Error("Eligible rejects the baseline config")
 	}
 }
+
+type nopTracer struct{}
+
+func (nopTracer) Event(pe int, kind stats.Access, array, lin, page int) {}
 
 // TestReplayInvalidConfigs: malformed configurations error instead of
 // panicking, mirroring sim's validation.

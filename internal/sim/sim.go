@@ -24,6 +24,16 @@
 // share no mutable state. A Scratch retains all of these allocations
 // between runs; internal/sweep gives one to each worker so a parameter
 // sweep reaches a near-zero-allocation steady state.
+//
+// The package hosts a second loops.Engine on the same storage: the
+// recording engine (record.go, Scratch.Record) executes a kernel with
+// the same value work and single-assignment checks but no machine model
+// at all, and writes down the reference stream — which element is
+// touched, in what order, in which structural context. That stream is a
+// pure function of (kernel, n), so internal/refstream classifies it
+// under any configuration instead of re-executing; Run remains the
+// reference those classifications are held bit-identical to, and the
+// path for the configurations replay does not cover.
 package sim
 
 import (
@@ -63,31 +73,6 @@ type Tracer interface {
 	// Event reports one access: the PE it was charged to, its class,
 	// the array, the linear element index, and the page.
 	Event(pe int, kind stats.Access, array, lin, page int)
-}
-
-// StreamTracer is an optional extension of Tracer that additionally
-// receives the structural markers of the reference stream: assignment
-// openings and the per-term / end boundaries of host-processor
-// reductions. The classified Event stream alone cannot distinguish an
-// assignment's right-hand-side reads from replicated control reads, nor
-// recover which reduction a term belongs to; these markers make the
-// stream replayable under a different machine configuration
-// (internal/refstream). A plain Tracer keeps working unchanged — the
-// engine only calls the marker methods when the configured Tracer
-// implements this interface.
-type StreamTracer interface {
-	Tracer
-	// BeginAssign marks the opening of an assignment targeting linear
-	// element lin of array `array`; the Events up to the matching Write
-	// Event are the assignment's right-hand-side reads.
-	BeginAssign(array, lin int)
-	// BeginReduceTerm marks the start of reduction term i driven by
-	// array `driver`; the Events up to the next marker are the term's
-	// reads, charged to the owner of driver[i].
-	BeginReduceTerm(driver, i int)
-	// EndReduce marks the end of a reduction driven by array `driver`,
-	// after which the host-collection messages are accounted.
-	EndReduce(driver int)
 }
 
 // PaperConfig returns the paper's baseline: modulo layout, LRU, and the
@@ -154,9 +139,8 @@ func (r *Result) RemotePercent() float64 { return r.Totals.RemotePercent() }
 // per-access path is pure slice arithmetic; the slabs live on between
 // runs when the engine is owned by a Scratch.
 type engine struct {
-	cfg    Config
-	stream StreamTracer // cfg.Tracer's marker extension, when implemented
-	geoms  []partition.Geometry
+	cfg   Config
+	geoms []partition.Geometry
 
 	valBase  []int   // valBase[a]: offset of array a in vals/defined
 	pageBase []int32 // pageBase[a]: offset of array a in the page-id space
@@ -196,10 +180,7 @@ func (e *engine) BeginAssign(a *loops.Arr, lin int) bool {
 		e.fail(fmt.Errorf("sim: nested assignment on %s[%d]", a.Name, lin))
 		return false
 	}
-	e.curPE = int(e.owners[e.pageBase[a.ID]+int32(e.geoms[a.ID].PageOf(lin))])
-	if e.stream != nil {
-		e.stream.BeginAssign(a.ID, lin)
-	}
+	e.curPE = e.ownerOf(a, lin)
 	return true
 }
 
@@ -298,26 +279,12 @@ func (e *engine) Reduce(op loops.Op, driver *loops.Arr, lo, hi int, term func(i 
 	first := true
 	for i := lo; i < hi; i++ {
 		pe := e.ownerOf(driver, i)
-		if e.stream != nil {
-			e.stream.BeginReduceTerm(driver.ID, i)
-		}
 		e.curPE = pe
 		v := term(i)
 		e.curPE = -1
 		participated[pe] = true
-		if first {
-			acc, at = v, i
-			if op == loops.OpSum {
-				at = -1
-			}
-			first = false
-			continue
-		}
-		idx := i
-		if op == loops.OpSum {
-			idx = -1
-		}
-		acc, at = loops.CombineReduce(op, acc, at, v, idx)
+		acc, at = foldTerm(op, first, acc, at, v, i)
+		first = false
 	}
 	host := driver.ID % e.cfg.NPE // hostproc convention: arrays spread over PEs
 	for pe, p := range participated {
@@ -334,20 +301,32 @@ func (e *engine) Reduce(op loops.Op, driver *loops.Arr, lo, hi int, term func(i 
 			}
 		}
 	}
-	if e.stream != nil {
-		e.stream.EndReduce(driver.ID)
-	}
 	return acc, at
+}
+
+// foldTerm folds term i's value v into the running reduction (acc, at);
+// first marks the reduction's opening term. Both engines of this
+// package combine through it, so a recorded run reproduces a counted
+// run's reduction results bit for bit.
+func foldTerm(op loops.Op, first bool, acc float64, at int, v float64, i int) (float64, int) {
+	if op == loops.OpSum {
+		i = -1
+	}
+	if first {
+		return v, i
+	}
+	return loops.CombineReduce(op, acc, at, v, i)
 }
 
 // Scratch owns the simulator's reusable allocations: the value and
 // defined-bit slabs, the owner tables, the per-PE slot caches (whose
-// frames are recycled across runs) and the traffic matrix. Reusing a
-// Scratch across runs removes nearly all steady-state allocation from a
-// parameter sweep. A Scratch is not safe for concurrent use; give each
-// worker its own.
+// frames are recycled across runs), the traffic matrix and the
+// recording engine's event columns. Reusing a Scratch across runs
+// removes nearly all steady-state allocation from a parameter sweep. A
+// Scratch is not safe for concurrent use; give each worker its own.
 type Scratch struct {
-	e engine
+	e   engine   // the counting engine (Run)
+	rec recorder // the recording engine (Record), on the same slabs
 
 	// Metrics, when non-nil, receives per-run observability signals
 	// (run count, wall time, init-memoization hits); when nil the
@@ -356,13 +335,13 @@ type Scratch struct {
 	// per-access, and never influences the computed Result.
 	Metrics *obs.Registry
 
-	// Memoized initialization state: consecutive runs of the same
+	// Memoized initialization state: consecutive executions of the same
 	// kernel at the same problem size (the common case in a sweep,
 	// whose grid order is kernel-major) restore the post-init slabs
 	// with a copy instead of re-evaluating every Init function, and
 	// reuse the bound loops.Ctx (array handles are pure functions of
-	// the kernel, the problem size and the engine, which is stable for
-	// the Scratch's lifetime).
+	// the kernel and the problem size; Rebind points them at whichever
+	// of the two engines executes next).
 	initKernel *loops.Kernel
 	initN      int
 	initVals   []float64
@@ -406,6 +385,77 @@ func grown[T int | int32 | int64 | float64 | bool](buf []T, n int) []T {
 	return buf
 }
 
+// load prepares the ground-truth storage both engines execute against:
+// it binds kernel k at (already clamped) problem size n to eng, lays the
+// arrays out in the value and defined-bit slabs, and applies the
+// initialization data — by copy when the previous execution on this
+// Scratch, counted or recorded, was the same (kernel, n).
+func (s *Scratch) load(k *loops.Kernel, n int, eng loops.Engine) (ctx *loops.Ctx, memoized bool, err error) {
+	if s.ctxKernel != k || s.ctxN != n {
+		specs := k.Arrays(n)
+		ctx, err := loops.Bind(eng, specs)
+		if err != nil {
+			return nil, false, fmt.Errorf("sim: %s: %w", k.Key, err)
+		}
+		s.ctxSpecs, s.ctx = specs, ctx
+		s.ctxKernel, s.ctxN = k, n
+	}
+	s.ctx.Rebind(eng)
+	arrs := s.ctx.Arrays()
+
+	e := &s.e
+	e.valBase = e.valBase[:0]
+	totalElems := 0
+	for _, a := range arrs {
+		e.valBase = append(e.valBase, totalElems)
+		totalElems += a.Len()
+	}
+	e.vals = grown(e.vals, totalElems)
+	e.defined = grown(e.defined, totalElems)
+	if s.initKernel == k && s.initN == n && len(s.initVals) == totalElems {
+		copy(e.vals, s.initVals)
+		copy(e.defined, s.initDef)
+		return s.ctx, true, nil
+	}
+	for i, a := range arrs {
+		init := s.ctxSpecs[i].Init
+		if init == nil {
+			continue
+		}
+		vb, elems := e.valBase[i], a.Len()
+		vals, def := e.vals[vb:vb+elems], e.defined[vb:vb+elems]
+		for j := range vals {
+			if v, ok := init(j); ok {
+				vals[j], def[j] = v, true
+			}
+		}
+	}
+	s.initKernel, s.initN = k, n
+	s.initVals = append(s.initVals[:0], e.vals...)
+	s.initDef = append(s.initDef[:0], e.defined...)
+	return s.ctx, false, nil
+}
+
+// checksums sums the defined cells of each of k's output arrays as the
+// slabs stand after an execution.
+func (s *Scratch) checksums(k *loops.Kernel) []loops.ArraySum {
+	sums := make([]loops.ArraySum, 0, len(k.Outputs))
+	for _, name := range k.Outputs {
+		a := s.ctx.A(name)
+		vb, elems := s.e.valBase[a.ID], a.Len()
+		vals, def := s.e.vals[vb:vb+elems], s.e.defined[vb:vb+elems]
+		cs := loops.ArraySum{Name: name, Elems: elems}
+		for j, d := range def {
+			if d {
+				cs.Sum += vals[j]
+				cs.Defined++
+			}
+		}
+		sums = append(sums, cs)
+	}
+	return sums
+}
+
 // Run simulates kernel k at problem size n under cfg, reusing the
 // Scratch's allocations. The returned Result is independent of the
 // Scratch and remains valid after further runs.
@@ -421,52 +471,31 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	n = k.ClampN(n)
 	e := &s.e
 	e.cfg = cfg
-	e.stream, _ = cfg.Tracer.(StreamTracer)
 	e.curPE = -1
 	e.err = nil
 	e.reduceS, e.reduceB = 0, 0
 
-	// Consecutive runs of the same (kernel, n) reuse the bound context
-	// and array specs; the engine the handles point at is stable for
-	// the Scratch's lifetime.
-	if s.ctxKernel != k || s.ctxN != n {
-		specs := k.Arrays(n)
-		ctx, err := loops.Bind(e, specs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s: %w", k.Key, err)
-		}
-		s.ctxSpecs, s.ctx = specs, ctx
-		s.ctxKernel, s.ctxN = k, n
+	ctx, memoized, err := s.load(k, n, e)
+	if err != nil {
+		return nil, err
 	}
-	specs, ctx := s.ctxSpecs, s.ctx
-	arrs := ctx.Arrays()
 
-	// Lay the arrays out in the slabs and the dense page-id space.
+	// Lay the arrays out in the dense page-id space and fill the owner
+	// table.
 	e.geoms = e.geoms[:0]
-	e.valBase = e.valBase[:0]
 	e.pageBase = e.pageBase[:0]
-	totalElems, totalPages := 0, 0
-	for _, a := range arrs {
+	totalPages := 0
+	for _, a := range ctx.Arrays() {
 		g, err := partition.NewGeometry(a.Len(), cfg.PageSize)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: %w", k.Key, err)
 		}
 		e.geoms = append(e.geoms, g)
-		e.valBase = append(e.valBase, totalElems)
 		e.pageBase = append(e.pageBase, int32(totalPages))
-		totalElems += a.Len()
 		totalPages += g.Pages()
 	}
-	e.vals = grown(e.vals, totalElems)
-	e.defined = grown(e.defined, totalElems)
 	e.owners = grown(e.owners, totalPages)
-	memoized := s.initKernel == k && s.initN == n && len(s.initVals) == totalElems
-	if memoized {
-		copy(e.vals, s.initVals)
-		copy(e.defined, s.initDef)
-	}
-	for i, a := range arrs {
-		g := e.geoms[i]
+	for i, g := range e.geoms {
 		l, err := partition.Make(cfg.Layout, cfg.NPE, g.Pages(), cfg.LayoutRun)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: %w", k.Key, err)
@@ -475,20 +504,6 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 		for p := 0; p < g.Pages(); p++ {
 			e.owners[base+int32(p)] = int32(l.Owner(p))
 		}
-		if init := specs[i].Init; init != nil && !memoized {
-			vb := e.valBase[i]
-			for j := 0; j < a.Len(); j++ {
-				if v, ok := init(j); ok {
-					e.vals[vb+j] = v
-					e.defined[vb+j] = true
-				}
-			}
-		}
-	}
-	if !memoized {
-		s.initKernel, s.initN = k, n
-		s.initVals = append(s.initVals[:0], e.vals...)
-		s.initDef = append(s.initDef[:0], e.defined...)
 	}
 
 	// Per-PE state: counters, caches, traffic rows.
@@ -542,19 +557,7 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	for pe := 0; pe < cfg.NPE; pe++ {
 		res.Cache[pe] = e.caches[pe].Stats()
 	}
-	res.Checksums = make([]loops.ArraySum, 0, len(k.Outputs))
-	for _, name := range k.Outputs {
-		a := ctx.A(name)
-		vb := e.valBase[a.ID]
-		cs := loops.ArraySum{Name: name, Elems: a.Len()}
-		for j := 0; j < a.Len(); j++ {
-			if e.defined[vb+j] {
-				cs.Sum += e.vals[vb+j]
-				cs.Defined++
-			}
-		}
-		res.Checksums = append(res.Checksums, cs)
-	}
+	res.Checksums = s.checksums(k)
 	if reg != nil {
 		reg.Counter(MetricRuns).Inc()
 		if memoized {

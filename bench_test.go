@@ -305,6 +305,28 @@ func BenchmarkSweepGridBatchParallel(b *testing.B) {
 	benchSweep(b, sweepGrid(b), 0, sweep.ReplayOn)
 }
 
+// wideGroup is one grid_wide-shaped capture group: a single (kernel,
+// N) stream under 1 920 configurations of every eligibility class, so
+// the whole sweep is one group's classification.
+func wideGroup(k *loops.Kernel, n int) []sweep.Point {
+	return sweep.Grid{
+		Kernels:    []*loops.Kernel{k},
+		N:          n,
+		NPEs:       []int{1, 2, 3, 4, 6, 8, 12, 16, 32, 64},
+		PageSizes:  []int{16, 32, 64, 128},
+		CacheElems: []int{0, 64, 256, 2048},
+		Layouts:    []partition.Kind{partition.KindModulo, partition.KindBlock, partition.KindBlockCyclic},
+		Policies:   []cache.Policy{cache.LRU, cache.FIFO, cache.Clock, cache.Random},
+	}.Points()
+}
+
+// BenchmarkSweepWideGroup sweeps one wide group with GOMAXPROCS
+// workers; run it with -cpu=1,2 and the ratio is how well a single
+// group's chunks spread over the queue's workers (docs/PERF.md).
+func BenchmarkSweepWideGroup(b *testing.B) {
+	benchSweep(b, wideGroup(benchKernel(b, "k2"), 0), 0, sweep.ReplayOn)
+}
+
 // BenchmarkSweepScratchReuse isolates the per-point allocation savings
 // of the worker-owned sim.Scratch against fresh sim.Run calls.
 func BenchmarkSweepScratchReuse(b *testing.B) {

@@ -73,9 +73,9 @@ type benchLeg struct {
 // pass per grid point); Batch is the full planner (ReplayOn — one
 // stream pass per capture group classifying the whole group at once).
 // BatchPar is the same planner with a multi-worker pool (Workers
-// records the pool width): the pipelined capture/replay stages
-// overlap and each batch pass fans RunBatch out across slab
-// partitions. Speedup, BatchSpeedup and BatchParSpeedup are each
+// records the pool width): the workers drain one queue of chunks, so
+// captures overlap classification and a group's chunks spread over
+// the pool. Speedup, BatchSpeedup and BatchParSpeedup are each
 // leg's win over Direct. SteadyAllocsPerPoint measures Replayer.Run
 // alone — repeated replays of one captured stream, capture excluded —
 // the steady state the ≤5 allocations budget is about (the Result
@@ -178,9 +178,8 @@ func runBench(out string) error {
 	// classify-many section. The first three legs run single-worker so
 	// the per-point ratio is a clean algorithmic comparison rather than
 	// a scheduling one; the batch_par leg then re-runs the full planner
-	// with a multi-worker pool, which overlaps captures with replays
-	// (pipelined planner) and partitions each batch pass (parallel
-	// RunBatch) — the end-to-end grid number the ≥10x target is about.
+	// with a multi-worker pool draining the planner's one queue of
+	// chunks — the end-to-end grid number.
 	replay := &benchReplay{Points: len(pts)}
 	replayLeg := func(mode sweep.ReplayMode, workers int) (benchLeg, int64, error) {
 		reg := obs.NewRegistry()
@@ -212,9 +211,9 @@ func runBench(out string) error {
 		return fmt.Errorf("bench: batch grid: %w", err)
 	}
 	// A pool of at least four workers even on a small host, so the
-	// partitioned-batch and pipelined-capture paths are the ones being
-	// measured; on a one-core box the leg records the (honest) lack of
-	// wall-clock win, and the gomaxprocs/num_cpu fields say why.
+	// shared queue is what is being measured; on a one-core box the leg
+	// records the (honest) lack of wall-clock win, and the
+	// gomaxprocs/num_cpu fields say why.
 	replay.Workers = procs
 	if replay.Workers < 4 {
 		replay.Workers = 4

@@ -45,15 +45,17 @@ package refstream
 //     decoded event down every order-dependent configuration of the
 //     bucket (batchEventPass).
 //
-// Large groups additionally fan out across cores: RunBatchN splits the
-// configuration slab into contiguous partitions, each classified by
-// its own batchWorker (own caches, own slabs) over the shared
-// read-only decoded stream, with results landing at their original
-// indices. The same single-assignment argument that makes the batch
-// sound makes the fan-out sound: configurations never interact, so
-// partitions share nothing mutable. Small groups stay serial — the
-// dispatch threshold keeps the common singleton/duo groups free of
-// goroutine cost.
+// Large groups are classified in chunks: Cut splits the configuration
+// slab into contiguous slices of bounded estimated cost (path class ×
+// stream length), each classified against one batchWorker's slabs over
+// the shared read-only decoded stream, with results landing at their
+// original indices. The same single-assignment argument that makes the
+// batch sound makes any split sound: configurations never interact, so
+// chunks share nothing mutable and may run on any worker in any order.
+// internal/sweep feeds the chunks of every group to one work queue;
+// RunBatchN spreads one group's chunks over its own parallelism
+// budget. A group under the cost target — the common 2- and 28-config
+// groups — is one chunk and pays nothing.
 //
 // Results are bit-identical to per-configuration Replayer.Run and to
 // direct sim.Run; refstream_test.go, FuzzBatchVsSingle,
@@ -76,22 +78,177 @@ import (
 
 // Observability names recorded by RunBatch on Replayer.Metrics.
 const (
-	// MetricBatchGroups counts RunBatch invocations (capture groups
-	// classified by the batch path).
+	// MetricBatchGroups counts capture groups classified by the batch
+	// path: one per Cut, however many chunks the group is cut into.
 	MetricBatchGroups = "refstream.batch.groups"
 	// MetricBatchConfigsPerPass is a histogram of how many
 	// configurations each shared event pass classified (obs.DepthBuckets).
 	MetricBatchConfigsPerPass = "refstream.batch.configs_per_pass"
 	// MetricBatchDecodePasses counts event-column walks: the quantity
-	// batching minimizes (one per page-size bucket with at least one
-	// order-dependent configuration — per partition when the batch runs
-	// parallel — instead of one per configuration).
+	// batching minimizes (one per chunk and page-size bucket with at
+	// least one order-dependent configuration, instead of one per
+	// configuration).
 	MetricBatchDecodePasses = "refstream.batch.decode_passes"
-	// MetricBatchPartitions is a histogram of how many slab partitions
-	// each RunBatch call fanned out to (obs.DepthBuckets); 1 means the
-	// group ran serial.
+	// MetricBatchPartitions is a histogram of how many chunks each group
+	// was cut into (obs.DepthBuckets); 1 means the group was under the
+	// cost target and ran as a single pass.
 	MetricBatchPartitions = "refstream.batch.partitions"
+	// MetricBatchPathPrefix, followed by a path name (fold, hist, swar,
+	// rows, slot, event), counts the configurations served by that
+	// classification path.
+	MetricBatchPathPrefix = "refstream.batch.path."
 )
+
+// path is the classification path that serves a configuration; the
+// package comment above describes each. The order is ascending cost.
+type path uint8
+
+const (
+	pathFold  path = iota // order-free, from the fold table
+	pathHist              // order-free, from the run-length read histogram
+	pathSWAR              // framed LRU on packed SWAR rows
+	pathRows              // framed LRU on plain frame rows
+	pathSlot              // framed, against the real slot caches
+	pathEvent             // structural summary unusable: the general event pass
+	numPaths
+)
+
+// pathMetric names the per-path counters.
+var pathMetric = [numPaths]string{
+	MetricBatchPathPrefix + "fold", MetricBatchPathPrefix + "hist", MetricBatchPathPrefix + "swar",
+	MetricBatchPathPrefix + "rows", MetricBatchPathPrefix + "slot", MetricBatchPathPrefix + "event",
+}
+
+// pathWeight is the cost of classifying one configuration, per stream
+// event, relative to the fold path. The ratios are the ladder's
+// refstream.batch_us_per_config.* rungs (orderfree_pow2 :
+// orderfree_other : lru_small_pow2 : lru_other : policy_other ≈ 1 : 3 :
+// 13 : 32 : 46); the event pass has no rung and is charged above the
+// slot caches it drives once per event. One unit is about a third of a
+// nanosecond on the measurement box.
+var pathWeight = [numPaths]int64{1, 3, 13, 32, 46, 64}
+
+// chunkTarget is the estimated cost at which Cut closes a chunk: about
+// a third of a millisecond of classification. Scheduling a chunk costs
+// about a microsecond, so the target could be far smaller before
+// dispatch showed; what sets it is the slabs. A chunk this size — a
+// handful of 64-PE slot-cache configurations — keeps its owner tables,
+// traffic matrices and cache frames in a core's L2 from setup through
+// classification to result assembly; at four times the target the
+// grid_wide workload ran a tenth slower at one worker and at two
+// (docs/PERF.md). The paper grid's 28-configuration groups stay whole
+// or split in two; its three long streams split further.
+const chunkTarget = 1 << 20
+
+// cfgClass is what setup derives about one configuration's
+// classification: the path, and the two properties result assembly and
+// the event pass need beyond it.
+type cfgClass struct {
+	path      path
+	frameless bool // the configuration's cache holds zero page frames
+	lru       bool // classified by inline LRU rows (packed when path is pathSWAR)
+}
+
+// classOf derives a valid configuration's class from the two stream
+// properties it depends on: the page count under the configuration's
+// page size and whether the structural summary is usable.
+func classOf(cfg sim.Config, totalPages int, aggOK bool) cfgClass {
+	npe := cfg.NPE
+	mp := cfg.CacheElems / cfg.PageSize
+	c := cfgClass{frameless: mp == 0 || totalPages == 0}
+	switch {
+	case (c.frameless || npe == 1) && aggOK:
+		// Order-free. The contingency table serves the configuration
+		// whenever the folded page key determines the owner (see
+		// foldEligible); the rest fall back to the read histogram.
+		c.path = pathHist
+		if foldEligible(cfg, npe) {
+			c.path = pathFold
+		}
+		return c
+	case !aggOK:
+		c.path = pathEvent
+	default:
+		c.path = pathSlot
+	}
+	// Framed LRU configurations — the standard grid's entire framed
+	// population — are classified against inline recency rows instead
+	// of the cache machinery, packed when the row fits two SWAR words.
+	c.lru = !c.frameless && cfg.Policy == cache.LRU && mp <= lruCap
+	if c.lru && aggOK {
+		c.path = pathRows
+		if mp <= packCap && totalPages < packEmpty && npe&(npe-1) == 0 && cfg.Layout == partition.KindModulo {
+			c.path = pathSWAR
+		}
+	}
+	return c
+}
+
+// Chunk is a contiguous slice [Lo, Hi) of a capture group's
+// configurations, with the estimated cost of classifying it.
+type Chunk struct {
+	Lo, Hi int
+	Cost   int64
+}
+
+// Cut splits a capture group into chunks of bounded estimated cost: it
+// prefix-sums path weight × stream length over cfgs and closes a chunk
+// whenever the next configuration would take it past chunkTarget, so no
+// chunk exceeds the target unless it is a single configuration. The
+// chunks are contiguous, ascending and cover cfgs exactly once, and
+// they are a pure function of (st, cfgs) — never of a worker count —
+// so every caller splits a group the same way. Invalid configurations
+// are charged the lowest weight; the chunk that holds one fails when it
+// runs. Cut records the group, its chunk count and the per-path
+// configuration counts on r.Metrics. The returned slice is reused by
+// the next Cut on r.
+func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
+	var (
+		served [numPaths]int64
+		lastPS int
+		pages  int
+		aggOK  bool
+	)
+	target := r.target
+	if target == 0 {
+		target = chunkTarget
+	}
+	events := int64(st.events)
+	chunks := r.chunks[:0]
+	cur := Chunk{}
+	for i, cfg := range cfgs {
+		p := pathFold
+		if validateConfig(cfg) == nil {
+			if cfg.PageSize != lastPS {
+				lastPS = cfg.PageSize
+				pages = pageCount(st.ArrayLens, lastPS)
+				aggOK = st.frameAgg(lastPS).ok
+			}
+			p = classOf(cfg, pages, aggOK).path
+			served[p]++
+		}
+		cost := pathWeight[p] * events
+		if cur.Hi > cur.Lo && cur.Cost+cost > target {
+			chunks = append(chunks, cur)
+			cur = Chunk{Lo: i}
+		}
+		cur.Hi, cur.Cost = i+1, cur.Cost+cost
+	}
+	if cur.Hi > cur.Lo {
+		chunks = append(chunks, cur)
+	}
+	r.chunks = chunks
+	if r.Metrics != nil {
+		r.Metrics.Counter(MetricBatchGroups).Inc()
+		r.Metrics.Histogram(MetricBatchPartitions, obs.DepthBuckets).Observe(int64(len(chunks)))
+		for p, n := range served {
+			if n > 0 {
+				r.Metrics.Counter(pathMetric[p]).Add(n)
+			}
+		}
+	}
+	return chunks
+}
 
 // BatchError attributes a RunBatch failure to the configuration that
 // caused it: Index is the position in the cfgs slice handed to
@@ -107,14 +264,15 @@ type BatchError struct {
 func (e *BatchError) Error() string { return fmt.Sprintf("config %d: %v", e.Index, e.Err) }
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// batchWorker owns one partition's worth of mutable replay state: the
-// slot caches, the memoized layout table, and the structure-of-arrays
-// slabs. The Replayer embeds one — serial RunBatch and single-config
-// Run share it — and a parallel RunBatch draws extra workers from a
-// free list, so steady-state parallel calls reuse every partition's
-// slabs just as serial calls reuse the embedded one. Workers never
-// share mutable state: each classifies a contiguous, disjoint slice of
-// the configuration slab over the shared read-only decoded stream.
+// batchWorker owns one chunk's worth of mutable replay state: the slot
+// caches, the memoized layout table, and the structure-of-arrays
+// slabs. The Replayer embeds one — RunChunk, a serial RunBatch and
+// single-config Run share it — and a parallel RunBatch draws extra
+// workers from a free list, so steady-state parallel calls reuse every
+// worker's slabs just as serial calls reuse the embedded one. Workers
+// never share mutable state: each classifies contiguous, disjoint
+// slices of the configuration slab over the shared read-only decoded
+// stream.
 type batchWorker struct {
 	caches  []*cache.Cache
 	layouts map[layoutKey]partition.Layout // memoized boxed layouts, shared by Run and RunBatch
@@ -127,10 +285,8 @@ type batchWorker struct {
 // reused across calls.
 type batchState struct {
 	// Per-configuration geometry and classification class.
-	npe       []int
-	frameless []bool // the configuration's cache holds zero page frames
-	eventPath []bool // order-dependent: classified against the read column or event pass
-	fold      []bool // order-free and servable from the foldSize² contingency table
+	npe   []int
+	class []cfgClass
 
 	// Inline LRU state. Framed LRU configurations — the standard grid's
 	// entire framed population — are classified against a recency-ordered
@@ -141,8 +297,6 @@ type batchState struct {
 	// inserts only after misses, so Stats reduce to closed form:
 	// Inserts = Misses, Evictions = Inserts − resident, no refreshes or
 	// partial misses).
-	lru      []bool  // per configuration: classified by the inline LRU rows
-	packed   []bool  // inline LRU rows live in the packed word slab instead
 	maxPages []int   // per configuration: page frames (CacheElems/PageSize)
 	frames   []int32 // recency rows, npe×maxPages per configuration, -1 = empty
 
@@ -222,34 +376,9 @@ const (
 	laneHighs = 0x8000800080008000
 )
 
-// Partition thresholds: below batchParMinConfigs a group always runs
-// serial (goroutine dispatch would cost more than the sweep itself),
-// and no partition is cut thinner than batchParMinPerPart
-// configurations so every worker amortizes its slab setup.
-const (
-	batchParMinConfigs = 8
-	batchParMinPerPart = 4
-)
-
-// batchPartitions sizes the fan-out for an n-configuration group under
-// a parallelism budget of workers; 1 means serial.
-func batchPartitions(n, workers int) int {
-	if workers <= 1 || n < batchParMinConfigs {
-		return 1
-	}
-	np := n / batchParMinPerPart
-	if np > workers {
-		np = workers
-	}
-	if np < 2 {
-		return 1
-	}
-	return np
-}
-
 // RunBatch classifies the stream under every configuration of a capture
-// group in one pass and returns the Results in cfgs order. Each Result
-// is bit-identical to Run(st, cfgs[i]) — and therefore to a direct
+// group and returns the Results in cfgs order. Each Result is
+// bit-identical to Run(st, cfgs[i]) — and therefore to a direct
 // sim.Run of the same point. On failure the returned error is a
 // *BatchError whose Index is the lowest failing position in cfgs.
 // Beyond the Results themselves, a steady-state call allocates nothing.
@@ -258,93 +387,96 @@ func (r *Replayer) RunBatch(st *Stream, cfgs []sim.Config) ([]*sim.Result, error
 	return r.RunBatchN(st, cfgs, r.Workers)
 }
 
-// RunBatchN is RunBatch under an explicit parallelism budget: a large
-// enough group is split into up to workers contiguous slab partitions,
-// each classified concurrently by its own batchWorker over the shared
+// RunBatchN is RunBatch under an explicit parallelism budget: the group
+// is Cut into chunks and up to workers goroutines, each with its own
+// batchWorker, classify every workers-th chunk over the shared
 // read-only decoded stream, with every Result landing at its original
 // index — so the output (and the error, attributed to the lowest
-// failing position across partitions) is byte-identical to a serial
-// call. Groups too small to amortize the dispatch run serial
-// regardless of budget. The per-call goroutine fan-out is the only
-// steady-state cost parallelism adds: partition slabs come from the
-// worker free list and are reused across calls.
+// failing position across chunks) is byte-identical at every budget.
+// Chunks cost about the same by construction, so striding balances as
+// well as a shared counter would, and it gives each worker the same
+// chunks on every call: slabs and slot caches reach their steady-state
+// size after one. A group of one chunk, or a budget of one, runs on
+// the calling goroutine. The per-call goroutine fan-out is the only
+// steady-state cost parallelism adds: worker slabs come from a free
+// list and are reused across calls.
 func (r *Replayer) RunBatchN(st *Stream, cfgs []sim.Config, workers int) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(cfgs))
-	if len(cfgs) == 0 {
-		return results, nil
-	}
-	// Single-assignment so the goroutine closure below captures the
-	// histogram by value, not by heap-allocated reference (nil-safe:
-	// Histogram returns nil on a nil registry).
-	hConfigs := r.Metrics.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets)
-	nparts := batchPartitions(len(cfgs), workers)
-	passes := 0
-	if nparts < 2 {
-		p, err := r.batchWorker.runBatchPart(st, cfgs, results, hConfigs)
-		if err != nil {
+	chunks := r.Cut(st, cfgs)
+	if workers > 1 && len(chunks) > 1 {
+		if err := r.runChunksPar(st, cfgs, results, chunks, min(workers, len(chunks))); err != nil {
 			return nil, err
 		}
-		passes = p
-	} else {
-		for len(r.extra) < nparts-1 {
-			r.extra = append(r.extra, &batchWorker{})
-		}
-		r.parOffs = grown(r.parOffs, nparts+1)
-		r.parPasses = grown(r.parPasses, nparts)
-		r.parErrs = grown(r.parErrs, nparts)
-		size, rem := len(cfgs)/nparts, len(cfgs)%nparts
-		off := 0
-		for p := 0; p < nparts; p++ {
-			r.parOffs[p] = off
-			off += size
-			if p < rem {
-				off++
-			}
-		}
-		r.parOffs[nparts] = off
-		var wg sync.WaitGroup
-		for p := 0; p < nparts; p++ {
-			w := &r.batchWorker
-			if p > 0 {
-				w = r.extra[p-1]
-			}
-			lo, hi := r.parOffs[p], r.parOffs[p+1]
-			wg.Add(1)
-			go func(p int, w *batchWorker, cfgs []sim.Config, results []*sim.Result) {
-				defer wg.Done()
-				r.parPasses[p], r.parErrs[p] = w.runBatchPart(st, cfgs, results, hConfigs)
-			}(p, w, cfgs[lo:hi], results[lo:hi])
-		}
-		wg.Wait()
-		// Partitions are contiguous and ascending and each reports its
-		// own lowest failing position, so the first failing partition in
-		// order carries the globally lowest index.
-		for p := 0; p < nparts; p++ {
-			if err := r.parErrs[p]; err != nil {
-				var be *BatchError
-				if errors.As(err, &be) {
-					return nil, &BatchError{Index: r.parOffs[p] + be.Index, Err: be.Err}
-				}
-				return nil, err
-			}
-			passes += r.parPasses[p]
-		}
+		return results, nil
 	}
-	if r.Metrics != nil {
-		r.Metrics.Counter(MetricBatchGroups).Inc()
-		r.Metrics.Counter(MetricBatchDecodePasses).Add(int64(passes))
-		r.Metrics.Histogram(MetricBatchPartitions, obs.DepthBuckets).Observe(int64(nparts))
+	for _, c := range chunks {
+		if err := r.RunChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi]); err != nil {
+			return nil, rebase(err, c.Lo)
+		}
 	}
 	return results, nil
 }
 
-// runBatchPart classifies one contiguous partition of a capture group
-// into results (len(results) == len(cfgs)): the whole serial batch
-// algorithm, against this worker's own slabs. A returned *BatchError
-// carries the partition-local index. hConfigs may be nil; obs
-// instruments are race-safe, so concurrent partitions observe it
-// directly. Returns the partition's decode-pass count.
-func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim.Result, hConfigs *obs.Histogram) (int, error) {
+// runChunksPar is RunBatchN's fan-out, kept apart so that the variables
+// its goroutines capture are not heap-allocated on the serial path.
+func (r *Replayer) runChunksPar(st *Stream, cfgs []sim.Config, results []*sim.Result, chunks []Chunk, workers int) error {
+	for len(r.extra) < workers-1 {
+		r.extra = append(r.extra, &batchWorker{})
+	}
+	r.parErrs = grown(r.parErrs, len(chunks))
+	var wg sync.WaitGroup
+	for p := 0; p < workers; p++ {
+		w := &r.batchWorker
+		if p > 0 {
+			w = r.extra[p-1]
+		}
+		wg.Add(1)
+		go func(p int, w *batchWorker) {
+			defer wg.Done()
+			for i := p; i < len(chunks); i += workers {
+				c := chunks[i]
+				r.parErrs[i] = w.runChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi], r.Metrics)
+			}
+		}(p, w)
+	}
+	wg.Wait()
+	// Chunks are contiguous and ascending and each reports its own
+	// lowest failing position, so the first failing chunk in order
+	// carries the globally lowest index.
+	for i, err := range r.parErrs {
+		if err != nil {
+			return rebase(err, chunks[i].Lo)
+		}
+	}
+	return nil
+}
+
+// rebase turns a chunk-local *BatchError into one indexed from the
+// start of the group.
+func rebase(err error, lo int) error {
+	var be *BatchError
+	if lo > 0 && errors.As(err, &be) {
+		return &BatchError{Index: lo + be.Index, Err: be.Err}
+	}
+	return err
+}
+
+// RunChunk classifies one chunk of a capture group — cfgs is the
+// chunk's slice of the group, results the matching slice of the
+// group's output — against r's own slabs. It is what a caller that
+// schedules chunks itself (internal/sweep's work queue) runs per chunk
+// after Cut; a returned *BatchError carries the chunk-local index.
+func (r *Replayer) RunChunk(st *Stream, cfgs []sim.Config, results []*sim.Result) error {
+	return r.batchWorker.runChunk(st, cfgs, results, r.Metrics)
+}
+
+// runChunk classifies one chunk of a capture group into results
+// (len(results) == len(cfgs)): the whole serial batch algorithm,
+// against this worker's own slabs. A returned *BatchError carries the
+// chunk-local index. Each read-column or event walk is recorded on reg
+// (nil disables; obs instruments are race-safe, so concurrent chunks
+// record directly).
+func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result, reg *obs.Registry) error {
 	b := &w.bat
 	n := len(cfgs)
 
@@ -352,13 +484,9 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 	// here; the setup pass below rejects it, in input order, with the
 	// exact error a single-config Run of the same point reports.
 	b.npe = grown(b.npe, n)
-	b.frameless = grown(b.frameless, n)
-	b.eventPath = grown(b.eventPath, n)
-	b.fold = grown(b.fold, n)
+	b.class = grown(b.class, n)
 	b.reduceS = grown(b.reduceS, n)
 	b.reduceB = grown(b.reduceB, n)
-	b.lru = grown(b.lru, n)
-	b.packed = grown(b.packed, n)
 	b.maxPages = grown(b.maxPages, n)
 	b.peOff = grown(b.peOff, n+1)
 	b.trafOff = grown(b.trafOff, n+1)
@@ -371,10 +499,7 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 		if cfg.NPE > 0 && cfg.PageSize > 0 {
 			pe += cfg.NPE
 			tr += cfg.NPE * cfg.NPE
-			pages := 0
-			for _, elems := range st.ArrayLens {
-				pages += (elems + cfg.PageSize - 1) / cfg.PageSize
-			}
+			pages := pageCount(st.ArrayLens, cfg.PageSize)
 			ow += pages
 			mp := cfg.CacheElems / cfg.PageSize
 			if mp > 0 && mp <= lruCap {
@@ -409,7 +534,7 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 	// and frameless classification never consults it, exactly like Run).
 	for i := range cfgs {
 		if err := w.setupBatchConfig(st, i, cfgs[i]); err != nil {
-			return 0, &BatchError{Index: i, Err: err}
+			return &BatchError{Index: i, Err: err}
 		}
 	}
 
@@ -430,7 +555,6 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 			b.psList = append(b.psList, cfg.PageSize)
 		}
 	}
-	passes := 0
 	for _, ps := range b.psList {
 		gids := st.gidColumn(ps)
 		agg := st.frameAgg(ps)
@@ -443,12 +567,12 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 			if first < 0 {
 				first = i
 			}
-			if b.eventPath[i] {
+			if b.class[i].path >= pathSWAR {
 				b.evIdx = append(b.evIdx, i)
 				continue
 			}
 			npe := b.npe[i]
-			if b.fold[i] {
+			if b.class[i].path == pathFold {
 				foldClassify(st.foldTable(ps), npe,
 					b.perPE[b.peOff[i]:b.peOff[i+1]],
 					b.traf[b.trafOff[i]:b.trafOff[i+1]])
@@ -468,11 +592,11 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 			continue
 		}
 		if len(gids) != len(heads) {
-			return 0, &BatchError{Index: first, Err: fmt.Errorf(
+			return &BatchError{Index: first, Err: fmt.Errorf(
 				"refstream: %s: corrupt stream: %d gids for %d events", st.Kernel.Key, len(gids), len(heads))}
 		}
-		passes++
-		hConfigs.Observe(int64(len(b.evIdx)))
+		reg.Counter(MetricBatchDecodePasses).Inc()
+		reg.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets).Observe(int64(len(b.evIdx)))
 		if agg.ok {
 			// Config-major classification over the context-resolved read
 			// column: the cache part is the only order-dependent piece, so
@@ -485,15 +609,15 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 				owners := b.owners[b.ownOff[i]:b.ownOff[i+1]]
 				perPE := b.perPE[lo : lo+npe]
 				traf := b.traf[b.trafOff[i]:b.trafOff[i+1]]
-				switch {
-				case b.packed[i]:
+				switch b.class[i].path {
+				case pathSWAR:
 					rows := b.pframes[b.pfOff[i]:b.pfOff[i+1]]
 					if b.maxPages[i] <= lanes {
 						classifyReadsLRUP1(col, npe, b.maxPages[i], owners, rows, perPE, traf)
 					} else {
 						classifyReadsLRUP2(col, npe, b.maxPages[i], owners, rows, perPE, traf)
 					}
-				case b.lru[i]:
+				case pathRows:
 					classifyReadsLRU(col, npe, b.maxPages[i], owners,
 						b.frames[b.frameOff[i]:b.frameOff[i+1]], perPE, traf)
 				default:
@@ -513,7 +637,7 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 				b.evs = append(b.evs, w.evView(i))
 			}
 			if err := batchEventPass(st, heads, gids[:len(heads)], b.evs); err != nil {
-				return 0, &BatchError{Index: first, Err: err}
+				return &BatchError{Index: first, Err: err}
 			}
 			for j := range b.evs {
 				e := &b.evs[j]
@@ -545,15 +669,15 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 		res.Cache = make([]cache.Stats, npe)
 		for p := 0; p < npe; p++ {
 			switch {
-			case b.frameless[i]:
+			case b.class[i].frameless:
 				res.Cache[p] = cache.Stats{Misses: perPE[p].RemoteReads}
-			case b.lru[i]:
+			case b.class[i].lru:
 				// Closed-form cache stats: framed replay hits are exactly
 				// CachedReads and misses exactly RemoteReads; every miss
 				// inserted, and each insert past the row's capacity
 				// evicted. No refreshes or partial misses can occur.
 				var resident int64
-				if b.packed[i] {
+				if b.class[i].path == pathSWAR {
 					words := (b.maxPages[i] + lanes - 1) / lanes
 					for _, w := range b.pframes[b.pfOff[i]+p*words : b.pfOff[i]+(p+1)*words] {
 						for l := 0; l < lanes; l++ {
@@ -585,7 +709,7 @@ func (w *batchWorker) runBatchPart(st *Stream, cfgs []sim.Config, results []*sim
 		}
 		results[i] = res
 	}
-	return passes, nil
+	return nil
 }
 
 // setupBatchConfig validates cfgs[i] and derives its machine properties
@@ -613,19 +737,10 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 			owners[base+int32(p)] = int32(l.Owner(p))
 		}
 	}
-	mp := cfg.CacheElems / cfg.PageSize
-	b.maxPages[i] = mp
-	b.frameless[i] = mp == 0 || totalPages == 0
-	agg := st.frameAgg(cfg.PageSize)
-	b.eventPath[i] = !((b.frameless[i] || npe == 1) && agg.ok)
-	b.lru[i] = b.eventPath[i] && !b.frameless[i] && cfg.Policy == cache.LRU && mp <= lruCap
-	b.packed[i] = b.lru[i] && agg.ok && mp <= packCap && totalPages < packEmpty &&
-		npe&(npe-1) == 0 && cfg.Layout == partition.KindModulo
-	// The contingency table serves an order-free configuration whenever
-	// the folded page key determines the owner (see foldEligible);
-	// everything else falls back to the lazily built read histogram.
-	b.fold[i] = !b.eventPath[i] && foldEligible(cfg, npe)
-	if b.packed[i] {
+	b.maxPages[i] = cfg.CacheElems / cfg.PageSize
+	class := classOf(cfg, totalPages, st.frameAgg(cfg.PageSize).ok)
+	b.class[i] = class
+	if class.path == pathSWAR {
 		// Packed rows: every lane empty. The read-column walk is the only
 		// consumer, so the int32 rows stay untouched.
 		rows := b.pframes[b.pfOff[i]:b.pfOff[i+1]]
@@ -634,7 +749,7 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 		}
 		return nil
 	}
-	if b.lru[i] {
+	if class.lru {
 		// Inline LRU rows replace the cache machinery entirely. No cache
 		// parameter can be invalid here (the policy is LRU and
 		// validateConfig covered the geometry), so skipping NewSlots
@@ -646,7 +761,7 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 		return nil
 	}
 	ncaches := 1 // validation only: frameless/order-free classification never consults frames
-	if b.eventPath[i] && !b.frameless[i] {
+	if class.path >= pathSWAR && !class.frameless {
 		ncaches = npe
 	}
 	for p := 0; p < ncaches; p++ {
@@ -678,10 +793,10 @@ func (w *batchWorker) evView(i int) evState {
 		caches:    w.caches[lo:hi],
 		npe:       int32(b.npe[i]),
 		cur:       -1,
-		frameless: b.frameless[i],
+		frameless: b.class[i].frameless,
 		cfgIdx:    i,
 	}
-	if b.lru[i] {
+	if b.class[i].lru {
 		e.frames = b.frames[b.frameOff[i]:b.frameOff[i+1]]
 		e.mp = int32(b.maxPages[i])
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/loops"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -23,6 +25,26 @@ func gridGroup() []sim.Config {
 					c = sim.NoCacheConfig(npe, ps)
 				}
 				cfgs = append(cfgs, c)
+			}
+		}
+	}
+	return cfgs
+}
+
+// wideGroup is a grid_wide-shaped capture group: 1 920 configurations
+// of every path class, heavy enough that Cut splits it into dozens of
+// chunks — the shape RunBatchN's fan-out exists for. (gridGroup's 28
+// configurations are one chunk at any budget.)
+func wideGroup() []sim.Config {
+	var cfgs []sim.Config
+	for _, npe := range []int{1, 2, 3, 4, 6, 8, 12, 16, 32, 64} {
+		for _, ps := range []int{16, 32, 64, 128} {
+			for _, ce := range []int{0, 64, 256, 2048} {
+				for _, lay := range []partition.Kind{partition.KindModulo, partition.KindBlock, partition.KindBlockCyclic} {
+					for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Clock, cache.Random} {
+						cfgs = append(cfgs, sim.Config{NPE: npe, PageSize: ps, CacheElems: ce, Layout: lay, LayoutRun: 2, Policy: pol})
+					}
+				}
 			}
 		}
 	}
@@ -82,13 +104,13 @@ func BenchmarkGroupBatchReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupBatchReplayPar is BenchmarkGroupBatchReplay through the
-// partitioned path: the batch fans out across GOMAXPROCS workers (run
-// with -cpu=1,4,8 to see the scaling curve; at -cpu=1 the partitioner
-// collapses to the serial pass).
+// BenchmarkGroupBatchReplayPar classifies a wide group through
+// RunBatchN's fan-out: the group's chunks spread across GOMAXPROCS
+// workers (run with -cpu=1,4,8 to see the scaling curve; at -cpu=1 the
+// chunks run one after another on the calling goroutine).
 func BenchmarkGroupBatchReplayPar(b *testing.B) {
 	st := benchKernelStream(b)
-	cfgs := gridGroup()
+	cfgs := wideGroup()
 	r := NewReplayer()
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
@@ -156,10 +178,10 @@ func TestBatchNoSlowerThanSingleReplay(t *testing.T) {
 	}
 }
 
-// TestBatchParNoSlowerThanSerial extends the perf gate to the
-// partitioned path: with more than one core available, fanning a batch
-// across workers must never cost wall-clock time versus the serial
-// pass — if it does, the partitioning overhead (worker setup, slab
+// TestBatchParNoSlowerThanSerial extends the perf gate to RunBatchN's
+// fan-out: with more than one core available, spreading a wide group's
+// chunks across workers must never cost wall-clock time versus running
+// them on one — if it does, the fan-out overhead (worker setup, slab
 // growth, result stitching) has outgrown its benefit. Same opt-in and
 // methodology as TestBatchNoSlowerThanSingleReplay: best-of-5 in one
 // process with a 1.25x noise margin. On a single-core host the
@@ -181,7 +203,7 @@ func TestBatchParNoSlowerThanSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := gridGroup()
+	cfgs := wideGroup()
 	r := NewReplayer()
 
 	serial := func() {
@@ -211,6 +233,6 @@ func TestBatchParNoSlowerThanSerial(t *testing.T) {
 	t.Logf("group of %d configs at %d workers: serial batch %v, parallel %v (%.2fx)",
 		len(cfgs), workers, serialD, parD, float64(serialD)/float64(parD))
 	if float64(parD) > 1.25*float64(serialD) {
-		t.Fatalf("parallel batch pass (%v) slower than serial (%v) at %d workers: partitioning overhead has regressed", parD, serialD, workers)
+		t.Fatalf("parallel batch pass (%v) slower than serial (%v) at %d workers: fan-out overhead has regressed", parD, serialD, workers)
 	}
 }

@@ -2,18 +2,20 @@ package refstream
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/loops"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
-// parGrid builds a capture group large enough to clear the parallel
-// dispatch threshold with room for several partitions: the seeded
-// shape grid crossed with an extra cache-size axis.
+// parGrid builds a capture group with room for several chunks under
+// fineCut: the seeded shape grid crossed with an extra cache-size axis.
 func parGrid() []sim.Config {
 	base := shapeGrid()
 	cfgs := make([]sim.Config, 0, 2*len(base))
@@ -25,27 +27,92 @@ func parGrid() []sim.Config {
 	return cfgs
 }
 
-// TestBatchPartitions pins the fan-out sizing policy: small groups and
-// budgets of one stay serial, large groups split into contiguous
-// partitions no thinner than batchParMinPerPart.
+// fineCut returns a Replayer whose cut closes a chunk at about one
+// slot-cache configuration's cost, so the small groups and short
+// streams of the test suite split into many ragged chunks. The default
+// target would leave every one of them a single chunk.
+func fineCut(st *Stream) *Replayer {
+	r := NewReplayer()
+	r.target = pathWeight[pathSlot] * int64(st.Events())
+	return r
+}
+
+// TestBatchPartitions pins the cut as a property: over seeded random
+// groups — every path class, invalid configurations included — and a
+// spread of targets, the chunks are contiguous, ascending and cover
+// every index exactly once; none exceeds the target unless it is a
+// single configuration; each chunk's cost is the sum of its members';
+// and the cut is a pure function of (stream, cfgs), whatever Replayer
+// computes it.
 func TestBatchPartitions(t *testing.T) {
-	cases := []struct {
-		n, workers, want int
-	}{
-		{0, 8, 1},
-		{1, 8, 1},
-		{batchParMinConfigs - 1, 8, 1}, // below the dispatch threshold
-		{batchParMinConfigs, 0, 1},     // no budget
-		{batchParMinConfigs, 1, 1},
-		{batchParMinConfigs, 2, 2},
-		{batchParMinConfigs, 64, batchParMinConfigs / batchParMinPerPart},
-		{28, 8, 7}, // the standard grid's group: 7 partitions of 4
-		{28, 4, 4},
-		{308, 8, 8},
-	}
-	for _, c := range cases {
-		if got := batchPartitions(c.n, c.workers); got != c.want {
-			t.Errorf("batchPartitions(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+	rng := rand.New(rand.NewSource(15))
+	for _, key := range []string{"k1", "k6", "k24"} {
+		k, err := loops.ByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Capture(k, 120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := int64(st.Events())
+		other := NewReplayer() // a Replayer with history, for the purity check
+		if _, err := other.RunBatch(st, shapeGrid()); err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 40; trial++ {
+			cfgs := make([]sim.Config, rng.Intn(300))
+			for i := range cfgs {
+				cfgs[i] = sim.Config{
+					NPE:        []int{1, 2, 3, 8, 12, 64}[rng.Intn(6)],
+					PageSize:   []int{1, 16, 32, 128}[rng.Intn(4)],
+					CacheElems: []int{0, 64, 256, 8192}[rng.Intn(4)],
+					Policy:     cache.Policy(rng.Intn(4)),
+					Layout:     partition.Kind(rng.Intn(3)),
+					LayoutRun:  2,
+				}
+				if rng.Intn(50) == 0 {
+					cfgs[i].NPE = -1 // invalid: charged the lowest weight, must not trip the cut
+				}
+			}
+			single := NewReplayer()
+			single.target = 1 // one chunk per configuration: its cost alone
+			unit := append([]Chunk(nil), single.Cut(st, cfgs)...)
+			if len(unit) != len(cfgs) {
+				t.Fatalf("%s trial %d: target 1 cut %d configs into %d chunks", key, trial, len(cfgs), len(unit))
+			}
+			for _, target := range []int64{0, 1, 40 * events, 500 * events} {
+				r := NewReplayer()
+				r.target = target
+				chunks := append([]Chunk(nil), r.Cut(st, cfgs)...)
+				if target == 0 {
+					target = chunkTarget
+				}
+				at := 0
+				for ci, c := range chunks {
+					if c.Lo != at || c.Hi <= c.Lo {
+						t.Fatalf("%s trial %d target %d: chunk %d = [%d,%d) after %d: not contiguous ascending", key, trial, target, ci, c.Lo, c.Hi, at)
+					}
+					at = c.Hi
+					var sum int64
+					for _, u := range unit[c.Lo:c.Hi] {
+						sum += u.Cost
+					}
+					if c.Cost != sum {
+						t.Errorf("%s trial %d target %d: chunk %d cost %d, members sum to %d", key, trial, target, ci, c.Cost, sum)
+					}
+					if c.Cost > target && c.Hi-c.Lo > 1 {
+						t.Errorf("%s trial %d: chunk %d of %d configs costs %d > target %d", key, trial, ci, c.Hi-c.Lo, c.Cost, target)
+					}
+				}
+				if at != len(cfgs) {
+					t.Fatalf("%s trial %d target %d: chunks cover %d of %d configs", key, trial, target, at, len(cfgs))
+				}
+				other.target = r.target
+				if again := other.Cut(st, cfgs); !reflect.DeepEqual(append([]Chunk(nil), again...), chunks) {
+					t.Errorf("%s trial %d target %d: a second Replayer cut the same group differently", key, trial, target)
+				}
+			}
 		}
 	}
 }
@@ -71,7 +138,7 @@ func TestParallelMatchesSerialBatch(t *testing.T) {
 				t.Fatalf("serial batch: %v", err)
 			}
 			for _, workers := range workerCounts {
-				r := NewReplayer()
+				r := fineCut(st)
 				got, err := r.RunBatchN(st, cfgs, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -120,7 +187,7 @@ func TestParallelBatchSharedStream(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := NewReplayer()
+			r := fineCut(st)
 			r.Workers = 4
 			for iter := 0; iter < 5; iter++ {
 				got, err := r.RunBatch(st, cfgs)
@@ -159,7 +226,7 @@ func TestParallelBatchErrorAttribution(t *testing.T) {
 		if serialErr == nil {
 			t.Fatalf("badIdx=%d: serial batch accepted an invalid config", badIdx)
 		}
-		_, parErr := NewReplayer().RunBatchN(st, bad, 4)
+		_, parErr := fineCut(st).RunBatchN(st, bad, 4)
 		if parErr == nil {
 			t.Fatalf("badIdx=%d: parallel batch accepted an invalid config", badIdx)
 		}
@@ -176,16 +243,17 @@ func TestParallelBatchErrorAttribution(t *testing.T) {
 	bad := append([]sim.Config(nil), cfgs...)
 	bad[2] = sim.Config{NPE: 4, PageSize: -3}
 	bad[len(bad)-2] = sim.Config{NPE: -1, PageSize: 32}
-	_, err = NewReplayer().RunBatchN(st, bad, 4)
+	_, err = fineCut(st).RunBatchN(st, bad, 4)
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 2 {
 		t.Errorf("two failures: got %v, want BatchError at index 2", err)
 	}
 }
 
-// TestParallelBatchMetrics pins the parallel observability: one group,
-// a partitions-histogram observation matching the fan-out, and
-// configs-per-pass observations spread across partitions.
+// TestParallelBatchMetrics pins the observability of a group that is
+// cut: one group however many chunks run, a partitions observation
+// equal to the chunk count, every configuration counted under exactly
+// one path, and decode passes counted per chunk.
 func TestParallelBatchMetrics(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -196,19 +264,19 @@ func TestParallelBatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := parGrid()
-	reg := obs.NewRegistry()
-	r := NewReplayer()
-	r.Metrics = reg
-	wantParts := batchPartitions(len(cfgs), 4)
+	wantParts := len(fineCut(st).Cut(st, cfgs))
 	if wantParts < 2 {
-		t.Fatalf("parGrid too small to fan out: %d partitions", wantParts)
+		t.Fatalf("parGrid too small to split: %d chunks", wantParts)
 	}
+	reg := obs.NewRegistry()
+	r := fineCut(st)
+	r.Metrics = reg
 	if _, err := r.RunBatchN(st, cfgs, 4); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters[MetricBatchGroups]; got != 1 {
-		t.Errorf("groups = %d, want 1", got)
+		t.Errorf("groups = %d, want 1 (a group is counted once, not once per chunk)", got)
 	}
 	h, ok := snap.Histograms[MetricBatchPartitions]
 	if !ok || h.Count != 1 {
@@ -217,22 +285,47 @@ func TestParallelBatchMetrics(t *testing.T) {
 	if h.Sum != int64(wantParts) {
 		t.Errorf("partitions observation = %d, want %d", h.Sum, wantParts)
 	}
-	// Serial calls observe partitions too (value 1), so the histogram
-	// doubles as a parallel-vs-serial mix signal.
-	if _, err := r.RunBatchN(st, cfgs[:2], 4); err != nil {
+	var served int64
+	for _, name := range pathMetric {
+		served += snap.Counters[name]
+	}
+	if served != int64(len(cfgs)) {
+		t.Errorf("path counters sum to %d, want %d (each configuration under exactly one path)", served, len(cfgs))
+	}
+	for _, p := range []path{pathFold, pathSWAR, pathRows, pathSlot} {
+		if snap.Counters[pathMetric[p]] == 0 {
+			t.Errorf("%s = 0: parGrid holds configurations of this path", pathMetric[p])
+		}
+	}
+	// The same group at a budget of one records the same counts: the
+	// cut, not the worker count, decides them.
+	serial := obs.NewRegistry()
+	r = fineCut(st)
+	r.Metrics = serial
+	if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := serial.Snapshot().Counters, snap.Counters; !reflect.DeepEqual(got, want) {
+		t.Errorf("counters at workers=1 %v differ from workers=4 %v", got, want)
+	}
+	// A group under the target observes one partition, so the histogram
+	// doubles as a split-vs-whole mix signal.
+	r.Metrics = reg
+	if _, err := r.RunBatchN(st, cfgs[:1], 4); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
 	if h := snap.Histograms[MetricBatchPartitions]; h.Count != 2 || h.Sum != int64(wantParts)+1 {
-		t.Errorf("after serial call: partitions count=%d sum=%d, want 2/%d", h.Count, h.Sum, wantParts+1)
+		t.Errorf("after a one-chunk call: partitions count=%d sum=%d, want 2/%d", h.Count, h.Sum, wantParts+1)
 	}
 }
 
 // TestBatchParallelAllocs extends the batch alloc guard to the
-// parallel path: partition slabs come from the Replayer's worker free
-// list, so a steady-state parallel call adds only the per-call
-// dispatch (one goroutine and closure per partition) on top of the
-// serial budget of 5 allocations per Result plus the results slice.
+// parallel path: worker slabs come from the Replayer's free list and
+// the cut reuses its buffer, so a steady-state parallel call adds only
+// the per-call dispatch (one goroutine and closure per worker) on top
+// of the serial budget of 5 allocations per Result plus the results
+// slice.
 func TestBatchParallelAllocs(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -244,7 +337,10 @@ func TestBatchParallelAllocs(t *testing.T) {
 	}
 	cfgs := parGrid()
 	const workers = 4
-	r := NewReplayer()
+	r := fineCut(st)
+	if len(r.Cut(st, cfgs)) < workers {
+		t.Fatalf("parGrid cuts into fewer than %d chunks", workers)
+	}
 	if _, err := r.RunBatchN(st, cfgs, workers); err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +349,9 @@ func TestBatchParallelAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	nparts := batchPartitions(len(cfgs), workers)
-	limit := float64(5*len(cfgs) + 1 + 4*nparts)
+	limit := float64(5*len(cfgs) + 1 + 4*workers)
 	if allocs > limit {
-		t.Errorf("%.0f allocs per steady-state parallel batch of %d configs across %d partitions, want <= %.0f (5 per Result + results slice + dispatch)",
-			allocs, len(cfgs), nparts, limit)
+		t.Errorf("%.0f allocs per steady-state parallel batch of %d configs across %d workers, want <= %.0f (5 per Result + results slice + dispatch)",
+			allocs, len(cfgs), workers, limit)
 	}
 }

@@ -127,24 +127,24 @@ func FuzzBatchVsSingle(f *testing.F) {
 	})
 }
 
-// FuzzParallelVsSerialBatch drives the partitioned replayer's
-// equivalence contract: a fuzzer-shaped capture group classified with
-// a fuzzer-chosen worker budget must match the serial RunBatch of the
-// same group exactly — results at the same indices, bit-identical —
-// across group sizes that straddle the dispatch threshold and budgets
-// that force both even and ragged partition splits.
+// FuzzParallelVsSerialBatch drives the chunked replayer's equivalence
+// contract: a fuzzer-shaped capture group, cut fine and classified
+// with a fuzzer-chosen worker budget, must match the single-pass
+// RunBatch of the same group exactly — results at the same indices,
+// bit-identical — across group sizes from one chunk to many and
+// budgets below, at and above the chunk count.
 func FuzzParallelVsSerialBatch(f *testing.F) {
 	f.Add(uint8(0), uint16(200), uint8(8), uint8(32), uint16(256), uint8(0), uint8(1), uint8(0), uint8(11), uint8(4))
-	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1), uint8(7), uint8(2))    // exactly at the serial threshold
-	f.Add(uint8(7), uint16(333), uint8(64), uint8(16), uint16(64), uint8(2), uint8(3), uint8(2), uint8(3), uint8(8)) // below threshold: stays serial
+	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1), uint8(7), uint8(2))
+	f.Add(uint8(7), uint16(333), uint8(64), uint8(16), uint16(64), uint8(2), uint8(3), uint8(2), uint8(3), uint8(8))
 	f.Add(uint8(23), uint16(400), uint8(16), uint8(64), uint16(1024), uint8(1), uint8(1), uint8(3), uint8(19), uint8(3))
 	kernels := loops.All()
 	f.Fuzz(func(t *testing.T, kIdx uint8, n uint16, npe, ps uint8, ce uint16, layout, run, policy, k, workers uint8) {
 		kernel := kernels[int(kIdx)%len(kernels)]
 		size := int(n)%400 + 1
-		// Group sizes up to 24 so the fuzzer reaches multi-partition
-		// splits (the threshold is batchParMinConfigs = 8); axes step
-		// exactly as in FuzzBatchVsSingle.
+		// Group sizes up to 24, cut at about one slot-cache
+		// configuration per chunk (fineCut), so the fuzzer reaches ragged
+		// multi-chunk splits; axes step exactly as in FuzzBatchVsSingle.
 		group := int(k)%24 + 1
 		cfgs := make([]sim.Config, 0, group)
 		for i := 0; i < group; i++ {
@@ -163,7 +163,7 @@ func FuzzParallelVsSerialBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("serial batch rejected group %+v: %v", cfgs, err)
 		}
-		got, err := NewReplayer().RunBatchN(st, cfgs, nw)
+		got, err := fineCut(st).RunBatchN(st, cfgs, nw)
 		if err != nil {
 			t.Fatalf("parallel batch (workers=%d) rejected group the serial path accepted: %v", nw, err)
 		}

@@ -52,6 +52,7 @@ package refstream
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/loops"
 	"repro/internal/sim"
@@ -99,18 +100,67 @@ type Stream struct {
 	// Replayer of this stream (a group replays one stream dozens of
 	// times, so decoding pays for itself after the first replay). The
 	// compressed columns above stay the storage format; these are
-	// hot-loop views. Guarded memoization keeps the Stream safe for
-	// concurrent replays.
+	// hot-loop views. Each view is built single-flight per page size
+	// (memo), which keeps the Stream safe for concurrent replays.
 	decodeOnce sync.Once
 	encodeOnce sync.Once
 	dheads     []uint32 // per event: arrayID<<3 | opcode, fixed width
 	dlins      []int32  // per event: absolute element index (0 when the opcode has none)
-	gidMu      sync.RWMutex
-	gidCols    map[int][]int32    // page size → per-event global page id
-	aggCols    map[int]*frameAgg  // page size → structural summary (writes, reduces, read totals)
-	histCols   map[int]*readsHist // page size → run-length read histogram
-	readCols   map[int][]readRec  // page size → context-resolved read column
-	foldTabs   map[int]*foldTable // page size → folded access contingency table
+
+	gidCols  memo[[]int32]    // page size → per-event global page id
+	aggCols  memo[*frameAgg]  // page size → structural summary (writes, reduces, read totals)
+	histCols memo[*readsHist] // page size → run-length read histogram
+	readCols memo[[]readRec]  // page size → context-resolved read column
+	foldTabs memo[*foldTable] // page size → folded access contingency table
+}
+
+// memo is a lazily built per-page-size view of a Stream. Builds are
+// single-flight: chunks of one group start together on several workers
+// and all want the same view, so the first caller builds it and the
+// rest wait for that build instead of racing their own and discarding
+// the losers.
+type memo[T any] struct {
+	mu     sync.RWMutex
+	byPS   map[int]*memoEntry[T]
+	builds atomic.Int64 // build executions; one per page size ever asked for
+}
+
+type memoEntry[T any] struct {
+	once sync.Once
+	done atomic.Bool // v is built; lets get skip the Once on the hot path
+	v    T
+}
+
+// get returns s's view under pageSize, running build if this is the
+// first request for it. build is a method expression, not a closure:
+// get sits under every configuration's setup and must not allocate.
+func (m *memo[T]) get(s *Stream, pageSize int, build func(*Stream, int) T) T {
+	m.mu.RLock()
+	e := m.byPS[pageSize]
+	m.mu.RUnlock()
+	if e == nil || !e.done.Load() {
+		e = m.slow(s, pageSize, build)
+	}
+	return e.v
+}
+
+func (m *memo[T]) slow(s *Stream, pageSize int, build func(*Stream, int) T) *memoEntry[T] {
+	m.mu.Lock()
+	e := m.byPS[pageSize]
+	if e == nil {
+		if m.byPS == nil {
+			m.byPS = make(map[int]*memoEntry[T])
+		}
+		e = &memoEntry[T]{}
+		m.byPS[pageSize] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		m.builds.Add(1)
+		e.v = build(s, pageSize)
+		e.done.Store(true)
+	})
+	return e
 }
 
 // Events returns the number of captured events.
@@ -225,36 +275,33 @@ func appendPageTable(dst []int32, lens []int, pageSize int) ([]int32, int) {
 	return dst, total
 }
 
+// pageCount returns the size of that page-id space.
+func pageCount(lens []int, pageSize int) int {
+	total := 0
+	for _, elems := range lens {
+		total += (elems + pageSize - 1) / pageSize
+	}
+	return total
+}
+
 // gidColumn returns the per-event global page id of the event's element
 // under the given page size (zero for opcodes without a payload),
 // memoized per page size. Hoisting the page arithmetic out of the
 // replay loop turns per-event work into two table lookups.
 func (s *Stream) gidColumn(pageSize int) []int32 {
-	s.gidMu.RLock()
-	col := s.gidCols[pageSize]
-	s.gidMu.RUnlock()
-	if col != nil {
-		return col
-	}
+	return s.gidCols.get(s, pageSize, (*Stream).buildGidColumn)
+}
+
+func (s *Stream) buildGidColumn(pageSize int) []int32 {
 	heads, lins := s.decoded()
 	bases, _ := appendPageTable(nil, s.ArrayLens, pageSize)
-	col = make([]int32, len(heads))
+	col := make([]int32, len(heads))
 	ps := int32(pageSize)
 	for i, h := range heads {
 		if opHasLin(byte(h & 7)) {
 			col[i] = bases[h>>3] + lins[i]/ps
 		}
 	}
-	s.gidMu.Lock()
-	if prior := s.gidCols[pageSize]; prior != nil {
-		col = prior // lost a benign build race; both columns are identical
-	} else {
-		if s.gidCols == nil {
-			s.gidCols = make(map[int][]int32)
-		}
-		s.gidCols[pageSize] = col
-	}
-	s.gidMu.Unlock()
 	return col
 }
 
@@ -298,15 +345,13 @@ type frameAgg struct {
 // frameAgg returns the stream's structural summary under the given
 // page size, memoized alongside the gid columns.
 func (s *Stream) frameAgg(pageSize int) *frameAgg {
-	s.gidMu.RLock()
-	a := s.aggCols[pageSize]
-	s.gidMu.RUnlock()
-	if a != nil {
-		return a
-	}
+	return s.aggCols.get(s, pageSize, (*Stream).buildFrameAgg)
+}
+
+func (s *Stream) buildFrameAgg(pageSize int) *frameAgg {
 	heads, _ := s.decoded()
 	gids := s.gidColumn(pageSize)
-	a = &frameAgg{ok: true}
+	a := &frameAgg{ok: true}
 	inCtx := false // an assignment or term page is open
 	var rLo, rHi int32
 	inTerms := false
@@ -362,16 +407,6 @@ func (s *Stream) frameAgg(pageSize int) *frameAgg {
 			a.ok = false // unknown opcode: let the event loop report it
 		}
 	}
-	s.gidMu.Lock()
-	if prior := s.aggCols[pageSize]; prior != nil {
-		a = prior // lost a benign build race; both histograms are identical
-	} else {
-		if s.aggCols == nil {
-			s.aggCols = make(map[int]*frameAgg)
-		}
-		s.aggCols[pageSize] = a
-	}
-	s.gidMu.Unlock()
 	return a
 }
 
@@ -398,15 +433,13 @@ type readsHist struct {
 // readsHist returns the stream's run-length read histogram under the
 // given page size, memoized alongside the gid columns.
 func (s *Stream) readsHist(pageSize int) *readsHist {
-	s.gidMu.RLock()
-	a := s.histCols[pageSize]
-	s.gidMu.RUnlock()
-	if a != nil {
-		return a
-	}
+	return s.histCols.get(s, pageSize, (*Stream).buildReadsHist)
+}
+
+func (s *Stream) buildReadsHist(pageSize int) *readsHist {
 	heads, _ := s.decoded()
 	gids := s.gidColumn(pageSize)
-	a = &readsHist{}
+	a := &readsHist{}
 	cur := int32(-1) // open context page, -1 when none
 
 	// Context reads are accumulated per context block: within one
@@ -484,16 +517,6 @@ func (s *Stream) readsHist(pageSize int) *readsHist {
 	}
 	flush()
 	flushCtrl()
-	s.gidMu.Lock()
-	if prior := s.histCols[pageSize]; prior != nil {
-		a = prior // lost a benign build race; both histograms are identical
-	} else {
-		if s.histCols == nil {
-			s.histCols = make(map[int]*readsHist)
-		}
-		s.histCols[pageSize] = a
-	}
-	s.gidMu.Unlock()
 	return a
 }
 
@@ -526,15 +549,13 @@ type readRec struct {
 // record stream with no opcode dispatch, so the walk is bounded by the
 // cache arithmetic rather than by decoding.
 func (s *Stream) readColumn(pageSize int) []readRec {
-	s.gidMu.RLock()
-	col := s.readCols[pageSize]
-	s.gidMu.RUnlock()
-	if col != nil {
-		return col
-	}
+	return s.readCols.get(s, pageSize, (*Stream).buildReadColumn)
+}
+
+func (s *Stream) buildReadColumn(pageSize int) []readRec {
 	heads, lins := s.decoded()
 	gids := s.gidColumn(pageSize)
-	col = make([]readRec, 0, len(heads))
+	col := make([]readRec, 0, len(heads))
 	ps := int32(pageSize)
 	cur := int32(-1)
 	for i, h := range heads {
@@ -551,16 +572,6 @@ func (s *Stream) readColumn(pageSize int) []readRec {
 			cur = -1
 		}
 	}
-	s.gidMu.Lock()
-	if prior := s.readCols[pageSize]; prior != nil {
-		col = prior // lost a benign build race; both columns are identical
-	} else {
-		if s.readCols == nil {
-			s.readCols = make(map[int][]readRec)
-		}
-		s.readCols[pageSize] = col
-	}
-	s.gidMu.Unlock()
 	return col
 }
 
@@ -594,14 +605,12 @@ type foldTable struct {
 // foldTable returns the stream's access contingency table under the
 // given page size, memoized alongside the other replay views.
 func (s *Stream) foldTable(pageSize int) *foldTable {
-	s.gidMu.RLock()
-	t := s.foldTabs[pageSize]
-	s.gidMu.RUnlock()
-	if t != nil {
-		return t
-	}
+	return s.foldTabs.get(s, pageSize, (*Stream).buildFoldTable)
+}
+
+func (s *Stream) buildFoldTable(pageSize int) *foldTable {
 	heads, lins := s.decoded()
-	t = &foldTable{}
+	t := &foldTable{}
 	ps := int32(pageSize)
 	cur := int32(-1) // folded key of the open context page, -1 when none
 	for i, h := range heads {
@@ -623,16 +632,6 @@ func (s *Stream) foldTable(pageSize int) *foldTable {
 			cur = -1
 		}
 	}
-	s.gidMu.Lock()
-	if prior := s.foldTabs[pageSize]; prior != nil {
-		t = prior // lost a benign build race; both tables are identical
-	} else {
-		if s.foldTabs == nil {
-			s.foldTabs = make(map[int]*foldTable)
-		}
-		s.foldTabs[pageSize] = t
-	}
-	s.gidMu.Unlock()
 	return t
 }
 

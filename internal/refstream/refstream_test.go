@@ -211,6 +211,66 @@ func TestStreamSharedConcurrently(t *testing.T) {
 	}
 }
 
+// TestStreamMemosBuildOnce: the per-page-size stream views are built
+// single-flight. Chunks of one group start together on several workers
+// and all ask for the same views of a fresh stream; every caller must
+// get the same view and each (view, page size) must have been built
+// exactly once — the racing builds of the old lock-free fill doubled
+// the memo work of a cold group.
+func TestStreamMemosBuildOnce(t *testing.T) {
+	k, err := loops.ByKey("k2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageSizes := []int{16, 32, 64}
+	for rep := 0; rep < 20; rep++ {
+		st, err := Capture(k, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const callers = 8
+		type views struct {
+			gids  []int32
+			agg   *frameAgg
+			hist  *readsHist
+			reads []readRec
+			fold  *foldTable
+		}
+		got := make([][]views, callers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for _, ps := range pageSizes {
+					got[g] = append(got[g], views{st.gidColumn(ps), st.frameAgg(ps), st.readsHist(ps), st.readColumn(ps), st.foldTable(ps)})
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g := 1; g < callers; g++ {
+			for i := range pageSizes {
+				a, b := got[0][i], got[g][i]
+				if &a.gids[0] != &b.gids[0] || a.agg != b.agg || a.hist != b.hist || &a.reads[0] != &b.reads[0] || a.fold != b.fold {
+					t.Fatalf("rep %d: caller %d got a different view than caller 0 at page size %d", rep, g, pageSizes[i])
+				}
+			}
+		}
+		want := int64(len(pageSizes))
+		for name, builds := range map[string]int64{
+			"gidColumn": st.gidCols.builds.Load(), "frameAgg": st.aggCols.builds.Load(), "readsHist": st.histCols.builds.Load(),
+			"readColumn": st.readCols.builds.Load(), "foldTable": st.foldTabs.builds.Load(),
+		} {
+			if builds != want {
+				t.Errorf("rep %d: %s built %d times for %d page sizes, want one build each", rep, name, builds, want)
+			}
+		}
+	}
+}
+
 var errMismatch = errString("concurrent replay diverged")
 
 type errString string

@@ -35,19 +35,18 @@ func Eligible(cfg sim.Config) bool {
 // stream internally (batch.go).
 //
 // Run classifies one configuration per stream pass; RunBatch classifies
-// a whole capture group of configurations in one pass (batch.go),
-// split across up to Workers slab partitions when the group is large
-// enough to amortize the dispatch.
+// a whole capture group of configurations (batch.go), cut into
+// cost-bounded chunks that up to Workers goroutines share.
 type Replayer struct {
 	// Metrics, when non-nil, receives the batch-replay counters
 	// (MetricBatchGroups, MetricBatchConfigsPerPass,
-	// MetricBatchDecodePasses, MetricBatchPartitions). Nil disables
-	// them.
+	// MetricBatchDecodePasses, MetricBatchPartitions and the
+	// MetricBatchPathPrefix family). Nil disables them.
 	Metrics *obs.Registry
 
-	// Workers bounds the partition fan-out RunBatch may use: 0 or 1
-	// keeps every batch serial, n > 1 lets a large enough group split
-	// into up to n concurrently classified slab partitions. Output is
+	// Workers bounds the fan-out RunBatch may use: 0 or 1 keeps every
+	// batch on the calling goroutine, n > 1 lets a group of several
+	// chunks classify up to n of them concurrently. Output is
 	// byte-identical either way. RunBatchN overrides it per call.
 	Workers int
 
@@ -61,11 +60,13 @@ type Replayer struct {
 
 	batchWorker // partition 0's state; Run shares its caches and layout memo
 
-	extra []*batchWorker // partitions 1..n-1, grown on demand and reused
+	chunks []Chunk // Cut's output, reused across calls
+	target int64   // tests only: overrides chunkTarget when non-zero
 
-	parOffs   []int // partition boundary offsets, len nparts+1
-	parPasses []int // per-partition decode-pass counts
-	parErrs   []error
+	// Parallel RunBatchN: the extra workers (grown on demand and
+	// reused) and each chunk's outcome.
+	extra   []*batchWorker
+	parErrs []error
 }
 
 // layoutKey identifies a partition layout: the full parameter set

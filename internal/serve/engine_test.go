@@ -128,12 +128,14 @@ func TestParBudget(t *testing.T) {
 	}
 }
 
-// TestSweepParallelBatchByteIdentical: a sweep wide enough to engage
-// parallel batch replay (an idle Workers-8 engine gives its one batch
-// task the full budget) must produce bodies byte-identical to the same
-// sweep on a single-worker engine, whose batch passes stay serial.
+// TestSweepParallelBatchByteIdentical: a sweep heavy enough to be cut
+// into several chunks (144 slot-cache configurations of one stream; an
+// idle Workers-8 engine gives its one batch task the full budget) must
+// produce bodies byte-identical to the same sweep on a single-worker
+// engine, whose chunks run one after another.
 func TestSweepParallelBatchByteIdentical(t *testing.T) {
-	req := `{"kernels":["k1"],"npes":[1,2,4,8,16,32,64],"page_sizes":[16,32]}`
+	req := `{"kernels":["k6"],"n":100,"npes":[2,4,8,16,32,64],"page_sizes":[16,32,64,128],` +
+		`"cache_elems":[256,2048],"policies":["fifo","clock","random"]}`
 
 	_, serialTS, _ := newTestService(t, Options{Workers: 1})
 	code, _, serialBody := post(t, serialTS, "/v1/sweep", req)
@@ -149,14 +151,14 @@ func TestSweepParallelBatchByteIdentical(t *testing.T) {
 	if !bytes.Equal(parBody, serialBody) {
 		t.Fatalf("parallel-budget sweep body differs from single-worker body:\n%s\n%s", parBody, serialBody)
 	}
-	// The 14-point group must actually have fanned out: the partitions
-	// histogram records one observation > 1 for the batch pass.
+	// The group must actually have been cut: the partitions histogram
+	// records one observation > 1 for the batch pass.
 	h, ok := reg.Snapshot().Histograms[refstream.MetricBatchPartitions]
 	if !ok || h.Count != 1 {
 		t.Fatalf("batch partitions histogram: %+v, want one observation", h)
 	}
 	if h.Sum <= 1 {
-		t.Errorf("batch pass used %d partitions, want > 1 (budget not applied)", h.Sum)
+		t.Errorf("batch pass used %d partitions, want > 1 (group not cut)", h.Sum)
 	}
 }
 

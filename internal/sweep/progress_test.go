@@ -3,10 +3,13 @@ package sweep
 import (
 	"context"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/loops"
 	"repro/internal/obs"
+	"repro/internal/refstream"
 	"repro/internal/sim"
 )
 
@@ -99,8 +102,9 @@ func TestRunOptsInstrumentationPreservesResults(t *testing.T) {
 	}
 }
 
-// TestRunOptsCountsFailures: a failing point is reported as failed in
-// both the callback stream and the registry.
+// TestRunOptsCountsFailures: a failing point is reported as failed,
+// once, in both the callback stream and the registry — whether it fails
+// as a direct point or inside a chunk of its group.
 func TestRunOptsCountsFailures(t *testing.T) {
 	pts := progressGrid(t)
 	pts[len(pts)-1].Kernel = nil // poison the last point
@@ -119,5 +123,49 @@ func TestRunOptsCountsFailures(t *testing.T) {
 	}
 	if got := reg.Counter(MetricPointsFailed).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricPointsFailed, got)
+	}
+
+	// A failure inside a chunk accounts the blamed point once too. The
+	// failing chunk's other points started with it and stay started;
+	// chunks above the failure are skipped by the cut and never start,
+	// so Started exceeds Done+Failed by exactly that remainder and
+	// nothing else; every chunk below the failure runs to completion.
+	pts = wideGroup(t, "k1", 100)
+	chunks := cutOf(t, pts)
+	if len(chunks) < 4 {
+		t.Fatalf("group cut into %d chunks, want at least 4", len(chunks))
+	}
+	bad := chunks[len(chunks)/2].Lo + 1
+	pts[bad].Config.NPE = -1
+	var failing refstream.Chunk
+	for _, c := range cutOf(t, pts) { // the invalid point is charged less: cut again
+		if c.Lo <= bad && bad < c.Hi {
+			failing = c
+		}
+	}
+	reg = obs.NewRegistry()
+	_, err = RunOpts(context.Background(), pts, Options{
+		Workers:  1,
+		Metrics:  reg,
+		Progress: func(p Progress) { last = p },
+	})
+	if err == nil || !strings.Contains(err.Error(), "point "+strconv.Itoa(bad)+" ") {
+		t.Fatalf("error = %v, want point %d's", err, bad)
+	}
+	if last.Failed != 1 {
+		t.Errorf("final progress = %+v, want exactly 1 failed", last)
+	}
+	if got := reg.Counter(MetricPointsFailed).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", MetricPointsFailed, got)
+	}
+	rest := failing.Hi - failing.Lo - 1
+	if last.Started != last.Done+last.Failed+rest {
+		t.Errorf("final progress = %+v: Started should exceed Done+Failed by the failing chunk's other %d points", last, rest)
+	}
+	if last.Done < failing.Lo {
+		t.Errorf("final progress = %+v: every chunk below point %d must complete", last, failing.Lo)
+	}
+	if got, want := reg.Counter(MetricPointsStarted).Value(), int64(last.Started); got != want {
+		t.Errorf("%s = %d, callback stream says %d", MetricPointsStarted, got, want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/loops"
 	"repro/internal/obs"
+	"repro/internal/refstream"
 	"repro/internal/sim"
 )
 
@@ -68,7 +69,10 @@ func TestReplayModesBitIdentical(t *testing.T) {
 
 // TestReplayPlanCounters audits the planner through the metrics
 // registry: captures happen exactly once per group no matter how many
-// workers race for it, and every point is accounted replay or direct.
+// workers drain the queue, every point is accounted replay or direct,
+// and the batch replayer's group counters count capture groups — one
+// per group that is cut, none under ReplayPoint, which classifies each
+// point through the single-configuration replayer.
 func TestReplayPlanCounters(t *testing.T) {
 	pts := mixedGrid(t)
 	// mixedGrid has groups (k1,200)x3, (k24,200)x3, singleton (k1,333),
@@ -77,11 +81,12 @@ func TestReplayPlanCounters(t *testing.T) {
 		mode     ReplayMode
 		captures int64
 		replayed int64
+		batched  int64 // groups the batch replayer cut and classified
 	}{
-		{ReplayOn, 3, 7},    // singleton group still captures and replays
-		{ReplayAuto, 2, 6},  // singleton runs direct: capture would not amortize
-		{ReplayPoint, 3, 7}, // same plan as ReplayOn, one pass per point
-		{ReplayOff, 0, 0},
+		{ReplayOn, 3, 7, 3},    // singleton group still captures and replays
+		{ReplayAuto, 2, 6, 2},  // singleton runs direct: capture would not amortize
+		{ReplayPoint, 3, 7, 0}, // same plan as ReplayOn, one pass per point
+		{ReplayOff, 0, 0, 0},
 	}
 	for _, c := range cases {
 		reg := obs.NewRegistry()
@@ -97,6 +102,15 @@ func TestReplayPlanCounters(t *testing.T) {
 		direct := int64(len(pts)) - c.replayed
 		if got := reg.Counter(MetricDirectPoints).Value(); got != direct {
 			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricDirectPoints, got, direct)
+		}
+		if got := reg.Counter(refstream.MetricBatchGroups).Value(); got != c.batched {
+			t.Errorf("replay=%s: %s = %d, want %d", c.mode, refstream.MetricBatchGroups, got, c.batched)
+		}
+		// These three-point groups are far under the cost target: one
+		// chunk each, so the partitions histogram reads 1 per group.
+		if h := reg.Snapshot().Histograms[refstream.MetricBatchPartitions]; h.Count != c.batched || h.Sum != c.batched {
+			t.Errorf("replay=%s: %s = %d observations summing to %d, want %d of 1",
+				c.mode, refstream.MetricBatchPartitions, h.Count, h.Sum, c.batched)
 		}
 	}
 }
@@ -125,11 +139,11 @@ func TestReplayErrorDeterminism(t *testing.T) {
 	}
 }
 
-// TestCaptureOverlapCounter pins the pipeline's observability
-// invariants: sweep.capture_overlap only ever counts capture-stage
-// prefetches (so it is bounded by stream_captures), a serial sweep of
-// a single group has nothing to overlap, and engaging the pipeline
-// changes neither results nor the planner counters.
+// TestCaptureOverlapCounter pins sweep.capture_overlap: it counts
+// captures that finished while another worker was classifying, so it
+// is bounded by stream_captures, a one-worker sweep — however many
+// groups — has nobody to overlap with, and several workers change
+// neither results nor the planner counters.
 func TestCaptureOverlapCounter(t *testing.T) {
 	k1, err := loops.ByKey("k1")
 	if err != nil {
@@ -140,22 +154,22 @@ func TestCaptureOverlapCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One group, one worker: the lone capture has no replay work to
-	// overlap with, so the counter must stay zero.
-	single := Grid{Kernels: []*loops.Kernel{k1}, N: 100, NPEs: []int{1, 2}}.Points()
+	pts := Grid{Kernels: []*loops.Kernel{k1, k2}, N: 150, NPEs: []int{1, 4, 16}}.Points()
+	pts = append(pts, Grid{Kernels: []*loops.Kernel{k1, k2}, N: 250, NPEs: []int{2, 8}}.Points()...)
+
+	// One worker: every capture finishes with no other worker running,
+	// so the counter must stay zero whatever the number of groups.
 	reg := obs.NewRegistry()
-	if _, err := RunOpts(context.Background(), single, Options{Workers: 1, Metrics: reg, Replay: ReplayOn}); err != nil {
+	if _, err := RunOpts(context.Background(), pts, Options{Workers: 1, Metrics: reg, Replay: ReplayOn}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(MetricCaptureOverlap).Value(); got != 0 {
-		t.Errorf("single-group serial sweep: %s = %d, want 0", MetricCaptureOverlap, got)
+		t.Errorf("one-worker sweep: %s = %d, want 0", MetricCaptureOverlap, got)
 	}
 
 	// Many groups, many workers: overlap is scheduler-dependent, but it
-	// can never exceed the number of prefetched captures, and the
-	// pipeline must not change what the sweep computes.
-	pts := Grid{Kernels: []*loops.Kernel{k1, k2}, N: 150, NPEs: []int{1, 4, 16}}.Points()
-	pts = append(pts, Grid{Kernels: []*loops.Kernel{k1, k2}, N: 250, NPEs: []int{2, 8}}.Points()...)
+	// can never exceed the number of captures, and sharing the queue
+	// must not change what the sweep computes.
 	baseline, err := RunOpts(context.Background(), pts, Options{Workers: 1, Replay: ReplayOff})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +180,7 @@ func TestCaptureOverlapCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, baseline) {
-		t.Error("pipelined sweep diverges from serial direct execution")
+		t.Error("four-worker sweep diverges from serial direct execution")
 	}
 	captures := reg.Counter(MetricStreamCaptures).Value()
 	if captures != 4 {
@@ -232,9 +246,10 @@ func TestPlanReplay(t *testing.T) {
 	}
 }
 
-// TestPlanTasks pins the dispatch shapes: one batch task per group at
-// its first member's index, per-point tasks for everything else, and
-// ReplayPoint demoting groups back to per-point tasks.
+// TestPlanTasks pins what the queue starts with: one group per shared
+// stream, in grid order of first members and holding its members
+// ascending; every other point direct; the same groups under
+// ReplayPoint (which only changes how a captured group is cut).
 func TestPlanTasks(t *testing.T) {
 	k1, err := loops.ByKey("k1")
 	if err != nil {
@@ -243,46 +258,32 @@ func TestPlanTasks(t *testing.T) {
 	pf := sim.PaperConfig(4, 32)
 	pf.ModelPartialFill = true
 	pts := []Point{
-		{Kernel: k1, N: 100, Config: sim.PaperConfig(1, 32)}, // 0: group A
-		{Kernel: k1, N: 100, Config: pf},                     // 1: ineligible, direct
-		{Kernel: k1, N: 100, Config: sim.PaperConfig(8, 32)}, // 2: group A
-		{Kernel: k1, N: 200, Config: sim.PaperConfig(2, 32)}, // 3: singleton
+		{Kernel: k1, N: 200, Config: sim.PaperConfig(2, 32)}, // 0: singleton
+		{Kernel: k1, N: 100, Config: sim.PaperConfig(1, 32)}, // 1: group A
+		{Kernel: k1, N: 100, Config: pf},                     // 2: ineligible, direct
+		{Kernel: k1, N: 100, Config: sim.PaperConfig(8, 32)}, // 3: group A
 	}
 
-	on := planTasks(pts, ReplayOn)
-	if len(on) != 3 {
-		t.Fatalf("ReplayOn: %d tasks, want 3", len(on))
-	}
-	if on[0].minIdx != 0 || !reflect.DeepEqual(on[0].indices, []int{0, 2}) || on[0].g == nil {
-		t.Errorf("ReplayOn task 0 = %+v, want batch {0, 2}", on[0])
-	}
-	if on[1].minIdx != 1 || on[1].indices != nil || on[1].g != nil {
-		t.Errorf("ReplayOn task 1 = %+v, want direct point 1", on[1])
-	}
-	if on[2].minIdx != 3 || !reflect.DeepEqual(on[2].indices, []int{3}) || on[2].g == nil {
-		t.Errorf("ReplayOn task 2 = %+v, want singleton batch {3}", on[2])
-	}
-
-	pt := planTasks(pts, ReplayPoint)
-	if len(pt) != len(pts) {
-		t.Fatalf("ReplayPoint: %d tasks, want %d", len(pt), len(pts))
-	}
-	for i, tk := range pt {
-		if tk.minIdx != i || tk.indices != nil {
-			t.Errorf("ReplayPoint task %d = %+v, want per-point", i, tk)
+	for _, mode := range []ReplayMode{ReplayOn, ReplayPoint} {
+		groups, direct := planTasks(pts, mode)
+		if len(groups) != 2 || !reflect.DeepEqual(direct, []int{2}) {
+			t.Fatalf("%s: %d groups, direct %v; want 2 groups, direct [2]", mode, len(groups), direct)
+		}
+		if !reflect.DeepEqual(groups[0].members, []int{0}) || groups[0].n != 200 {
+			t.Errorf("%s: group 0 = %+v, want the singleton {0}", mode, groups[0])
+		}
+		if !reflect.DeepEqual(groups[1].members, []int{1, 3}) || groups[1].n != 100 {
+			t.Errorf("%s: group 1 = %+v, want members {1, 3}", mode, groups[1])
 		}
 	}
-	if pt[0].g == nil || pt[0].g != pt[2].g || pt[1].g != nil || pt[3].g == nil {
-		t.Errorf("ReplayPoint group sharing wrong: %+v", pt)
+
+	groups, direct := planTasks(pts, ReplayAuto)
+	if len(groups) != 1 || !reflect.DeepEqual(groups[0].members, []int{1, 3}) || !reflect.DeepEqual(direct, []int{0, 2}) {
+		t.Errorf("ReplayAuto: groups %+v direct %v, want one group {1, 3} and the singleton direct", groups, direct)
 	}
 
-	off := planTasks(pts, ReplayOff)
-	if len(off) != len(pts) {
-		t.Fatalf("ReplayOff: %d tasks, want %d", len(off), len(pts))
-	}
-	for i, tk := range off {
-		if tk.minIdx != i || tk.indices != nil || tk.g != nil {
-			t.Errorf("ReplayOff task %d = %+v, want direct point", i, tk)
-		}
+	groups, direct = planTasks(pts, ReplayOff)
+	if len(groups) != 0 || !reflect.DeepEqual(direct, []int{0, 1, 2, 3}) {
+		t.Errorf("ReplayOff: groups %+v direct %v, want every point direct", groups, direct)
 	}
 }

@@ -12,12 +12,12 @@
 //     point i — regardless of how the scheduler interleaves workers,
 //     and every result is bit-identical to a serial sim.Run of the
 //     same point (no mutable state is shared between points).
-//   - Bounded concurrency: at most `workers` simulations are in flight
-//     (default runtime.GOMAXPROCS(0)); a sweep of tens of thousands of
-//     points never runs more than that many simulations at once. (The
-//     engine may park a few extra coordination goroutines — the
-//     capture stage below — but every simulation, capture or replay,
-//     holds one of the `workers` tokens.)
+//   - Bounded concurrency: a sweep is `workers` goroutines (default
+//     runtime.GOMAXPROCS(0)) and nothing else, each doing one thing at
+//     a time — a capture, a classification or a direct run — so a
+//     sweep of tens of thousands of points never runs more than that
+//     many simulations at once. The bound is structural: there is no
+//     token to count.
 //   - First-error propagation: a failing point cancels the sweep's
 //     context and abandons queued points at higher grid indices;
 //     lower-indexed points still run, so the error reported is
@@ -28,39 +28,40 @@
 // planner (docs/PERF.md): grid points are grouped by (kernel, problem
 // size), each group's reference stream is captured once — by the
 // worker that picks the group up, against that worker's reusable
-// scratch — and the whole group is classified in a single batch pass
-// over the stream (refstream.Replayer.RunBatch), so the decode work is
-// paid once per group rather than once per point and the kernel's
-// floating-point execution is skipped entirely. Replay results are
-// proven bit-identical to direct runs, so the guarantees above are
-// preserved; points that replay cannot serve (tracing runs,
-// partial-fill ablations) fall back to direct execution per point, and
-// ReplayPoint demotes the batch pass to one replay per point for
-// benchmarking the two strategies against each other.
+// scratch — and the group is classified by the batch replayer
+// (internal/refstream), so the decode work is paid once per group
+// rather than once per point and the kernel's floating-point execution
+// is skipped entirely. Replay results are proven bit-identical to
+// direct runs, so the guarantees above are preserved; points that
+// replay cannot serve (tracing runs, partial-fill ablations) fall back
+// to direct execution per point, and ReplayPoint demotes the batch
+// pass to one replay per point for benchmarking the two strategies
+// against each other.
 //
-// Captures and replays are pipelined: a capture stage prefetches each
-// group's reference stream while a replay stage classifies tasks whose
-// captures have already landed, so the capture of a later group
-// overlaps the replay of earlier ones instead of sitting on the
-// critical path. Both stages draw on the same `workers` token budget,
-// and replay workers hand refstream.RunBatch the tokens they hold so a
-// wide group can fan its partitions over otherwise-idle cores. The
-// sweep.capture_overlap counter reports how often the pipeline paid
-// off (a prefetched capture completing while replay work was in
-// flight).
+// The unit of dispatch is a chunk: a contiguous, cost-bounded slice of
+// one group's configurations (refstream.Replayer.Cut). The paper's
+// single-assignment pages make replay state pure per-configuration
+// arithmetic, so any split of a group across workers is sound. All
+// workers drain one queue: a worker takes the heaviest ready chunk if
+// there is one, otherwise captures the next uncaptured group in grid
+// order — which puts that group's chunks on the queue — otherwise runs
+// the next direct point. A wide group therefore spreads over every
+// worker, and the capture of a later group overlaps the classification
+// of earlier ones (sweep.capture_overlap counts how often).
 //
 // See docs/SWEEP.md for grid semantics and how to build an experiment
 // on the engine.
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -174,7 +175,7 @@ func (g Grid) Points() []Point {
 // the Options.Progress callback after every point start and finish.
 type Progress struct {
 	Total   int // points in the sweep
-	Started int // points handed to a worker
+	Started int // points handed to a worker (a chunk's points start together)
 	Done    int // points completed successfully
 	Failed  int // points that returned an error
 
@@ -261,36 +262,51 @@ const (
 	MetricReplayPoints   = "sweep.replay_points"
 	MetricDirectPoints   = "sweep.direct_points"
 
-	// MetricCaptureOverlap counts capture-stage prefetches that
-	// completed while replay work was in flight — each one is a capture
-	// the pipeline kept off the critical path. Zero on a sweep with a
-	// single group and nothing else to do: there is nothing to overlap.
+	// MetricCaptureOverlap counts captures that finished while another
+	// worker was classifying a chunk or running a direct point — each
+	// one is a capture the queue kept off the critical path. Zero at
+	// one worker: there is nobody to overlap with.
 	MetricCaptureOverlap = "sweep.capture_overlap"
 )
 
-// replayGroup is the shared state of one (kernel, problem size) replay
-// group. The first worker to reach any of the group's points performs
-// the capture under once; afterwards the stream (or the capture error)
-// is shared read-only by every worker.
+// replayGroup is one (kernel, problem size) replay group: the points
+// that share a reference stream. The worker that takes the group off
+// the queue captures it; afterwards the stream is shared read-only by
+// every worker that classifies one of the group's chunks.
 type replayGroup struct {
-	kernel *loops.Kernel
-	n      int // as given by the point (Capture clamps internally)
+	kernel  *loops.Kernel
+	n       int   // as given by the first member (Capture clamps internally)
+	members []int // grid indices, ascending
 
-	once sync.Once
+	// Set by the capturing worker before the group's chunks are queued.
 	st   *refstream.Stream
-	err  error
+	cfgs []sim.Config // members' configurations, in members order
+
+	// left counts the chunks not yet classified (guarded by queue.mu).
+	// When the last chunk of a group that was cut in several is done the
+	// queue drops the stream: a group is cut because its stream is long,
+	// a long stream and its decoded views are the largest thing a sweep
+	// holds, and with every worker busy the collector has no idle core
+	// to keep up on. One-chunk groups keep theirs until the sweep
+	// returns, as every group used to: on a grid of many short streams
+	// (grid_nscale) dropping them too shrinks the live heap so far that
+	// the collector runs five times as often and the sweep a fifth
+	// slower.
+	left int
+	long bool // cut into more than one chunk
 }
 
-// capture runs the group's one-shot capture against the calling
-// worker's scratch, recording it in the registry. Safe to call from
-// any number of workers; only the first executes.
-func (g *replayGroup) capture(sc *sim.Scratch, captures *obs.Counter) (*refstream.Stream, error) {
-	g.once.Do(func() {
-		captures.Inc()
-		g.st, g.err = refstream.CaptureScratch(sc, g.kernel, g.n)
-	})
-	return g.st, g.err
+// chunk is the unit of dispatch for replayed points: members [lo, hi)
+// of a captured group, with the cost estimate the queue orders by.
+type chunk struct {
+	g      *replayGroup
+	lo, hi int
+	cost   int64
 }
+
+// minIdx is the lowest grid index the chunk covers: a chunk wholly
+// above the lowest failing index so far is skipped.
+func (c chunk) minIdx() int { return c.g.members[c.lo] }
 
 // planReplay assigns each point to a replay group, or nil for direct
 // execution. Grouping is by (kernel, clamped problem size) — exactly
@@ -329,49 +345,25 @@ func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 			g = &replayGroup{kernel: p.Kernel, n: p.N}
 			groups[k] = g
 		}
+		g.members = append(g.members, i)
 		plan[i] = g
 	}
 	return plan
 }
 
-// execTask is one unit of worker dispatch: a whole replay group
-// classified in a single batch pass (indices set, in grid order), or a
-// single grid point (indices nil) — run directly when g is nil, or by
-// a per-point replay of the group's stream under ReplayPoint.
-type execTask struct {
-	minIdx  int   // lowest grid index covered: dispatch order and abandon cut
-	indices []int // batch group members, grid order; nil for a single point
-	g       *replayGroup
-}
-
-// planTasks turns the per-point replay plan into the dispatch list, in
-// grid order of each task's lowest index. A replay group becomes one
-// batch task at its first member's position — one capture and one
-// stream pass serve the whole group — except under ReplayPoint, where
-// every member stays its own task and shares only the capture.
-func planTasks(pts []Point, mode ReplayMode) []execTask {
-	plan := planReplay(pts, mode)
-	tasks := make([]execTask, 0, len(pts))
-	if mode == ReplayPoint {
-		for i := range pts {
-			tasks = append(tasks, execTask{minIdx: i, g: plan[i]})
-		}
-		return tasks
-	}
-	members := make(map[*replayGroup][]int)
-	for i, g := range plan {
-		if g != nil {
-			members[g] = append(members[g], i)
-		}
-	}
-	for i, g := range plan {
+// planTasks turns the per-point replay plan into what the queue starts
+// with: the replay groups, in grid order of their first member — the
+// order they are captured in — and the grid indices of the points that
+// run directly, ascending.
+func planTasks(pts []Point, mode ReplayMode) (groups []*replayGroup, direct []int) {
+	for i, g := range planReplay(pts, mode) {
 		if g == nil {
-			tasks = append(tasks, execTask{minIdx: i})
-		} else if m := members[g]; m[0] == i {
-			tasks = append(tasks, execTask{minIdx: i, indices: m, g: g})
+			direct = append(direct, i)
+		} else if g.members[0] == i {
+			groups = append(groups, g)
 		}
 	}
-	return tasks
+	return groups, direct
 }
 
 // tracker serializes progress accounting and callback delivery.
@@ -429,298 +421,244 @@ func RunN(ctx context.Context, workers int, pts []Point) ([]*sim.Result, error) 
 // participating, and replay is bit-identical to direct execution —
 // results do not depend on any Options field.
 func RunOpts(ctx context.Context, pts []Point, opts Options) ([]*sim.Result, error) {
+	s := newRun(pts, opts)
+	if err := runQueue(ctx, opts.Workers, s.groups, s.direct, s.reg.Counter(MetricCaptureOverlap), s.worker); err != nil {
+		return nil, err
+	}
+	return s.results, nil
+}
+
+// run is the state one RunOpts call shares between its workers: the
+// plan, the result slots (each written by exactly one worker) and the
+// accounting.
+type run struct {
+	pts     []Point
+	mode    ReplayMode
+	groups  []*replayGroup
+	direct  []int
+	results []*sim.Result
+
+	reg *obs.Registry
+	tr  *tracker
+
+	cStarted, cDone, cFailed, cCaptures, cReplay, cDirect *obs.Counter
+}
+
+func newRun(pts []Point, opts Options) *run {
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.Default()
 	}
-	var (
-		cStarted  = reg.Counter(MetricPointsStarted)
-		cDone     = reg.Counter(MetricPointsDone)
-		cFailed   = reg.Counter(MetricPointsFailed)
-		cCaptures = reg.Counter(MetricStreamCaptures)
-		cReplay   = reg.Counter(MetricReplayPoints)
-		cDirect   = reg.Counter(MetricDirectPoints)
-	)
-	reg.Counter(MetricPointsTotal).Add(int64(len(pts)))
-	tr := newTracker(len(pts), opts.Progress)
-	tasks := planTasks(pts, opts.Replay)
-
-	results := make([]*sim.Result, len(pts))
-	err := runTasks(ctx, opts.Workers, tasks, reg,
-		func(_ context.Context, borrow func() int, unborrow func(int)) func(execTask) (int, error) {
-			scratch := sim.NewScratch()
-			scratch.Metrics = reg
-			replayer := refstream.NewReplayer()
-			replayer.Metrics = reg
-			var cfgs []sim.Config // batch-task staging, reused across groups
-
-			// runPoint serves a single-point task: direct execution, or
-			// one replay pass against the group's stream (ReplayPoint).
-			runPoint := func(t execTask) (int, error) {
-				i := t.minIdx
-				cStarted.Inc()
-				tr.update(func(p *Progress) { p.Started++ })
-				p := pts[i]
-				if p.Kernel == nil {
-					cFailed.Inc()
-					tr.update(func(p *Progress) { p.Failed++ })
-					return i, fmt.Errorf("sweep: point %d (%s): nil kernel", i, p)
-				}
-				var (
-					res *sim.Result
-					err error
-				)
-				if t.g != nil {
-					var st *refstream.Stream
-					if st, err = t.g.capture(scratch, cCaptures); err == nil {
-						res, err = replayer.Run(st, p.Config)
-						cReplay.Inc()
-					}
-				} else {
-					res, err = scratch.Run(p.Kernel, p.N, p.Config)
-					cDirect.Inc()
-				}
-				if err != nil {
-					cFailed.Inc()
-					tr.update(func(p *Progress) { p.Failed++ })
-					return i, fmt.Errorf("sweep: point %d (%s): %w", i, p, err)
-				}
-				results[i] = res
-				cDone.Inc()
-				tr.update(func(p *Progress) { p.Done++ })
-				return i, nil
-			}
-
-			// runGroup serves a batch task: capture once, classify every
-			// member in one stream pass, scatter results to grid order.
-			// The pass borrows whatever simulation tokens are idle and
-			// fans the batch out across them (RunBatchN), so a wide
-			// group saturates the pool instead of one core. On failure
-			// the blamed index is the group's failing member — RunBatch
-			// reports the lowest input index, and members are in grid
-			// order — so lowest-index error semantics match the
-			// per-point path exactly.
-			runGroup := func(t execTask) (int, error) {
-				n := len(t.indices)
-				cStarted.Add(int64(n))
-				tr.update(func(p *Progress) { p.Started += n })
-				st, err := t.g.capture(scratch, cCaptures)
-				if err == nil {
-					cfgs = cfgs[:0]
-					for _, i := range t.indices {
-						cfgs = append(cfgs, pts[i].Config)
-					}
-					var res []*sim.Result
-					extra := borrow()
-					res, err = replayer.RunBatchN(st, cfgs, 1+extra)
-					unborrow(extra)
-					cReplay.Add(int64(n))
-					if err == nil {
-						for j, i := range t.indices {
-							results[i] = res[j]
-						}
-						cDone.Add(int64(n))
-						tr.update(func(p *Progress) { p.Done += n })
-						return t.minIdx, nil
-					}
-				}
-				fi := t.minIdx
-				var be *refstream.BatchError
-				if errors.As(err, &be) {
-					fi = t.indices[be.Index]
-					err = be.Err
-				}
-				cFailed.Inc()
-				tr.update(func(p *Progress) { p.Failed++ })
-				return fi, fmt.Errorf("sweep: point %d (%s): %w", fi, pts[fi], err)
-			}
-
-			return func(t execTask) (int, error) {
-				if t.indices != nil {
-					return runGroup(t)
-				}
-				return runPoint(t)
-			}
-		})
-	if err != nil {
-		return nil, err
+	s := &run{
+		pts: pts, mode: opts.Replay, results: make([]*sim.Result, len(pts)),
+		reg: reg, tr: newTracker(len(pts), opts.Progress),
+		cStarted:  reg.Counter(MetricPointsStarted),
+		cDone:     reg.Counter(MetricPointsDone),
+		cFailed:   reg.Counter(MetricPointsFailed),
+		cCaptures: reg.Counter(MetricStreamCaptures),
+		cReplay:   reg.Counter(MetricReplayPoints),
+		cDirect:   reg.Counter(MetricDirectPoints),
 	}
-	return results, nil
+	reg.Counter(MetricPointsTotal).Add(int64(len(pts)))
+	s.groups, s.direct = planTasks(pts, opts.Replay)
+	return s
 }
 
-// runTasks executes the dispatch list as a two-stage pipeline: a
-// capture stage prefetches each replay group's reference stream while
-// a replay stage consumes tasks whose captures have already landed, so
-// the capture of a later group overlaps the replay of earlier ones
-// instead of serializing behind it.
-//
-// Both stages draw on one budget of `workers` simulation tokens —
-// every capture and every replay/direct pass holds a token while it
-// runs — so the bounded-concurrency guarantee survives the extra
-// coordination goroutines. newWorker is called once per replay-stage
-// goroutine; the borrow/unborrow pair it receives lets a batch task
-// claim idle tokens (non-blocking) and fan its stream pass out across
-// them.
-//
-// Error semantics are those of fanOut: the failure at the lowest
-// blamed index wins deterministically. The capture stage never reports
-// errors itself — a failed capture is memoized in the group and
-// surfaced by the replay stage, which re-enters the group's sync.Once
-// and blames the group's lowest member.
-func runTasks(parent context.Context, workers int, tasks []execTask, reg *obs.Registry,
-	newWorker func(ctx context.Context, borrow func() int, unborrow func(int)) func(execTask) (int, error)) error {
+// started and done account n points; failed accounts the one point a
+// failure is blamed on and returns the error the sweep reports for it.
+// A chunk's points start together, so after a failing chunk Started
+// stays ahead of Done+Failed by the chunk's other points — and by
+// nothing else: chunks and points skipped by the cut never start.
+func (s *run) started(n int) {
+	s.cStarted.Add(int64(n))
+	s.tr.update(func(p *Progress) { p.Started += n })
+}
+
+func (s *run) done(n int) {
+	s.cDone.Add(int64(n))
+	s.tr.update(func(p *Progress) { p.Done += n })
+}
+
+func (s *run) failed(i int, err error) error {
+	s.cFailed.Inc()
+	s.tr.update(func(p *Progress) { p.Failed++ })
+	return fmt.Errorf("sweep: point %d (%s): %w", i, s.pts[i], err)
+}
+
+// worker builds one queue worker: a sim.Scratch and a
+// refstream.Replayer owned by the calling goroutine for the whole
+// sweep, and the three things the queue asks of it.
+func (s *run) worker(context.Context) worker {
+	scratch := sim.NewScratch()
+	scratch.Metrics = s.reg
+	replayer := refstream.NewReplayer()
+	replayer.Metrics = s.reg
+	var stage []*sim.Result // a chunk's results before they scatter to grid order
+
+	return worker{
+		// capture records the group's reference stream and cuts the group
+		// into chunks. A capture that fails is the failure of the group's
+		// first member.
+		capture: func(g *replayGroup) ([]chunk, error) {
+			s.cCaptures.Inc()
+			st, err := refstream.CaptureScratch(scratch, g.kernel, g.n)
+			if err != nil {
+				s.started(1)
+				return nil, s.failed(g.members[0], err)
+			}
+			g.st = st
+			if s.mode == ReplayPoint {
+				chunks := make([]chunk, len(g.members))
+				for j := range chunks {
+					chunks[j] = chunk{g: g, lo: j, hi: j + 1}
+				}
+				return chunks, nil
+			}
+			g.cfgs = make([]sim.Config, len(g.members))
+			for j, i := range g.members {
+				g.cfgs[j] = s.pts[i].Config
+			}
+			cut := replayer.Cut(st, g.cfgs)
+			chunks := make([]chunk, len(cut))
+			for j, c := range cut {
+				chunks[j] = chunk{g: g, lo: c.Lo, hi: c.Hi, cost: c.Cost}
+			}
+			return chunks, nil
+		},
+
+		// classify serves one chunk from its group's stream and scatters
+		// the results to grid order. On failure the blamed index is the
+		// failing member — RunChunk reports the lowest position in the
+		// chunk, and members are in grid order — so lowest-index error
+		// semantics match the per-point path exactly. Under ReplayPoint a
+		// chunk is one point through the single-configuration replayer.
+		classify: func(c chunk) (int, error) {
+			g, n := c.g, c.hi-c.lo
+			s.started(n)
+			fi := g.members[c.lo]
+			var err error
+			if s.mode == ReplayPoint {
+				s.results[fi], err = replayer.Run(g.st, s.pts[fi].Config)
+			} else {
+				if cap(stage) < n {
+					stage = make([]*sim.Result, n)
+				}
+				out := stage[:n]
+				if err = replayer.RunChunk(g.st, g.cfgs[c.lo:c.hi], out); err == nil {
+					for j, res := range out {
+						s.results[g.members[c.lo+j]] = res
+					}
+					clear(out)
+				}
+			}
+			s.cReplay.Add(int64(n))
+			if err == nil {
+				s.done(n)
+				return fi, nil
+			}
+			var be *refstream.BatchError
+			if errors.As(err, &be) {
+				fi = g.members[c.lo+be.Index]
+				err = be.Err
+			}
+			return fi, s.failed(fi, err)
+		},
+
+		// retire drops the scratch: after a long capture its value slabs
+		// and event columns are megabytes, and a worker that will only
+		// classify from here on should not hold them to the end of the
+		// sweep.
+		retire: func() { scratch = nil },
+
+		// point runs one grid point directly.
+		point: func(i int) error {
+			s.started(1)
+			p := s.pts[i]
+			if p.Kernel == nil {
+				return s.failed(i, errors.New("nil kernel"))
+			}
+			res, err := scratch.Run(p.Kernel, p.N, p.Config)
+			s.cDirect.Inc()
+			if err != nil {
+				return s.failed(i, err)
+			}
+			s.results[i] = res
+			s.done(1)
+			return nil
+		},
+	}
+}
+
+// worker is what one goroutine of the queue does with each kind of
+// item. A failure is blamed on a grid index: the group's first member
+// for a capture, the index classify returns for a chunk, the point's
+// own for a direct run. retire, when set, is called once no capture or
+// direct run is left for anyone: only classify follows.
+type worker struct {
+	capture  func(g *replayGroup) ([]chunk, error)
+	classify func(c chunk) (blame int, err error)
+	point    func(i int) error
+	retire   func()
+}
+
+// queue is the one scheduler of the package: the items of a sweep and
+// what its workers need to agree on. Everything is guarded by mu; the
+// work itself runs with mu released.
+type queue struct {
+	mu   sync.Mutex
+	wake sync.Cond // a capture finished: its chunks are ready, or it was the last
+
+	ready  []chunk        // chunks of captured groups, heaviest first
+	groups []*replayGroup // uncaptured groups, grid order
+	direct []int          // direct points not yet run, ascending
+
+	capturing int // captures in flight: their chunks are still to come
+	busy      int // workers classifying a chunk or running a direct point
+
+	// The failure at the lowest blamed grid index so far. Items wholly
+	// above errIdx are skipped; items reaching below it still run (one
+	// of them may fail and become the new winner), which keeps the
+	// reported error the lowest-index failure regardless of scheduling.
+	err    error
+	errIdx int
+
+	parent  context.Context
+	cancel  context.CancelFunc
+	overlap *obs.Counter
+}
+
+// runQueue executes the groups and direct points on `workers`
+// goroutines (workers <= 0 means runtime.GOMAXPROCS(0)) draining one
+// queue. newWorker is called once per goroutine to build its state; it
+// receives the queue's context, which is canceled on the first error
+// or when the parent is canceled. The error at the lowest blamed index
+// wins deterministically; cancellation of the parent abandons
+// everything and is returned as is.
+func runQueue(parent context.Context, workers int, groups []*replayGroup, direct []int, overlap *obs.Counter, newWorker func(context.Context) worker) error {
+	points := len(direct)
+	for _, g := range groups {
+		points += len(g.members)
+	}
+	if points == 0 {
+		return parent.Err()
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(tasks) == 0 {
-		return parent.Err()
+	if workers > points {
+		workers = points
 	}
-
-	// Bundle replay tasks by their shared capture, in dispatch order.
-	// Direct tasks have no capture dependency and bypass the capture
-	// stage entirely.
-	var (
-		order   []*replayGroup
-		bundles = make(map[*replayGroup][]execTask)
-		direct  []execTask
-	)
-	for _, t := range tasks {
-		if t.g == nil {
-			direct = append(direct, t)
-			continue
-		}
-		if bundles[t.g] == nil {
-			order = append(order, t.g)
-		}
-		bundles[t.g] = append(bundles[t.g], t)
-	}
-
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
+	q := &queue{groups: groups, direct: direct, errIdx: math.MaxInt, parent: parent, cancel: cancel, overlap: overlap}
+	q.wake.L = &q.mu
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = math.MaxInt
-	)
-	report := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			firstErr, errIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
-	cut := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return errIdx
-	}
-
-	// The simulation budget. Borrowing is non-blocking: a batch task
-	// already holds one token, so it can only widen, never wait.
-	sem := make(chan struct{}, workers)
-	borrow := func() int {
-		n := 0
-		for n < workers-1 {
-			select {
-			case sem <- struct{}{}:
-				n++
-			default:
-				return n
-			}
-		}
-		return n
-	}
-	unborrow := func(n int) {
-		for ; n > 0; n-- {
-			<-sem
-		}
-	}
-
-	// ready carries tasks whose capture (if any) has landed. The buffer
-	// holds every task, so neither stage ever blocks forwarding.
-	ready := make(chan execTask, len(tasks))
-	for _, t := range direct {
-		ready <- t
-	}
-
-	var inFlight atomic.Int64 // replay-stage tasks currently executing
-	cCaptures := reg.Counter(MetricStreamCaptures)
-	cOverlap := reg.Counter(MetricCaptureOverlap)
-
-	// Capture stage: prefetch each group's stream, then release the
-	// group's tasks to the replay stage.
-	nCap := len(order)
-	if nCap > workers {
-		nCap = workers
-	}
-	groupFeed := make(chan *replayGroup)
-	var capWG sync.WaitGroup
-	capWG.Add(nCap)
-	for c := 0; c < nCap; c++ {
-		go func() {
-			defer capWG.Done()
-			scratch := sim.NewScratch()
-			scratch.Metrics = reg
-			for g := range groupFeed {
-				bundle := bundles[g]
-				// Skip the prefetch when the outcome is already decided
-				// at or below this group's lowest member, but forward
-				// the tasks regardless: the replay stage applies the
-				// same cut, and members below the winning index must
-				// still run (they re-trigger the capture through the
-				// group's once).
-				if parent.Err() == nil && bundle[0].minIdx <= cut() {
-					sem <- struct{}{}
-					_, _ = g.capture(scratch, cCaptures)
-					<-sem
-					if inFlight.Load() > 0 {
-						cOverlap.Inc()
-					}
-				}
-				for _, t := range bundle {
-					ready <- t
-				}
-			}
-		}()
-	}
-	go func() {
-		for _, g := range order {
-			groupFeed <- g
-		}
-		close(groupFeed)
-	}()
-	go func() {
-		capWG.Wait()
-		close(ready)
-	}()
-
-	// Replay stage: the bounded worker pool of the pre-pipeline engine,
-	// consuming tasks as their captures land.
-	nRep := workers
-	if nRep > len(tasks) {
-		nRep = len(tasks)
-	}
 	var wg sync.WaitGroup
-	wg.Add(nRep)
-	for w := 0; w < nRep; w++ {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			run := newWorker(ctx, borrow, unborrow)
-			for t := range ready {
-				if parent.Err() != nil || t.minIdx > cut() {
-					continue
-				}
-				sem <- struct{}{}
-				inFlight.Add(1)
-				i, err := run(t)
-				inFlight.Add(-1)
-				<-sem
-				if err != nil {
-					report(i, err)
-				}
-			}
+			q.drain(newWorker(ctx))
 		}()
 	}
 	wg.Wait()
@@ -728,121 +666,117 @@ func runTasks(parent context.Context, workers int, tasks []execTask, reg *obs.Re
 	if err := parent.Err(); err != nil {
 		return err
 	}
-	return firstErr
+	return q.err
+}
+
+// drain is one worker's loop: the heaviest ready chunk if there is
+// one, else the capture of the next group in grid order, else the next
+// direct point; when only captures in flight can still produce work,
+// wait for one to finish.
+func (q *queue) drain(w worker) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.parent.Err() == nil {
+		if w.retire != nil && len(q.groups) == 0 && len(q.direct) == 0 {
+			w.retire()
+			w.retire = nil
+		}
+		switch {
+		case len(q.ready) > 0:
+			c := q.ready[0]
+			q.ready = q.ready[1:]
+			if c.minIdx() > q.errIdx {
+				continue
+			}
+			q.busy++
+			q.mu.Unlock()
+			i, err := w.classify(c)
+			q.mu.Lock()
+			q.busy--
+			q.fail(i, err)
+			if c.g.left--; c.g.left == 0 && c.g.long {
+				c.g.st, c.g.cfgs = nil, nil
+			}
+
+		case len(q.groups) > 0:
+			g := q.groups[0]
+			q.groups = q.groups[1:]
+			if g.members[0] > q.errIdx {
+				continue
+			}
+			q.capturing++
+			q.mu.Unlock()
+			chunks, err := w.capture(g)
+			q.mu.Lock()
+			q.capturing--
+			q.fail(g.members[0], err)
+			if q.busy > 0 {
+				q.overlap.Inc()
+			}
+			g.left, g.long = len(chunks), len(chunks) > 1
+			q.ready = append(q.ready, chunks...)
+			slices.SortStableFunc(q.ready, func(a, b chunk) int { return cmp.Compare(b.cost, a.cost) })
+			q.wake.Broadcast()
+
+		case len(q.direct) > 0:
+			i := q.direct[0]
+			q.direct = q.direct[1:]
+			if i > q.errIdx {
+				q.direct = nil // ascending: the rest are above the cut too
+				continue
+			}
+			q.busy++
+			q.mu.Unlock()
+			err := w.point(i)
+			q.mu.Lock()
+			q.busy--
+			q.fail(i, err)
+
+		case q.capturing > 0:
+			q.wake.Wait()
+
+		default:
+			return
+		}
+	}
+}
+
+// fail records a failure blamed on grid index i and cancels the
+// workers' context. Called with mu held; a nil err is not a failure.
+func (q *queue) fail(i int, err error) {
+	if err == nil {
+		return
+	}
+	if i < q.errIdx {
+		q.err, q.errIdx = err, i
+	}
+	q.cancel()
 }
 
 // Map applies f to every item over a bounded worker pool and returns
 // the outputs in input order. It is the experiment-level counterpart of
-// RunN: f(ctx, i, item) runs concurrently with at most `workers` calls
-// in flight (workers <= 0 means runtime.GOMAXPROCS(0)); the first
-// error (lowest index) cancels the pool's context and is returned.
+// RunN, on the same queue with every item a direct point: f(ctx, i,
+// item) runs concurrently with at most `workers` calls in flight
+// (workers <= 0 means runtime.GOMAXPROCS(0)); the first error (lowest
+// index) cancels the pool's context and is returned.
 func Map[T, R any](ctx context.Context, workers int, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
-	err := dispatch(ctx, workers, len(items), func(ctx context.Context) func(int) error {
-		return func(i int) error {
+	idxs := make([]int, len(items))
+	for i := range idxs {
+		idxs[i] = i
+	}
+	err := runQueue(ctx, workers, nil, idxs, nil, func(ctx context.Context) worker {
+		return worker{point: func(i int) error {
 			r, err := f(ctx, i, items[i])
 			if err != nil {
 				return err
 			}
 			out[i] = r
 			return nil
-		}
+		}}
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// dispatch fans indices [0, n) out over a worker pool: fanOut where
-// item i is index i and a failure at index i is blamed on index i.
-func dispatch(parent context.Context, workers, n int, newWorker func(ctx context.Context) func(int) error) error {
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
-	}
-	return fanOut(parent, workers, idxs, func(i int) int { return i },
-		func(ctx context.Context) func(int) (int, error) {
-			run := newWorker(ctx)
-			return func(i int) (int, error) { return i, run(i) }
-		})
-}
-
-// fanOut feeds the items, in order, to a bounded worker pool. newWorker
-// is called once per goroutine to build per-worker state — it receives
-// the pool's derived context, which is canceled on the first error or
-// when the parent is canceled — and the returned closure runs one item,
-// reporting the grid index to blame if it failed. minIdx gives the
-// lowest grid index an item covers (a batch task spans several).
-//
-// The error at the lowest blamed index wins deterministically: after a
-// failure, items wholly above the current winner are abandoned, but
-// items reaching lower indices still run (one of them may fail and
-// become the new winner). Cancellation of the parent context abandons
-// everything.
-func fanOut[T any](parent context.Context, workers int, items []T, minIdx func(T) int, newWorker func(ctx context.Context) func(T) (int, error)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if len(items) == 0 {
-		return parent.Err()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = math.MaxInt
-	)
-	report := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			firstErr, errIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
-	cut := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return errIdx
-	}
-
-	feed := make(chan T)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			run := newWorker(ctx)
-			for it := range feed {
-				// Drain without running (so the feeder never blocks)
-				// when the caller canceled, or when a lower-index error
-				// already decided the outcome. Items below the current
-				// winner still run: only a lower index can displace it,
-				// which keeps the reported error the lowest-index
-				// failure regardless of scheduling.
-				if parent.Err() != nil || minIdx(it) > cut() {
-					continue
-				}
-				if i, err := run(it); err != nil {
-					report(i, err)
-				}
-			}
-		}()
-	}
-	for _, it := range items {
-		feed <- it
-	}
-	close(feed)
-	wg.Wait()
-
-	if err := parent.Err(); err != nil {
-		return err
-	}
-	return firstErr
 }

@@ -1,11 +1,11 @@
 # Build/test/docs pipeline for the reproduction. The generated
-# artifacts (EXPERIMENTS.md, BENCH_sweep.json) are committed; `make
-# docs` / `make bench` regenerate them and `make test` verifies
-# EXPERIMENTS.md is fresh.
+# EXPERIMENTS.md is committed; `make docs` regenerates it and `make
+# test` verifies it is fresh. End-to-end performance is measured by
+# `bash benchmark/run.sh` (benchmark/README.md), not from here.
 
 GO ?= go
 
-.PHONY: all build test race bench bench-batch bench-check loadbench serve docs clean
+.PHONY: all build test race bench-batch bench-check serve docs clean
 
 all: build test
 
@@ -20,12 +20,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Append to BENCH_sweep.json: suite + standard-grid timings, serial
-# vs parallel, with per-point allocation counts. The file is a JSON
-# history array; each run appends an entry, preserving the trajectory.
-bench:
-	$(GO) run ./cmd/lfksim -bench -o BENCH_sweep.json
 
 # Compare the engines on one capture group (direct execution vs
 # single-config replay vs one batch pass), a wide group's chunks fanned
@@ -46,12 +40,6 @@ bench-batch:
 # internal/... that it freezes, and this is where breaking one shows.
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-
-# Append a "serve" section to the same history: throughput, latency
-# quantiles and cache hit rate of the classification service under the
-# deterministic load mix (docs/SERVING.md).
-loadbench:
-	$(GO) run ./cmd/lfksimd -loadgen -o BENCH_sweep.json
 
 # Run the classification daemon on its default address.
 serve:

@@ -22,7 +22,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 func benchKernel(b *testing.B, key string) *loops.Kernel {
@@ -232,8 +231,8 @@ func BenchmarkAblationPartialFill(b *testing.B) {
 }
 
 // --- sweep-engine benchmarks ---
-// `go run ./cmd/lfksim -bench -o BENCH_sweep.json` records the same
-// serial-vs-parallel comparison as a committed artifact.
+// `bash benchmark/run.sh` measures the same engines end to end, with
+// dispersion, on named workloads (benchmark/README.md).
 
 // sweepGrid is the benchmark grid: the paper's loop set across its PE
 // axis, both page sizes, cache on and off.
@@ -274,27 +273,11 @@ func BenchmarkSweepGridParallel(b *testing.B) {
 	benchSweep(b, sweepGrid(b), 0, sweep.ReplayOff)
 }
 
-// BenchmarkSweepGridReplaySerial sweeps the grid with one worker under
-// the pre-batching execute-once/classify-many planner: each kernel
-// executes once (capture) and every other point replays its reference
-// stream one configuration at a time. The points/s ratio against
-// BenchmarkSweepGridSerial is the execute-once win alone.
-func BenchmarkSweepGridReplaySerial(b *testing.B) {
-	benchSweep(b, sweepGrid(b), 1, sweep.ReplayPoint)
-}
-
-// BenchmarkSweepGridReplayParallel combines both engines: bounded
-// worker-pool parallelism and per-point stream replay.
-func BenchmarkSweepGridReplayParallel(b *testing.B) {
-	benchSweep(b, sweepGrid(b), 0, sweep.ReplayPoint)
-}
-
 // BenchmarkSweepGridBatchSerial sweeps the grid with one worker under
-// the batch planner: each capture group is classified in a single
-// decode pass over its stream (refstream.Replayer.RunBatch). The ratio
-// against BenchmarkSweepGridReplaySerial isolates the decode-once win;
-// against BenchmarkSweepGridSerial, the full execute-once +
-// decode-once speedup.
+// the batch planner: each kernel executes once (capture) and each
+// capture group is classified in a single decode pass over its stream
+// (refstream.Replayer.RunBatch). The ratio against
+// BenchmarkSweepGridSerial is the execute-once + decode-once speedup.
 func BenchmarkSweepGridBatchSerial(b *testing.B) {
 	benchSweep(b, sweepGrid(b), 1, sweep.ReplayOn)
 }
@@ -432,21 +415,4 @@ func BenchmarkEnginePartitionOwner(b *testing.B) {
 		sink += partition.OwnerOfElem(g, l, i&(1<<20-1))
 	}
 	_ = sink
-}
-
-// BenchmarkEngineTraceReplay measures trace-driven cache re-simulation.
-func BenchmarkEngineTraceReplay(b *testing.B) {
-	k := benchKernel(b, "k2")
-	buf := &trace.Buffer{}
-	cfg := sim.PaperConfig(8, 32)
-	cfg.Tracer = buf
-	if _, err := sim.Run(k, 1024, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.ReplayCache(buf, 8, 1024, 32, cache.LRU); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -21,14 +21,6 @@
 //	lfksim -all -pprof :6060    serve /debug/pprof/ and /debug/vars while running
 //	lfksim -docs -o EXPERIMENTS.md
 //	                            regenerate the experiments document
-//	lfksim -bench -o BENCH_sweep.json
-//	                            time the suite and the standard grid —
-//	                            serial vs parallel, and direct execution
-//	                            vs reference-stream replay — and append
-//	                            to the JSON benchmark history
-//	lfksim -bench-compare -o BENCH_sweep.json
-//	                            diff the last two benchmark history
-//	                            entries, section by section
 //	lfksim -workers 4           cap the worker pools (0 = GOMAXPROCS)
 //	lfksim -list                list experiments and kernels
 //	lfksim -kernel k1 -npe 8 -ps 32 -cache 256 -n 1000
@@ -69,9 +61,7 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each figure's series as CSV into this directory")
 		svgDir   = flag.String("svg", "", "also render each figure as SVG into this directory")
 		docs     = flag.Bool("docs", false, "regenerate the EXPERIMENTS.md document")
-		bench    = flag.Bool("bench", false, "benchmark the suite and standard grid, append to JSON history")
-		benchCmp = flag.Bool("bench-compare", false, "diff the last two entries of the benchmark history (reads the -o path)")
-		out      = flag.String("o", "", "output file for -docs/-bench (default stdout)")
+		out      = flag.String("o", "", "output file for -docs (default stdout)")
 		workers  = flag.Int("workers", 0, "worker-pool size for sweeps (0 = GOMAXPROCS)")
 		list     = flag.Bool("list", false, "list experiments and kernels")
 		kernel   = flag.String("kernel", "", "simulate one kernel")
@@ -96,9 +86,6 @@ func main() {
 
 	if err := validateFlags(*all, *exp, *kernel, *npe, *ps, *cache, *n, *workers); err != nil {
 		fail(err)
-	}
-	if *bench && *benchCmp {
-		fail(fmt.Errorf("-bench and -bench-compare are mutually exclusive; drop one"))
 	}
 	if err := validateFaultFlags(*machineRun, *kernel, *drop, *dup, *delay, *deadline); err != nil {
 		fail(err)
@@ -130,10 +117,6 @@ func main() {
 		listAll()
 	case *docs:
 		err = withProgress(reg, progressOn, func() error { return runDocs(*out) })
-	case *bench:
-		err = runBench(*out)
-	case *benchCmp:
-		err = runBenchCompare(*out)
 	case *all:
 		err = runAllExperiments(reg, progressOn, *chart, *csvDir, *svgDir, *manifest)
 	case *exp != "":

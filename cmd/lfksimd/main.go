@@ -17,14 +17,6 @@
 //	lfksimd -router 3                front a 3-shard cluster: spawn 3
 //	                                 shard processes and route/fail-over
 //	                                 between them (docs/CLUSTER.md)
-//	lfksimd -loadgen                 start an in-process server and
-//	                                 hammer it with a mixed
-//	                                 duplicate/unique request stream
-//	lfksimd -loadgen -target http://host:8077
-//	                                 hammer a running daemon instead
-//	lfksimd -loadgen -o BENCH_sweep.json
-//	                                 also append a serve section to the
-//	                                 benchmark history
 //
 // Endpoints: POST /v1/classify, POST /v1/sweep, POST /v1/compile
 // (docs/COMPILE.md), GET /v1/kernels (?compiled=1 for the registry),
@@ -37,22 +29,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
-	"runtime"
-	"sort"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/benchio"
 	"repro/internal/cluster"
 	"repro/internal/kernelreg"
 	"repro/internal/obs"
@@ -74,23 +60,10 @@ func main() {
 		captureDir = flag.String("capture-dir", "", "disk-backed capture store directory (empty = in-memory only)")
 		addrFile   = flag.String("addr-file", "", "publish the bound listen address to this file (temp + rename)")
 		router     = flag.Int("router", 0, "front a sharded cluster: spawn this many shard processes and route between them (0 = single-node)")
-
-		loadgen = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target  = flag.String("target", "", "loadgen: daemon base URL (empty = start an in-process server)")
-		reqs    = flag.Int("requests", 2000, "loadgen: total requests")
-		conc    = flag.Int("concurrency", 16, "loadgen: concurrent clients")
-		dup     = flag.Float64("dup", 0.9, "loadgen: fraction of requests drawn from the hot set [0,1]")
-		sweepEv = flag.Int("sweep-every", 64, "loadgen: every k-th request is a /v1/sweep (0 = none)")
-		seed    = flag.Int64("seed", 1, "loadgen: request-mix seed")
-		retries = flag.Int("retries", 0, "loadgen: max re-sends after a transient 502/503 (0 = 2, negative = disabled)")
-		out     = flag.String("o", "", "loadgen: append a serve entry to this BENCH JSON history")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected arguments %q", flag.Args()))
-	}
-	if *dup < 0 || *dup > 1 {
-		fail(fmt.Errorf("-dup must be in [0,1], got %g", *dup))
 	}
 
 	opts := serve.Options{
@@ -104,8 +77,6 @@ func main() {
 
 	var err error
 	switch {
-	case *loadgen:
-		err = runLoadgen(opts, *target, *reqs, *conc, *dup, *sweepEv, *seed, *retries, *out)
 	case *router > 0:
 		err = runRouter(opts, *addr, *drain, *router, *captureDir, *addrFile)
 	default:
@@ -284,130 +255,5 @@ func runRouter(opts serve.Options, addr string, drain time.Duration, shards int,
 	if err := hs.Shutdown(sctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	return nil
-}
-
-// runLoadgen hammers target (or an in-process server when target is
-// empty), prints the report, and appends a serve entry to the BENCH
-// history at out.
-func runLoadgen(opts serve.Options, target string, requests, concurrency int, dup float64, sweepEvery int, seed int64, retries int, out string) error {
-	ctx := context.Background()
-	if target == "" {
-		reg := obs.NewRegistry()
-		obs.SetDefault(reg)
-		opts.Metrics = reg
-		// The in-process server exists only to absorb synthetic load;
-		// thousands of access-log lines would drown the report.
-		opts.AccessLog = io.Discard
-		srv := serve.New(opts)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = hs.Shutdown(sctx)
-			srv.Close()
-		}()
-		target = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "lfksimd: loadgen against in-process server %s\n", target)
-	}
-
-	rep, err := serve.Load(ctx, serve.LoadOptions{
-		BaseURL:     target,
-		Requests:    requests,
-		Concurrency: concurrency,
-		DupFraction: dup,
-		SweepEvery:  sweepEvery,
-		Seed:        seed,
-		MaxRetries:  retries,
-	})
-	if err != nil {
-		return err
-	}
-	printReport(rep)
-	if err := printServerQuantiles(ctx, target); err != nil {
-		fmt.Fprintf(os.Stderr, "lfksimd: server-side quantiles unavailable: %v\n", err)
-	}
-
-	if out != "" {
-		entry := struct {
-			GeneratedBy string            `json:"generated_by"`
-			Timestamp   string            `json:"timestamp"`
-			GoVersion   string            `json:"go_version"`
-			GOMAXPROCS  int               `json:"gomaxprocs"`
-			NumCPU      int               `json:"num_cpu"`
-			Serve       *serve.LoadReport `json:"serve"`
-		}{
-			GeneratedBy: "go run ./cmd/lfksimd -loadgen",
-			Timestamp:   time.Now().UTC().Format(time.RFC3339),
-			GoVersion:   runtime.Version(),
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-			NumCPU:      runtime.NumCPU(),
-			Serve:       rep,
-		}
-		payload, err := benchio.Append(out, entry)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, payload, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	return nil
-}
-
-func printReport(r *serve.LoadReport) {
-	fmt.Printf("loadgen: %d requests (%d sweeps), concurrency %d, dup %.2f\n",
-		r.Requests, r.SweepRequests, r.Concurrency, r.DupFraction)
-	fmt.Printf("  wall %.3fs, %.0f req/s\n", r.WallSec, r.RequestsPerSec)
-	fmt.Printf("  latency p50 %.3fms  p99 %.3fms  max %.3fms\n", r.P50MS, r.P99MS, r.MaxMS)
-	fmt.Printf("  cache hit rate %.1f%%, %d dedup waits, %d points executed, %d captures\n",
-		r.CacheHitRate*100, r.DedupWaits, r.PointsExecuted, r.StreamCaptures)
-	if r.Errors > 0 || r.Rejected > 0 || r.Retries > 0 {
-		fmt.Printf("  %d errors, %d rejected (429), %d retries\n", r.Errors, r.Rejected, r.Retries)
-	}
-	if len(r.Stages) > 0 {
-		fmt.Printf("  server-side stage latency (histogram estimates over this run):\n")
-		names := make([]string, 0, len(r.Stages))
-		for name := range r.Stages {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			q := r.Stages[name]
-			stage := strings.TrimSuffix(strings.TrimPrefix(name, "serve.stage."), "_us")
-			fmt.Printf("    %-14s p50 %8.3fms  p99 %8.3fms  p999 %8.3fms  (n=%d)\n",
-				stage, q.P50MS, q.P99MS, q.P999MS, q.Count)
-		}
-	}
-}
-
-// printServerQuantiles reports the daemon's own request-latency view —
-// the obs histograms on /metrics — alongside the client-side numbers.
-func printServerQuantiles(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return err
-	}
-	h, ok := snap.Histograms[serve.MetricClassifyLatencyUS]
-	if !ok || h.Count == 0 {
-		return fmt.Errorf("no %s histogram", serve.MetricClassifyLatencyUS)
-	}
-	fmt.Printf("  server-observed classify latency ~p50 %.3fms  ~p99 %.3fms (histogram estimate, n=%d)\n",
-		h.Quantile(0.50)/1000, h.Quantile(0.99)/1000, h.Count)
 	return nil
 }

@@ -1,6 +1,6 @@
 // ICCG: the cyclic-distribution class (Figure 2), plus trace-driven
-// cache replay — record the access trace once, then re-evaluate cache
-// sizes without re-running the kernel.
+// cache evaluation — capture the kernel's reference stream once, then
+// classify it under other cache sizes without re-running the kernel.
 //
 //	go run ./examples/iccg
 package main
@@ -10,10 +10,9 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/cache"
 	"repro/internal/loops"
+	"repro/internal/refstream"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -35,30 +34,27 @@ func main() {
 			npe, nc.Totals.RemotePercent(), wc.Totals.RemotePercent())
 	}
 
-	// Record the classified access trace once...
+	// Capture the reference stream once...
 	k, err := loops.ByKey("k2")
 	if err != nil {
 		log.Fatal(err)
 	}
-	buf := &trace.Buffer{}
-	cfg := sim.PaperConfig(8, 32)
-	cfg.Tracer = buf
-	if _, err := sim.Run(k, 1024, cfg); err != nil {
+	st, err := refstream.Capture(k, 1024)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrecorded %d accesses; replaying the read stream through other caches:\n", buf.Len())
+	fmt.Printf("\ncaptured %d reference events; classifying them under other caches at 8 PEs:\n", st.Events())
 
-	// ...then replay it through different cache sizes without
+	// ...then classify it under different cache sizes without
 	// re-executing the kernel (classic trace-driven cache simulation).
+	r := refstream.NewReplayer()
 	for _, ce := range []int{0, 64, 256, 1024} {
-		c, err := trace.ReplayCache(buf, 8, ce, 32, cache.LRU)
+		cfg := sim.PaperConfig(8, 32)
+		cfg.CacheElems = ce
+		res, err := r.Run(st, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  cache %5d elements -> %6.2f%% remote\n", ce, c.RemotePercent())
+		fmt.Printf("  cache %5d elements -> %6.2f%% remote\n", ce, res.Totals.RemotePercent())
 	}
-
-	j := trace.Jumpiness(buf)
-	fmt.Printf("\npage jumpiness: %.1f%% of consecutive same-array reads change page\n", j.JumpPercent)
-	fmt.Println("(compare ~3% for the skewed Hydro Fragment: this is what 'cyclic' means)")
 }

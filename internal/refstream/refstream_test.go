@@ -10,7 +10,6 @@ import (
 	"repro/internal/loops"
 	"repro/internal/partition"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // shapeGrid is the seeded configuration grid of the equivalence suite:
@@ -277,8 +276,8 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-// TestReplayUnsupportedConfigs: tracing and partial-fill configurations
-// must be refused (the sweep planner falls back to direct execution).
+// TestReplayUnsupportedConfigs: partial-fill configurations must be
+// refused (the sweep planner falls back to direct execution).
 func TestReplayUnsupportedConfigs(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -293,22 +292,13 @@ func TestReplayUnsupportedConfigs(t *testing.T) {
 	if _, err := NewReplayer().Run(st, pf); err == nil {
 		t.Error("partial-fill config accepted by replay")
 	}
-	tr := sim.PaperConfig(8, 32)
-	tr.Tracer = nopTracer{}
-	if _, err := NewReplayer().Run(st, tr); err == nil {
-		t.Error("tracing config accepted by replay")
-	}
-	if Eligible(pf) || Eligible(tr) {
+	if Eligible(pf) {
 		t.Error("Eligible accepts unsupported configs")
 	}
 	if !Eligible(sim.PaperConfig(8, 32)) {
 		t.Error("Eligible rejects the baseline config")
 	}
 }
-
-type nopTracer struct{}
-
-func (nopTracer) Event(pe int, kind stats.Access, array, lin, page int) {}
 
 // TestReplayInvalidConfigs: malformed configurations error instead of
 // panicking, mirroring sim's validation.

@@ -12,17 +12,15 @@ import (
 )
 
 // ErrUnsupported reports a configuration that replay cannot serve and
-// that must fall back to direct execution: a run that traces (the
-// tracer wants the stream of the *target* configuration, not the
-// captured one) or one that models partial page fills (classification
-// then depends on the defined-bit history, which replay deliberately
-// does not carry).
+// that must fall back to direct execution: one that models partial page
+// fills (classification then depends on the defined-bit history, which
+// replay deliberately does not carry).
 var ErrUnsupported = errors.New("refstream: configuration requires direct execution")
 
 // Eligible reports whether cfg can be served by replay. Ineligible
 // configurations are exactly the ones ErrUnsupported describes.
 func Eligible(cfg sim.Config) bool {
-	return cfg.Tracer == nil && !cfg.ModelPartialFill
+	return !cfg.ModelPartialFill
 }
 
 // Replayer classifies captured reference streams under arbitrary
@@ -103,7 +101,7 @@ func (w *batchWorker) layout(kind partition.Kind, npe, pages, run int) (partitio
 // exactly the error a single-config replay of the same point reports.
 func validateConfig(cfg sim.Config) error {
 	if !Eligible(cfg) {
-		return fmt.Errorf("%w (tracer=%v, partialfill=%v)", ErrUnsupported, cfg.Tracer != nil, cfg.ModelPartialFill)
+		return fmt.Errorf("%w (partial fill)", ErrUnsupported)
 	}
 	if cfg.NPE <= 0 {
 		return fmt.Errorf("refstream: NPE must be positive, got %d", cfg.NPE)

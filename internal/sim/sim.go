@@ -63,16 +63,6 @@ type Config struct {
 	// partially filled pages). The paper's published counts ignore this;
 	// it is provided as an ablation.
 	ModelPartialFill bool
-	// Tracer, when non-nil, receives every classified access in
-	// program order (see internal/trace).
-	Tracer Tracer
-}
-
-// Tracer receives the classified access stream of a run.
-type Tracer interface {
-	// Event reports one access: the PE it was charged to, its class,
-	// the array, the linear element index, and the page.
-	Event(pe int, kind stats.Access, array, lin, page int)
 }
 
 // PaperConfig returns the paper's baseline: modulo layout, LRU, and the
@@ -199,7 +189,6 @@ func (e *engine) FinishAssign(a *loops.Arr, lin int, v float64) {
 	e.vals[at] = v
 	e.defined[at] = true
 	e.perPE[pe].Writes++ // writes are always local (§7)
-	e.trace(pe, stats.Write, a.ID, lin, e.geoms[a.ID].PageOf(lin))
 }
 
 // Read implements loops.Engine. Inside an assignment the read is
@@ -229,19 +218,16 @@ func (e *engine) classify(pe int, a *loops.Arr, lin int) {
 	owner := int(e.owners[gid])
 	if owner == pe {
 		e.perPE[pe].LocalReads++
-		e.trace(pe, stats.LocalRead, a.ID, lin, page)
 		return
 	}
 	switch e.caches[pe].LookupSlot(int(gid), g.Offset(lin)) {
 	case cache.Hit:
 		e.perPE[pe].CachedReads++
-		e.trace(pe, stats.CachedRead, a.ID, lin, page)
 	case cache.Miss, cache.PartialMiss:
 		// Remote fetch: the owner sends back the page, which is cached
 		// locally (§4). A partial miss is the §4 re-fetch of a page that
 		// was incomplete when first requested.
 		e.perPE[pe].RemoteReads++
-		e.trace(pe, stats.RemoteRead, a.ID, lin, page)
 		e.message(pe, owner) // page request
 		e.message(owner, pe) // page reply
 		var def []bool
@@ -251,12 +237,6 @@ func (e *engine) classify(pe int, a *loops.Arr, lin int) {
 			def = e.defined[base+lo : base+hi]
 		}
 		e.caches[pe].InsertSlot(int(gid), def)
-	}
-}
-
-func (e *engine) trace(pe int, kind stats.Access, array, lin, page int) {
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.Event(pe, kind, array, lin, page)
 	}
 }
 

@@ -43,7 +43,7 @@ func mixedGrid(t *testing.T) []Point {
 
 // TestReplayModesBitIdentical is the planner's determinism contract:
 // the replay mode changes how points are executed, never what they
-// return. All three modes, at several worker counts, must produce
+// return. Every mode, at several worker counts, must produce
 // results bit-identical to each other and to serial direct runs.
 func TestReplayModesBitIdentical(t *testing.T) {
 	pts := mixedGrid(t)
@@ -51,7 +51,7 @@ func TestReplayModesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ReplayMode{ReplayAuto, ReplayOn, ReplayPoint} {
+	for _, mode := range []ReplayMode{ReplayAuto, ReplayOn} {
 		for _, workers := range []int{1, 4} {
 			got, err := RunOpts(context.Background(), pts, Options{Workers: workers, Replay: mode})
 			if err != nil {
@@ -71,8 +71,7 @@ func TestReplayModesBitIdentical(t *testing.T) {
 // registry: captures happen exactly once per group no matter how many
 // workers drain the queue, every point is accounted replay or direct,
 // and the batch replayer's group counters count capture groups — one
-// per group that is cut, none under ReplayPoint, which classifies each
-// point through the single-configuration replayer.
+// per group that is cut.
 func TestReplayPlanCounters(t *testing.T) {
 	pts := mixedGrid(t)
 	// mixedGrid has groups (k1,200)x3, (k24,200)x3, singleton (k1,333),
@@ -83,9 +82,8 @@ func TestReplayPlanCounters(t *testing.T) {
 		replayed int64
 		batched  int64 // groups the batch replayer cut and classified
 	}{
-		{ReplayOn, 3, 7, 3},    // singleton group still captures and replays
-		{ReplayAuto, 2, 6, 2},  // singleton runs direct: capture would not amortize
-		{ReplayPoint, 3, 7, 0}, // same plan as ReplayOn, one pass per point
+		{ReplayOn, 3, 7, 3},   // singleton group still captures and replays
+		{ReplayAuto, 2, 6, 2}, // singleton runs direct: capture would not amortize
 		{ReplayOff, 0, 0, 0},
 	}
 	for _, c := range cases {
@@ -248,8 +246,7 @@ func TestPlanReplay(t *testing.T) {
 
 // TestPlanTasks pins what the queue starts with: one group per shared
 // stream, in grid order of first members and holding its members
-// ascending; every other point direct; the same groups under
-// ReplayPoint (which only changes how a captured group is cut).
+// ascending; every other point direct.
 func TestPlanTasks(t *testing.T) {
 	k1, err := loops.ByKey("k1")
 	if err != nil {
@@ -264,20 +261,18 @@ func TestPlanTasks(t *testing.T) {
 		{Kernel: k1, N: 100, Config: sim.PaperConfig(8, 32)}, // 3: group A
 	}
 
-	for _, mode := range []ReplayMode{ReplayOn, ReplayPoint} {
-		groups, direct := planTasks(pts, mode)
-		if len(groups) != 2 || !reflect.DeepEqual(direct, []int{2}) {
-			t.Fatalf("%s: %d groups, direct %v; want 2 groups, direct [2]", mode, len(groups), direct)
-		}
-		if !reflect.DeepEqual(groups[0].members, []int{0}) || groups[0].n != 200 {
-			t.Errorf("%s: group 0 = %+v, want the singleton {0}", mode, groups[0])
-		}
-		if !reflect.DeepEqual(groups[1].members, []int{1, 3}) || groups[1].n != 100 {
-			t.Errorf("%s: group 1 = %+v, want members {1, 3}", mode, groups[1])
-		}
+	groups, direct := planTasks(pts, ReplayOn)
+	if len(groups) != 2 || !reflect.DeepEqual(direct, []int{2}) {
+		t.Fatalf("ReplayOn: %d groups, direct %v; want 2 groups, direct [2]", len(groups), direct)
+	}
+	if !reflect.DeepEqual(groups[0].members, []int{0}) || groups[0].n != 200 {
+		t.Errorf("ReplayOn: group 0 = %+v, want the singleton {0}", groups[0])
+	}
+	if !reflect.DeepEqual(groups[1].members, []int{1, 3}) || groups[1].n != 100 {
+		t.Errorf("ReplayOn: group 1 = %+v, want members {1, 3}", groups[1])
 	}
 
-	groups, direct := planTasks(pts, ReplayAuto)
+	groups, direct = planTasks(pts, ReplayAuto)
 	if len(groups) != 1 || !reflect.DeepEqual(groups[0].members, []int{1, 3}) || !reflect.DeepEqual(direct, []int{0, 2}) {
 		t.Errorf("ReplayAuto: groups %+v direct %v, want one group {1, 3} and the singleton direct", groups, direct)
 	}

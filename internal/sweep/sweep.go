@@ -33,10 +33,8 @@
 // rather than once per point and the kernel's floating-point execution
 // is skipped entirely. Replay results are proven bit-identical to
 // direct runs, so the guarantees above are preserved; points that
-// replay cannot serve (tracing runs, partial-fill ablations) fall back
-// to direct execution per point, and ReplayPoint demotes the batch
-// pass to one replay per point for benchmarking the two strategies
-// against each other.
+// replay cannot serve (partial-fill ablations) fall back to direct
+// execution per point.
 //
 // The unit of dispatch is a chunk: a contiguous, cost-bounded slice of
 // one group's configurations (refstream.Replayer.Cut). The paper's
@@ -203,13 +201,8 @@ const (
 	// ReplayOff runs every point directly through sim.Scratch.
 	ReplayOff
 	// ReplayOn replays every eligible point, even singleton groups.
-	// Ineligible points (tracing, partial-fill) still run directly.
+	// Ineligible points (partial-fill) still run directly.
 	ReplayOn
-	// ReplayPoint groups like ReplayOn but classifies each point with
-	// its own replay pass instead of batching the group — the
-	// pre-batching planner, kept so benchmarks can separate the
-	// execute-once win from the decode-once win.
-	ReplayPoint
 )
 
 func (m ReplayMode) String() string {
@@ -220,8 +213,6 @@ func (m ReplayMode) String() string {
 		return "off"
 	case ReplayOn:
 		return "on"
-	case ReplayPoint:
-		return "point"
 	}
 	return fmt.Sprintf("ReplayMode(%d)", int(m))
 }
@@ -313,8 +304,8 @@ func (c chunk) minIdx() int { return c.g.members[c.lo] }
 // the key the reference stream depends on. Under ReplayAuto only
 // groups with at least two eligible points get a group (a singleton
 // would pay capture — an instrumented direct run — without amortizing
-// it); under ReplayOn and ReplayPoint every eligible point does; under
-// ReplayOff the plan is all-nil.
+// it); under ReplayOn every eligible point does; under ReplayOff the
+// plan is all-nil.
 func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 	plan := make([]*replayGroup, len(pts))
 	if mode == ReplayOff {
@@ -433,7 +424,6 @@ func RunOpts(ctx context.Context, pts []Point, opts Options) ([]*sim.Result, err
 // accounting.
 type run struct {
 	pts     []Point
-	mode    ReplayMode
 	groups  []*replayGroup
 	direct  []int
 	results []*sim.Result
@@ -450,7 +440,7 @@ func newRun(pts []Point, opts Options) *run {
 		reg = obs.Default()
 	}
 	s := &run{
-		pts: pts, mode: opts.Replay, results: make([]*sim.Result, len(pts)),
+		pts: pts, results: make([]*sim.Result, len(pts)),
 		reg: reg, tr: newTracker(len(pts), opts.Progress),
 		cStarted:  reg.Counter(MetricPointsStarted),
 		cDone:     reg.Counter(MetricPointsDone),
@@ -507,13 +497,6 @@ func (s *run) worker(context.Context) worker {
 				return nil, s.failed(g.members[0], err)
 			}
 			g.st = st
-			if s.mode == ReplayPoint {
-				chunks := make([]chunk, len(g.members))
-				for j := range chunks {
-					chunks[j] = chunk{g: g, lo: j, hi: j + 1}
-				}
-				return chunks, nil
-			}
 			g.cfgs = make([]sim.Config, len(g.members))
 			for j, i := range g.members {
 				g.cfgs[j] = s.pts[i].Config
@@ -530,26 +513,21 @@ func (s *run) worker(context.Context) worker {
 		// the results to grid order. On failure the blamed index is the
 		// failing member — RunChunk reports the lowest position in the
 		// chunk, and members are in grid order — so lowest-index error
-		// semantics match the per-point path exactly. Under ReplayPoint a
-		// chunk is one point through the single-configuration replayer.
+		// semantics match the per-point path exactly.
 		classify: func(c chunk) (int, error) {
 			g, n := c.g, c.hi-c.lo
 			s.started(n)
 			fi := g.members[c.lo]
-			var err error
-			if s.mode == ReplayPoint {
-				s.results[fi], err = replayer.Run(g.st, s.pts[fi].Config)
-			} else {
-				if cap(stage) < n {
-					stage = make([]*sim.Result, n)
+			if cap(stage) < n {
+				stage = make([]*sim.Result, n)
+			}
+			out := stage[:n]
+			err := replayer.RunChunk(g.st, g.cfgs[c.lo:c.hi], out)
+			if err == nil {
+				for j, res := range out {
+					s.results[g.members[c.lo+j]] = res
 				}
-				out := stage[:n]
-				if err = replayer.RunChunk(g.st, g.cfgs[c.lo:c.hi], out); err == nil {
-					for j, res := range out {
-						s.results[g.members[c.lo+j]] = res
-					}
-					clear(out)
-				}
+				clear(out)
 			}
 			s.cReplay.Add(int64(n))
 			if err == nil {

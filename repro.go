@@ -25,8 +25,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/classify"
 	"repro/internal/convert"
 	"repro/internal/core"
@@ -173,23 +171,8 @@ type Server = serve.Server
 // The zero value serves with defaults scaled from GOMAXPROCS.
 type ServeOptions = serve.Options
 
-// LoadOptions configures the deterministic load generator that drives
-// `lfksimd -loadgen` and `make loadbench`.
-type LoadOptions = serve.LoadOptions
-
-// LoadReport is a measured load-run outcome (the BENCH history's
-// "serve" section).
-type LoadReport = serve.LoadReport
-
 // NewServer builds the classification service; see docs/SERVING.md.
 func NewServer(opts ServeOptions) *Server { return serve.New(opts) }
-
-// LoadTest hammers a running service with a seeded duplicate/unique
-// request mix and reports throughput, latency quantiles and
-// server-side cache behavior.
-func LoadTest(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
-	return serve.Load(ctx, opts)
-}
 
 // CostModel prices access classes in cycles for execution-time
 // estimation (the paper's §9 future work).

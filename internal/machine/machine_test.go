@@ -161,44 +161,49 @@ func TestAccountingConsistentWithCountingSimulator(t *testing.T) {
 	}
 }
 
-// TestMachineMatchesSimulatorExactly closes the loop between the
-// concurrent machine and the counting simulator on k1 (Hydro
-// Fragment), whose read arrays are fully defined at initialization:
-// every page the machine fetches is complete, so no partial fill can
-// split the two and all four totals — writes, local, cached, remote —
-// must agree exactly, with and without a cache. Caches are private per
-// PE and each PE sees the same deterministic access order in both
-// engines, so LRU behaves identically.
-func TestMachineMatchesSimulatorExactly(t *testing.T) {
+// checkMachineMatchesSimulator closes the loop between the concurrent
+// machine and the counting simulator on k1 (Hydro Fragment), whose read
+// arrays are fully defined at initialization: every page the machine
+// fetches is complete, so no partial fill can split the two and all
+// four totals — writes, local, cached, remote — must agree exactly.
+// Caches are private per PE and each PE sees the same deterministic
+// access order in both engines, so LRU behaves identically.
+func checkMachineMatchesSimulator(t *testing.T, npe int, cached bool) {
+	t.Helper()
 	k := mustKernel(t, "k1")
 	const n, ps = 500, 32
-	cases := []struct {
-		npe    int
-		cached bool
-	}{{4, false}, {8, false}, {4, true}}
-	for _, c := range cases {
-		mcfg, scfg := DefaultConfig(c.npe, ps), sim.PaperConfig(c.npe, ps)
-		if !c.cached {
-			mcfg.CacheElems, scfg = 0, sim.NoCacheConfig(c.npe, ps)
-		}
-		mres, err := Run(k, n, mcfg)
-		if err != nil {
-			t.Fatalf("npe=%d cached=%v machine: %v", c.npe, c.cached, err)
-		}
-		sres, err := sim.Run(k, n, scfg)
-		if err != nil {
-			t.Fatalf("npe=%d cached=%v sim: %v", c.npe, c.cached, err)
-		}
-		if mres.Totals != sres.Totals {
-			t.Errorf("npe=%d cached=%v: machine %+v != simulator %+v", c.npe, c.cached, mres.Totals, sres.Totals)
-		}
-		if mres.Totals.RemoteReads == 0 {
-			t.Errorf("npe=%d cached=%v: no remote reads; test exercises nothing", c.npe, c.cached)
-		}
-		if c.cached && mres.Totals.CachedReads == 0 {
-			t.Errorf("npe=%d: no cached reads; test exercises nothing", c.npe)
-		}
+	mcfg, scfg := DefaultConfig(npe, ps), sim.PaperConfig(npe, ps)
+	if !cached {
+		mcfg.CacheElems, scfg = 0, sim.NoCacheConfig(npe, ps)
 	}
+	mres, err := Run(k, n, mcfg)
+	if err != nil {
+		t.Fatalf("npe=%d cached=%v machine: %v", npe, cached, err)
+	}
+	sres, err := sim.Run(k, n, scfg)
+	if err != nil {
+		t.Fatalf("npe=%d cached=%v sim: %v", npe, cached, err)
+	}
+	if mres.Totals != sres.Totals {
+		t.Errorf("npe=%d cached=%v: machine %+v != simulator %+v", npe, cached, mres.Totals, sres.Totals)
+	}
+	if mres.Totals.RemoteReads == 0 {
+		t.Errorf("npe=%d cached=%v: no remote reads; test exercises nothing", npe, cached)
+	}
+	if cached && mres.Totals.CachedReads == 0 {
+		t.Errorf("npe=%d: no cached reads; test exercises nothing", npe)
+	}
+}
+
+func TestMachineMatchesSimulatorExactly(t *testing.T) {
+	t.Run("NoCache", func(t *testing.T) {
+		for _, npe := range []int{4, 8} {
+			checkMachineMatchesSimulator(t, npe, false)
+		}
+	})
+	t.Run("Cached", func(t *testing.T) {
+		checkMachineMatchesSimulator(t, 4, true)
+	})
 }
 
 func TestDoubleWriteAborts(t *testing.T) {

@@ -12,11 +12,11 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Tier-1 suite plus a race-detector pass over the concurrent layers
-# (kept in lockstep with .github/workflows/ci.yml).
+# Tier-1 suite plus a race-detector pass over the whole tree (kept in
+# lockstep with .github/workflows/ci.yml).
 test:
 	$(GO) test ./...
-	$(GO) test -race ./internal/sweep ./internal/machine ./internal/obs ./internal/core ./internal/sim ./internal/ir ./internal/refstream ./internal/refstream/store ./internal/serve ./internal/hostproc ./internal/cluster
+	$(GO) test -race ./...
 
 race:
 	$(GO) test -race ./...

@@ -67,6 +67,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/cache"
@@ -400,21 +401,77 @@ func (r *Replayer) RunBatch(st *Stream, cfgs []sim.Config) ([]*sim.Result, error
 // the calling goroutine. The per-call goroutine fan-out is the only
 // steady-state cost parallelism adds: worker slabs come from a free
 // list and are reused across calls.
+//
+// Only one representative of each set of count-identical
+// configurations (sim.Config.Representative) is cut and classified:
+// the first configuration of the set takes its Result, every later one
+// a deep copy, and each is stamped with its own configuration.
 func (r *Replayer) RunBatchN(st *Stream, cfgs []sim.Config, workers int) ([]*sim.Result, error) {
+	reps := r.distinct(cfgs)
+	out := grown(r.repOut, len(reps))
+	r.repOut = out
+	defer clear(out)
+	if err := r.runReps(st, reps, out, workers); err != nil {
+		var be *BatchError
+		if errors.As(err, &be) {
+			// Representatives are in order of first occurrence, so the
+			// lowest failing one's first member is the lowest failing
+			// position in cfgs.
+			return nil, &BatchError{Index: slices.Index(r.repOf, be.Index), Err: be.Err}
+		}
+		return nil, err
+	}
 	results := make([]*sim.Result, len(cfgs))
+	next := 0 // representatives are numbered in order of first occurrence
+	for i, j := range r.repOf {
+		res := out[j]
+		if j == next {
+			next++
+		} else {
+			res = res.Clone() // a later member: the first took res itself
+		}
+		res.Config = cfgs[i]
+		results[i] = res
+	}
+	return results, nil
+}
+
+// distinct maps cfgs onto their representatives: it returns the
+// distinct ones in order of first occurrence and leaves in r.repOf the
+// position of each configuration's representative.
+func (r *Replayer) distinct(cfgs []sim.Config) []sim.Config {
+	if r.repIdx == nil {
+		r.repIdx = make(map[sim.Config]int)
+	}
+	clear(r.repIdx)
+	reps, of := r.reps[:0], r.repOf[:0]
+	for _, c := range cfgs {
+		rep := c.Representative()
+		j, ok := r.repIdx[rep]
+		if !ok {
+			j = len(reps)
+			r.repIdx[rep] = j
+			reps = append(reps, rep)
+		}
+		of = append(of, j)
+	}
+	r.reps, r.repOf = reps, of
+	return reps
+}
+
+// runReps cuts and classifies distinct configurations into results,
+// fanning out over up to workers goroutines.
+func (r *Replayer) runReps(st *Stream, cfgs []sim.Config, results []*sim.Result, workers int) error {
 	chunks := r.Cut(st, cfgs)
 	if workers > 1 && len(chunks) > 1 {
-		if err := r.runChunksPar(st, cfgs, results, chunks, min(workers, len(chunks))); err != nil {
-			return nil, err
-		}
-		return results, nil
+		return r.runChunksPar(st, cfgs, results, chunks, min(workers, len(chunks)))
 	}
 	for _, c := range chunks {
 		if err := r.RunChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi]); err != nil {
-			return nil, rebase(err, c.Lo)
+			return rebase(err, c.Lo)
 		}
 	}
-	return results, nil
+	return nil
 }
 
 // runChunksPar is RunBatchN's fan-out, kept apart so that the variables

@@ -252,8 +252,9 @@ func TestParallelBatchErrorAttribution(t *testing.T) {
 
 // TestParallelBatchMetrics pins the observability of a group that is
 // cut: one group however many chunks run, a partitions observation
-// equal to the chunk count, every configuration counted under exactly
-// one path, and decode passes counted per chunk.
+// equal to the chunk count of the group's representatives, every
+// representative counted under exactly one path, and decode passes
+// counted per chunk.
 func TestParallelBatchMetrics(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -264,7 +265,8 @@ func TestParallelBatchMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := parGrid()
-	wantParts := len(fineCut(st).Cut(st, cfgs))
+	reps := NewReplayer().distinct(cfgs) // what RunBatchN cuts
+	wantParts := len(fineCut(st).Cut(st, reps))
 	if wantParts < 2 {
 		t.Fatalf("parGrid too small to split: %d chunks", wantParts)
 	}
@@ -289,8 +291,8 @@ func TestParallelBatchMetrics(t *testing.T) {
 	for _, name := range pathMetric {
 		served += snap.Counters[name]
 	}
-	if served != int64(len(cfgs)) {
-		t.Errorf("path counters sum to %d, want %d (each configuration under exactly one path)", served, len(cfgs))
+	if served != int64(len(reps)) {
+		t.Errorf("path counters sum to %d, want %d (each representative under exactly one path)", served, len(reps))
 	}
 	for _, p := range []path{pathFold, pathSWAR, pathRows, pathSlot} {
 		if snap.Counters[pathMetric[p]] == 0 {

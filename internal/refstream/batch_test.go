@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/loops"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -197,6 +198,70 @@ func TestBatchErrorAttribution(t *testing.T) {
 		t.Error("ineligible partial-fill config accepted by batch replay")
 	} else if !errors.Is(err, ErrUnsupported) {
 		t.Errorf("ineligible config error does not unwrap to ErrUnsupported: %v", err)
+	}
+}
+
+// TestBatchClassifiesRepresentatives: a batch classifies one
+// representative per set of count-identical configurations
+// (sim.Config.Representative), yet every position gets what
+// single-config replay of its own configuration returns, in a copy it
+// shares with nobody; a repeated failure is blamed on its first
+// position.
+func TestBatchClassifiesRepresentatives(t *testing.T) {
+	k, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Capture(k, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := sim.PaperConfig(8, 32)
+	bc.Layout, bc.LayoutRun = partition.KindBlockCyclic, 1
+	one := sim.PaperConfig(1, 32)
+	one.Policy, one.Layout = cache.Clock, partition.KindBlock
+	cfgs := []sim.Config{sim.PaperConfig(8, 32), sim.PaperConfig(1, 32), bc, one, sim.PaperConfig(4, 32)}
+
+	reg := obs.NewRegistry()
+	r := NewReplayer()
+	r.Metrics = reg
+	got, err := r.RunBatch(st, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served int64
+	for _, name := range pathMetric {
+		served += reg.Counter(name).Value()
+	}
+	if served != 3 {
+		t.Errorf("path counters sum to %d, want 3: one per representative", served)
+	}
+	single := NewReplayer()
+	for i, cfg := range cfgs {
+		want, err := single.Run(st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("position %d (%+v): batch diverges from single-config replay", i, cfg)
+		}
+	}
+	want2 := got[2].Clone()
+	got[0].PerPE[0].LocalReads++
+	got[0].Cache[0].Hits++
+	got[0].Traffic[0][1]++
+	got[0].Checksums[0].Sum++
+	if !reflect.DeepEqual(got[2], want2) {
+		t.Error("mutating position 0 changed its class-mate at position 2")
+	}
+
+	bad := sim.PaperConfig(4, 32)
+	bad.CacheElems = -1
+	cfgs = []sim.Config{sim.PaperConfig(2, 32), sim.PaperConfig(8, 32), bad, bc, sim.PaperConfig(16, 32), bad}
+	_, err = r.RunBatch(st, cfgs)
+	var be *BatchError
+	if !errors.As(err, &be) || be.Index != 2 {
+		t.Errorf("error %v, want a *BatchError at position 2", err)
 	}
 }
 

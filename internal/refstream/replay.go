@@ -61,6 +61,14 @@ type Replayer struct {
 	chunks []Chunk // Cut's output, reused across calls
 	target int64   // tests only: overrides chunkTarget when non-zero
 
+	// RunBatchN's distinct representatives (by position in reps), each
+	// configuration's representative and the representatives' Results,
+	// reused across calls.
+	repIdx map[sim.Config]int
+	reps   []sim.Config
+	repOf  []int
+	repOut []*sim.Result
+
 	// Parallel RunBatchN: the extra workers (grown on demand and
 	// reused) and each chunk's outcome.
 	extra   []*batchWorker

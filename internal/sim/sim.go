@@ -38,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cache"
@@ -97,6 +98,45 @@ func (c Config) validate() error {
 	return nil
 }
 
+// Representative returns the cheapest configuration whose run is
+// count-identical to c's: every Result field but Config agrees. The
+// counts depend on a configuration only through the page→PE owner map
+// and the cache's frame count, so axes that cannot change either are
+// normalized away, in order:
+//
+//  1. modulo and block layouts ignore LayoutRun: it becomes 0;
+//  2. block-cyclic with a run ≤ 1 is modulo (partition.Make runs
+//     block-cyclic at 1 when given ≤ 0);
+//  3. the cache holds CacheElems/PageSize frames, so CacheElems rounds
+//     down to a multiple of PageSize;
+//  4. with at most one frame every policy evicts the same page: LRU;
+//  5. on one PE nothing is remote, so layout, run, cache and policy
+//     are all inert: modulo, 0, no cache, LRU.
+//
+// An invalid configuration, an unknown policy or layout, and a
+// partial-fill configuration (whose §4 re-fetches depend on the frame
+// contents) are returned unchanged.
+func (c Config) Representative() Config {
+	if c.validate() != nil || c.ModelPartialFill ||
+		c.Policy < cache.LRU || c.Policy > cache.Random ||
+		c.Layout < partition.KindModulo || c.Layout > partition.KindBlockCyclic {
+		return c
+	}
+	if c.Layout != partition.KindBlockCyclic {
+		c.LayoutRun = 0
+	} else if c.LayoutRun <= 1 {
+		c.Layout, c.LayoutRun = partition.KindModulo, 0
+	}
+	c.CacheElems -= c.CacheElems % c.PageSize
+	if c.CacheElems/c.PageSize <= 1 {
+		c.Policy = cache.LRU
+	}
+	if c.NPE == 1 {
+		c.Layout, c.LayoutRun, c.CacheElems, c.Policy = partition.KindModulo, 0, 0, cache.LRU
+	}
+	return c
+}
+
 // Result reports one simulated run.
 type Result struct {
 	Kernel string
@@ -123,6 +163,25 @@ type Result struct {
 
 // RemotePercent returns the run's "% of Reads Remote".
 func (r *Result) RemotePercent() float64 { return r.Totals.RemotePercent() }
+
+// Clone returns a deep copy of r that shares no slice with it; the
+// traffic matrix is copied into one slab, as Run builds it.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.PerPE = slices.Clone(r.PerPE)
+	c.Cache = slices.Clone(r.Cache)
+	c.Checksums = slices.Clone(r.Checksums)
+	if r.Traffic != nil {
+		npe := len(r.Traffic)
+		slab := make([]int64, npe*npe)
+		c.Traffic = make([][]int64, npe)
+		for i := range c.Traffic {
+			c.Traffic[i] = slab[i*npe : (i+1)*npe : (i+1)*npe]
+			copy(c.Traffic[i], r.Traffic[i])
+		}
+	}
+	return &c
+}
 
 // engine is the counting simulator's state for one run. All per-array
 // storage is slab-allocated and indexed by precomputed bases so the

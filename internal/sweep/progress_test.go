@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/loops"
 	"repro/internal/obs"
-	"repro/internal/refstream"
 	"repro/internal/sim"
 )
 
@@ -131,17 +130,17 @@ func TestRunOptsCountsFailures(t *testing.T) {
 	// so Started exceeds Done+Failed by exactly that remainder and
 	// nothing else; every chunk below the failure runs to completion.
 	pts = wideGroup(t, "k1", 100)
-	chunks := cutOf(t, pts)
-	if len(chunks) < 4 {
-		t.Fatalf("group cut into %d chunks, want at least 4", len(chunks))
+	cut := cutOf(t, pts)
+	if len(cut.chunks) < 4 {
+		t.Fatalf("group cut into %d chunks, want at least 4", len(cut.chunks))
 	}
-	bad := chunks[len(chunks)/2].Lo + 1
+	bad := cut.g.members[cut.chunks[len(cut.chunks)/2].Lo+1][0]
 	pts[bad].Config.NPE = -1
-	var failing refstream.Chunk
-	for _, c := range cutOf(t, pts) { // the invalid point is charged less: cut again
-		if c.Lo <= bad && bad < c.Hi {
-			failing = c
-		}
+	cut = cutOf(t, pts) // the invalid point is its own representative and charged less: cut again
+	fc := cut.chunkOf(bad)
+	below := 0
+	for _, c := range cut.chunks[:fc] {
+		below += cut.points(c)
 	}
 	reg = obs.NewRegistry()
 	_, err = RunOpts(context.Background(), pts, Options{
@@ -158,12 +157,12 @@ func TestRunOptsCountsFailures(t *testing.T) {
 	if got := reg.Counter(MetricPointsFailed).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricPointsFailed, got)
 	}
-	rest := failing.Hi - failing.Lo - 1
+	rest := cut.points(cut.chunks[fc]) - 1
 	if last.Started != last.Done+last.Failed+rest {
 		t.Errorf("final progress = %+v: Started should exceed Done+Failed by the failing chunk's other %d points", last, rest)
 	}
-	if last.Done < failing.Lo {
-		t.Errorf("final progress = %+v: every chunk below point %d must complete", last, failing.Lo)
+	if last.Done < below {
+		t.Errorf("final progress = %+v: the %d points of the chunks below point %d's must complete", last, below, bad)
 	}
 	if got, want := reg.Counter(MetricPointsStarted).Value(), int64(last.Started); got != want {
 		t.Errorf("%s = %d, callback stream says %d", MetricPointsStarted, got, want)

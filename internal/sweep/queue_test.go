@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/refstream"
-	"repro/internal/sim"
 )
 
 // wideGroup is one capture group of 1 920 configurations covering every
@@ -39,20 +39,49 @@ func wideGroup(t testing.TB, key string, n int) []Point {
 	}.Points()
 }
 
-// cutOf returns the chunks the sweep will cut a one-group point list
-// into: the cut is a pure function of (stream, configurations), so a
-// test can compute it beside the sweep.
-func cutOf(t testing.TB, pts []Point) []refstream.Chunk {
+// plannedCut is what the sweep will make of a one-group point list: the
+// planner's group and the chunks its representatives are cut into.
+type plannedCut struct {
+	g      *replayGroup
+	chunks []refstream.Chunk
+}
+
+// cutOf plans pts as the sweep does and cuts the group's
+// representatives: the cut is a pure function of (stream,
+// representatives), so a test can compute it beside the sweep.
+func cutOf(t testing.TB, pts []Point) plannedCut {
 	t.Helper()
-	st, err := refstream.Capture(pts[0].Kernel, pts[0].N)
+	groups, direct := planTasks(pts, ReplayOn)
+	if len(groups) != 1 || len(direct) != 0 {
+		t.Fatalf("planned %d groups and %d direct points, want one group", len(groups), len(direct))
+	}
+	g := groups[0]
+	st, err := refstream.Capture(g.kernel, g.n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := make([]sim.Config, len(pts))
-	for i, p := range pts {
-		cfgs[i] = p.Config
+	return plannedCut{g, append([]refstream.Chunk(nil), refstream.NewReplayer().Cut(st, g.cfgs)...)}
+}
+
+// points counts the grid points chunk c serves.
+func (p plannedCut) points(c refstream.Chunk) int {
+	n := 0
+	for _, m := range p.g.members[c.Lo:c.Hi] {
+		n += len(m)
 	}
-	return append([]refstream.Chunk(nil), refstream.NewReplayer().Cut(st, cfgs)...)
+	return n
+}
+
+// chunkOf returns the position of the chunk that serves grid index i.
+func (p plannedCut) chunkOf(i int) int {
+	for ci, c := range p.chunks {
+		for _, m := range p.g.members[c.Lo:c.Hi] {
+			if slices.Contains(m, i) {
+				return ci
+			}
+		}
+	}
+	return -1
 }
 
 // TestWideGroupUsesEveryWorker: a sweep that is one wide group is cut
@@ -78,7 +107,7 @@ func TestWideGroupUsesEveryWorker(t *testing.T) {
 		t.Errorf("%s = %d, want 1: a group is counted once, not once per chunk", refstream.MetricBatchGroups, got)
 	}
 	h := snap.Histograms[refstream.MetricBatchPartitions]
-	if want := int64(len(cutOf(t, pts))); h.Count != 1 || h.Sum != want || want < 2 {
+	if want := int64(len(cutOf(t, pts).chunks)); h.Count != 1 || h.Sum != want || want < 2 {
 		t.Errorf("%s: %d observations summing to %d, want one observation of %d (> 1) chunks",
 			refstream.MetricBatchPartitions, h.Count, h.Sum, want)
 	}
@@ -109,25 +138,20 @@ func TestWideGroupUsesEveryWorker(t *testing.T) {
 // must be the lower grid index at every worker count, every time.
 func TestChunkErrorIsLowestIndex(t *testing.T) {
 	pts := wideGroup(t, "k1", 100)
-	chunks := cutOf(t, pts)
+	cut := cutOf(t, pts)
+	chunks := cut.chunks
 	if len(chunks) < 4 {
 		t.Fatalf("group cut into %d chunks, want at least 4", len(chunks))
 	}
-	low, high := chunks[1].Hi-1, chunks[len(chunks)-2].Lo
+	low, high := cut.g.members[chunks[1].Hi-1][0], cut.g.members[chunks[len(chunks)-2].Lo][0]
 	pts[low].Config.NPE = -1
 	pts[high].Config.PageSize = -3
-	// Invalid configurations are charged the lowest weight, so placing
-	// them moves the cut: check they still sit in different chunks.
-	chunkOf := func(i int) int {
-		for ci, c := range cutOf(t, pts) {
-			if i < c.Hi {
-				return ci
-			}
-		}
-		return -1
-	}
-	if chunkOf(low) == chunkOf(high) {
-		t.Fatalf("points %d and %d share chunk %d", low, high, chunkOf(low))
+	// Invalid configurations are their own representatives and are
+	// charged the lowest weight, so placing them moves the cut: check
+	// they still sit in different chunks.
+	cut = cutOf(t, pts)
+	if cut.chunkOf(low) == cut.chunkOf(high) {
+		t.Fatalf("points %d and %d share chunk %d", low, high, cut.chunkOf(low))
 	}
 	want := "sweep: point " + strconv.Itoa(low) + " "
 	for _, workers := range []int{1, 2, 8} {

@@ -9,13 +9,15 @@ import (
 	"repro/internal/cache"
 	"repro/internal/loops"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/refstream"
 	"repro/internal/sim"
 )
 
 // mixedGrid builds a grid that exercises every planner decision: two
-// multi-point replay groups, a singleton group (one point at a unique
-// problem size), and ineligible partial-fill points interleaved.
+// multi-point replay groups, each with a point whose representative is
+// another point's configuration, a singleton group (one point at a
+// unique problem size), and ineligible partial-fill points interleaved.
 func mixedGrid(t *testing.T) []Point {
 	t.Helper()
 	k1, err := loops.ByKey("k1")
@@ -36,6 +38,13 @@ func mixedGrid(t *testing.T) []Point {
 	pf := sim.PaperConfig(8, 32)
 	pf.ModelPartialFill = true
 	pts = append(pts[:3], append([]Point{{Kernel: k1, N: 200, Config: pf}}, pts[3:]...)...)
+	// Class-mates: block-cyclic(1) is modulo, and on one PE layout,
+	// cache and policy are inert.
+	bc := sim.PaperConfig(4, 32)
+	bc.Layout = partition.KindBlockCyclic
+	one := sim.PaperConfig(1, 32)
+	one.Layout, one.Policy, one.CacheElems = partition.KindBlock, cache.FIFO, 1000
+	pts = append(pts, Point{Kernel: k1, N: 200, Config: bc}, Point{Kernel: k24, N: 200, Config: one})
 	// Singleton group: the only point at (k1, 333).
 	pts = append(pts, Point{Kernel: k1, N: 333, Config: sim.PaperConfig(2, 32)})
 	return pts
@@ -70,32 +79,44 @@ func TestReplayModesBitIdentical(t *testing.T) {
 // TestReplayPlanCounters audits the planner through the metrics
 // registry: captures happen exactly once per group no matter how many
 // workers drain the queue, every point is accounted replay or direct,
-// and the batch replayer's group counters count capture groups — one
-// per group that is cut.
+// only distinct representatives are classified, and the batch
+// replayer's group counters count capture groups — one per group that
+// is cut. Progress and the point counters count points, not
+// representatives.
 func TestReplayPlanCounters(t *testing.T) {
 	pts := mixedGrid(t)
-	// mixedGrid has groups (k1,200)x3, (k24,200)x3, singleton (k1,333),
-	// and one ineligible point.
+	// mixedGrid has groups (k1,200) and (k24,200) of 4 points and 3
+	// representatives each, singleton (k1,333), and one ineligible point.
 	cases := []struct {
 		mode     ReplayMode
 		captures int64
 		replayed int64
+		distinct int64
 		batched  int64 // groups the batch replayer cut and classified
 	}{
-		{ReplayOn, 3, 7, 3},   // singleton group still captures and replays
-		{ReplayAuto, 2, 6, 2}, // singleton runs direct: capture would not amortize
-		{ReplayOff, 0, 0, 0},
+		{ReplayOn, 3, 9, 7, 3},   // singleton group still captures and replays
+		{ReplayAuto, 2, 8, 6, 2}, // singleton runs direct: capture would not amortize
+		{ReplayOff, 0, 0, 0, 0},
 	}
 	for _, c := range cases {
 		reg := obs.NewRegistry()
-		if _, err := RunOpts(context.Background(), pts, Options{Workers: 8, Metrics: reg, Replay: c.mode}); err != nil {
+		var last Progress
+		opts := Options{Workers: 8, Metrics: reg, Replay: c.mode, Progress: func(p Progress) { last = p }}
+		if _, err := RunOpts(context.Background(), pts, opts); err != nil {
 			t.Fatalf("replay=%s: %v", c.mode, err)
+		}
+		if last.Done != len(pts) || reg.Counter(MetricPointsDone).Value() != int64(len(pts)) {
+			t.Errorf("replay=%s: progress %+v, %s = %d; want every one of %d points done",
+				c.mode, last, MetricPointsDone, reg.Counter(MetricPointsDone).Value(), len(pts))
 		}
 		if got := reg.Counter(MetricStreamCaptures).Value(); got != c.captures {
 			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricStreamCaptures, got, c.captures)
 		}
 		if got := reg.Counter(MetricReplayPoints).Value(); got != c.replayed {
 			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricReplayPoints, got, c.replayed)
+		}
+		if got := reg.Counter(MetricDistinctConfigs).Value(); got != c.distinct {
+			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricDistinctConfigs, got, c.distinct)
 		}
 		direct := int64(len(pts)) - c.replayed
 		if got := reg.Counter(MetricDirectPoints).Value(); got != direct {
@@ -245,8 +266,9 @@ func TestPlanReplay(t *testing.T) {
 }
 
 // TestPlanTasks pins what the queue starts with: one group per shared
-// stream, in grid order of first members and holding its members
-// ascending; every other point direct.
+// stream, in grid order of first members, holding its representatives
+// in order of first occurrence and each one's members ascending; every
+// other point direct.
 func TestPlanTasks(t *testing.T) {
 	k1, err := loops.ByKey("k1")
 	if err != nil {
@@ -254,31 +276,119 @@ func TestPlanTasks(t *testing.T) {
 	}
 	pf := sim.PaperConfig(4, 32)
 	pf.ModelPartialFill = true
+	bc8 := sim.PaperConfig(8, 32)
+	bc8.Layout, bc8.LayoutRun = partition.KindBlockCyclic, 1
+	one := sim.PaperConfig(1, 32)
+	one.Policy = cache.Random
 	pts := []Point{
 		{Kernel: k1, N: 200, Config: sim.PaperConfig(2, 32)}, // 0: singleton
 		{Kernel: k1, N: 100, Config: sim.PaperConfig(1, 32)}, // 1: group A
 		{Kernel: k1, N: 100, Config: pf},                     // 2: ineligible, direct
 		{Kernel: k1, N: 100, Config: sim.PaperConfig(8, 32)}, // 3: group A
+		{Kernel: k1, N: 100, Config: bc8},                    // 4: group A, point 3's class
+		{Kernel: k1, N: 100, Config: one},                    // 5: group A, point 1's class
 	}
+	one1 := sim.PaperConfig(1, 32).Representative()
 
 	groups, direct := planTasks(pts, ReplayOn)
 	if len(groups) != 2 || !reflect.DeepEqual(direct, []int{2}) {
 		t.Fatalf("ReplayOn: %d groups, direct %v; want 2 groups, direct [2]", len(groups), direct)
 	}
-	if !reflect.DeepEqual(groups[0].members, []int{0}) || groups[0].n != 200 {
+	if !reflect.DeepEqual(groups[0].members, [][]int{{0}}) || groups[0].n != 200 {
 		t.Errorf("ReplayOn: group 0 = %+v, want the singleton {0}", groups[0])
 	}
-	if !reflect.DeepEqual(groups[1].members, []int{1, 3}) || groups[1].n != 100 {
-		t.Errorf("ReplayOn: group 1 = %+v, want members {1, 3}", groups[1])
+	if !reflect.DeepEqual(groups[1].members, [][]int{{1, 5}, {3, 4}}) || groups[1].n != 100 ||
+		!reflect.DeepEqual(groups[1].cfgs, []sim.Config{one1, sim.PaperConfig(8, 32)}) {
+		t.Errorf("ReplayOn: group 1 = %+v, want classes {1, 5} and {3, 4}", groups[1])
 	}
 
 	groups, direct = planTasks(pts, ReplayAuto)
-	if len(groups) != 1 || !reflect.DeepEqual(groups[0].members, []int{1, 3}) || !reflect.DeepEqual(direct, []int{0, 2}) {
-		t.Errorf("ReplayAuto: groups %+v direct %v, want one group {1, 3} and the singleton direct", groups, direct)
+	if len(groups) != 1 || !reflect.DeepEqual(groups[0].members, [][]int{{1, 5}, {3, 4}}) || !reflect.DeepEqual(direct, []int{0, 2}) {
+		t.Errorf("ReplayAuto: groups %+v direct %v, want one group {1, 5}, {3, 4} and the singleton direct", groups, direct)
 	}
 
 	groups, direct = planTasks(pts, ReplayOff)
-	if len(groups) != 0 || !reflect.DeepEqual(direct, []int{0, 1, 2, 3}) {
+	if len(groups) != 0 || !reflect.DeepEqual(direct, []int{0, 1, 2, 3, 4, 5}) {
 		t.Errorf("ReplayOff: groups %+v direct %v, want every point direct", groups, direct)
+	}
+}
+
+// TestScatterMatchesDirect: a sweep that classifies one representative
+// per class returns, at every index, exactly what direct execution of
+// that point returns — Config included, which is the member's own.
+func TestScatterMatchesDirect(t *testing.T) {
+	for name, pts := range map[string][]Point{
+		"wideGroup(k2)": wideGroup(t, "k2", 0),
+		"mixedGrid":     mixedGrid(t),
+	} {
+		want, err := RunOpts(context.Background(), pts, Options{Replay: ReplayOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunOpts(context.Background(), pts, Options{Replay: ReplayAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pts {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: point %d (%s): replayed result differs from direct execution", name, i, pts[i])
+			}
+		}
+	}
+}
+
+// TestScatterSharesNothing: class-mates get deep copies, so mutating
+// one member's result leaves every other member's intact.
+func TestScatterSharesNothing(t *testing.T) {
+	pts := mixedGrid(t)
+	want, err := RunOpts(context.Background(), pts, Options{Replay: ReplayOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunOpts(context.Background(), pts, Options{Replay: ReplayAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _ := planTasks(pts, ReplayAuto)
+	mates := 0
+	for _, g := range groups {
+		for _, m := range g.members {
+			r := got[m[0]] // the representative's own result object
+			r.PerPE[0].LocalReads++
+			r.Cache[0].Hits++
+			r.Traffic[0][len(r.Traffic)-1]++
+			r.Checksums[0].Sum++
+			for _, i := range m[1:] {
+				mates++
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("point %d changed with its class-mate %d", i, m[0])
+				}
+			}
+		}
+	}
+	if mates == 0 {
+		t.Fatal("mixedGrid has no class-mates: the test is vacuous")
+	}
+}
+
+// TestRepeatedInvalidConfigBlamesFirst: one invalid configuration
+// repeated at indices 3 and 9 is one representative; its failure is
+// point 3's at every worker count, every time.
+func TestRepeatedInvalidConfigBlamesFirst(t *testing.T) {
+	k, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := Grid{Kernels: []*loops.Kernel{k}, N: 64, NPEs: []int{1, 2, 4, 8}, PageSizes: []int{16, 32, 64}}.Points()
+	bad := sim.PaperConfig(4, 32)
+	bad.CacheElems = -1
+	pts[3].Config, pts[9].Config = bad, bad
+	for _, workers := range []int{1, 2, 8} {
+		for rep := 0; rep < 50; rep++ {
+			_, err := RunOpts(context.Background(), pts, Options{Workers: workers})
+			if err == nil || !strings.HasPrefix(err.Error(), "sweep: point 3 (") {
+				t.Fatalf("workers=%d rep %d: error %v, want point 3's", workers, rep, err)
+			}
+		}
 	}
 }

@@ -34,7 +34,11 @@
 // is skipped entirely. Replay results are proven bit-identical to
 // direct runs, so the guarantees above are preserved; points that
 // replay cannot serve (partial-fill ablations) fall back to direct
-// execution per point.
+// execution per point. Within a group, configurations whose counts are
+// identical by construction (sim.Config.Representative) are classified
+// once: each member gets its own deep copy of the result, stamped with
+// the configuration it asked for. ReplayOff runs every point directly
+// and is the unreduced reference.
 //
 // The unit of dispatch is a chunk: a contiguous, cost-bounded slice of
 // one group's configurations (refstream.Replayer.Cut). The paper's
@@ -85,8 +89,15 @@ func (p Point) String() string {
 		key = p.Kernel.Key
 	}
 	c := p.Config
-	return fmt.Sprintf("%s/n=%d/npe=%d/ps=%d/cache=%d/%s/%s",
+	s := fmt.Sprintf("%s/n=%d/npe=%d/ps=%d/cache=%d/%s/%s",
 		key, p.N, c.NPE, c.PageSize, c.CacheElems, c.Layout, c.Policy)
+	if c.Layout == partition.KindBlockCyclic {
+		s += fmt.Sprintf("/run=%d", c.LayoutRun)
+	}
+	if c.ModelPartialFill {
+		s += "+partial"
+	}
+	return s
 }
 
 // Grid declares a cross product of sweep axes. Zero-valued axes default
@@ -248,10 +259,13 @@ const (
 	MetricPointsFailed  = "sweep.points_failed"
 
 	// Planner counters: captures performed (once per replay group),
-	// points served by stream replay, and points run directly.
-	MetricStreamCaptures = "sweep.stream_captures"
-	MetricReplayPoints   = "sweep.replay_points"
-	MetricDirectPoints   = "sweep.direct_points"
+	// points served by stream replay, the distinct configurations
+	// classified to serve them (one per representative — see
+	// sim.Config.Representative), and points run directly.
+	MetricStreamCaptures  = "sweep.stream_captures"
+	MetricReplayPoints    = "sweep.replay_points"
+	MetricDistinctConfigs = "sweep.distinct_configs"
+	MetricDirectPoints    = "sweep.direct_points"
 
 	// MetricCaptureOverlap counts captures that finished while another
 	// worker was classifying a chunk or running a direct point — each
@@ -261,17 +275,25 @@ const (
 )
 
 // replayGroup is one (kernel, problem size) replay group: the points
-// that share a reference stream. The worker that takes the group off
-// the queue captures it; afterwards the stream is shared read-only by
-// every worker that classifies one of the group's chunks.
+// that share a reference stream. Only one representative of each set
+// of count-identical configurations (sim.Config.Representative) is
+// classified; its result is handed to every member. The worker that
+// takes the group off the queue captures it; afterwards the stream is
+// shared read-only by every worker that classifies one of the group's
+// chunks.
 type replayGroup struct {
-	kernel  *loops.Kernel
-	n       int   // as given by the first member (Capture clamps internally)
-	members []int // grid indices, ascending
+	kernel *loops.Kernel
+	n      int // as given by the first member (Capture clamps internally)
+
+	// cfgs are the distinct representatives in order of first
+	// occurrence; members[j] are the grid indices cfgs[j] stands for,
+	// ascending. So members[j][0] ascends in j, and members[0][0] is
+	// the group's lowest grid index.
+	cfgs    []sim.Config
+	members [][]int
 
 	// Set by the capturing worker before the group's chunks are queued.
-	st   *refstream.Stream
-	cfgs []sim.Config // members' configurations, in members order
+	st *refstream.Stream
 
 	// left counts the chunks not yet classified (guarded by queue.mu).
 	// When the last chunk of a group that was cut in several is done the
@@ -287,25 +309,33 @@ type replayGroup struct {
 	long bool // cut into more than one chunk
 }
 
-// chunk is the unit of dispatch for replayed points: members [lo, hi)
-// of a captured group, with the cost estimate the queue orders by.
+// first is the group's lowest grid index: a failed capture is blamed
+// on it, and a group wholly above the lowest failing index is skipped.
+func (g *replayGroup) first() int { return g.members[0][0] }
+
+// chunk is the unit of dispatch for replayed points: representatives
+// [lo, hi) of a captured group, with the cost estimate the queue orders
+// by.
 type chunk struct {
 	g      *replayGroup
 	lo, hi int
 	cost   int64
 }
 
-// minIdx is the lowest grid index the chunk covers: a chunk wholly
-// above the lowest failing index so far is skipped.
-func (c chunk) minIdx() int { return c.g.members[c.lo] }
+// minIdx is the lowest grid index the chunk covers — its first
+// representative's first member, representatives being in order of
+// first occurrence: a chunk wholly above the lowest failing index so
+// far is skipped.
+func (c chunk) minIdx() int { return c.g.members[c.lo][0] }
 
 // planReplay assigns each point to a replay group, or nil for direct
 // execution. Grouping is by (kernel, clamped problem size) — exactly
-// the key the reference stream depends on. Under ReplayAuto only
-// groups with at least two eligible points get a group (a singleton
-// would pay capture — an instrumented direct run — without amortizing
-// it); under ReplayOn every eligible point does; under ReplayOff the
-// plan is all-nil.
+// the key the reference stream depends on — and within a group by
+// representative configuration. Under ReplayAuto only groups with at
+// least two eligible points get a group (a singleton would pay capture
+// — an instrumented direct run — without amortizing it); under
+// ReplayOn every eligible point does; under ReplayOff the plan is
+// all-nil.
 func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 	plan := make([]*replayGroup, len(pts))
 	if mode == ReplayOff {
@@ -315,7 +345,12 @@ func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 		k *loops.Kernel
 		n int
 	}
+	type repKey struct {
+		g   *replayGroup
+		cfg sim.Config
+	}
 	groups := make(map[key]*replayGroup)
+	reps := make(map[repKey]int) // index into g.cfgs
 	counts := make(map[key]int)
 	for _, p := range pts {
 		if p.Kernel == nil || !refstream.Eligible(p.Config) {
@@ -336,7 +371,15 @@ func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 			g = &replayGroup{kernel: p.Kernel, n: p.N}
 			groups[k] = g
 		}
-		g.members = append(g.members, i)
+		rk := repKey{g, p.Config.Representative()}
+		j, ok := reps[rk]
+		if !ok {
+			j = len(g.cfgs)
+			reps[rk] = j
+			g.cfgs = append(g.cfgs, rk.cfg)
+			g.members = append(g.members, nil)
+		}
+		g.members[j] = append(g.members[j], i)
 		plan[i] = g
 	}
 	return plan
@@ -350,7 +393,7 @@ func planTasks(pts []Point, mode ReplayMode) (groups []*replayGroup, direct []in
 	for i, g := range planReplay(pts, mode) {
 		if g == nil {
 			direct = append(direct, i)
-		} else if g.members[0] == i {
+		} else if g.first() == i {
 			groups = append(groups, g)
 		}
 	}
@@ -431,7 +474,7 @@ type run struct {
 	reg *obs.Registry
 	tr  *tracker
 
-	cStarted, cDone, cFailed, cCaptures, cReplay, cDirect *obs.Counter
+	cStarted, cDone, cFailed, cCaptures, cReplay, cDistinct, cDirect *obs.Counter
 }
 
 func newRun(pts []Point, opts Options) *run {
@@ -447,6 +490,7 @@ func newRun(pts []Point, opts Options) *run {
 		cFailed:   reg.Counter(MetricPointsFailed),
 		cCaptures: reg.Counter(MetricStreamCaptures),
 		cReplay:   reg.Counter(MetricReplayPoints),
+		cDistinct: reg.Counter(MetricDistinctConfigs),
 		cDirect:   reg.Counter(MetricDirectPoints),
 	}
 	reg.Counter(MetricPointsTotal).Add(int64(len(pts)))
@@ -494,13 +538,9 @@ func (s *run) worker(context.Context) worker {
 			st, err := refstream.CaptureScratch(scratch, g.kernel, g.n)
 			if err != nil {
 				s.started(1)
-				return nil, s.failed(g.members[0], err)
+				return nil, s.failed(g.first(), err)
 			}
 			g.st = st
-			g.cfgs = make([]sim.Config, len(g.members))
-			for j, i := range g.members {
-				g.cfgs[j] = s.pts[i].Config
-			}
 			cut := replayer.Cut(st, g.cfgs)
 			chunks := make([]chunk, len(cut))
 			for j, c := range cut {
@@ -509,15 +549,21 @@ func (s *run) worker(context.Context) worker {
 			return chunks, nil
 		},
 
-		// classify serves one chunk from its group's stream and scatters
-		// the results to grid order. On failure the blamed index is the
-		// failing member — RunChunk reports the lowest position in the
-		// chunk, and members are in grid order — so lowest-index error
-		// semantics match the per-point path exactly.
+		// classify serves one chunk's representatives from its group's
+		// stream and scatters each result to every member it stands for.
+		// On failure the blamed index is the failing representative's
+		// first member — RunChunk reports the lowest position in the
+		// chunk, and representatives are in order of first occurrence —
+		// so lowest-index error semantics match the per-point path
+		// exactly.
 		classify: func(c chunk) (int, error) {
 			g, n := c.g, c.hi-c.lo
-			s.started(n)
-			fi := g.members[c.lo]
+			points := 0
+			for _, m := range g.members[c.lo:c.hi] {
+				points += len(m)
+			}
+			s.started(points)
+			fi := c.minIdx()
 			if cap(stage) < n {
 				stage = make([]*sim.Result, n)
 			}
@@ -525,18 +571,19 @@ func (s *run) worker(context.Context) worker {
 			err := replayer.RunChunk(g.st, g.cfgs[c.lo:c.hi], out)
 			if err == nil {
 				for j, res := range out {
-					s.results[g.members[c.lo+j]] = res
+					s.scatter(res, g.members[c.lo+j])
 				}
 				clear(out)
 			}
-			s.cReplay.Add(int64(n))
+			s.cReplay.Add(int64(points))
+			s.cDistinct.Add(int64(n))
 			if err == nil {
-				s.done(n)
+				s.done(points)
 				return fi, nil
 			}
 			var be *refstream.BatchError
 			if errors.As(err, &be) {
-				fi = g.members[c.lo+be.Index]
+				fi = g.members[c.lo+be.Index][0]
 				err = be.Err
 			}
 			return fi, s.failed(fi, err)
@@ -564,6 +611,21 @@ func (s *run) worker(context.Context) worker {
 			s.done(1)
 			return nil
 		},
+	}
+}
+
+// scatter hands a representative's result to every member it stands
+// for. Each member gets back the configuration it asked for; the first
+// takes res itself and every later one a deep copy, so no two points
+// share mutable state.
+func (s *run) scatter(res *sim.Result, members []int) {
+	for k, i := range members {
+		r := res
+		if k > 0 {
+			r = res.Clone()
+		}
+		r.Config = s.pts[i].Config
+		s.results[i] = r
 	}
 }
 
@@ -613,18 +675,18 @@ type queue struct {
 // wins deterministically; cancellation of the parent abandons
 // everything and is returned as is.
 func runQueue(parent context.Context, workers int, groups []*replayGroup, direct []int, overlap *obs.Counter, newWorker func(context.Context) worker) error {
-	points := len(direct)
+	items := len(direct)
 	for _, g := range groups {
-		points += len(g.members)
+		items += len(g.cfgs)
 	}
-	if points == 0 {
+	if items == 0 {
 		return parent.Err()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > points {
-		workers = points
+	if workers > items {
+		workers = items
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -673,13 +735,13 @@ func (q *queue) drain(w worker) {
 			q.busy--
 			q.fail(i, err)
 			if c.g.left--; c.g.left == 0 && c.g.long {
-				c.g.st, c.g.cfgs = nil, nil
+				c.g.st = nil
 			}
 
 		case len(q.groups) > 0:
 			g := q.groups[0]
 			q.groups = q.groups[1:]
-			if g.members[0] > q.errIdx {
+			if g.first() > q.errIdx {
 				continue
 			}
 			q.capturing++
@@ -687,7 +749,7 @@ func (q *queue) drain(w worker) {
 			chunks, err := w.capture(g)
 			q.mu.Lock()
 			q.capturing--
-			q.fail(g.members[0], err)
+			q.fail(g.first(), err)
 			if q.busy > 0 {
 				q.overlap.Inc()
 			}

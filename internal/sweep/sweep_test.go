@@ -222,4 +222,22 @@ func TestPointString(t *testing.T) {
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
+
+	// Block-cyclic points name their run, partial-fill points say so:
+	// otherwise two distinct points read the same in an error.
+	bc := sim.PaperConfig(4, 32)
+	bc.Layout, bc.LayoutRun = partition.KindBlockCyclic, 2
+	pf := sim.PaperConfig(4, 32)
+	pf.ModelPartialFill = true
+	for _, c := range []struct {
+		cfg  sim.Config
+		want string
+	}{
+		{bc, "k2/n=0/npe=4/ps=32/cache=256/blockcyclic/lru/run=2"},
+		{pf, "k2/n=0/npe=4/ps=32/cache=256/modulo/lru+partial"},
+	} {
+		if got := (Point{Kernel: k, Config: c.cfg}).String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
 }

@@ -40,10 +40,13 @@ package refstream
 //     re-fronts the front entry, FIFO/Clock/Random do not reorder and
 //     the reference bit is already set), so the hit is counted without
 //     consulting the cache;
-//   - only when the structural summary is unusable (non-contiguous
-//     reduction terms) does the general event pass run, sweeping each
-//     decoded event down every order-dependent configuration of the
-//     bucket (batchEventPass).
+//   - when the structural summary is unusable (non-contiguous
+//     reduction terms), or when the call classifies exactly one
+//     configuration (Run, or a RunBatchN whose configurations share one
+//     representative), the general event pass runs instead, sweeping
+//     each decoded event down every order-dependent configuration of
+//     the bucket (batchEventPass). The one-configuration rule is about
+//     memory, not speed: see readColumn.
 //
 // Large groups are classified in chunks: Cut splits the configuration
 // slab into contiguous slices of bounded estimated cost (path class ×
@@ -57,11 +60,12 @@ package refstream
 // budget. A group under the cost target — the common 2- and 28-config
 // groups — is one chunk and pays nothing.
 //
-// Results are bit-identical to per-configuration Replayer.Run and to
-// direct sim.Run; refstream_test.go, FuzzBatchVsSingle,
-// TestParallelMatchesSerialBatch and FuzzParallelVsSerialBatch hold
-// the equivalence across kernels and worker counts, and docs/PERF.md
-// records the measured win.
+// Results are bit-identical to direct sim.Run whatever the chunking:
+// Run is a chunk of one configuration, so refstream_test.go and
+// FuzzBatchVsSingle (batch against one-configuration calls, both
+// against sim.Run), TestParallelMatchesSerialBatch and
+// FuzzParallelVsSerialBatch hold the equivalence across kernels, cuts
+// and worker counts, and docs/PERF.md records the measured win.
 
 import (
 	"errors"
@@ -96,7 +100,7 @@ const (
 	MetricBatchPartitions = "refstream.batch.partitions"
 	// MetricBatchPathPrefix, followed by a path name (fold, hist, swar,
 	// rows, slot, event), counts the configurations served by that
-	// classification path.
+	// classification path, recorded by the chunk classifier that ran it.
 	MetricBatchPathPrefix = "refstream.batch.path."
 )
 
@@ -110,7 +114,7 @@ const (
 	pathSWAR              // framed LRU on packed SWAR rows
 	pathRows              // framed LRU on plain frame rows
 	pathSlot              // framed, against the real slot caches
-	pathEvent             // structural summary unusable: the general event pass
+	pathEvent             // summary unusable, or a one-configuration call: the general event pass
 	numPaths
 )
 
@@ -151,9 +155,10 @@ type cfgClass struct {
 }
 
 // classOf derives a valid configuration's class from the two stream
-// properties it depends on: the page count under the configuration's
-// page size and whether the structural summary is usable.
-func classOf(cfg sim.Config, totalPages int, aggOK bool) cfgClass {
+// properties it depends on — the page count under the configuration's
+// page size and whether the structural summary is usable — and from
+// whether the call may walk the read column (column; see readColumn).
+func classOf(cfg sim.Config, totalPages int, aggOK, column bool) cfgClass {
 	npe := cfg.NPE
 	mp := cfg.CacheElems / cfg.PageSize
 	c := cfgClass{frameless: mp == 0 || totalPages == 0}
@@ -167,7 +172,7 @@ func classOf(cfg sim.Config, totalPages int, aggOK bool) cfgClass {
 			c.path = pathFold
 		}
 		return c
-	case !aggOK:
+	case !aggOK || !column:
 		c.path = pathEvent
 	default:
 		c.path = pathSlot
@@ -176,7 +181,7 @@ func classOf(cfg sim.Config, totalPages int, aggOK bool) cfgClass {
 	// population — are classified against inline recency rows instead
 	// of the cache machinery, packed when the row fits two SWAR words.
 	c.lru = !c.frameless && cfg.Policy == cache.LRU && mp <= lruCap
-	if c.lru && aggOK {
+	if c.lru && c.path == pathSlot {
 		c.path = pathRows
 		if mp <= packCap && totalPages < packEmpty && npe&(npe-1) == 0 && cfg.Layout == partition.KindModulo {
 			c.path = pathSWAR
@@ -200,12 +205,10 @@ type Chunk struct {
 // they are a pure function of (st, cfgs) — never of a worker count —
 // so every caller splits a group the same way. Invalid configurations
 // are charged the lowest weight; the chunk that holds one fails when it
-// runs. Cut records the group, its chunk count and the per-path
-// configuration counts on r.Metrics. The returned slice is reused by
-// the next Cut on r.
+// runs. Cut records the group and its chunk count on r.Metrics. The
+// returned slice is reused by the next Cut on r.
 func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 	var (
-		served [numPaths]int64
 		lastPS int
 		pages  int
 		aggOK  bool
@@ -225,8 +228,7 @@ func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 				pages = pageCount(st.ArrayLens, lastPS)
 				aggOK = st.frameAgg(lastPS).ok
 			}
-			p = classOf(cfg, pages, aggOK).path
-			served[p]++
+			p = classOf(cfg, pages, aggOK, true).path
 		}
 		cost := pathWeight[p] * events
 		if cur.Hi > cur.Lo && cur.Cost+cost > target {
@@ -242,11 +244,6 @@ func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 	if r.Metrics != nil {
 		r.Metrics.Counter(MetricBatchGroups).Inc()
 		r.Metrics.Histogram(MetricBatchPartitions, obs.DepthBuckets).Observe(int64(len(chunks)))
-		for p, n := range served {
-			if n > 0 {
-				r.Metrics.Counter(pathMetric[p]).Add(n)
-			}
-		}
 	}
 	return chunks
 }
@@ -267,8 +264,8 @@ func (e *BatchError) Unwrap() error { return e.Err }
 
 // batchWorker owns one chunk's worth of mutable replay state: the slot
 // caches, the memoized layout table, and the structure-of-arrays
-// slabs. The Replayer embeds one — RunChunk, a serial RunBatch and
-// single-config Run share it — and a parallel RunBatch draws extra
+// slabs. The Replayer embeds one — Run, RunChunk and a serial RunBatch
+// share it — and a parallel RunBatch draws extra
 // workers from a free list, so steady-state parallel calls reuse every
 // worker's slabs just as serial calls reuse the embedded one. Workers
 // never share mutable state: each classifies contiguous, disjoint
@@ -276,7 +273,7 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // stream.
 type batchWorker struct {
 	caches  []*cache.Cache
-	layouts map[layoutKey]partition.Layout // memoized boxed layouts, shared by Run and RunBatch
+	layouts map[layoutKey]partition.Layout // memoized boxed layouts
 	bat     batchState
 }
 
@@ -354,7 +351,7 @@ type evState struct {
 
 	npe       int32
 	mp        int32 // frames per row; >0 selects the inline LRU
-	cur       int32 // open context PE, -1 when none (mirrors runEvents)
+	cur       int32 // open context PE, -1 when none
 	frameless bool
 	anyTerms  bool
 	reduceS   int64
@@ -460,14 +457,15 @@ func (r *Replayer) distinct(cfgs []sim.Config) []sim.Config {
 }
 
 // runReps cuts and classifies distinct configurations into results,
-// fanning out over up to workers goroutines.
+// fanning out over up to workers goroutines. One configuration is one
+// chunk, classified without the read column like Run.
 func (r *Replayer) runReps(st *Stream, cfgs []sim.Config, results []*sim.Result, workers int) error {
 	chunks := r.Cut(st, cfgs)
 	if workers > 1 && len(chunks) > 1 {
 		return r.runChunksPar(st, cfgs, results, chunks, min(workers, len(chunks)))
 	}
 	for _, c := range chunks {
-		if err := r.RunChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi]); err != nil {
+		if err := r.batchWorker.runChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi], r.Metrics, len(cfgs) == 1); err != nil {
 			return rebase(err, c.Lo)
 		}
 	}
@@ -492,7 +490,7 @@ func (r *Replayer) runChunksPar(st *Stream, cfgs []sim.Config, results []*sim.Re
 			defer wg.Done()
 			for i := p; i < len(chunks); i += workers {
 				c := chunks[i]
-				r.parErrs[i] = w.runChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi], r.Metrics)
+				r.parErrs[i] = w.runChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi], r.Metrics, false)
 			}
 		}(p, w)
 	}
@@ -522,24 +520,28 @@ func rebase(err error, lo int) error {
 // chunk's slice of the group, results the matching slice of the
 // group's output — against r's own slabs. It is what a caller that
 // schedules chunks itself (internal/sweep's work queue) runs per chunk
-// after Cut; a returned *BatchError carries the chunk-local index.
+// after Cut; a returned *BatchError carries the chunk-local index. A
+// chunk is part of a group, so its framed configurations walk the read
+// column even when the chunk holds only one.
 func (r *Replayer) RunChunk(st *Stream, cfgs []sim.Config, results []*sim.Result) error {
-	return r.batchWorker.runChunk(st, cfgs, results, r.Metrics)
+	return r.batchWorker.runChunk(st, cfgs, results, r.Metrics, false)
 }
 
 // runChunk classifies one chunk of a capture group into results
 // (len(results) == len(cfgs)): the whole serial batch algorithm,
 // against this worker's own slabs. A returned *BatchError carries the
-// chunk-local index. Each read-column or event walk is recorded on reg
-// (nil disables; obs instruments are race-safe, so concurrent chunks
-// record directly).
-func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result, reg *obs.Registry) error {
+// chunk-local index. single marks a call that classifies exactly one
+// configuration: its framed configuration takes the event pass and
+// builds no read column (see readColumn). The path each configuration
+// took and each read-column or event walk are recorded on reg (nil
+// disables; obs instruments are race-safe, so concurrent chunks record
+// directly).
+func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result, reg *obs.Registry, single bool) error {
 	b := &w.bat
 	n := len(cfgs)
 
 	// Size and zero the slabs. Invalid geometry contributes nothing
-	// here; the setup pass below rejects it, in input order, with the
-	// exact error a single-config Run of the same point reports.
+	// here; the setup pass below rejects it, in input order.
 	b.npe = grown(b.npe, n)
 	b.class = grown(b.class, n)
 	b.reduceS = grown(b.reduceS, n)
@@ -585,13 +587,20 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 	}
 
 	// Per-configuration machine setup, strictly in input order so the
-	// first error is the lowest-index one: validation, owner tables,
-	// cache frames (all of a framed event-path configuration's PEs;
-	// one cache otherwise, for parameter validation only — order-free
-	// and frameless classification never consults it, exactly like Run).
+	// first error is the lowest-index one: validation, class, owner
+	// tables, cache frames (all of a framed slot-cache configuration's
+	// PEs; one cache otherwise, for parameter validation only —
+	// order-free and frameless classification never consults it).
+	var served [numPaths]int64
 	for i := range cfgs {
-		if err := w.setupBatchConfig(st, i, cfgs[i]); err != nil {
+		if err := w.setupBatchConfig(st, i, cfgs[i], !single); err != nil {
 			return &BatchError{Index: i, Err: err}
+		}
+		served[b.class[i].path]++
+	}
+	for p, n := range served {
+		if n > 0 {
+			reg.Counter(pathMetric[p]).Add(n)
 		}
 	}
 
@@ -654,11 +663,11 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		}
 		reg.Counter(MetricBatchDecodePasses).Inc()
 		reg.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets).Observe(int64(len(b.evIdx)))
-		if agg.ok {
+		if agg.ok && !single {
 			// Config-major classification over the context-resolved read
 			// column: the cache part is the only order-dependent piece, so
-			// each framed configuration scans the dense column once while
-			// writes and reductions come from the shared histogram.
+			// each framed configuration scans the column once while writes
+			// and reductions come from the shared histogram.
 			col := st.readColumn(ps)
 			for _, i := range b.evIdx {
 				npe := b.npe[i]
@@ -686,9 +695,9 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 					b.particip[lo:lo+npe])
 			}
 		} else {
-			// Histogram unusable (non-contiguous reduction terms): the
-			// general event pass sweeps each decoded event down every
-			// order-dependent configuration of the bucket.
+			// Histogram unusable (non-contiguous reduction terms), or one
+			// configuration: the general event pass sweeps each decoded
+			// event down every order-dependent configuration of the bucket.
 			b.evs = b.evs[:0]
 			for _, i := range b.evIdx {
 				b.evs = append(b.evs, w.evView(i))
@@ -702,10 +711,10 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 			}
 		}
 	}
-	// Result assembly, mirroring Run exactly: fresh counter and traffic
-	// copies, shared (immutable) checksums, synthesized cache stats for
-	// frameless configurations, and short-circuited hits folded into the
-	// cache's own counters.
+	// Result assembly: fresh counter and traffic copies, shared
+	// (immutable) checksums, synthesized cache stats for frameless
+	// configurations, and short-circuited hits folded into the cache's
+	// own counters.
 	for i := range cfgs {
 		npe := b.npe[i]
 		peBase := b.peOff[i]
@@ -770,10 +779,10 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 }
 
 // setupBatchConfig validates cfgs[i] and derives its machine properties
-// into the batch slabs: the owner table under its page size and layout,
-// and freshly reset cache frames. The work and the error messages match
-// what Run performs for the same configuration.
-func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error {
+// into the batch slabs: its class (column says whether the chunk may
+// walk the read column), the owner table under its page size and
+// layout, and freshly reset cache frames or recency rows.
+func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config, column bool) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
 	}
@@ -795,7 +804,7 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 		}
 	}
 	b.maxPages[i] = cfg.CacheElems / cfg.PageSize
-	class := classOf(cfg, totalPages, st.frameAgg(cfg.PageSize).ok)
+	class := classOf(cfg, totalPages, st.frameAgg(cfg.PageSize).ok, column)
 	b.class[i] = class
 	if class.path == pathSWAR {
 		// Packed rows: every lane empty. The read-column walk is the only
@@ -862,11 +871,14 @@ func (w *batchWorker) evView(i int) evState {
 
 // batchEventPass streams the decoded events once, sweeping each event
 // down every order-dependent configuration of one page-size bucket.
-// Per configuration it is runEvents' state machine verbatim, plus the
-// lastGid short circuit: a PE whose cache's previous operation was on
-// the same page takes a guaranteed hit without touching the cache (the
-// page is resident, and re-touching it mutates no replacement state
-// under any policy — see the package comment above).
+// Per configuration it runs the engine's curPE state machine (an
+// assignment or reduction term opens the context its page's owner
+// executes, the end of a statement closes it, a read outside any
+// context is a replicated control read), plus the lastGid short
+// circuit: a PE whose cache's previous operation was on the same page
+// takes a guaranteed hit without touching the cache (the page is
+// resident, and re-touching it mutates no replacement state under any
+// policy — see the package comment above).
 func batchEventPass(st *Stream, heads []uint32, gids []int32, evs []evState) error {
 	for i, h := range heads {
 		op := h & 7
@@ -1254,7 +1266,7 @@ func classifyReadsCache(col []readRec, npe int, owners []int32, caches []*cache.
 
 // cacheTouch is one lookup-and-insert against a real slot cache, for a
 // run of cnt reads: the first consults the cache, the remaining cnt−1
-// are the short-circuited hits single-config replay counts via lastGid
+// are the short-circuited hits the event pass counts via lastGid
 // (folded into the cache's Stats through xhits at assembly).
 func cacheTouch(c *cache.Cache, gid int32, pe, owner, npe int, cnt int64, perPE stats.PerPE, traf []int64, xhits []int64) {
 	switch c.LookupSlot(int(gid), 0) {
@@ -1294,10 +1306,14 @@ func (e *evState) controlRead(gid int32) {
 	}
 }
 
-// classifyMiss consults the PE's cache — the inline LRU row when the
-// configuration qualifies, the real cache otherwise. The real-cache arm
-// is the same arithmetic as Replayer.classifyMiss, against this
-// configuration's state views.
+// classifyMiss charges one non-local read of the element on global
+// page gid, owned by owner, to PE pe: the pure-arithmetic core of
+// sim's classification, with no value or defined-bit lookups. It
+// consults the PE's cache — the inline LRU row when the configuration
+// qualifies, the real slot cache otherwise. The in-page offset is
+// irrelevant: a PartialMiss needs a defined bitmap, and replay inserts
+// pages with none (every cell defined), which is exactly the
+// eligibility bound.
 func (e *evState) classifyMiss(pe, owner int, gid int32) {
 	if mp := int(e.mp); mp > 0 {
 		row := e.frames[pe*mp : pe*mp+mp]

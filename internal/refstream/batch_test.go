@@ -236,6 +236,23 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	if served != 3 {
 		t.Errorf("path counters sum to %d, want 3: one per representative", served)
 	}
+	// A call of one framed LRU configuration runs the event pass, and
+	// the counters name the path that ran.
+	one1 := obs.NewRegistry()
+	r1 := NewReplayer()
+	r1.Metrics = one1
+	if _, err := r1.RunBatch(st, []sim.Config{sim.PaperConfig(8, 32)}); err != nil {
+		t.Fatal(err)
+	}
+	for p, name := range pathMetric {
+		want := int64(0)
+		if path(p) == pathEvent {
+			want = 1
+		}
+		if got := one1.Counter(name).Value(); got != want {
+			t.Errorf("one-configuration call: %s = %d, want %d", name, got, want)
+		}
+	}
 	single := NewReplayer()
 	for i, cfg := range cfgs {
 		want, err := single.Run(st, cfg)
@@ -292,6 +309,85 @@ func TestBatchDegenerateGroups(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], want) {
 		t.Error("singleton batch diverges from single-config replay")
+	}
+}
+
+// TestOneConfigCallsBuildNoReadColumn pins the memory rule of a call
+// that classifies one configuration: Run, and a RunBatchN whose
+// configurations share one representative, classify framed
+// configurations of every policy on the event pass and never build the
+// stream's read column, which a daemon answering single points would
+// otherwise retain per (stream, page size). Two framed configurations
+// at one page size are a group and build it once. Every result still
+// equals a direct sim.Run.
+func TestOneConfigCallsBuildNoReadColumn(t *testing.T) {
+	k, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	st, err := Capture(k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.frameAgg(32).ok {
+		t.Fatal("k1's structural summary is unusable: the read column would not be used at all")
+	}
+	var cfgs []sim.Config
+	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Clock, cache.Random} {
+		c := sim.PaperConfig(8, 32)
+		c.Policy = pol
+		cfgs = append(cfgs, c)
+	}
+	wide := sim.PaperConfig(16, 32)
+	wide.CacheElems = 100 * 32 // 100 frames: past the inline LRU rows
+	bc := sim.PaperConfig(8, 32)
+	bc.Layout, bc.LayoutRun = partition.KindBlockCyclic, 1 // shares PaperConfig(8, 32)'s representative
+	cfgs = append(cfgs, wide, sim.NoCacheConfig(8, 32), sim.PaperConfig(1, 32), bc)
+
+	check := func(what string, cfg sim.Config, got *sim.Result) {
+		t.Helper()
+		want, err := sim.Run(k, n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %+v: diverges from sim.Run", what, cfg)
+		}
+	}
+	r := NewReplayer()
+	for _, cfg := range cfgs {
+		got, err := r.Run(st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Run", cfg, got)
+		res, err := r.RunBatchN(st, []sim.Config{cfg}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("RunBatchN of one", cfg, res[0])
+	}
+	res, err := r.RunBatchN(st, []sim.Config{sim.PaperConfig(8, 32), bc}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunBatchN of one representative", sim.PaperConfig(8, 32), res[0])
+	check("RunBatchN of one representative", bc, res[1])
+	if got := st.readCols.builds.Load(); got != 0 {
+		t.Fatalf("one-configuration calls built the read column %d times, want 0", got)
+	}
+
+	pair := []sim.Config{sim.PaperConfig(8, 32), sim.PaperConfig(16, 32)}
+	res, err = r.RunBatchN(st, pair, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range pair {
+		check("RunBatchN of two", cfg, res[i])
+	}
+	if got := st.readCols.builds.Load(); got != 1 {
+		t.Errorf("a two-configuration framed call built the read column %d times, want 1", got)
 	}
 }
 

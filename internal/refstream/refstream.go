@@ -23,14 +23,14 @@
 //     math, no defined-bit bookkeeping, and no steady-state
 //     allocations beyond the Result itself.
 //
-// Replayer.Run classifies one configuration per decode walk;
 // Replayer.RunBatch (batch.go) classifies a whole capture group —
 // every configuration sharing the stream — in one pass, holding all
 // replay state in flat structure-of-arrays slabs indexed by
 // configuration and bucketing configurations by page size so page-id
 // derivation and the memoized stream summaries are computed once per
-// bucket. internal/sweep submits whole groups to RunBatch and
-// internal/serve rides the same path for /v1/sweep.
+// bucket; Replayer.Run is the same engine on a group of one.
+// internal/sweep submits whole groups to it and internal/serve rides
+// the same path for /v1/classify and /v1/sweep.
 //
 // Replay results — single and batch — are bit-identical to a direct
 // sim.Run of the same point; internal/sweep uses that equivalence to
@@ -531,13 +531,15 @@ func (s *Stream) buildReadsHist(pageSize int) *readsHist {
 // opcode's effect pre-applied.
 //
 // Adjacent records with the same (ctx, gid) collapse into one with a
-// count — the kernels scan arrays element by element, so one page is
-// read PageSize times in a row, and the column shrinks by an order of
-// magnitude. The collapse is order-exact: after a run's first read the
+// count. The collapse is order-exact: after a run's first read the
 // page is the PE's most recent, so the remaining count−1 reads are
 // guaranteed cache hits under every policy (the same invariant behind
-// the single-config lastGid short circuit), and replacement state after
-// the run equals one touch.
+// the event pass's lastGid short circuit), and replacement state after
+// the run equals one touch. It shrinks the column less than a
+// page-wise scan suggests, because a statement's reads alternate
+// between arrays: at default N and page size 32 the column holds 0.83
+// records per event over all kernels (event-weighted), from 0.02 for
+// k12 and k24 to 0.99 for k4 and k6.
 type readRec struct {
 	ctx, gid, loc int32
 	count         int32
@@ -545,9 +547,19 @@ type readRec struct {
 
 // readColumn returns the stream's context-resolved read column under
 // the given page size, memoized like the gid columns. The batch
-// replayer walks it once per framed configuration: a dense 8-byte
-// record stream with no opcode dispatch, so the walk is bounded by the
-// cache arithmetic rather than by decoding.
+// replayer walks it once per framed configuration: a 16-byte record
+// stream with no opcode dispatch, so the walk is bounded by the cache
+// arithmetic rather than by decoding.
+//
+// The column is retained with the stream, one per page size, and its
+// backing array is reserved at one record per event: 16 bytes per
+// event, four times the gid column the event pass reads. A group of
+// framed configurations amortizes that over its members (the walk is
+// about twice as fast as the event pass). A call that classifies one
+// configuration (Run, or a RunBatchN whose configurations share one
+// representative) cannot, so it takes the event pass and never builds
+// the column: a daemon answering single points would otherwise hold a
+// column for every stream and page size it has seen.
 func (s *Stream) readColumn(pageSize int) []readRec {
 	return s.readCols.get(s, pageSize, (*Stream).buildReadColumn)
 }

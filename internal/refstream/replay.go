@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sim"
@@ -26,15 +25,16 @@ func Eligible(cfg sim.Config) bool {
 // Replayer classifies captured reference streams under arbitrary
 // machine configurations. It owns every reusable allocation of the
 // replay path — owner tables, slot caches, counters, the traffic slab —
-// so its steady state allocates nothing beyond the returned Result.
+// so its steady state allocates nothing beyond the returned Results.
 // A Replayer is not safe for concurrent use; give each worker its own.
 // Distinct Replayers may replay the same Stream concurrently, and a
 // parallel RunBatch fans its partitions out over the same shared
 // stream internally (batch.go).
 //
-// Run classifies one configuration per stream pass; RunBatch classifies
-// a whole capture group of configurations (batch.go), cut into
-// cost-bounded chunks that up to Workers goroutines share.
+// There is one replay engine, the chunk classifier of batch.go: Run is
+// a chunk of one configuration, and RunBatch classifies a whole
+// capture group, cut into cost-bounded chunks that up to Workers
+// goroutines share.
 type Replayer struct {
 	// Metrics, when non-nil, receives the batch-replay counters
 	// (MetricBatchGroups, MetricBatchConfigsPerPass,
@@ -48,15 +48,7 @@ type Replayer struct {
 	// byte-identical either way. RunBatchN overrides it per call.
 	Workers int
 
-	npe       int
-	frameless bool // the configured cache holds zero page frames
-	pageBase  []int32
-	owners    []int32
-	perPE     stats.PerPE
-	trafBuf   []int64 // flat npe×npe traffic matrix, row-major
-	particip  []bool
-
-	batchWorker // partition 0's state; Run shares its caches and layout memo
+	batchWorker // partition 0's state: Run, RunChunk and serial RunBatch
 
 	chunks []Chunk // Cut's output, reused across calls
 	target int64   // tests only: overrides chunkTarget when non-zero
@@ -105,8 +97,8 @@ func (w *batchWorker) layout(kind partition.Kind, npe, pages, run int) (partitio
 }
 
 // validateConfig rejects configurations replay cannot serve or that no
-// engine accepts; Run and RunBatch share it so a batch fails with
-// exactly the error a single-config replay of the same point reports.
+// engine accepts. The chunk classifier runs it on every configuration,
+// and Cut uses it to skip invalid ones when estimating cost.
 func validateConfig(cfg sim.Config) error {
 	if !Eligible(cfg) {
 		return fmt.Errorf("%w (partial fill)", ErrUnsupported)
@@ -132,198 +124,16 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // matrix, reduction sends/broadcasts, and checksums all match. The
 // returned Result is independent of the Replayer, except that
 // Checksums aliases the stream's memoized (immutable) slice.
+//
+// Run is a chunk of one configuration on the embedded worker, so it
+// builds no read column (see readColumn); its error is the chunk's,
+// without the *BatchError position.
 func (r *Replayer) Run(st *Stream, cfg sim.Config) (*sim.Result, error) {
-	if err := validateConfig(cfg); err != nil {
-		return nil, err
+	var out [1]*sim.Result
+	if err := r.batchWorker.runChunk(st, []sim.Config{cfg}, out[:], r.Metrics, true); err != nil {
+		return nil, err.(*BatchError).Err // runChunk blames every failure on a position
 	}
-
-	// Machine-property setup: page table, owner tables, caches — the
-	// same derivation sim.Scratch.Run performs, minus value storage.
-	npe := cfg.NPE
-	var totalPages int
-	r.pageBase, totalPages = appendPageTable(r.pageBase, st.ArrayLens, cfg.PageSize)
-	r.owners = grown(r.owners, totalPages)
-	for i, elems := range st.ArrayLens {
-		pages := (elems + cfg.PageSize - 1) / cfg.PageSize
-		l, err := r.layout(cfg.Layout, npe, pages, cfg.LayoutRun)
-		if err != nil {
-			return nil, fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
-		}
-		base := r.pageBase[i]
-		for p := 0; p < pages; p++ {
-			r.owners[base+int32(p)] = int32(l.Owner(p))
-		}
-	}
-	if cap(r.perPE) < npe {
-		r.perPE = make(stats.PerPE, npe)
-	} else {
-		r.perPE = r.perPE[:npe]
-		for i := range r.perPE {
-			r.perPE[i] = stats.Counters{}
-		}
-	}
-	if len(r.caches) < npe {
-		r.caches = append(r.caches, make([]*cache.Cache, npe-len(r.caches))...)
-	}
-	for pe := 0; pe < npe; pe++ {
-		if r.caches[pe] == nil {
-			c, err := cache.NewSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages)
-			if err != nil {
-				return nil, fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
-			}
-			r.caches[pe] = c
-		} else if err := r.caches[pe].ReconfigureSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages); err != nil {
-			return nil, fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
-		}
-	}
-	r.npe = npe
-	// A cache with no page frames (capacity below one page, or a
-	// pageless address space) deterministically misses every lookup, so
-	// the per-event cache machinery can be bypassed: each non-local
-	// read is remote, and the per-PE miss count equals its remote-read
-	// count. The caches were still constructed above, so configuration
-	// validation matches the direct path exactly.
-	r.frameless = r.caches[0].MaxPages() == 0 || totalPages == 0
-	r.trafBuf = grown(r.trafBuf, npe*npe)
-	r.particip = grown(r.particip, npe)
-
-	// Classification pass. When the configuration's classification is
-	// order-free — a frameless cache misses every lookup, and on one PE
-	// every access is local — per-PE counters are pure sums over access
-	// counts, so replay walks the stream's run-length histogram instead
-	// of the event stream: typically two to three orders of magnitude
-	// fewer iterations. Otherwise, stream the decoded events through
-	// the owner tables and slot caches; cur mirrors the engine's curPE
-	// state machine. The fixed-width head and page-id columns are
-	// memoized on the Stream, so per event this loop is two slice reads
-	// plus the classification itself; the dominant local-read outcome
-	// is decided inline, everything slower goes through classifyMiss.
-	// Hoisting the columns and counters into locals (and pinning the
-	// gid column's length to the head column's) keeps the loop free of
-	// repeated pointer loads and bounds checks.
-	var reduceS, reduceB int64
-	if agg := st.frameAgg(cfg.PageSize); (r.frameless || npe == 1) && agg.ok {
-		reduceS, reduceB = r.runAggregate(st, cfg, agg)
-	} else if s, b, err := r.runEvents(st, cfg); err != nil {
-		return nil, err
-	} else {
-		reduceS, reduceB = s, b
-	}
-
-	// The Result owns fresh copies of the counters; Checksums shares
-	// the stream's memoized slice (immutable by contract).
-	res := &sim.Result{
-		Kernel: st.Kernel.Key, N: st.N, Config: cfg,
-		PerPE:        append(stats.PerPE(nil), r.perPE...),
-		ReduceSends:  reduceS,
-		ReduceBcasts: reduceB,
-		Checksums:    st.Checksums,
-	}
-	res.Totals = res.PerPE.Totals()
-	slab := append([]int64(nil), r.trafBuf...)
-	res.Traffic = make([][]int64, npe)
-	for i := range res.Traffic {
-		res.Traffic[i] = slab[i*npe : (i+1)*npe : (i+1)*npe]
-	}
-	res.Cache = make([]cache.Stats, npe)
-	for pe := 0; pe < npe; pe++ {
-		if r.frameless {
-			res.Cache[pe] = cache.Stats{Misses: r.perPE[pe].RemoteReads}
-		} else {
-			res.Cache[pe] = r.caches[pe].Stats()
-		}
-	}
-	return res, nil
-}
-
-// runEvents classifies the stream one event at a time — the general
-// path, required whenever a framed cache on more than one PE makes
-// classification order-dependent.
-func (r *Replayer) runEvents(st *Stream, cfg sim.Config) (reduceS, reduceB int64, err error) {
-	heads, _ := st.decoded()
-	gids := st.gidColumn(cfg.PageSize)
-	if len(gids) != len(heads) {
-		return 0, 0, fmt.Errorf("refstream: %s: corrupt stream: %d gids for %d events", st.Kernel.Key, len(gids), len(heads))
-	}
-	gids = gids[:len(heads)]
-	npe := r.npe
-	owners := r.owners
-	perPE := r.perPE
-	traf := r.trafBuf
-	frameless := r.frameless
-	var (
-		cur            = -1
-		reduceAnyTerms bool
-	)
-	for i, h := range heads {
-		switch h & 7 {
-		case opRead:
-			gid := gids[i]
-			owner := int(owners[gid])
-			if cur >= 0 {
-				switch {
-				case owner == cur:
-					perPE[cur].LocalReads++
-				case frameless: // every lookup misses: remote, no cache traffic to model
-					perPE[cur].RemoteReads++
-					traf[cur*npe+owner]++
-					traf[owner*npe+cur]++
-				default:
-					r.classifyMiss(cur, owner, gid)
-				}
-			} else {
-				// Replicated control read: every PE executes it.
-				for pe := 0; pe < npe; pe++ {
-					switch {
-					case owner == pe:
-						perPE[pe].LocalReads++
-					case frameless:
-						perPE[pe].RemoteReads++
-						traf[pe*npe+owner]++
-						traf[owner*npe+pe]++
-					default:
-						r.classifyMiss(pe, owner, gid)
-					}
-				}
-			}
-		case opAssign:
-			cur = int(owners[gids[i]])
-			perPE[cur].Writes++ // writes are always local (§7)
-		case opEnd:
-			cur = -1
-		case opTerm:
-			cur = int(owners[gids[i]])
-			r.particip[cur] = true
-			reduceAnyTerms = true
-		case opEndReduce:
-			// Host-processor collection (§9): one send per
-			// participating PE, then a broadcast of the result.
-			cur = -1
-			host := int(h>>3) % npe
-			for pe, p := range r.particip {
-				if !p {
-					continue
-				}
-				reduceS++
-				if pe != host {
-					r.trafBuf[pe*npe+host]++
-				}
-				r.particip[pe] = false
-			}
-			if reduceAnyTerms {
-				reduceB += int64(npe - 1)
-				for pe := 0; pe < npe; pe++ {
-					if pe != host {
-						r.trafBuf[host*npe+pe]++
-					}
-				}
-			}
-			reduceAnyTerms = false
-		default:
-			return 0, 0, fmt.Errorf("refstream: %s: corrupt stream: opcode %d", st.Kernel.Key, h&7)
-		}
-	}
-	return reduceS, reduceB, nil
+	return out[0], nil
 }
 
 // foldEligible reports whether an order-free configuration can be
@@ -336,30 +146,16 @@ func foldEligible(cfg sim.Config, npe int) bool {
 		(cfg.Layout == partition.KindModulo && npe <= foldSize && npe&(npe-1) == 0)
 }
 
-// runAggregate classifies an order-free configuration (frameless
+// aggregateClassify classifies an order-free configuration (frameless
 // cache, or a single PE where every access is local and the cache is
-// never consulted) without touching the event stream. Configurations
-// whose owner function survives the fold are served by the fold
-// table's fixed-size walk; the rest — block and block-cyclic layouts,
-// non-power-of-two widths — walk the lazily built run-length read
-// histogram. Either way the sums are exactly what runEvents would
-// accumulate event by event, because without cache state no outcome
-// depends on access order.
-func (r *Replayer) runAggregate(st *Stream, cfg sim.Config, a *frameAgg) (reduceS, reduceB int64) {
-	if foldEligible(cfg, r.npe) {
-		foldClassify(st.foldTable(cfg.PageSize), r.npe, r.perPE, r.trafBuf)
-		return aggregateReduces(a, r.npe, r.owners, r.trafBuf, r.particip)
-	}
-	return aggregateClassify(a, st.readsHist(cfg.PageSize), r.npe, r.owners, r.perPE, r.trafBuf, r.particip)
-}
-
-// aggregateClassify is the histogram walk over explicit state views,
-// so the batch replayer can classify each order-free configuration of
-// a group against its own slice of the structure-of-arrays slabs.
-// There is one definition of the walk; single-config replay delegates
-// here, and the batch replayer reuses the write and reduce pieces for
-// framed configurations too (their accounting never consults the
-// cache, so it is order-free for every configuration class).
+// never consulted) from the run-length read histogram, over explicit
+// state views: each configuration of a chunk has its own slice of the
+// structure-of-arrays slabs. The sums are exactly what the event pass
+// would accumulate event by event, because without cache state no
+// outcome depends on access order. The read-column walk reuses the
+// write and reduce pieces for framed configurations too (their
+// accounting never consults the cache, so it is order-free for every
+// configuration class).
 func aggregateClassify(a *frameAgg, h *readsHist, npe int, owners []int32, perPE stats.PerPE, traf []int64, particip []bool) (reduceS, reduceB int64) {
 	aggregateWrites(a, owners, perPE)
 	for _, run := range h.reads {
@@ -427,24 +223,4 @@ func aggregateReduces(a *frameAgg, npe int, owners []int32, traf []int64, partic
 		}
 	}
 	return reduceS, reduceB
-}
-
-// classifyMiss charges one non-local read of the element on global
-// page gid, owned by owner, to PE pe: the pure-arithmetic core of
-// sim's classification, with no value or defined-bit lookups. The
-// in-page offset is irrelevant here — a PartialMiss needs a defined
-// bitmap, and replay inserts pages with none (every cell defined),
-// which is exactly the eligibility bound. The local-read and
-// frameless-cache cases are decided inline in the replay loop; this
-// call only runs when a real cache has to be consulted.
-func (r *Replayer) classifyMiss(pe, owner int, gid int32) {
-	switch r.caches[pe].LookupSlot(int(gid), 0) {
-	case cache.Hit:
-		r.perPE[pe].CachedReads++
-	default: // Miss (PartialMiss cannot occur without partial-fill modeling)
-		r.perPE[pe].RemoteReads++
-		r.trafBuf[pe*r.npe+owner]++ // page request
-		r.trafBuf[owner*r.npe+pe]++ // page reply
-		r.caches[pe].InsertSlot(int(gid), nil)
-	}
 }

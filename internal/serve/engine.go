@@ -80,7 +80,7 @@ const (
 	MetricStageCacheLookupUS = "serve.stage.cache_lookup_us" // result-cache lookup (per classify, per sweep grid)
 	MetricStageFlightWaitUS  = "serve.stage.flight_wait_us"  // enqueue + singleflight wait until resolution
 	MetricStageCaptureUS     = "serve.stage.capture_us"      // reference-stream fetch/capture (stream-cache hit or miss)
-	MetricStageReplayUS      = "serve.stage.replay_us"       // replayer Run/RunBatch pass
+	MetricStageReplayUS      = "serve.stage.replay_us"       // replayer RunBatchN pass
 	MetricStageDirectUS      = "serve.stage.direct_us"       // direct simulator run (partial-fill ablation)
 	MetricStageEncodeUS      = "serve.stage.encode_us"       // result → canonical JSON body
 	MetricStageCompileUS     = "serve.stage.compile_us"      // registry compile pipeline (parse → verify → register)
@@ -217,40 +217,33 @@ func (f *flight) resolve(body []byte, err error) {
 	close(f.done)
 }
 
-// task is one unit of worker-pool execution: a single point, or — when
-// batch is set — a whole sweep batch classified in one stream pass.
-// tr/parent carry the leader request's trace so worker-side stages
-// (capture, replay, encode) appear as children of its singleflight
-// wait; both are nil-safe.
+// task is one unit of worker-pool execution: the points of one
+// (kernel, problem size) that one request must execute itself. The
+// worker captures (or cache-fetches) their reference stream once and
+// classifies every point in a single batch pass
+// (refstream.Replayer.RunBatchN); a /v1/classify miss is a task of one
+// point. Points keep their individual flights and result-cache
+// entries, so concurrent requests join and are answered
+// byte-identically. tr/parent carry the submitting request's trace so
+// worker-side stages (capture, replay, encode) appear as children of
+// its singleflight wait; both are nil-safe.
 type task struct {
-	p      point
-	key    string
-	fl     *flight
-	batch  *batchTask
-	tr     *trace.Trace
-	parent trace.SpanRef
-}
-
-// batchTask is a group of replay-eligible sweep points sharing one
-// (kernel, problem size): the worker captures (or cache-fetches) the
-// group's reference stream once and classifies every member in a
-// single batch pass (refstream.Replayer.RunBatch). Members keep their
-// individual flights and result-cache entries, so concurrent classify
-// requests join and are answered byte-identically.
-type batchTask struct {
 	kernel *loops.Kernel
 	n      int
 	pts    []point
 	keys   []string
 	fls    []*flight
-	tr     *trace.Trace
-	parent trace.SpanRef
+	// direct marks a one-point task that models partial page fills:
+	// replay cannot serve it, so it runs on the simulator.
+	direct bool
 	// budget is the partition fan-out the batch pass may use
 	// (refstream.Replayer.RunBatchN): an even share of the worker pool
 	// across the requests admitted when the task was formed, so one big
 	// sweep on an idle service spreads over every core but cannot
 	// monopolize a busy one. Always >= 1.
 	budget int
+	tr     *trace.Trace
+	parent trace.SpanRef
 }
 
 // Engine executes canonical points with caching, deduplication,
@@ -387,17 +380,15 @@ func (e *Engine) Do(ctx context.Context, p point) ([]byte, error) {
 
 	wsp := tr.Start("flight_wait")
 	if leader {
-		t := &task{p: p, key: key, fl: fl, tr: tr, parent: wsp}
+		t := &task{kernel: p.kernel, n: p.n, pts: []point{p}, keys: []string{key}, fls: []*flight{fl},
+			direct: !refstream.Eligible(p.cfg), budget: 1, tr: tr, parent: wsp}
 		select {
 		case e.tasks <- t:
 			e.gQueue.Add(1)
 		case <-ctx.Done():
 			// Never enqueued: resolve the flight ourselves so joined
 			// waiters are not stranded.
-			e.stateMu.Lock()
-			delete(e.flights, key)
-			e.stateMu.Unlock()
-			fl.resolve(nil, ctx.Err())
+			e.resolve(t, nil, ctx.Err())
 			wsp.End()
 			return nil, ctx.Err()
 		}
@@ -422,9 +413,9 @@ func (e *Engine) Do(ctx context.Context, p point) ([]byte, error) {
 // sweep and classify bodies stay interchangeable bit-for-bit and
 // concurrent identical work is joined, not repeated — but the points
 // this request must execute itself are bucketed by (kernel, problem
-// size) and submitted to the pool as batch tasks, one capture and one
-// stream pass per bucket. Ineligible points (partial fill) fall back
-// to single-point tasks. The error of the lowest-index failing point
+// size) and submitted to the pool as tasks, one capture and one stream
+// pass per bucket. Sweeps have no partial-fill axis (canonSweep), so
+// every point replays. The error of the lowest-index failing point
 // wins; on context expiry DoSweep returns ctx.Err() while queued work
 // still completes and populates the cache for the next request.
 func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, error) {
@@ -461,33 +452,29 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 	}
 	e.hCacheLookup.Observe(sp.End().Microseconds())
 
-	// Bucket the leaders into batch tasks by capture group, preserving
-	// grid order within each bucket (RunBatch blames the lowest input
-	// index, so grid order in = lowest grid index blamed).
+	// Bucket the leaders into tasks by capture group, preserving grid
+	// order within each bucket (RunBatch blames the lowest input index,
+	// so grid order in = lowest grid index blamed).
 	wsp := tr.Start("flight_wait")
 	type groupKey struct {
 		kernel *loops.Kernel
 		n      int
 	}
 	budget := e.parBudget()
-	groups := map[groupKey]*batchTask{}
+	groups := map[groupKey]*task{}
 	var queue []*task
 	for _, i := range leaders {
 		p := pts[i]
-		if !refstream.Eligible(p.cfg) {
-			queue = append(queue, &task{p: p, key: p.key(), fl: fls[i], tr: tr, parent: wsp})
-			continue
-		}
 		gk := groupKey{p.kernel, p.n}
-		bt := groups[gk]
-		if bt == nil {
-			bt = &batchTask{kernel: p.kernel, n: p.n, tr: tr, parent: wsp, budget: budget}
-			groups[gk] = bt
-			queue = append(queue, &task{batch: bt})
+		t := groups[gk]
+		if t == nil {
+			t = &task{kernel: p.kernel, n: p.n, tr: tr, parent: wsp, budget: budget}
+			groups[gk] = t
+			queue = append(queue, t)
 		}
-		bt.pts = append(bt.pts, p)
-		bt.keys = append(bt.keys, p.key())
-		bt.fls = append(bt.fls, fls[i])
+		t.pts = append(t.pts, p)
+		t.keys = append(t.keys, p.key())
+		t.fls = append(t.fls, fls[i])
 	}
 
 	var err error
@@ -500,7 +487,7 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 			// joined waiters are not stranded.
 			err = ctx.Err()
 			for _, t := range queue[qi:] {
-				e.abandonTask(t, err)
+				e.resolve(t, nil, err)
 			}
 		}
 		if err != nil {
@@ -554,21 +541,21 @@ func (e *Engine) parBudget() int {
 	return 1
 }
 
-// abandonTask resolves a task that will never reach the pool (context
-// expiry before enqueue), releasing its flight waiters.
-func (e *Engine) abandonTask(t *task, err error) {
-	if t.batch == nil {
+// resolve settles every point of t: each body is cached (when err is
+// nil) and handed to the point's flight waiters. A task that never
+// reached the pool (context expiry before enqueue) is resolved with
+// the context's error, so joined waiters are not stranded.
+func (e *Engine) resolve(t *task, bodies [][]byte, err error) {
+	for i, key := range t.keys {
+		var body []byte
+		if err == nil {
+			body = bodies[i]
+			e.results.add(key, body)
+		}
 		e.stateMu.Lock()
-		delete(e.flights, t.key)
+		delete(e.flights, key)
 		e.stateMu.Unlock()
-		t.fl.resolve(nil, err)
-		return
-	}
-	for i := range t.batch.pts {
-		e.stateMu.Lock()
-		delete(e.flights, t.batch.keys[i])
-		e.stateMu.Unlock()
-		t.batch.fls[i].resolve(nil, err)
+		t.fls[i].resolve(body, err)
 	}
 }
 
@@ -585,102 +572,55 @@ func (e *Engine) worker() {
 		if e.execHook != nil {
 			e.execHook()
 		}
-		if t.batch != nil {
-			e.executeBatch(scratch, replayer, t.batch)
-			continue
-		}
-		body, err := e.execute(scratch, replayer, t)
-		if err == nil {
-			e.results.add(t.key, body)
-		}
-		e.stateMu.Lock()
-		delete(e.flights, t.key)
-		e.stateMu.Unlock()
-		t.fl.resolve(body, err)
+		bodies, err := e.execute(scratch, replayer, t)
+		e.resolve(t, bodies, err)
 	}
 }
 
-// execute runs one point: stream replay when eligible (sharing one
-// capture per (kernel, N) across all requests), direct simulation
-// otherwise (the partial-fill ablation). Each stage feeds its
+// execute runs one task: fetch the group's stream and classify every
+// point in one pass — fanned out across the task's partition budget
+// when it has one — or, for a direct task, run its point on the
+// simulator (the partial-fill ablation). Every body goes through the
+// same encodePoint, so a sweep-produced body is byte-identical to the
+// classify-produced body of the same point. On failure the error is
+// attributed to the point RunBatchN blamed (the lowest input index),
+// keeping sweep error reporting deterministic. Each stage feeds its
 // histogram and, when the task carries a trace, a child span under the
 // requester's flight_wait.
-func (e *Engine) execute(scratch *sim.Scratch, replayer *refstream.Replayer, t *task) ([]byte, error) {
-	p := t.p
+func (e *Engine) execute(scratch *sim.Scratch, replayer *refstream.Replayer, t *task) ([][]byte, error) {
 	var (
-		res    *sim.Result
-		engine string
+		res    []*sim.Result
+		engine = "replay"
 		err    error
 	)
-	if refstream.Eligible(p.cfg) {
-		sp := t.tr.StartChild(t.parent, "capture")
-		st, cerr := e.streams.GetScratch(scratch, p.kernel, p.n)
-		e.hCapture.Observe(sp.End().Microseconds())
-		if cerr == nil {
-			sp = t.tr.StartChild(t.parent, "replay")
-			res, err = replayer.Run(st, p.cfg)
-			e.hReplay.Observe(sp.End().Microseconds())
-		} else {
-			err = cerr
-		}
-		engine = "replay"
-	} else {
+	if t.direct {
 		sp := t.tr.StartChild(t.parent, "direct")
-		res, err = runDirect(scratch, p)
+		var r *sim.Result
+		r, err = runDirect(scratch, t.pts[0])
 		e.hDirect.Observe(sp.End().Microseconds())
-		engine = "direct"
-	}
-	if err != nil {
-		return nil, fmt.Errorf("point %s: %w", p.key(), err)
-	}
-	e.cPoints.Inc()
-	sp := t.tr.StartChild(t.parent, "encode")
-	body, err := encodePoint(p, engine, res)
-	e.hEncode.Observe(sp.End().Microseconds())
-	return body, err
-}
-
-// executeBatch runs one batch task: fetch the group's stream, classify
-// every member in one pass — fanned out across the task's partition
-// budget when it has one — then cache and resolve each member exactly
-// as the single-point path would — every body goes through the same
-// encodePoint with engine "replay", so a sweep-produced body is
-// byte-identical to the classify-produced body of the same point. On
-// failure every member's flight resolves with the error attributed to
-// the member RunBatch blamed (the lowest input index), keeping sweep
-// error reporting deterministic.
-func (e *Engine) executeBatch(scratch *sim.Scratch, replayer *refstream.Replayer, bt *batchTask) {
-	var bodies [][]byte
-	sp := bt.tr.StartChild(bt.parent, "capture")
-	st, err := e.streams.GetScratch(scratch, bt.kernel, bt.n)
-	e.hCapture.Observe(sp.End().Microseconds())
-	if err == nil {
-		cfgs := make([]sim.Config, len(bt.pts))
-		for i, p := range bt.pts {
-			cfgs[i] = p.cfg
-		}
-		bt.tr.Event(bt.parent, "batch_configs", int64(len(cfgs)), "configs")
-		// The span is named for how the pass ran — replay_par when the
-		// budget lets RunBatchN fan partitions out, replay for a serial
-		// pass — while both feed the serve.stage.replay_us histogram, so
-		// stage latency stays one series.
-		span := "replay"
-		if bt.budget > 1 {
-			span = "replay_par"
-		}
-		sp = bt.tr.StartChild(bt.parent, span)
-		var res []*sim.Result
-		res, err = replayer.RunBatchN(st, cfgs, bt.budget)
-		e.hReplay.Observe(sp.End().Microseconds())
+		res, engine = []*sim.Result{r}, "direct"
+	} else {
+		sp := t.tr.StartChild(t.parent, "capture")
+		var st *refstream.Stream
+		st, err = e.streams.GetScratch(scratch, t.kernel, t.n)
+		e.hCapture.Observe(sp.End().Microseconds())
 		if err == nil {
-			sp = bt.tr.StartChild(bt.parent, "encode")
-			bodies = make([][]byte, len(bt.pts))
-			for i, p := range bt.pts {
-				if bodies[i], err = encodePoint(p, "replay", res[i]); err != nil {
-					break
-				}
+			cfgs := make([]sim.Config, len(t.pts))
+			for i, p := range t.pts {
+				cfgs[i] = p.cfg
 			}
-			e.hEncode.Observe(sp.End().Microseconds())
+			t.tr.Event(t.parent, "batch_configs", int64(len(cfgs)), "configs")
+			// The span is named for how the pass ran — replay_par when the
+			// budget lets RunBatchN fan partitions out, replay for a serial
+			// pass — while both feed the serve.stage.replay_us histogram,
+			// so stage latency stays one series.
+			span := "replay"
+			if t.budget > 1 {
+				span = "replay_par"
+			}
+			sp = t.tr.StartChild(t.parent, span)
+			res, err = replayer.RunBatchN(st, cfgs, t.budget)
+			e.hReplay.Observe(sp.End().Microseconds())
 		}
 	}
 	if err != nil {
@@ -690,23 +630,18 @@ func (e *Engine) executeBatch(scratch *sim.Scratch, replayer *refstream.Replayer
 			blame = be.Index
 			err = be.Err
 		}
-		err = fmt.Errorf("point %s: %w", bt.pts[blame].key(), err)
-		for i := range bt.pts {
-			e.stateMu.Lock()
-			delete(e.flights, bt.keys[i])
-			e.stateMu.Unlock()
-			bt.fls[i].resolve(nil, err)
+		return nil, fmt.Errorf("point %s: %w", t.keys[blame], err)
+	}
+	e.cPoints.Add(int64(len(t.pts)))
+	sp := t.tr.StartChild(t.parent, "encode")
+	bodies := make([][]byte, len(t.pts))
+	for i, p := range t.pts {
+		if bodies[i], err = encodePoint(p, engine, res[i]); err != nil {
+			break
 		}
-		return
 	}
-	e.cPoints.Add(int64(len(bt.pts)))
-	for i := range bt.pts {
-		e.results.add(bt.keys[i], bodies[i])
-		e.stateMu.Lock()
-		delete(e.flights, bt.keys[i])
-		e.stateMu.Unlock()
-		bt.fls[i].resolve(bodies[i], nil)
-	}
+	e.hEncode.Observe(sp.End().Microseconds())
+	return bodies, err
 }
 
 // runDirect executes a direct simulation with panic containment: a

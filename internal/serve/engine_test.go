@@ -74,7 +74,8 @@ func TestConcurrentIdenticalSweepsSingleCapture(t *testing.T) {
 
 // TestSweepRidesBatchReplay pins the sweep handler to the batch path:
 // a sweep touching two kernels is served by exactly two batch passes
-// (one per capture group), not one replay per point.
+// (one per capture group), not one replay per point. A classify miss
+// rides the same executor: one more batch pass, of one point.
 func TestSweepRidesBatchReplay(t *testing.T) {
 	_, ts, reg := newTestService(t, Options{})
 	code, _, body := post(t, ts, "/v1/sweep", `{"kernels":["k1","k3"],"npes":[1,2,4,8]}`)
@@ -86,6 +87,12 @@ func TestSweepRidesBatchReplay(t *testing.T) {
 	}
 	if points := counter(reg, MetricPointsExecuted); points != 8 {
 		t.Fatalf("points executed = %d, want 8", points)
+	}
+	if code, _, body := post(t, ts, "/v1/classify", `{"kernel":"k1","npe":16}`); code != http.StatusOK {
+		t.Fatalf("classify status = %d (body %s)", code, body)
+	}
+	if groups := counter(reg, refstream.MetricBatchGroups); groups != 3 {
+		t.Fatalf("batch groups = %d after one classify miss, want 3", groups)
 	}
 }
 

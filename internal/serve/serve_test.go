@@ -114,38 +114,57 @@ func TestClassifyDeterministicBody(t *testing.T) {
 
 // TestClassifyMatchesDirectSim pins the service to the simulator: the
 // served totals/checksums equal a direct sim.Run of the canonical
-// config.
+// config, on the replay path (framed LRU and FIFO, frameless) and on
+// the direct path a partial-fill point takes.
 func TestClassifyMatchesDirectSim(t *testing.T) {
 	_, ts, _ := newTestService(t, Options{})
-	_, _, body := post(t, ts, "/v1/classify", `{"kernel":"k2","npe":8,"page_size":32}`)
-	var pr PointResult
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatalf("decoding body %s: %v", body, err)
-	}
-
-	k, err := loops.ByKey("k2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{
+	paper := sim.Config{
 		NPE: 8, PageSize: 32, CacheElems: 256,
 		Policy: cache.LRU, Layout: partition.KindModulo,
 	}
-	res, err := sim.Run(k, pr.N, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := countersOut(res.Totals)
-	if pr.Totals != want {
-		t.Fatalf("served totals %+v != direct sim totals %+v", pr.Totals, want)
-	}
-	if len(pr.Checksums) != len(res.Checksums) {
-		t.Fatalf("checksum count %d != %d", len(pr.Checksums), len(res.Checksums))
-	}
-	for i, cs := range res.Checksums {
-		if pr.Checksums[i].Sum != cs.Sum || pr.Checksums[i].Name != cs.Name {
-			t.Fatalf("checksum %d: served %+v != direct %+v", i, pr.Checksums[i], cs)
-		}
+	fifo, frameless, partial := paper, paper, paper
+	fifo.Policy = cache.FIFO
+	frameless.CacheElems = 0
+	partial.ModelPartialFill = true
+	for _, c := range []struct {
+		name, req, kernel, engine string
+		cfg                       sim.Config
+	}{
+		{"lru", `{"kernel":"k2","npe":8,"page_size":32}`, "k2", "replay", paper},
+		{"fifo", `{"kernel":"k2","npe":8,"policy":"fifo"}`, "k2", "replay", fifo},
+		{"frameless", `{"kernel":"k2","npe":8,"cache_elems":0}`, "k2", "replay", frameless},
+		{"partial_fill", `{"kernel":"k1","npe":8,"partial_fill":true}`, "k1", "direct", partial},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, body := post(t, ts, "/v1/classify", c.req)
+			var pr PointResult
+			if err := json.Unmarshal(body, &pr); err != nil {
+				t.Fatalf("decoding body %s: %v", body, err)
+			}
+			if pr.Engine != c.engine {
+				t.Errorf("engine = %q, want %q", pr.Engine, c.engine)
+			}
+			k, err := loops.ByKey(c.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(k, pr.N, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := countersOut(res.Totals)
+			if pr.Totals != want {
+				t.Fatalf("served totals %+v != direct sim totals %+v", pr.Totals, want)
+			}
+			if len(pr.Checksums) != len(res.Checksums) {
+				t.Fatalf("checksum count %d != %d", len(pr.Checksums), len(res.Checksums))
+			}
+			for i, cs := range res.Checksums {
+				if pr.Checksums[i].Sum != cs.Sum || pr.Checksums[i].Name != cs.Name {
+					t.Fatalf("checksum %d: served %+v != direct %+v", i, pr.Checksums[i], cs)
+				}
+			}
+		})
 	}
 }
 

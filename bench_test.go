@@ -276,7 +276,7 @@ func BenchmarkSweepGridParallel(b *testing.B) {
 // BenchmarkSweepGridBatchSerial sweeps the grid with one worker under
 // the batch planner: each kernel executes once (capture) and each
 // capture group is classified in a single decode pass over its stream
-// (refstream.Replayer.RunBatch). The ratio against
+// (refstream.Replayer.RunBatchN). The ratio against
 // BenchmarkSweepGridSerial is the execute-once + decode-once speedup.
 func BenchmarkSweepGridBatchSerial(b *testing.B) {
 	benchSweep(b, sweepGrid(b), 1, sweep.ReplayOn)

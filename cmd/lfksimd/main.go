@@ -51,7 +51,7 @@ func main() {
 		addr    = flag.String("addr", ":8077", "listen address")
 		workers = flag.Int("workers", 0, "execution pool size (0 = GOMAXPROCS)")
 		queue   = flag.Int("queue", 0, "max admitted in-flight requests before 429 (0 = 4x workers)")
-		results = flag.Int("result-cache", 0, "result-cache capacity in bodies (0 = 4096)")
+		results = flag.Int("result-cache", 0, "result-cache capacity in points, answered or executing (0 = 4096)")
 		streams = flag.Int("stream-cache", 0, "reference-stream cache capacity (0 = 64)")
 		maxPts  = flag.Int("max-sweep-points", 0, "largest sweep grid a request may expand to (0 = 4096)")
 		dline   = flag.Duration("deadline", 0, "default per-request deadline (0 = derive from the request's NPE and problem size)")

@@ -2,10 +2,15 @@ package repro
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -137,10 +142,178 @@ func scanFlags(toks []string) (flags []string) {
 	return flags
 }
 
+// goRefRE matches a code span that is exactly a qualified Go name:
+// pkg.Name, pkg.Type.Member or Type.Member, optionally called, as in
+// `Replayer.Cut(st, cfgs)`.
+var goRefRE = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*){1,2})(?:\\([^()`]*\\))?`")
+
+// goDecls indexes what the tree's Go files declare: each package
+// name's top-level names, and each type's fields, methods and
+// embedded types (keyed "pkg.Type").
+type goDecls struct {
+	pkgs    map[string]map[string]bool
+	members map[string]map[string]bool
+	embeds  map[string][]string
+	types   map[string][]string // type name → packages declaring it
+}
+
+// loadGoDecls parses every Go file under the repository root, tests
+// and the benchmark module included, skipping dot-directories and
+// testdata.
+func loadGoDecls(t *testing.T) *goDecls {
+	t.Helper()
+	d := &goDecls{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
+		embeds: map[string][]string{}, types: map[string][]string{}}
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		if d.pkgs[pkg] == nil {
+			d.pkgs[pkg] = map[string]bool{}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.pkgs[pkg][decl.Name.Name] = true
+				} else {
+					member(pkg+"."+typeName(decl.Recv.List[0].Type), decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.pkgs[pkg][n.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := spec.Name.Name
+						d.pkgs[pkg][typ] = true
+						d.types[typ] = append(d.types[typ], pkg)
+						var fields []*ast.Field
+						switch st := spec.Type.(type) {
+						case *ast.StructType:
+							fields = st.Fields.List
+						case *ast.InterfaceType:
+							fields = st.Methods.List
+						}
+						for _, fl := range fields {
+							if len(fl.Names) == 0 { // embedded
+								emb := typeName(fl.Type)
+								member(pkg+"."+typ, emb)
+								d.embeds[pkg+"."+typ] = append(d.embeds[pkg+"."+typ], emb)
+							}
+							for _, n := range fl.Names {
+								member(pkg+"."+typ, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// typeName returns the name of a receiver or embedded type expression:
+// T, *T, T[P] and pkg.T all name T.
+func typeName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return typeName(x.X)
+	case *ast.IndexExpr:
+		return typeName(x.X)
+	case *ast.IndexListExpr:
+		return typeName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+// hasMember reports whether pkg's type typ has a field or method name,
+// directly or through a type it embeds from the same package.
+func (d *goDecls) hasMember(pkg, typ, name string) bool {
+	key := pkg + "." + typ
+	if d.members[key][name] {
+		return true
+	}
+	for _, emb := range d.embeds[key] {
+		if emb != typ && d.hasMember(pkg, emb, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkRef reports whether a dotted code span that names Go code names
+// something the tree declares. A span whose first segment is a package
+// of the tree is pkg.Name or pkg.Type.Member; Name must look like Go
+// (it has an upper-case letter), which leaves out the dotted
+// lower-case metric names (serve.cache_hits, refstream.batch.groups)
+// that share the package prefixes. A span whose first segment is a
+// type of the tree is Type.Member when Type is exported (engine.go is
+// a file). Anything else (json.Marshal, README.md) is not this tree's
+// name and passes.
+func (d *goDecls) checkRef(ref string) bool {
+	segs := strings.Split(ref, ".")
+	if names, ok := d.pkgs[segs[0]]; ok && segs[0] != "main" {
+		if !strings.ContainsFunc(segs[1], unicode.IsUpper) {
+			return true
+		}
+		if !names[segs[1]] {
+			return false
+		}
+		if len(segs) == 3 && slices.Contains(d.types[segs[1]], segs[0]) {
+			return d.hasMember(segs[0], segs[1], segs[2])
+		}
+		return true
+	}
+	pkgs := d.types[segs[0]]
+	if len(segs) != 2 || len(pkgs) == 0 || !unicode.IsUpper(rune(segs[0][0])) {
+		return true
+	}
+	for _, pkg := range pkgs {
+		if d.hasMember(pkg, segs[0], segs[1]) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDocsNameLiveSurface fails when a current document names a CLI
-// flag of lfksim or lfksimd, or a make target, that the tree no longer
-// has: a deletion must take its documentation with it.
+// flag of lfksim or lfksimd, a make target, or (in a code span) a
+// qualified Go name that the tree no longer has: a deletion must take
+// its documentation with it.
 func TestDocsNameLiveSurface(t *testing.T) {
+	decls := loadGoDecls(t)
 	flags := map[string]map[string]bool{
 		"lfksim":  toolFlags(t, "lfksim"),
 		"lfksimd": toolFlags(t, "lfksimd"),
@@ -179,6 +352,47 @@ func TestDocsNameLiveSurface(t *testing.T) {
 					t.Errorf("%s:%d names `make %s`, which the Makefile does not define", doc, n+1, m[1])
 				}
 			}
+			for _, m := range goRefRE.FindAllStringSubmatch(line, -1) {
+				if !decls.checkRef(m[1]) {
+					t.Errorf("%s:%d names `%s`, which no Go file in the tree declares", doc, n+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+// TestGoRefs pins the Go-name half of the docs lint: it finds the
+// names it must, accepts live ones and rejects gone ones.
+func TestGoRefs(t *testing.T) {
+	line := "see `refstream.Replayer.RunBatchN`, `sim.Config.Representative()`, " +
+		"`serve.cache_hits`, `README.md` and `json.Marshal(v)`"
+	var refs []string
+	for _, m := range goRefRE.FindAllStringSubmatch(line, -1) {
+		refs = append(refs, m[1])
+	}
+	want := []string{"refstream.Replayer.RunBatchN", "sim.Config.Representative", "serve.cache_hits", "README.md", "json.Marshal"}
+	if !reflect.DeepEqual(refs, want) {
+		t.Fatalf("spans = %v, want %v", refs, want)
+	}
+	d := loadGoDecls(t)
+	for ref, want := range map[string]bool{
+		"refstream.Replayer.RunBatchN": true,
+		"refstream.Replayer.Run":       true,
+		"refstream.Replayer.runChunk":  true, // promoted from the embedded batchWorker
+		"Replayer.Metrics":             true,
+		"lru.Cache.Peek":               true,
+		"sim.Config.Representative":    true,
+		"serve.cache_hits":             true, // a metric name, not Go
+		"README.md":                    true,
+		"engine.go":                    true, // a file, though serve has a type engine
+		"json.Marshal":                 true,
+		"refstream.Replayer.RunBatch":  false,
+		"Replayer.Workers":             false,
+		"Engine.flights":               false,
+		"serve.NoSuchName":             false,
+	} {
+		if got := d.checkRef(ref); got != want {
+			t.Errorf("checkRef(%q) = %v, want %v", ref, got, want)
 		}
 	}
 }

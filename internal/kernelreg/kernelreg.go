@@ -24,7 +24,6 @@
 package kernelreg
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -36,6 +35,7 @@ import (
 	"repro/internal/convert"
 	"repro/internal/ir"
 	"repro/internal/loops"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -131,7 +131,6 @@ type entry struct {
 	info   Info
 	k      *loops.Kernel
 	source string // canonical source (including trailing END), for replication
-	el     *list.Element
 }
 
 // Registry is the bounded store of compiled kernels. Safe for
@@ -149,14 +148,13 @@ type Registry struct {
 	entriesGauge  *obs.Gauge
 
 	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // front = most recently used; values are ids
+	entries *lru.Cache[string, *entry] // by id; evicts past Limits.Capacity
 	tenants map[string]int
 }
 
 // New creates a registry. reg may be nil (metrics become no-ops).
 func New(lim Limits, reg *obs.Registry) *Registry {
-	return &Registry{
+	r := &Registry{
 		lim:           lim.withDefaults(),
 		compiles:      reg.Counter(MetricCompiles),
 		hits:          reg.Counter(MetricCompileHits),
@@ -166,10 +164,10 @@ func New(lim Limits, reg *obs.Registry) *Registry {
 		resolveMisses: reg.Counter(MetricResolveMisses),
 		verifyRuns:    reg.Counter(MetricVerifyRuns),
 		entriesGauge:  reg.Gauge(MetricEntries),
-		entries:       map[string]*entry{},
-		lru:           list.New(),
 		tenants:       map[string]int{},
 	}
+	r.entries = lru.New(r.lim.Capacity, r.evicted)
+	return r
 }
 
 // Limits returns the effective (defaulted) limits.
@@ -357,12 +355,11 @@ func (r *Registry) hit(id string) *entry {
 }
 
 func (r *Registry) hitLocked(id string) *entry {
-	e, ok := r.entries[id]
+	e, ok := r.entries.Get(id)
 	if !ok {
 		return nil
 	}
 	r.hits.Inc()
-	r.lru.MoveToFront(e.el)
 	return e
 }
 
@@ -465,9 +462,6 @@ func (r *Registry) register(k *loops.Kernel, canon, tenant string, defaultN, max
 		return nil, errf(429, CodeTenantQuota,
 			"kernelreg: tenant %q holds %d kernels; quota %d", tenant, r.tenants[tenant], r.lim.TenantQuota)
 	}
-	for len(r.entries) >= r.lim.Capacity {
-		r.evictOldestLocked()
-	}
 	e := &entry{
 		info: Info{
 			ID:        k.Key,
@@ -481,31 +475,23 @@ func (r *Registry) register(k *loops.Kernel, canon, tenant string, defaultN, max
 		k:      k,
 		source: canon,
 	}
-	e.el = r.lru.PushFront(k.Key)
-	r.entries[k.Key] = e
 	r.tenants[tenant]++
-	r.entriesGauge.Set(int64(len(r.entries)))
+	r.entries.Add(k.Key, e)
+	r.entriesGauge.Set(int64(r.entries.Len()))
 	return e, nil
 }
 
-func (r *Registry) evictOldestLocked() {
-	back := r.lru.Back()
-	if back == nil {
-		return
-	}
-	id := back.Value.(string)
-	e := r.entries[id]
-	r.lru.Remove(back)
-	delete(r.entries, id)
-	if e != nil {
-		if n := r.tenants[e.info.Tenant] - 1; n > 0 {
-			r.tenants[e.info.Tenant] = n
-		} else {
-			delete(r.tenants, e.info.Tenant)
-		}
+// evicted is the entries cache's eviction callback, run under r.mu
+// inside register's Add (which then sets the entries gauge): the least
+// recently used kernel left to make room, and its tenant's live count
+// drops with it.
+func (r *Registry) evicted(_ string, e *entry) {
+	if n := r.tenants[e.info.Tenant] - 1; n > 0 {
+		r.tenants[e.info.Tenant] = n
+	} else {
+		delete(r.tenants, e.info.Tenant)
 	}
 	r.evictions.Inc()
-	r.entriesGauge.Set(int64(len(r.entries)))
 }
 
 // Resolve maps any kernel key — built-in or compiled — to its kernel.
@@ -521,12 +507,11 @@ func (r *Registry) Resolve(key string) (*loops.Kernel, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[key]
+	e, ok := r.entries.Get(key)
 	if !ok {
 		r.resolveMisses.Inc()
 		return nil, errf(404, CodeUnknownKernel, "unknown compiled kernel %q (compile it first via POST /v1/compile)", key)
 	}
-	r.lru.MoveToFront(e.el)
 	return e.k, nil
 }
 
@@ -538,7 +523,7 @@ func (r *Registry) Lookup(id string) (Info, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[id]
+	e, ok := r.entries.Peek(id)
 	if !ok {
 		return Info{}, false
 	}
@@ -555,7 +540,7 @@ func (r *Registry) ReplicationRequest(id string) (CompileRequest, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[id]
+	e, ok := r.entries.Peek(id)
 	if !ok {
 		return CompileRequest{}, false
 	}
@@ -573,10 +558,8 @@ func (r *Registry) List() []Info {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Info, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.info)
-	}
+	out := make([]Info, 0, r.entries.Len())
+	r.entries.Each(func(_ string, e *entry) { out = append(out, e.info) })
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].CreatedAt.Equal(out[j].CreatedAt) {
@@ -594,5 +577,5 @@ func (r *Registry) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
+	return r.entries.Len()
 }

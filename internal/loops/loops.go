@@ -112,9 +112,6 @@ type Arr struct {
 	eng  Engine
 }
 
-// Lin converts a multi-index to the array's row-major linear offset.
-func (a *Arr) Lin(idx ...int) int { return a.Dims.Linear(idx...) }
-
 // Len returns the total number of elements.
 func (a *Arr) Len() int { return a.Dims.Elems() }
 
@@ -133,17 +130,6 @@ func (a *Arr) Set(rhs func() float64, idx ...int) {
 // PEs (the loop body is replicated on every PE, §2).
 func (a *Arr) Get(idx ...int) float64 {
 	return a.eng.Read(a, a.Dims.Linear(idx...))
-}
-
-// GetLin reads by linear offset.
-func (a *Arr) GetLin(lin int) float64 { return a.eng.Read(a, lin) }
-
-// SetLin assigns by linear offset.
-func (a *Arr) SetLin(lin int, rhs func() float64) {
-	if !a.eng.BeginAssign(a, lin) {
-		return
-	}
-	a.eng.FinishAssign(a, lin, rhs())
 }
 
 // Ctx gives a kernel body access to its bound arrays and to reductions.

@@ -2,7 +2,7 @@ package refstream
 
 // batch.go — the batch replayer: classify a whole capture group in one
 // stream pass. A sweep group shares one captured stream but used to pay
-// one decode walk per configuration; RunBatch walks the decoded event
+// one decode walk per configuration; RunBatchN walks the decoded event
 // columns once and fans every event down all configurations of the
 // group. The paper's single-assignment pages make this sound: replay
 // state is pure per-configuration arithmetic (owner tables, slot
@@ -12,7 +12,7 @@ package refstream
 // State is structure-of-arrays: per-PE counters, traffic matrices,
 // owner tables, reduce tallies and last-touched page ids live in flat
 // slabs indexed by configuration (through the peOff/trafOff/ownOff
-// prefix tables), grown once and reused, so a steady-state RunBatch
+// prefix tables), grown once and reused, so a steady-state RunBatchN
 // allocates nothing beyond the returned Results. Configurations are
 // bucketed by page size: within a bucket the global page-id column and
 // the run-length histogram are shared, so gid computation happens once
@@ -81,7 +81,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Observability names recorded by RunBatch on Replayer.Metrics.
+// Observability names recorded by RunBatchN on Replayer.Metrics.
 const (
 	// MetricBatchGroups counts capture groups classified by the batch
 	// path: one per Cut, however many chunks the group is cut into.
@@ -248,9 +248,9 @@ func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 	return chunks
 }
 
-// BatchError attributes a RunBatch failure to the configuration that
+// BatchError attributes a RunBatchN failure to the configuration that
 // caused it: Index is the position in the cfgs slice handed to
-// RunBatch. Configurations are validated and set up in input order, so
+// RunBatchN. Configurations are validated and set up in input order, so
 // Index is always the lowest failing position — callers mapping batch
 // positions back to grid indices keep the sweep engine's lowest-index
 // error contract.
@@ -264,8 +264,8 @@ func (e *BatchError) Unwrap() error { return e.Err }
 
 // batchWorker owns one chunk's worth of mutable replay state: the slot
 // caches, the memoized layout table, and the structure-of-arrays
-// slabs. The Replayer embeds one — Run, RunChunk and a serial RunBatch
-// share it — and a parallel RunBatch draws extra
+// slabs. The Replayer embeds one — Run, RunChunk and a serial RunBatchN
+// share it — and a parallel RunBatchN draws extra
 // workers from a free list, so steady-state parallel calls reuse every
 // worker's slabs just as serial calls reuse the embedded one. Workers
 // never share mutable state: each classifies contiguous, disjoint
@@ -277,7 +277,7 @@ type batchWorker struct {
 	bat     batchState
 }
 
-// batchState is RunBatch's reusable scratch: flat structure-of-arrays
+// batchState is RunBatchN's reusable scratch: flat structure-of-arrays
 // slabs indexed by configuration (directly, or per (configuration, PE)
 // through the peOff prefix table). Everything grows on first use and is
 // reused across calls.
@@ -356,7 +356,7 @@ type evState struct {
 	anyTerms  bool
 	reduceS   int64
 	reduceB   int64
-	cfgIdx    int // position in the RunBatch cfgs slice
+	cfgIdx    int // position in the RunBatchN cfgs slice
 }
 
 // lruCap bounds the inline LRU: beyond this many frames the linear
@@ -374,20 +374,16 @@ const (
 	laneHighs = 0x8000800080008000
 )
 
-// RunBatch classifies the stream under every configuration of a capture
-// group and returns the Results in cfgs order. Each Result is
+// RunBatchN classifies the stream under every configuration of a
+// capture group and returns the Results in cfgs order. Each Result is
 // bit-identical to Run(st, cfgs[i]) — and therefore to a direct
 // sim.Run of the same point. On failure the returned error is a
 // *BatchError whose Index is the lowest failing position in cfgs.
 // Beyond the Results themselves, a steady-state call allocates nothing.
-// When Replayer.Workers is above 1 the call may fan out (RunBatchN).
-func (r *Replayer) RunBatch(st *Stream, cfgs []sim.Config) ([]*sim.Result, error) {
-	return r.RunBatchN(st, cfgs, r.Workers)
-}
-
-// RunBatchN is RunBatch under an explicit parallelism budget: the group
-// is Cut into chunks and up to workers goroutines, each with its own
-// batchWorker, classify every workers-th chunk over the shared
+//
+// workers is the parallelism budget: the group is Cut into chunks and
+// up to workers goroutines, each with its own batchWorker, classify
+// every workers-th chunk over the shared
 // read-only decoded stream, with every Result landing at its original
 // index — so the output (and the error, attributed to the lowest
 // failing position across chunks) is byte-identical at every budget.

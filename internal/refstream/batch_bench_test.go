@@ -98,7 +98,7 @@ func BenchmarkGroupBatchReplay(b *testing.B) {
 	r := NewReplayer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.RunBatch(st, cfgs); err != nil {
+		if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestBatchNoSlowerThanSingleReplay(t *testing.T) {
 		}
 	}
 	batch := func() {
-		if _, err := r.RunBatch(st, cfgs); err != nil {
+		if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,7 +57,7 @@ func TestBatchPartitions(t *testing.T) {
 		}
 		events := int64(st.Events())
 		other := NewReplayer() // a Replayer with history, for the purity check
-		if _, err := other.RunBatch(st, shapeGrid()); err != nil {
+		if _, err := other.RunBatchN(st, shapeGrid(), 1); err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 40; trial++ {
@@ -120,7 +120,7 @@ func TestBatchPartitions(t *testing.T) {
 // TestParallelMatchesSerialBatch is the parallel replayer's
 // bit-identity contract: for every kernel and a spread of worker
 // budgets, RunBatchN must produce Results bit-identical to a serial
-// RunBatch of the same group — and therefore, transitively, to
+// RunBatchN of the same group — and therefore, transitively, to
 // per-configuration replay and direct execution.
 func TestParallelMatchesSerialBatch(t *testing.T) {
 	cfgs := parGrid()
@@ -133,7 +133,7 @@ func TestParallelMatchesSerialBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			want, err := NewReplayer().RunBatch(st, cfgs)
+			want, err := NewReplayer().RunBatchN(st, cfgs, 1)
 			if err != nil {
 				t.Fatalf("serial batch: %v", err)
 			}
@@ -149,10 +149,9 @@ func TestParallelMatchesSerialBatch(t *testing.T) {
 							workers, i, cfgs[i].NPE, cfgs[i].PageSize, cfgs[i].CacheElems, cfgs[i].Layout, cfgs[i].Policy)
 					}
 				}
-				// A reused Replayer with a standing Workers budget must
-				// keep producing identical output (the serve-worker usage).
-				r.Workers = workers
-				again, err := r.RunBatch(st, cfgs)
+				// A reused Replayer must keep producing identical output
+				// at the same budget (the serve-worker usage).
+				again, err := r.RunBatchN(st, cfgs, workers)
 				if err != nil {
 					t.Fatalf("workers=%d reuse: %v", workers, err)
 				}
@@ -164,7 +163,7 @@ func TestParallelMatchesSerialBatch(t *testing.T) {
 	}
 }
 
-// TestParallelBatchSharedStream runs two parallel RunBatch calls
+// TestParallelBatchSharedStream runs two parallel RunBatchN calls
 // concurrently over one decoded Stream (each Replayer fanning out its
 // own partitions); under -race this proves the partition workers keep
 // the shared Stream — decoded columns, memoized summaries — read-only.
@@ -178,7 +177,7 @@ func TestParallelBatchSharedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := parGrid()
-	want, err := NewReplayer().RunBatch(st, cfgs)
+	want, err := NewReplayer().RunBatchN(st, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +187,8 @@ func TestParallelBatchSharedStream(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			r := fineCut(st)
-			r.Workers = 4
 			for iter := 0; iter < 5; iter++ {
-				got, err := r.RunBatch(st, cfgs)
+				got, err := r.RunBatchN(st, cfgs, 4)
 				if err != nil {
 					t.Errorf("parallel batch: %v", err)
 					return
@@ -222,7 +220,7 @@ func TestParallelBatchErrorAttribution(t *testing.T) {
 	for _, badIdx := range []int{0, 5, len(cfgs) / 2, len(cfgs) - 1} {
 		bad := append([]sim.Config(nil), cfgs...)
 		bad[badIdx] = sim.Config{NPE: -1, PageSize: 32}
-		_, serialErr := NewReplayer().RunBatch(st, bad)
+		_, serialErr := NewReplayer().RunBatchN(st, bad, 1)
 		if serialErr == nil {
 			t.Fatalf("badIdx=%d: serial batch accepted an invalid config", badIdx)
 		}

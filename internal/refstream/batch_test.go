@@ -15,7 +15,7 @@ import (
 
 // TestBatchMatchesSingleAllKernels is the batch replayer's equivalence
 // contract: for every kernel, classifying the whole seeded shape grid
-// in one RunBatch pass must produce Results bit-identical to
+// in one RunBatchN pass must produce Results bit-identical to
 // per-configuration Replayer.Run — and, by Run's own contract, to
 // direct sim.Run of every point.
 func TestBatchMatchesSingleAllKernels(t *testing.T) {
@@ -29,7 +29,7 @@ func TestBatchMatchesSingleAllKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("capture: %v", err)
 			}
-			got, err := NewReplayer().RunBatch(st, cfgs)
+			got, err := NewReplayer().RunBatchN(st, cfgs, 1)
 			if err != nil {
 				t.Fatalf("batch: %v", err)
 			}
@@ -53,7 +53,7 @@ func TestBatchMatchesSingleAllKernels(t *testing.T) {
 	}
 }
 
-// TestBatchReplayerReuse interleaves RunBatch groups and single Run
+// TestBatchReplayerReuse interleaves RunBatchN groups and single Run
 // calls on one Replayer across streams — the sweep-worker usage — and
 // requires every Result to match a fresh Replayer's.
 func TestBatchReplayerReuse(t *testing.T) {
@@ -87,7 +87,7 @@ func TestBatchReplayerReuse(t *testing.T) {
 		{st1, groupA}, // back to the first group
 	}
 	for i, s := range steps {
-		got, err := r.RunBatch(s.st, s.cfgs)
+		got, err := r.RunBatchN(s.st, s.cfgs, 1)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -107,7 +107,7 @@ func TestBatchReplayerReuse(t *testing.T) {
 	}
 }
 
-// TestBatchSharedStreamConcurrently runs RunBatch against one Stream
+// TestBatchSharedStreamConcurrently runs RunBatchN against one Stream
 // from many goroutines (each with its own Replayer); under -race this
 // proves the batch path keeps the Stream read-only too.
 func TestBatchSharedStreamConcurrently(t *testing.T) {
@@ -120,7 +120,7 @@ func TestBatchSharedStreamConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := []sim.Config{sim.PaperConfig(8, 32), sim.PaperConfig(8, 16), sim.NoCacheConfig(4, 32)}
-	want, err := NewReplayer().RunBatch(st, cfgs)
+	want, err := NewReplayer().RunBatchN(st, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestBatchSharedStreamConcurrently(t *testing.T) {
 			defer wg.Done()
 			r := NewReplayer()
 			for i := 0; i < 10; i++ {
-				got, err := r.RunBatch(st, cfgs)
+				got, err := r.RunBatchN(st, cfgs, 1)
 				if err != nil {
 					errs[g] = err
 					return
@@ -173,7 +173,7 @@ func TestBatchErrorAttribution(t *testing.T) {
 		sim.PaperConfig(8, 32),  // 2: fine
 		{NPE: -1, PageSize: 32}, // 3: second failure, must not win
 	}
-	_, err = NewReplayer().RunBatch(st, cfgs)
+	_, err = NewReplayer().RunBatchN(st, cfgs, 1)
 	if err == nil {
 		t.Fatal("batch with invalid configs succeeded")
 	}
@@ -194,7 +194,7 @@ func TestBatchErrorAttribution(t *testing.T) {
 
 	pf := sim.PaperConfig(8, 32)
 	pf.ModelPartialFill = true
-	if _, err := NewReplayer().RunBatch(st, []sim.Config{sim.PaperConfig(2, 32), pf}); err == nil {
+	if _, err := NewReplayer().RunBatchN(st, []sim.Config{sim.PaperConfig(2, 32), pf}, 1); err == nil {
 		t.Error("ineligible partial-fill config accepted by batch replay")
 	} else if !errors.Is(err, ErrUnsupported) {
 		t.Errorf("ineligible config error does not unwrap to ErrUnsupported: %v", err)
@@ -225,7 +225,7 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := NewReplayer()
 	r.Metrics = reg
-	got, err := r.RunBatch(st, cfgs)
+	got, err := r.RunBatchN(st, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	one1 := obs.NewRegistry()
 	r1 := NewReplayer()
 	r1.Metrics = one1
-	if _, err := r1.RunBatch(st, []sim.Config{sim.PaperConfig(8, 32)}); err != nil {
+	if _, err := r1.RunBatchN(st, []sim.Config{sim.PaperConfig(8, 32)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for p, name := range pathMetric {
@@ -275,7 +275,7 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	bad := sim.PaperConfig(4, 32)
 	bad.CacheElems = -1
 	cfgs = []sim.Config{sim.PaperConfig(2, 32), sim.PaperConfig(8, 32), bad, bc, sim.PaperConfig(16, 32), bad}
-	_, err = r.RunBatch(st, cfgs)
+	_, err = r.RunBatchN(st, cfgs, 1)
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 2 {
 		t.Errorf("error %v, want a *BatchError at position 2", err)
@@ -294,12 +294,12 @@ func TestBatchDegenerateGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReplayer()
-	res, err := r.RunBatch(st, nil)
+	res, err := r.RunBatchN(st, nil, 1)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: got %d results, err %v", len(res), err)
 	}
 	cfg := sim.PaperConfig(8, 32)
-	got, err := r.RunBatch(st, []sim.Config{cfg})
+	got, err := r.RunBatchN(st, []sim.Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestBatchMetrics(t *testing.T) {
 		sim.PaperConfig(8, 32), sim.PaperConfig(16, 32), sim.PaperConfig(4, 32),
 		sim.PaperConfig(8, 16), sim.PaperConfig(16, 16), sim.PaperConfig(4, 16),
 	}
-	if _, err := r.RunBatch(st, cfgs); err != nil {
+	if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(MetricBatchGroups).Value(); got != 1 {
@@ -426,7 +426,7 @@ func TestBatchMetrics(t *testing.T) {
 		t.Errorf("%s count = %d, want 2", MetricBatchConfigsPerPass, got)
 	}
 	// Order-free groups never walk the event columns at all.
-	if _, err := r.RunBatch(st, []sim.Config{sim.NoCacheConfig(8, 32), sim.NoCacheConfig(16, 32)}); err != nil {
+	if _, err := r.RunBatchN(st, []sim.Config{sim.NoCacheConfig(8, 32), sim.NoCacheConfig(16, 32)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(MetricBatchDecodePasses).Value(); got != 2 {
@@ -453,11 +453,11 @@ func TestBatchReplayAllocs(t *testing.T) {
 	}
 	cfgs := shapeGrid()
 	r := NewReplayer()
-	if _, err := r.RunBatch(st, cfgs); err != nil {
+	if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.RunBatch(st, cfgs); err != nil {
+		if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

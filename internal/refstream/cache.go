@@ -1,11 +1,11 @@
 package refstream
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
 	"repro/internal/loops"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -42,11 +42,8 @@ type Cache struct {
 	Loader func(k *loops.Kernel, n int) (*Stream, bool)
 	Saver  func(st *Stream)
 
-	capacity int
-
 	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-	order   *list.List // front = most recently used; values are cacheKey
+	entries *lru.Cache[cacheKey, *cacheEntry]
 }
 
 type cacheKey struct {
@@ -58,7 +55,6 @@ type cacheEntry struct {
 	once sync.Once
 	st   *Stream
 	err  error
-	elem *list.Element
 }
 
 // DefaultCacheEntries is the capacity NewCache substitutes for a
@@ -71,11 +67,7 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  map[cacheKey]*cacheEntry{},
-		order:    list.New(),
-	}
+	return &Cache{entries: lru.New[cacheKey, *cacheEntry](capacity, nil)}
 }
 
 // Get returns the reference stream of (k, n), capturing it on first
@@ -97,19 +89,10 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 	key := cacheKey{kernel: k.Key, n: k.ClampN(n)}
 
 	c.mu.Lock()
-	e := c.entries[key]
-	hit := e != nil // resolved, or in flight and about to be shared
-	if hit {
-		c.order.MoveToFront(e.elem)
-	} else {
+	e, hit := c.entries.Get(key) // resolved, or in flight and about to be shared
+	if !hit {
 		e = &cacheEntry{}
-		e.elem = c.order.PushFront(key)
-		c.entries[key] = e
-		for c.order.Len() > c.capacity {
-			back := c.order.Back()
-			delete(c.entries, back.Value.(cacheKey))
-			c.order.Remove(back)
-		}
+		c.entries.Add(key, e)
 	}
 	c.mu.Unlock()
 	if hit {
@@ -132,9 +115,8 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 			// Drop the failed entry (if still ours) so a later Get
 			// retries instead of replaying a stale error forever.
 			c.mu.Lock()
-			if c.entries[key] == e {
-				delete(c.entries, key)
-				c.order.Remove(e.elem)
+			if cur, ok := c.entries.Peek(key); ok && cur == e {
+				c.entries.Remove(key)
 			}
 			c.mu.Unlock()
 		}
@@ -146,5 +128,5 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }

@@ -78,7 +78,7 @@ func FuzzReplayVsDirect(f *testing.F) {
 }
 
 // FuzzBatchVsSingle drives the batch replayer's equivalence contract
-// through randomized capture groups: RunBatch over a fuzzer-shaped
+// through randomized capture groups: RunBatchN over a fuzzer-shaped
 // group of configurations must match looped single-config Run result
 // for result, bit-identically, with the group's page-size mix, PE
 // widths, cache shapes and policies all varied together.
@@ -107,7 +107,7 @@ func FuzzBatchVsSingle(f *testing.F) {
 			})
 		}
 		st := cachedCapture(t, kernel, size)
-		got, err := NewReplayer().RunBatch(st, cfgs)
+		got, err := NewReplayer().RunBatchN(st, cfgs, 1)
 		if err != nil {
 			t.Fatalf("batch rejected group %+v: %v", cfgs, err)
 		}
@@ -130,7 +130,7 @@ func FuzzBatchVsSingle(f *testing.F) {
 // FuzzParallelVsSerialBatch drives the chunked replayer's equivalence
 // contract: a fuzzer-shaped capture group, cut fine and classified
 // with a fuzzer-chosen worker budget, must match the single-pass
-// RunBatch of the same group exactly — results at the same indices,
+// RunBatchN of the same group exactly — results at the same indices,
 // bit-identical — across group sizes from one chunk to many and
 // budgets below, at and above the chunk count.
 func FuzzParallelVsSerialBatch(f *testing.F) {
@@ -159,7 +159,7 @@ func FuzzParallelVsSerialBatch(f *testing.F) {
 		}
 		nw := int(workers)%8 + 1
 		st := cachedCapture(t, kernel, size)
-		want, err := NewReplayer().RunBatch(st, cfgs)
+		want, err := NewReplayer().RunBatchN(st, cfgs, 1)
 		if err != nil {
 			t.Fatalf("serial batch rejected group %+v: %v", cfgs, err)
 		}

@@ -23,7 +23,7 @@
 //     math, no defined-bit bookkeeping, and no steady-state
 //     allocations beyond the Result itself.
 //
-// Replayer.RunBatch (batch.go) classifies a whole capture group —
+// Replayer.RunBatchN (batch.go) classifies a whole capture group —
 // every configuration sharing the stream — in one pass, holding all
 // replay state in flat structure-of-arrays slabs indexed by
 // configuration and bucketing configurations by page size so page-id

@@ -28,13 +28,13 @@ func Eligible(cfg sim.Config) bool {
 // so its steady state allocates nothing beyond the returned Results.
 // A Replayer is not safe for concurrent use; give each worker its own.
 // Distinct Replayers may replay the same Stream concurrently, and a
-// parallel RunBatch fans its partitions out over the same shared
+// parallel RunBatchN fans its partitions out over the same shared
 // stream internally (batch.go).
 //
 // There is one replay engine, the chunk classifier of batch.go: Run is
-// a chunk of one configuration, and RunBatch classifies a whole
-// capture group, cut into cost-bounded chunks that up to Workers
-// goroutines share.
+// a chunk of one configuration, and RunBatchN classifies a whole
+// capture group, cut into cost-bounded chunks that up to its workers
+// budget of goroutines share.
 type Replayer struct {
 	// Metrics, when non-nil, receives the batch-replay counters
 	// (MetricBatchGroups, MetricBatchConfigsPerPass,
@@ -42,13 +42,7 @@ type Replayer struct {
 	// MetricBatchPathPrefix family). Nil disables them.
 	Metrics *obs.Registry
 
-	// Workers bounds the fan-out RunBatch may use: 0 or 1 keeps every
-	// batch on the calling goroutine, n > 1 lets a group of several
-	// chunks classify up to n of them concurrently. Output is
-	// byte-identical either way. RunBatchN overrides it per call.
-	Workers int
-
-	batchWorker // partition 0's state: Run, RunChunk and serial RunBatch
+	batchWorker // partition 0's state: Run, RunChunk and serial RunBatchN
 
 	chunks []Chunk // Cut's output, reused across calls
 	target int64   // tests only: overrides chunkTarget when non-zero

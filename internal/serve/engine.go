@@ -1,10 +1,12 @@
 package serve
 
 // engine.go — the execution core of the service. A request becomes one
-// or more canonical points (api.go); each point is answered from the
-// bounded LRU result cache, deduplicated against identical in-flight
-// points (singleflight), and otherwise executed on a shared worker
-// pool whose workers reuse a sim.Scratch and a refstream.Replayer, with
+// or more canonical points (api.go), and every request takes one path
+// (DoSweep): each point is answered from the bounded result table,
+// which holds answered and in-flight points alike (so identical
+// concurrent points are executed once), and otherwise executed on a
+// shared worker pool whose workers reuse a sim.Scratch and a
+// refstream.Replayer, with
 // reference-stream captures shared across requests through a
 // refstream.Cache keyed by (kernel, N). The result is the service-level
 // form of the sweep planner's execute-once/classify-many guarantee: a
@@ -86,7 +88,7 @@ const (
 	MetricStageCompileUS     = "serve.stage.compile_us"      // registry compile pipeline (parse → verify → register)
 )
 
-// Errors surfaced by Engine.Do and Engine admission; the HTTP layer
+// Errors surfaced by Engine.DoSweep and Engine admission; the HTTP layer
 // maps them onto status codes.
 var (
 	// ErrOverloaded reports that the admission queue is full (HTTP 429).
@@ -104,8 +106,8 @@ type Options struct {
 	// the bound is rejected with 429 rather than queued unboundedly.
 	// <= 0 means 4×Workers.
 	MaxInflight int
-	// ResultCacheEntries bounds the LRU of encoded point bodies
-	// (<= 0 means 4096).
+	// ResultCacheEntries bounds the result table: encoded point bodies
+	// and points still executing alike (<= 0 means 4096).
 	ResultCacheEntries int
 	// StreamCacheEntries bounds the shared reference-stream cache
 	// (<= 0 means refstream.DefaultCacheEntries).
@@ -202,45 +204,31 @@ func (o Options) limits() limits {
 	}
 }
 
-// flight is one in-flight execution of a canonical point, shared by
-// every concurrent request for that point. body/err are written by the
-// resolving goroutine before done is closed; waiters read only after
-// <-done.
-type flight struct {
-	done chan struct{}
-	body []byte
-	err  error
-}
-
-func (f *flight) resolve(body []byte, err error) {
-	f.body, f.err = body, err
-	close(f.done)
-}
-
 // task is one unit of worker-pool execution: the points of one
-// (kernel, problem size) that one request must execute itself. The
-// worker captures (or cache-fetches) their reference stream once and
-// classifies every point in a single batch pass
+// (kernel, problem size, direct) that one request must execute itself.
+// The worker captures (or cache-fetches) their reference stream once
+// and classifies every point in a single batch pass
 // (refstream.Replayer.RunBatchN); a /v1/classify miss is a task of one
-// point. Points keep their individual flights and result-cache
-// entries, so concurrent requests join and are answered
-// byte-identically. tr/parent carry the submitting request's trace so
-// worker-side stages (capture, replay, encode) appear as children of
-// its singleflight wait; both are nil-safe.
+// point. Points keep their individual result-table entries, so
+// concurrent requests join and are answered byte-identically. tr/parent
+// carry the submitting request's trace so worker-side stages (capture,
+// replay, encode) appear as children of its singleflight wait; both are
+// nil-safe.
 type task struct {
 	kernel *loops.Kernel
 	n      int
 	pts    []point
 	keys   []string
 	fls    []*flight
-	// direct marks a one-point task that models partial page fills:
-	// replay cannot serve it, so it runs on the simulator.
+	// direct marks points that model partial page fills: replay cannot
+	// serve them, so they run on the simulator.
 	direct bool
 	// budget is the partition fan-out the batch pass may use
 	// (refstream.Replayer.RunBatchN): an even share of the worker pool
 	// across the requests admitted when the task was formed, so one big
 	// sweep on an idle service spreads over every core but cannot
-	// monopolize a busy one. Always >= 1.
+	// monopolize a busy one, and never more than the task's points.
+	// Always >= 1.
 	budget int
 	tr     *trace.Trace
 	parent trace.SpanRef
@@ -262,14 +250,13 @@ type Engine struct {
 	hCapture, hReplay, hDirect, hEncode        *obs.Histogram
 	hCompile                                   *obs.Histogram
 
-	results *lruCache
+	results *resultTable
 	streams *refstream.Cache
 	tasks   chan *task
 
 	stateMu  sync.Mutex
 	closed   bool
-	inflight int // admitted requests; the source of truth (gInflight mirrors it)
-	flights  map[string]*flight
+	inflight int            // admitted requests; the source of truth (gInflight mirrors it)
 	reqWG    sync.WaitGroup // admitted requests
 	workWG   sync.WaitGroup // pool workers
 	closeMu  sync.Mutex     // serializes Close
@@ -304,10 +291,9 @@ func newEngine(opts Options) *Engine {
 		hDirect:      reg.Histogram(MetricStageDirectUS, obs.MicrosBuckets),
 		hEncode:      reg.Histogram(MetricStageEncodeUS, obs.MicrosBuckets),
 		hCompile:     reg.Histogram(MetricStageCompileUS, obs.MicrosBuckets),
-		results:      newLRU(opts.ResultCacheEntries),
+		results:      newResultTable(opts.ResultCacheEntries),
 		streams:      refstream.NewCache(opts.StreamCacheEntries),
 		tasks:        make(chan *task, opts.MaxInflight),
-		flights:      map[string]*flight{},
 	}
 	e.streams.Captures = reg.Counter(MetricStreamCaptures)
 	e.streams.Hits = reg.Counter(MetricStreamHits)
@@ -347,128 +333,70 @@ func (e *Engine) admit() (release func(), err error) {
 	}, nil
 }
 
-// Do answers one canonical point: result-cache hit, join of an
-// identical in-flight point, or execution on the worker pool. Callers
-// must hold an admission slot (see admit); the HTTP handlers do. On
-// context expiry Do returns ctx.Err() — the execution itself, if
-// already queued, still completes and populates the cache for the next
-// request. A trace on ctx (trace.FromContext) receives cache_lookup
-// and flight_wait spans plus cache-outcome counts; execution stages
-// land on the leader's trace from the worker.
-func (e *Engine) Do(ctx context.Context, p point) ([]byte, error) {
-	tr := trace.FromContext(ctx)
-	key := p.key()
-	sp := tr.Start("cache_lookup")
-	body, ok := e.results.get(key)
-	e.hCacheLookup.Observe(sp.End().Microseconds())
-	if ok {
-		e.cHits.Inc()
-		tr.Count("cache_hits", 1)
-		return body, nil
-	}
-	e.cMisses.Inc()
-	tr.Count("cache_misses", 1)
-
-	e.stateMu.Lock()
-	fl := e.flights[key]
-	leader := fl == nil
-	if leader {
-		fl = &flight{done: make(chan struct{})}
-		e.flights[key] = fl
-	}
-	e.stateMu.Unlock()
-
-	wsp := tr.Start("flight_wait")
-	if leader {
-		t := &task{kernel: p.kernel, n: p.n, pts: []point{p}, keys: []string{key}, fls: []*flight{fl},
-			direct: !refstream.Eligible(p.cfg), budget: 1, tr: tr, parent: wsp}
-		select {
-		case e.tasks <- t:
-			e.gQueue.Add(1)
-		case <-ctx.Done():
-			// Never enqueued: resolve the flight ourselves so joined
-			// waiters are not stranded.
-			e.resolve(t, nil, ctx.Err())
-			wsp.End()
-			return nil, ctx.Err()
-		}
-	} else {
-		e.cDedup.Inc()
-		tr.Count("dedup_waits", 1)
-	}
-
-	select {
-	case <-fl.done:
-		e.hFlightWait.Observe(wsp.End().Microseconds())
-		return fl.body, fl.err
-	case <-ctx.Done():
-		wsp.End()
-		return nil, ctx.Err()
-	}
-}
-
-// DoSweep answers a whole grid of canonical points, in grid order,
-// riding one batch pass per capture group: every point still goes
-// through the result cache and the flight table exactly like Do — so
-// sweep and classify bodies stay interchangeable bit-for-bit and
-// concurrent identical work is joined, not repeated — but the points
-// this request must execute itself are bucketed by (kernel, problem
-// size) and submitted to the pool as tasks, one capture and one stream
-// pass per bucket. Sweeps have no partial-fill axis (canonSweep), so
-// every point replays. The error of the lowest-index failing point
-// wins; on context expiry DoSweep returns ctx.Err() while queued work
-// still completes and populates the cache for the next request.
+// DoSweep answers canonical points, in order: a /v1/classify request
+// is one point, a /v1/sweep its grid. Each point is a result-table
+// hit, a join of an identical in-flight point, or a lead this request
+// must execute — so sweep and classify bodies stay interchangeable
+// bit-for-bit and concurrent identical work is joined, not repeated.
+// Leads are bucketed by (kernel, problem size, partial fill) and
+// submitted to the pool as tasks, one capture and one stream pass per
+// bucket; a partial-fill point runs on the simulator. Callers must
+// hold an admission slot (see admit); the HTTP handlers do. The error
+// of the lowest-index failing point wins; on context expiry DoSweep
+// returns ctx.Err() while queued work still completes and populates
+// the table for the next request. A trace on ctx (trace.FromContext)
+// receives cache_lookup and flight_wait spans plus cache-outcome
+// counts; execution stages land on the leader's trace from the worker.
 func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, error) {
 	tr := trace.FromContext(ctx)
 	bodies := make([]json.RawMessage, len(pts))
-	fls := make([]*flight, len(pts)) // per point; nil = served from cache
-	var leaders []int                // points whose flight this request must execute
+	var fls []*flight // per point, made at the first miss; nil = served from the table
+	var leaders []int // points whose flight this request must execute
 	sp := tr.Start("cache_lookup")
 	for i, p := range pts {
-		key := p.key()
-		if body, ok := e.results.get(key); ok {
+		fl, out := e.results.lookup(p.key())
+		if out == hit {
 			e.cHits.Inc()
 			tr.Count("cache_hits", 1)
-			bodies[i] = body
+			bodies[i] = fl.body
 			continue
 		}
 		e.cMisses.Inc()
 		tr.Count("cache_misses", 1)
-		e.stateMu.Lock()
-		fl := e.flights[key]
-		leader := fl == nil
-		if leader {
-			fl = &flight{done: make(chan struct{})}
-			e.flights[key] = fl
-		}
-		e.stateMu.Unlock()
-		fls[i] = fl
-		if leader {
+		if out == lead {
 			leaders = append(leaders, i)
 		} else {
 			e.cDedup.Inc()
 			tr.Count("dedup_waits", 1)
 		}
+		if fls == nil {
+			fls = make([]*flight, len(pts))
+		}
+		fls[i] = fl
 	}
 	e.hCacheLookup.Observe(sp.End().Microseconds())
+	if fls == nil {
+		return bodies, nil
+	}
 
-	// Bucket the leaders into tasks by capture group, preserving grid
-	// order within each bucket (RunBatch blames the lowest input index,
-	// so grid order in = lowest grid index blamed).
+	// Bucket the leaders into tasks by capture group, preserving input
+	// order within each bucket (RunBatchN blames the lowest input index,
+	// so input order in = lowest index blamed).
 	wsp := tr.Start("flight_wait")
 	type groupKey struct {
 		kernel *loops.Kernel
 		n      int
+		direct bool
 	}
 	budget := e.parBudget()
 	groups := map[groupKey]*task{}
 	var queue []*task
 	for _, i := range leaders {
 		p := pts[i]
-		gk := groupKey{p.kernel, p.n}
+		gk := groupKey{p.kernel, p.n, !refstream.Eligible(p.cfg)}
 		t := groups[gk]
 		if t == nil {
-			t = &task{kernel: p.kernel, n: p.n, tr: tr, parent: wsp, budget: budget}
+			t = &task{kernel: p.kernel, n: p.n, direct: gk.direct, tr: tr, parent: wsp}
 			groups[gk] = t
 			queue = append(queue, t)
 		}
@@ -477,25 +405,23 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 		t.fls = append(t.fls, fls[i])
 	}
 
-	var err error
 	for qi, t := range queue {
+		t.budget = min(budget, len(t.pts))
 		select {
 		case e.tasks <- t:
 			e.gQueue.Add(1)
+			continue
 		case <-ctx.Done():
-			// Never enqueued: resolve the remaining flights ourselves so
-			// joined waiters are not stranded.
-			err = ctx.Err()
-			for _, t := range queue[qi:] {
-				e.resolve(t, nil, err)
-			}
 		}
-		if err != nil {
-			break
+		// Never enqueued: settle the remaining flights ourselves so
+		// joined waiters are not stranded.
+		for _, t := range queue[qi:] {
+			e.resolve(t, nil, ctx.Err())
 		}
+		break
 	}
 
-	// Collect in grid order; scanning in order makes the first error
+	// Collect in input order; scanning in order makes the first error
 	// seen the lowest-index failure.
 	for i, fl := range fls {
 		if fl == nil {
@@ -503,20 +429,17 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 		}
 		select {
 		case <-fl.done:
-			if fl.err != nil {
-				wsp.End()
-				return nil, fl.err
-			}
-			bodies[i] = fl.body
 		case <-ctx.Done():
 			wsp.End()
 			return nil, ctx.Err()
 		}
+		if fl.err != nil {
+			e.hFlightWait.Observe(wsp.End().Microseconds())
+			return nil, fl.err
+		}
+		bodies[i] = fl.body
 	}
 	e.hFlightWait.Observe(wsp.End().Microseconds())
-	if err != nil {
-		return nil, err
-	}
 	return bodies, nil
 }
 
@@ -541,21 +464,18 @@ func (e *Engine) parBudget() int {
 	return 1
 }
 
-// resolve settles every point of t: each body is cached (when err is
-// nil) and handed to the point's flight waiters. A task that never
-// reached the pool (context expiry before enqueue) is resolved with
-// the context's error, so joined waiters are not stranded.
+// resolve settles every point of t in the result table: each flight
+// resolves with its body, or fails with err and leaves the table. A
+// task that never reached the pool (context expiry before enqueue) is
+// resolved with the context's error, so joined waiters are not
+// stranded.
 func (e *Engine) resolve(t *task, bodies [][]byte, err error) {
 	for i, key := range t.keys {
 		var body []byte
 		if err == nil {
 			body = bodies[i]
-			e.results.add(key, body)
 		}
-		e.stateMu.Lock()
-		delete(e.flights, key)
-		e.stateMu.Unlock()
-		t.fls[i].resolve(body, err)
+		e.results.settle(key, t.fls[i], body, err)
 	}
 }
 
@@ -579,7 +499,7 @@ func (e *Engine) worker() {
 
 // execute runs one task: fetch the group's stream and classify every
 // point in one pass — fanned out across the task's partition budget
-// when it has one — or, for a direct task, run its point on the
+// when it has one — or, for a direct task, run its points on the
 // simulator (the partial-fill ablation). Every body goes through the
 // same encodePoint, so a sweep-produced body is byte-identical to the
 // classify-produced body of the same point. On failure the error is
@@ -595,10 +515,13 @@ func (e *Engine) execute(scratch *sim.Scratch, replayer *refstream.Replayer, t *
 	)
 	if t.direct {
 		sp := t.tr.StartChild(t.parent, "direct")
-		var r *sim.Result
-		r, err = runDirect(scratch, t.pts[0])
+		res, engine = make([]*sim.Result, len(t.pts)), "direct"
+		for i := 0; i < len(t.pts) && err == nil; i++ {
+			if res[i], err = runDirect(scratch, t.pts[i]); err != nil {
+				err = &refstream.BatchError{Index: i, Err: err}
+			}
+		}
 		e.hDirect.Observe(sp.End().Microseconds())
-		res, engine = []*sim.Result{r}, "direct"
 	} else {
 		sp := t.tr.StartChild(t.parent, "capture")
 		var st *refstream.Stream
@@ -677,9 +600,9 @@ func (e *Engine) deadline(deadlineMS int64, maxNPE, maxN int) time.Duration {
 	return machine.DefaultDeadline(maxNPE, maxN)
 }
 
-// CacheLen returns the number of cached result bodies (for tests and
-// introspection).
-func (e *Engine) CacheLen() int { return e.results.len() }
+// CacheLen returns the number of cached result bodies, not counting
+// pending entries (for tests and introspection).
+func (e *Engine) CacheLen() int { return e.results.resolvedLen() }
 
 // Closing reports whether Close has begun: admitted requests may still
 // be draining, but new work is refused. The HTTP layer uses it to

@@ -343,3 +343,100 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("admit after Close = %v, want ErrClosed", err)
 	}
 }
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEvictedPendingEntryStrandsNoWaiter: the result table bounds
+// pending entries too. With room for one entry, a second distinct
+// point evicts the first one's pending entry while that point is
+// executing and has a joined waiter; every request must still answer
+// with the body a fresh service gives, and the evicted point is not
+// cached when it settles.
+func TestEvictedPendingEntryStrandsNoWaiter(t *testing.T) {
+	s, ts, reg := newTestService(t, Options{Workers: 1, ResultCacheEntries: 1})
+	entered, release := pinWorkers(s)
+	a, b := `{"kernel":"k1","npe":2}`, `{"kernel":"k1","npe":4}`
+
+	type result struct {
+		code int
+		body []byte
+	}
+	send := func(req string) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			code, _, body := post(t, ts, "/v1/classify", req)
+			ch <- result{code, body}
+		}()
+		return ch
+	}
+	leadA := send(a)
+	<-entered // a's execution holds the only worker
+	joinA := send(a)
+	waitFor(t, "the second a to join", func() bool { return counter(reg, MetricDedupWaits) == 1 })
+	leadB := send(b) // evicts a's pending entry
+	waitFor(t, "b to lead", func() bool { return counter(reg, MetricCacheMisses) == 3 })
+	close(release)
+
+	_, fresh, _ := newTestService(t, Options{})
+	for _, c := range []struct {
+		name, req string
+		ch        chan result
+	}{{"lead a", a, leadA}, {"joined a", a, joinA}, {"lead b", b, leadB}} {
+		r := <-c.ch
+		_, _, want := post(t, fresh, "/v1/classify", c.req)
+		if r.code != http.StatusOK || !bytes.Equal(r.body, want) {
+			t.Fatalf("%s: status %d body %s, want 200 %s", c.name, r.code, r.body, want)
+		}
+	}
+	if n := s.Engine().CacheLen(); n != 1 {
+		t.Fatalf("cached bodies = %d, want 1 (b; a was evicted while pending)", n)
+	}
+	if code, _, _ := post(t, ts, "/v1/classify", a); code != http.StatusOK {
+		t.Fatalf("a again: status %d", code)
+	}
+	if n := counter(reg, MetricPointsExecuted); n != 3 {
+		t.Fatalf("points executed = %d, want 3 (a, b, then a afresh)", n)
+	}
+}
+
+// TestFailedFlightRetriedNotCached: a point whose flight fails leaves
+// the result table, so the next request executes it instead of being
+// served the error. The failure here is a task that cannot be queued
+// before the request's deadline: one worker is pinned on the sweep's
+// first capture group, the one-slot queue holds the second, and the
+// third fails with the deadline.
+func TestFailedFlightRetriedNotCached(t *testing.T) {
+	s, ts, reg := newTestService(t, Options{Workers: 1, MaxInflight: 1})
+	entered, release := pinWorkers(s)
+	sweep := `{"kernels":["k1","k2","k3"],"npes":[2]}`
+
+	code, _, body := post(t, ts, "/v1/sweep", `{"kernels":["k1","k2","k3"],"npes":[2],"deadline_ms":100}`)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("pinned sweep: status %d, want 504 (body %s)", code, body)
+	}
+	<-entered
+	close(release)
+	waitFor(t, "the queued groups to settle", func() bool { return s.Engine().CacheLen() == 2 })
+
+	code, _, body = post(t, ts, "/v1/sweep", sweep)
+	if code != http.StatusOK {
+		t.Fatalf("retried sweep: status %d, want 200 (body %s)", code, body)
+	}
+	_, fresh, _ := newTestService(t, Options{})
+	if _, _, want := post(t, fresh, "/v1/sweep", sweep); !bytes.Equal(body, want) {
+		t.Fatalf("retried sweep body differs from a fresh service's:\n%s\n%s", body, want)
+	}
+	if hits, points := counter(reg, MetricCacheHits), counter(reg, MetricPointsExecuted); hits != 2 || points != 3 {
+		t.Fatalf("hits = %d, points executed = %d; want 2 hits and k3 executed on retry (3)", hits, points)
+	}
+}

@@ -203,15 +203,50 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.cClassify.Inc()
 	start := time.Now()
 	defer func() { s.hClassify.Observe(time.Since(start).Microseconds()) }()
-	tr := trace.FromContext(r.Context())
+	s.answer(w, r, func(lim limits) ([]point, int64, error) {
+		var req ClassifyRequest
+		if err := decode(r, &req); err != nil {
+			return nil, 0, err
+		}
+		p, err := canonPoint(req, lim)
+		return []point{p}, req.DeadlineMS, err
+	}, func(bodies []json.RawMessage) {
+		writeJSON(w, http.StatusOK, bodies[0])
+	})
+}
 
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	s.cSweep.Inc()
+	start := time.Now()
+	defer func() { s.hSweep.Observe(time.Since(start).Microseconds()) }()
+	s.answer(w, r, func(lim limits) ([]point, int64, error) {
+		var req SweepRequest
+		if err := decode(r, &req); err != nil {
+			return nil, 0, err
+		}
+		pts, err := canonSweep(req, lim)
+		return pts, req.DeadlineMS, err
+	}, func(bodies []json.RawMessage) {
+		body, err := json.Marshal(&SweepResult{Count: len(bodies), Points: bodies})
+		if err != nil {
+			s.finishErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, body)
+	})
+}
+
+// answer is the request path /v1/classify and /v1/sweep share: decode
+// and canonicalize the body (parse), take an admission slot, answer
+// the points on the engine's one point path (DoSweep) under the
+// request's deadline, derived over its largest NPE and problem size,
+// and hand the bodies to write while the slot is still held. Sweep and
+// classify bodies are therefore interchangeable bit-for-bit. Every
+// failure is written here, with its status code.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, parse func(limits) ([]point, int64, error), write func([]json.RawMessage)) {
+	tr := trace.FromContext(r.Context())
 	sp := tr.Start("decode")
-	var req ClassifyRequest
-	err := decode(r, &req)
-	var p point
-	if err == nil {
-		p, err = canonPoint(req, s.eng.opts.limits())
-	}
+	pts, deadlineMS, err := parse(s.eng.opts.limits())
 	s.eng.hDecode.Observe(sp.End().Microseconds())
 	if err != nil {
 		s.cBad.Inc()
@@ -230,67 +265,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.eng.deadline(req.DeadlineMS, p.cfg.NPE, p.n))
-	defer cancel()
-	body, err := s.eng.Do(ctx, p)
-	if err != nil {
-		s.finishErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.cSweep.Inc()
-	start := time.Now()
-	defer func() { s.hSweep.Observe(time.Since(start).Microseconds()) }()
-	tr := trace.FromContext(r.Context())
-
-	sp := tr.Start("decode")
-	var req SweepRequest
-	err := decode(r, &req)
-	var pts []point
-	if err == nil {
-		pts, err = canonSweep(req, s.eng.opts.limits())
-	}
-	s.eng.hDecode.Observe(sp.End().Microseconds())
-	if err != nil {
-		s.cBad.Inc()
-		writeStructured(w, http.StatusBadRequest, err)
-		return
-	}
-	asp := tr.Start("admit_wait")
-	release, err := s.eng.admit()
-	s.eng.hAdmit.Observe(asp.End().Microseconds())
-	if err != nil {
-		rejectErr(w, err)
-		return
-	}
-	defer release()
-
 	maxNPE, maxN := 1, 1
 	for _, p := range pts {
 		maxNPE = max(maxNPE, p.cfg.NPE)
 		maxN = max(maxN, p.n)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.eng.deadline(req.DeadlineMS, maxNPE, maxN))
+	ctx, cancel := context.WithTimeout(r.Context(), s.eng.deadline(deadlineMS, maxNPE, maxN))
 	defer cancel()
-
-	// One batch pass per capture group: grid-order results, lowest-index
-	// error, the work bounded by the engine's own pool. Each point still
-	// passes through the same cache/dedup path as /v1/classify, so sweep
-	// and classify bodies are interchangeable bit-for-bit.
 	bodies, err := s.eng.DoSweep(ctx, pts)
 	if err != nil {
 		s.finishErr(w, err)
 		return
 	}
-	body, err := json.Marshal(&SweepResult{Count: len(bodies), Points: bodies})
-	if err != nil {
-		s.finishErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
+	write(bodies)
 }
 
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {

@@ -230,7 +230,7 @@ func TestTraceRingBound(t *testing.T) {
 
 // TestInstrumentedSweepMatchesBatchReplay is the determinism pin for
 // the instrumented execution path: a traced sweep's point bodies are
-// bit-identical to encoding a direct refstream Capture + RunBatch of
+// bit-identical to encoding a direct refstream Capture + RunBatchN of
 // the same canonical points.
 func TestInstrumentedSweepMatchesBatchReplay(t *testing.T) {
 	_, ts, _ := newTestService(t, Options{})
@@ -265,7 +265,7 @@ func TestInstrumentedSweepMatchesBatchReplay(t *testing.T) {
 	for i, p := range pts {
 		cfgs[i] = p.cfg
 	}
-	res, err := refstream.NewReplayer().RunBatch(stream, cfgs)
+	res, err := refstream.NewReplayer().RunBatchN(stream, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

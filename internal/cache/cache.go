@@ -130,16 +130,8 @@ type Cache struct {
 // matching the paper's observation that an over-large page size leaves
 // no cache frames.
 func New(capElems, pageSize int, policy Policy) (*Cache, error) {
-	if capElems < 0 {
-		return nil, fmt.Errorf("cache: negative capacity %d", capElems)
-	}
-	if pageSize <= 0 {
-		return nil, fmt.Errorf("cache: page size must be positive, got %d", pageSize)
-	}
-	switch policy {
-	case LRU, FIFO, Clock, Random:
-	default:
-		return nil, fmt.Errorf("cache: unknown policy %d", int(policy))
+	if err := Validate(capElems, pageSize, policy); err != nil {
+		return nil, err
 	}
 	c := &Cache{
 		capElems: capElems,
@@ -147,13 +139,30 @@ func New(capElems, pageSize int, policy Policy) (*Cache, error) {
 		maxPages: capElems / pageSize,
 		policy:   policy,
 		entries:  make(map[Key]*entry),
-		rng:      rngSeed,
+		rng:      RandomSeed,
 	}
 	c.head = &entry{}
 	c.tail = &entry{}
 	c.head.next = c.tail
 	c.tail.prev = c.head
 	return c, nil
+}
+
+// Validate reports the error New returns for these parameters, without
+// building a cache.
+func Validate(capElems, pageSize int, policy Policy) error {
+	if capElems < 0 {
+		return fmt.Errorf("cache: negative capacity %d", capElems)
+	}
+	if pageSize <= 0 {
+		return fmt.Errorf("cache: page size must be positive, got %d", pageSize)
+	}
+	switch policy {
+	case LRU, FIFO, Clock, Random:
+	default:
+		return fmt.Errorf("cache: unknown policy %d", int(policy))
+	}
+	return nil
 }
 
 // MaxPages returns the number of page frames.
@@ -382,10 +391,7 @@ func (c *Cache) clockSweep() *entry {
 }
 
 func (c *Cache) randomEntry() *entry {
-	// xorshift64* for deterministic, seed-stable victim selection.
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
+	c.rng = NextRandom(c.rng)
 	n := c.Len()
 	if n == 0 {
 		return nil

@@ -17,10 +17,20 @@ import "fmt"
 // random victim selection), so a slot-mode cache evicts in exactly the
 // same order as a Key-mode cache observing the same reference stream.
 
-// rngSeed is the xorshift64* seed used by the Random policy; fixed so
-// runs are reproducible and ReconfigureSlots restores a fresh-cache
-// state exactly.
-const rngSeed = 0x9e3779b97f4a7c15
+// RandomSeed is the generator state of the Random policy on a fresh
+// cache; fixed so runs are reproducible and ReconfigureSlots restores a
+// fresh-cache state exactly.
+const RandomSeed = 0x9e3779b97f4a7c15
+
+// NextRandom advances the Random policy's xorshift generator: a full
+// cache draws one value per eviction and evicts its page of rank
+// value mod resident pages, counted from the most recent.
+func NextRandom(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
+}
 
 // NewSlots returns a count-only cache over a dense page-id space of
 // nslots pages. Capacity semantics match New: capElems elements of
@@ -45,16 +55,8 @@ func NewSlots(capElems, pageSize int, policy Policy, nslots int) (*Cache, error)
 // sweep engine's per-point reset: after the call the cache behaves
 // bit-for-bit like NewSlots(capElems, pageSize, policy, nslots).
 func (c *Cache) ReconfigureSlots(capElems, pageSize int, policy Policy, nslots int) error {
-	if capElems < 0 {
-		return fmt.Errorf("cache: negative capacity %d", capElems)
-	}
-	if pageSize <= 0 {
-		return fmt.Errorf("cache: page size must be positive, got %d", pageSize)
-	}
-	switch policy {
-	case LRU, FIFO, Clock, Random:
-	default:
-		return fmt.Errorf("cache: unknown policy %d", int(policy))
+	if err := Validate(capElems, pageSize, policy); err != nil {
+		return err
 	}
 	if nslots < 0 {
 		return fmt.Errorf("cache: negative slot count %d", nslots)
@@ -68,7 +70,7 @@ func (c *Cache) ReconfigureSlots(capElems, pageSize int, policy Policy, nslots i
 	c.head.next = c.tail
 	c.tail.prev = c.head
 	c.clockHand = nil
-	c.rng = rngSeed
+	c.rng = RandomSeed
 	c.used = 0
 	c.freeFrames = c.freeFrames[:0]
 	for i, e := range c.frames {

@@ -5,18 +5,18 @@ package refstream
 // one decode walk per configuration; RunBatchN walks the decoded event
 // columns once and fans every event down all configurations of the
 // group. The paper's single-assignment pages make this sound: replay
-// state is pure per-configuration arithmetic (owner tables, slot
-// caches, counters), so configurations never interact and one decoded
-// access can be applied to all of them in any interleaving.
+// state is pure per-configuration arithmetic (owner tables, cache rows,
+// counters), so configurations never interact and one decoded access
+// can be applied to all of them in any interleaving.
 //
 // State is structure-of-arrays: per-PE counters, traffic matrices,
-// owner tables, reduce tallies and last-touched page ids live in flat
-// slabs indexed by configuration (through the peOff/trafOff/ownOff
-// prefix tables), grown once and reused, so a steady-state RunBatchN
-// allocates nothing beyond the returned Results. Configurations are
-// bucketed by page size: within a bucket the global page-id column and
-// the run-length histogram are shared, so gid computation happens once
-// per bucket rather than once per configuration.
+// owner tables, reduce tallies and cache rows live in flat slabs
+// indexed by configuration (through the peOff/trafOff/ownOff prefix
+// tables), grown once and reused, so a steady-state RunBatchN allocates
+// nothing beyond the returned Results. Configurations are bucketed by
+// page size: within a bucket the global page-id column, the read column
+// and the run-length histogram are shared, so each is derived once per
+// bucket rather than once per configuration.
 //
 // The fast paths layer per configuration class:
 //
@@ -25,28 +25,33 @@ package refstream
 //     layout with power-of-two NPE ≤ 64) classify from the memoized
 //     64×64 fold table (foldClassify), the rest from the lazily built
 //     run-length read histogram (aggregateClassify);
-//   - framed configurations normally classify config-major over the
-//     shared context-resolved read column (the cache is the only
-//     order-dependent piece): small Modulo LRU caches ride packed SWAR
-//     rows — four uint16 frame lanes per uint64 word, recency
-//     maintained with shifts and masks instead of array writes
-//     (classifyReadsLRUP1/P2) — larger LRU caches walk plain frame
-//     rows (classifyReadsLRU), and everything else drives the real
-//     slot caches (classifyReadsCache) with a per-(configuration, PE)
-//     last-touched page id short-circuiting the dominant repeated-read
-//     pattern: a PE re-reading the page it just touched is a
-//     guaranteed hit (the prior op left the page resident and, for
-//     every policy, a second touch is structurally a no-op — LRU
-//     re-fronts the front entry, FIFO/Clock/Random do not reorder and
-//     the reference bit is already set), so the hit is counted without
-//     consulting the cache;
+//   - framed configurations classify over the shared context-resolved
+//     read column (the cache is the only order-dependent piece; writes
+//     and reductions come from the structural summary), grouped by
+//     owner map — (NPE, page size, layout, layout run), which fixes
+//     what every PE's private cache sees. An owner map whose only
+//     framed configuration is LRU with at most lruCap frames walks the
+//     column once on inline recency rows: packed SWAR rows for small
+//     Modulo caches — four uint16 frame lanes per uint64 word, recency
+//     maintained with shifts and masks (classifyReadsLRUP1/P2) — plain
+//     frame rows otherwise (classifyReadsLRU). Every other owner map is
+//     classified in two levels (twolevel.go): one walk builds each PE's
+//     remote-page string, one move-to-front walk per PE string prices
+//     all its LRU sizes, and FIFO, Clock and Random configurations run
+//     policy rows over the strings;
 //   - when the structural summary is unusable (non-contiguous
 //     reduction terms), or when the call classifies exactly one
 //     configuration (Run, or a RunBatchN whose configurations share one
 //     representative), the general event pass runs instead, sweeping
 //     each decoded event down every order-dependent configuration of
-//     the bucket (batchEventPass). The one-configuration rule is about
-//     memory, not speed: see readColumn.
+//     the bucket (batchEventPass) against inline LRU rows or the real
+//     slot caches. The one-configuration rule is about memory, not
+//     speed: see readColumn.
+//
+// Whatever the path, a framed configuration's cache statistics follow
+// in closed form from its counters: replay looks up before it inserts
+// and inserts only after a miss, so hits are CachedReads, misses and
+// inserts RemoteReads, and every insert past the frame count evicts.
 //
 // Large groups are classified in chunks: Cut splits the configuration
 // slab into contiguous slices of bounded estimated cost (path class ×
@@ -55,17 +60,18 @@ package refstream
 // original indices. The same single-assignment argument that makes the
 // batch sound makes any split sound: configurations never interact, so
 // chunks share nothing mutable and may run on any worker in any order.
-// internal/sweep feeds the chunks of every group to one work queue;
-// RunBatchN spreads one group's chunks over its own parallelism
-// budget. A group under the cost target — the common 2- and 28-config
-// groups — is one chunk and pays nothing.
+// Cut keeps a run of framed configurations with one (NPE, page size)
+// whole, so an owner map's strings are built once. internal/sweep
+// feeds the chunks of every group to one work queue; RunBatchN spreads
+// one group's chunks over its own parallelism budget. A group under
+// the cost target is one chunk and pays nothing.
 //
 // Results are bit-identical to direct sim.Run whatever the chunking:
-// Run is a chunk of one configuration, so refstream_test.go and
-// FuzzBatchVsSingle (batch against one-configuration calls, both
-// against sim.Run), TestParallelMatchesSerialBatch and
-// FuzzParallelVsSerialBatch hold the equivalence across kernels, cuts
-// and worker counts, and docs/PERF.md records the measured win.
+// Run is a chunk of one configuration, so refstream_test.go,
+// FuzzBatchVsSingle and FuzzSharedOwnerMap (batch against sim.Run),
+// TestParallelMatchesSerialBatch and FuzzParallelVsSerialBatch hold the
+// equivalence across kernels, owner maps, cuts and worker counts, and
+// docs/PERF.md records the measured win.
 
 import (
 	"errors"
@@ -98,51 +104,61 @@ const (
 	// was cut into (obs.DepthBuckets); 1 means the group was under the
 	// cost target and ran as a single pass.
 	MetricBatchPartitions = "refstream.batch.partitions"
+	// MetricBatchOwnerMaps counts level-1 walks of the two-level path:
+	// one per owner map of a chunk, each building every PE's
+	// remote-page string once for all the map's configurations.
+	MetricBatchOwnerMaps = "refstream.batch.owner_maps"
 	// MetricBatchPathPrefix, followed by a path name (fold, hist, swar,
-	// rows, slot, event), counts the configurations served by that
-	// classification path, recorded by the chunk classifier that ran it.
+	// rows, stack, policy, event), counts the configurations served by
+	// that classification path, recorded by the chunk classifier that
+	// ran it.
 	MetricBatchPathPrefix = "refstream.batch.path."
 )
 
 // path is the classification path that serves a configuration; the
-// package comment above describes each. The order is ascending cost.
+// package comment above describes each.
 type path uint8
 
 const (
-	pathFold  path = iota // order-free, from the fold table
-	pathHist              // order-free, from the run-length read histogram
-	pathSWAR              // framed LRU on packed SWAR rows
-	pathRows              // framed LRU on plain frame rows
-	pathSlot              // framed, against the real slot caches
-	pathEvent             // summary unusable, or a one-configuration call: the general event pass
+	pathFold   path = iota // order-free, from the fold table
+	pathHist               // order-free, from the run-length read histogram
+	pathSWAR               // framed LRU, alone in its owner map, on packed SWAR rows
+	pathRows               // framed LRU, alone in its owner map, on plain frame rows
+	pathStack              // framed LRU, two-level: one stack walk per PE string prices every size
+	pathPolicy             // framed FIFO/Clock/Random, two-level: policy rows per PE string
+	pathEvent              // summary unusable, or a one-configuration call: the general event pass
 	numPaths
 )
 
 // pathMetric names the per-path counters.
 var pathMetric = [numPaths]string{
 	MetricBatchPathPrefix + "fold", MetricBatchPathPrefix + "hist", MetricBatchPathPrefix + "swar",
-	MetricBatchPathPrefix + "rows", MetricBatchPathPrefix + "slot", MetricBatchPathPrefix + "event",
+	MetricBatchPathPrefix + "rows", MetricBatchPathPrefix + "stack", MetricBatchPathPrefix + "policy",
+	MetricBatchPathPrefix + "event",
 }
 
 // pathWeight is the cost of classifying one configuration, per stream
-// event, relative to the fold path. The ratios are the ladder's
-// refstream.batch_us_per_config.* rungs (orderfree_pow2 :
-// orderfree_other : lru_small_pow2 : lru_other : policy_other ≈ 1 : 3 :
-// 13 : 32 : 46); the event pass has no rung and is charged above the
-// slot caches it drives once per event. One unit is about a third of a
-// nanosecond on the measurement box.
-var pathWeight = [numPaths]int64{1, 3, 13, 32, 46, 64}
+// event, relative to the fold path; mapWeight is the cost of one owner
+// map's level-1 walk, charged once per map on top of its stack and
+// policy configurations. The fold : hist : swar : rows ratios are the
+// ladder's refstream.batch_us_per_config.* rungs (orderfree_pow2 :
+// orderfree_other : lru_small_pow2 : lru_other ≈ 1 : 3 : 13 : 32); the
+// two-level weights were timed on grid_wide's groups (docs/PERF.md);
+// the event pass has no rung and is charged above everything it
+// replaces. One unit is about a third of a nanosecond on the
+// measurement box.
+var pathWeight = [numPaths]int64{1, 3, 13, 32, 8, 16, 64}
+
+const mapWeight = 32
 
 // chunkTarget is the estimated cost at which Cut closes a chunk: about
 // a third of a millisecond of classification. Scheduling a chunk costs
 // about a microsecond, so the target could be far smaller before
-// dispatch showed; what sets it is the slabs. A chunk this size — a
-// handful of 64-PE slot-cache configurations — keeps its owner tables,
-// traffic matrices and cache frames in a core's L2 from setup through
-// classification to result assembly; at four times the target the
-// grid_wide workload ran a tenth slower at one worker and at two
-// (docs/PERF.md). The paper grid's 28-configuration groups stay whole
-// or split in two; its three long streams split further.
+// dispatch showed; what sets it is the slabs. A chunk this size keeps
+// its owner tables, traffic matrices and cache rows in a core's L2 from
+// setup through classification to result assembly; at four times the
+// target the grid_wide workload ran a tenth slower at one worker and at
+// two (docs/PERF.md).
 const chunkTarget = 1 << 20
 
 // cfgClass is what setup derives about one configuration's
@@ -151,13 +167,16 @@ const chunkTarget = 1 << 20
 type cfgClass struct {
 	path      path
 	frameless bool // the configuration's cache holds zero page frames
-	lru       bool // classified by inline LRU rows (packed when path is pathSWAR)
+	lru       bool // on the event pass: classified by inline LRU rows, not slot caches
 }
 
 // classOf derives a valid configuration's class from the two stream
 // properties it depends on — the page count under the configuration's
 // page size and whether the structural summary is usable — and from
 // whether the call may walk the read column (column; see readColumn).
+// A framed configuration that walks the column is classed two-level
+// here; route moves the one of an owner map that is alone and LRU onto
+// the row walkers (soloPath).
 func classOf(cfg sim.Config, totalPages int, aggOK, column bool) cfgClass {
 	npe := cfg.NPE
 	mp := cfg.CacheElems / cfg.PageSize
@@ -171,23 +190,34 @@ func classOf(cfg sim.Config, totalPages int, aggOK, column bool) cfgClass {
 		if foldEligible(cfg, npe) {
 			c.path = pathFold
 		}
-		return c
 	case !aggOK || !column:
 		c.path = pathEvent
+		c.lru = !c.frameless && cfg.Policy == cache.LRU && mp <= lruCap
+	case cfg.Policy == cache.LRU || mp <= 1: // one frame: every policy evicts the only page
+		c.path = pathStack
 	default:
-		c.path = pathSlot
-	}
-	// Framed LRU configurations — the standard grid's entire framed
-	// population — are classified against inline recency rows instead
-	// of the cache machinery, packed when the row fits two SWAR words.
-	c.lru = !c.frameless && cfg.Policy == cache.LRU && mp <= lruCap
-	if c.lru && c.path == pathSlot {
-		c.path = pathRows
-		if mp <= packCap && totalPages < packEmpty && npe&(npe-1) == 0 && cfg.Layout == partition.KindModulo {
-			c.path = pathSWAR
-		}
+		c.path = pathPolicy
 	}
 	return c
+}
+
+// twoLevel reports whether the path is classified by owner map.
+func (p path) twoLevel() bool { return p == pathStack || p == pathPolicy }
+
+// soloPath is the path of an owner map's only framed configuration
+// when that configuration is LRU with at most lruCap frames: one walk
+// of the read column on inline rows, packed when the row fits two SWAR
+// words. ok is false when the map stays two-level.
+func soloPath(cfg sim.Config, p path, totalPages int) (_ path, ok bool) {
+	mp := cfg.CacheElems / cfg.PageSize
+	if p != pathStack || mp > lruCap {
+		return p, false
+	}
+	npe := cfg.NPE
+	if mp <= packCap && totalPages < packEmpty && npe&(npe-1) == 0 && cfg.Layout == partition.KindModulo {
+		return pathSWAR, true
+	}
+	return pathRows, true
 }
 
 // Chunk is a contiguous slice [Lo, Hi) of a capture group's
@@ -197,22 +227,20 @@ type Chunk struct {
 	Cost   int64
 }
 
-// Cut splits a capture group into chunks of bounded estimated cost: it
-// prefix-sums path weight × stream length over cfgs and closes a chunk
-// whenever the next configuration would take it past chunkTarget, so no
-// chunk exceeds the target unless it is a single configuration. The
+// Cut splits a capture group into chunks of bounded estimated cost. The
+// group is a sequence of units — a maximal run of consecutive framed
+// configurations that walk the read column with one (NPE, page size),
+// or any other configuration on its own — and Cut prefix-sums their
+// cost, weight × stream length, closing a chunk whenever the next unit
+// would take it past chunkTarget. So no chunk exceeds the target unless
+// it is a single unit, and a run's owner maps are each built once. The
 // chunks are contiguous, ascending and cover cfgs exactly once, and
-// they are a pure function of (st, cfgs) — never of a worker count —
-// so every caller splits a group the same way. Invalid configurations
-// are charged the lowest weight; the chunk that holds one fails when it
+// they are a pure function of (st, cfgs) — never of a worker count — so
+// every caller splits a group the same way. Invalid configurations are
+// charged the lowest weight; the chunk that holds one fails when it
 // runs. Cut records the group and its chunk count on r.Metrics. The
 // returned slice is reused by the next Cut on r.
 func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
-	var (
-		lastPS int
-		pages  int
-		aggOK  bool
-	)
 	target := r.target
 	if target == 0 {
 		target = chunkTarget
@@ -220,22 +248,16 @@ func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 	events := int64(st.events)
 	chunks := r.chunks[:0]
 	cur := Chunk{}
-	for i, cfg := range cfgs {
-		p := pathFold
-		if validateConfig(cfg) == nil {
-			if cfg.PageSize != lastPS {
-				lastPS = cfg.PageSize
-				pages = pageCount(st.ArrayLens, lastPS)
-				aggOK = st.frameAgg(lastPS).ok
-			}
-			p = classOf(cfg, pages, aggOK, true).path
-		}
-		cost := pathWeight[p] * events
+	var g cutGeom
+	for lo := 0; lo < len(cfgs); {
+		hi, weight := r.unit(st, cfgs, lo, &g)
+		cost := weight * events
 		if cur.Hi > cur.Lo && cur.Cost+cost > target {
 			chunks = append(chunks, cur)
-			cur = Chunk{Lo: i}
+			cur = Chunk{Lo: lo}
 		}
-		cur.Hi, cur.Cost = i+1, cur.Cost+cost
+		cur.Hi, cur.Cost = hi, cur.Cost+cost
+		lo = hi
 	}
 	if cur.Hi > cur.Lo {
 		chunks = append(chunks, cur)
@@ -246,6 +268,81 @@ func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 		r.Metrics.Histogram(MetricBatchPartitions, obs.DepthBuckets).Observe(int64(len(chunks)))
 	}
 	return chunks
+}
+
+// cutGeom memoizes the stream properties of the last page size Cut
+// classed a configuration under.
+type cutGeom struct {
+	ps, pages int
+	aggOK     bool
+}
+
+// path is the column-walking class of a configuration (pathFold for an
+// invalid one).
+func (g *cutGeom) path(st *Stream, cfg sim.Config) path {
+	if validateConfig(cfg) != nil {
+		return pathFold
+	}
+	if cfg.PageSize != g.ps {
+		g.ps = cfg.PageSize
+		g.pages = pageCount(st.ArrayLens, g.ps)
+		g.aggOK = st.frameAgg(g.ps).ok
+	}
+	return classOf(cfg, g.pages, g.aggOK, true).path
+}
+
+// unit returns the end of the unit that starts at cfgs[lo] and its
+// weight per stream event. A run of two-level configurations is priced
+// as runChunk will classify it: per owner map, a lone LRU configuration
+// on its row walker, any other map one level-1 walk plus its members'
+// level-2 weights.
+func (r *Replayer) unit(st *Stream, cfgs []sim.Config, lo int, g *cutGeom) (hi int, weight int64) {
+	p := g.path(st, cfgs[lo])
+	if !p.twoLevel() {
+		return lo + 1, pathWeight[p]
+	}
+	npe, ps := cfgs[lo].NPE, cfgs[lo].PageSize
+	maps := r.cutMaps[:0]
+	for hi = lo; hi < len(cfgs); hi++ {
+		c := cfgs[hi]
+		if c.NPE != npe || c.PageSize != ps {
+			break
+		}
+		p := g.path(st, c)
+		if !p.twoLevel() {
+			break
+		}
+		weight += pathWeight[p]
+		k := mapKey{npe, ps, c.Layout, c.LayoutRun}
+		j := len(maps) - 1
+		for ; j >= 0 && maps[j].key != k; j-- {
+		}
+		if j < 0 {
+			weight += mapWeight
+			maps = append(maps, cutMap{key: k, first: c, p: p})
+			j = len(maps) - 1
+		}
+		maps[j].n++
+	}
+	for _, m := range maps {
+		if m.n != 1 {
+			continue
+		}
+		if solo, ok := soloPath(m.first, m.p, pageCount(st.ArrayLens, ps)); ok {
+			weight += pathWeight[solo] - pathWeight[m.p] - mapWeight
+		}
+	}
+	r.cutMaps = maps
+	return hi, weight
+}
+
+// cutMap tallies one owner map of a unit: its first configuration and
+// that one's path, and the member count.
+type cutMap struct {
+	key   mapKey
+	first sim.Config
+	p     path
+	n     int
 }
 
 // BatchError attributes a RunBatchN failure to the configuration that
@@ -262,19 +359,20 @@ type BatchError struct {
 func (e *BatchError) Error() string { return fmt.Sprintf("config %d: %v", e.Index, e.Err) }
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// batchWorker owns one chunk's worth of mutable replay state: the slot
-// caches, the memoized layout table, and the structure-of-arrays
-// slabs. The Replayer embeds one — Run, RunChunk and a serial RunBatchN
-// share it — and a parallel RunBatchN draws extra
-// workers from a free list, so steady-state parallel calls reuse every
-// worker's slabs just as serial calls reuse the embedded one. Workers
-// never share mutable state: each classifies contiguous, disjoint
-// slices of the configuration slab over the shared read-only decoded
-// stream.
+// batchWorker owns one chunk's worth of mutable replay state: the
+// event pass's slot caches, the memoized layout table, the
+// structure-of-arrays slabs and the two-level scratch. The Replayer
+// embeds one — Run, RunChunk and a serial RunBatchN share it — and a
+// parallel RunBatchN draws extra workers from a free list, so
+// steady-state parallel calls reuse every worker's slabs just as serial
+// calls reuse the embedded one. Workers never share mutable state: each
+// classifies contiguous, disjoint slices of the configuration slab over
+// the shared read-only decoded stream.
 type batchWorker struct {
 	caches  []*cache.Cache
 	layouts map[layoutKey]partition.Layout // memoized boxed layouts
 	bat     batchState
+	two     twoLevel
 }
 
 // batchState is RunBatchN's reusable scratch: flat structure-of-arrays
@@ -286,38 +384,33 @@ type batchState struct {
 	npe   []int
 	class []cfgClass
 
-	// Inline LRU state. Framed LRU configurations — the standard grid's
-	// entire framed population — are classified against a recency-ordered
-	// row of maxPages gids per (configuration, PE) instead of the full
-	// cache machinery: lookup is a linear scan of one cache line, hit is
-	// a move-to-front, miss shifts the row and drops the tail. The
-	// decisions are exactly cache.Cache's LRU (same policy, and replay
-	// inserts only after misses, so Stats reduce to closed form:
-	// Inserts = Misses, Evictions = Inserts − resident, no refreshes or
-	// partial misses).
+	// Inline LRU state, for an owner map's lone LRU configuration and
+	// for LRU configurations on the event pass: a recency-ordered row of
+	// maxPages gids per (configuration, PE) instead of the full cache
+	// machinery. Lookup is a linear scan of one cache line, hit is a
+	// move-to-front, miss shifts the row and drops the tail: exactly
+	// cache.Cache's LRU decisions.
 	maxPages []int   // per configuration: page frames (CacheElems/PageSize)
 	frames   []int32 // recency rows, npe×maxPages per configuration, -1 = empty
 
-	// Packed recency rows: when a framed LRU configuration has at most
-	// eight frames, modulo layout with a power-of-two machine width, and
-	// a page space that fits 16-bit tags, its rows are packed four
-	// uint16 lanes per word (lane 0 = most recent, 0xFFFF = empty), so
-	// lookup is a SWAR compare and replacement a pair of word shifts —
-	// the batch replayer's vector unit, and the shape the standard
-	// grid's entire framed population takes.
+	// Packed recency rows: when the configuration has at most eight
+	// frames, modulo layout with a power-of-two machine width, and a
+	// page space that fits 16-bit tags, its rows are packed four uint16
+	// lanes per word (lane 0 = most recent, 0xFFFF = empty), so lookup
+	// is a SWAR compare and replacement a pair of word shifts — the
+	// shape of the paper grid's entire framed population.
 	pframes []uint64
 
 	// Prefix tables into the flat slabs, all len(cfgs)+1.
 	peOff    []int // sums of NPE: per-(configuration, PE) slab offsets
 	trafOff  []int // sums of NPE²: traffic-slab offsets
 	ownOff   []int // sums of the page count under the configuration's page size
-	frameOff []int // sums of NPE×maxPages: inline-LRU row offsets
-	pfOff    []int // sums of NPE×words-per-row: packed-LRU row offsets
+	frameOff []int // sums of NPE×maxPages over inline-LRU configurations
+	pfOff    []int // sums of NPE×words-per-row over packed configurations
 
 	// Flat per-(configuration, PE) state.
 	perPE    stats.PerPE
-	lastGid  []int32 // last page id the PE's cache operated on; -1 initially
-	xhits    []int64 // short-circuited hits, folded into cache.Stats at assembly
+	lastGid  []int32 // event pass: last page id the PE's cache operated on; -1 initially
 	particip []bool  // reduction participation marks
 
 	// Flat per-configuration slabs.
@@ -327,6 +420,13 @@ type batchState struct {
 	// Per-configuration reduce tallies.
 	reduceS []int64
 	reduceB []int64
+
+	// The chunk's owner maps (two-level configurations grouped by
+	// mapKey), each configuration's map (-1 for none) and the maps'
+	// member lists.
+	maps   []ownerMap
+	mapOf  []int
+	mapCfg []int
 
 	pageBase []int32   // appendPageTable scratch
 	psList   []int     // distinct page sizes, first-appearance order
@@ -343,7 +443,6 @@ type evState struct {
 	perPE    stats.PerPE
 	traf     []int64
 	lastGid  []int32
-	xhits    []int64
 	particip []bool
 	caches   []*cache.Cache
 
@@ -360,9 +459,10 @@ type evState struct {
 }
 
 // lruCap bounds the inline LRU: beyond this many frames the linear
-// row scan loses to the cache's O(1) slot table, so wide caches keep
-// the cache path. packCap bounds the packed rows (two words of four
-// 16-bit lanes); packEmpty is the empty-lane sentinel, so packing
+// row scan loses to the cache's O(1) slot table (and, on the column,
+// to the two-level stack walk), so wider caches take those paths.
+// packCap bounds the packed rows (two words of four 16-bit lanes);
+// packEmpty is the empty-lane sentinel, so packing
 // requires every page id to stay below it. laneOnes/laneHighs are the
 // SWAR constants for the per-lane equality test.
 const (
@@ -389,7 +489,7 @@ const (
 // failing position across chunks) is byte-identical at every budget.
 // Chunks cost about the same by construction, so striding balances as
 // well as a shared counter would, and it gives each worker the same
-// chunks on every call: slabs and slot caches reach their steady-state
+// chunks on every call: slabs and cache rows reach their steady-state
 // size after one. A group of one chunk, or a budget of one, runs on
 // the calling goroutine. The per-call goroutine fan-out is the only
 // steady-state cost parallelism adds: worker slabs come from a free
@@ -537,7 +637,8 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 	n := len(cfgs)
 
 	// Size and zero the slabs. Invalid geometry contributes nothing
-	// here; the setup pass below rejects it, in input order.
+	// here; the setup pass below rejects it, in input order. The row
+	// slabs are sized by route, once the paths are known.
 	b.npe = grown(b.npe, n)
 	b.class = grown(b.class, n)
 	b.reduceS = grown(b.reduceS, n)
@@ -546,52 +647,39 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 	b.peOff = grown(b.peOff, n+1)
 	b.trafOff = grown(b.trafOff, n+1)
 	b.ownOff = grown(b.ownOff, n+1)
-	b.frameOff = grown(b.frameOff, n+1)
-	b.pfOff = grown(b.pfOff, n+1)
-	pe, tr, ow, fr, pf := 0, 0, 0, 0, 0
+	pe, tr, ow := 0, 0, 0
 	for i, cfg := range cfgs {
-		b.peOff[i], b.trafOff[i], b.ownOff[i], b.frameOff[i], b.pfOff[i] = pe, tr, ow, fr, pf
+		b.peOff[i], b.trafOff[i], b.ownOff[i] = pe, tr, ow
 		if cfg.NPE > 0 && cfg.PageSize > 0 {
 			pe += cfg.NPE
 			tr += cfg.NPE * cfg.NPE
-			pages := pageCount(st.ArrayLens, cfg.PageSize)
-			ow += pages
-			mp := cfg.CacheElems / cfg.PageSize
-			if mp > 0 && mp <= lruCap {
-				fr += cfg.NPE * mp
-			}
-			if mp > 0 && mp <= packCap && pages < packEmpty &&
-				cfg.NPE&(cfg.NPE-1) == 0 && cfg.Layout == partition.KindModulo {
-				pf += cfg.NPE * ((mp + lanes - 1) / lanes)
-			}
+			ow += pageCount(st.ArrayLens, cfg.PageSize)
 		}
 	}
-	b.peOff[n], b.trafOff[n], b.ownOff[n], b.frameOff[n], b.pfOff[n] = pe, tr, ow, fr, pf
+	b.peOff[n], b.trafOff[n], b.ownOff[n] = pe, tr, ow
 	b.perPE = grown(b.perPE, pe)
 	b.lastGid = grown(b.lastGid, pe)
 	for i := range b.lastGid {
 		b.lastGid[i] = -1
 	}
-	b.xhits = grown(b.xhits, pe)
 	b.particip = grown(b.particip, pe)
 	b.traf = grown(b.traf, tr)
 	b.owners = grown(b.owners, ow)
-	b.frames = grown(b.frames, fr)
-	b.pframes = grown(b.pframes, pf)
 	if len(w.caches) < pe {
 		w.caches = append(w.caches, make([]*cache.Cache, pe-len(w.caches))...)
 	}
 
 	// Per-configuration machine setup, strictly in input order so the
 	// first error is the lowest-index one: validation, class, owner
-	// tables, cache frames (all of a framed slot-cache configuration's
-	// PEs; one cache otherwise, for parameter validation only —
-	// order-free and frameless classification never consults it).
-	var served [numPaths]int64
+	// tables, and slot caches for the event pass.
 	for i := range cfgs {
 		if err := w.setupBatchConfig(st, i, cfgs[i], !single); err != nil {
 			return &BatchError{Index: i, Err: err}
 		}
+	}
+	w.route(cfgs)
+	var served [numPaths]int64
+	for i := range cfgs {
 		served[b.class[i].path]++
 	}
 	for p, n := range served {
@@ -600,20 +688,13 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		}
 	}
 
-	// Classification, bucketed by page size: the gid column and the
-	// run-length histogram are per page size, so sharing a bucket means
-	// computing them once for every configuration in it.
+	// Classification, bucketed by page size: the gid column, the read
+	// column and the run-length histogram are per page size, so sharing
+	// a bucket means computing them once for every configuration in it.
 	heads, _ := st.decoded()
 	b.psList = b.psList[:0]
 	for _, cfg := range cfgs {
-		known := false
-		for _, ps := range b.psList {
-			if ps == cfg.PageSize {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(b.psList, cfg.PageSize) {
 			b.psList = append(b.psList, cfg.PageSize)
 		}
 	}
@@ -660,10 +741,9 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		reg.Counter(MetricBatchDecodePasses).Inc()
 		reg.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets).Observe(int64(len(b.evIdx)))
 		if agg.ok && !single {
-			// Config-major classification over the context-resolved read
-			// column: the cache part is the only order-dependent piece, so
-			// each framed configuration scans the column once while writes
-			// and reductions come from the shared histogram.
+			// Over the context-resolved read column: the cache part is
+			// the only order-dependent piece; writes and reductions come
+			// from the shared summary.
 			col := st.readColumn(ps)
 			for _, i := range b.evIdx {
 				npe := b.npe[i]
@@ -683,12 +763,17 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 					classifyReadsLRU(col, npe, b.maxPages[i], owners,
 						b.frames[b.frameOff[i]:b.frameOff[i+1]], perPE, traf)
 				default:
-					classifyReadsCache(col, npe, owners, w.caches[lo:lo+npe],
-						b.lastGid[lo:lo+npe], b.xhits[lo:lo+npe], perPE, traf)
+					continue // two-level: by owner map, below
 				}
 				aggregateWrites(agg, owners, perPE)
 				b.reduceS[i], b.reduceB[i] = aggregateReduces(agg, npe, owners, traf,
 					b.particip[lo:lo+npe])
+			}
+			for _, m := range b.maps {
+				if m.key.pageSize == ps && m.hi > m.lo {
+					reg.Counter(MetricBatchOwnerMaps).Inc()
+					w.classifyMap(cfgs, col, agg, m)
+				}
 			}
 		} else {
 			// Histogram unusable (non-contiguous reduction terms), or one
@@ -708,9 +793,8 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		}
 	}
 	// Result assembly: fresh counter and traffic copies, shared
-	// (immutable) checksums, synthesized cache stats for frameless
-	// configurations, and short-circuited hits folded into the cache's
-	// own counters.
+	// (immutable) checksums, and closed-form cache stats (see the
+	// package comment).
 	for i := range cfgs {
 		npe := b.npe[i]
 		peBase := b.peOff[i]
@@ -729,44 +813,18 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 			res.Traffic[p] = slab[p*npe : (p+1)*npe : (p+1)*npe]
 		}
 		res.Cache = make([]cache.Stats, npe)
+		frames := int64(b.maxPages[i])
 		for p := 0; p < npe; p++ {
-			switch {
-			case b.class[i].frameless:
-				res.Cache[p] = cache.Stats{Misses: perPE[p].RemoteReads}
-			case b.class[i].lru:
-				// Closed-form cache stats: framed replay hits are exactly
-				// CachedReads and misses exactly RemoteReads; every miss
-				// inserted, and each insert past the row's capacity
-				// evicted. No refreshes or partial misses can occur.
-				var resident int64
-				if b.class[i].path == pathSWAR {
-					words := (b.maxPages[i] + lanes - 1) / lanes
-					for _, w := range b.pframes[b.pfOff[i]+p*words : b.pfOff[i]+(p+1)*words] {
-						for l := 0; l < lanes; l++ {
-							if w&packEmpty != packEmpty {
-								resident++
-							}
-							w >>= 16
-						}
-					}
-				} else {
-					mp := b.maxPages[i]
-					for _, g := range b.frames[b.frameOff[i]+p*mp : b.frameOff[i]+(p+1)*mp] {
-						if g >= 0 {
-							resident++
-						}
-					}
-				}
-				res.Cache[p] = cache.Stats{
-					Hits:      perPE[p].CachedReads,
-					Misses:    perPE[p].RemoteReads,
-					Inserts:   perPE[p].RemoteReads,
-					Evictions: perPE[p].RemoteReads - resident,
-				}
-			default:
-				s := w.caches[peBase+p].Stats()
-				s.Hits += b.xhits[peBase+p]
-				res.Cache[p] = s
+			remote := perPE[p].RemoteReads
+			if b.class[i].frameless {
+				res.Cache[p] = cache.Stats{Misses: remote}
+				continue
+			}
+			res.Cache[p] = cache.Stats{
+				Hits:      perPE[p].CachedReads,
+				Misses:    remote,
+				Inserts:   remote,
+				Evictions: remote - min(frames, remote),
 			}
 		}
 		results[i] = res
@@ -777,7 +835,10 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 // setupBatchConfig validates cfgs[i] and derives its machine properties
 // into the batch slabs: its class (column says whether the chunk may
 // walk the read column), the owner table under its page size and
-// layout, and freshly reset cache frames or recency rows.
+// layout, and, for a framed configuration on the event pass that inline
+// LRU rows do not serve, freshly reset slot caches. Every other path
+// classifies without cache.Cache, so the cache parameters are only
+// validated.
 func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config, column bool) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
@@ -802,31 +863,13 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config, column
 	b.maxPages[i] = cfg.CacheElems / cfg.PageSize
 	class := classOf(cfg, totalPages, st.frameAgg(cfg.PageSize).ok, column)
 	b.class[i] = class
-	if class.path == pathSWAR {
-		// Packed rows: every lane empty. The read-column walk is the only
-		// consumer, so the int32 rows stay untouched.
-		rows := b.pframes[b.pfOff[i]:b.pfOff[i+1]]
-		for j := range rows {
-			rows[j] = ^uint64(0)
+	if class.path != pathEvent || class.frameless || class.lru {
+		if err := cache.Validate(cfg.CacheElems, cfg.PageSize, cfg.Policy); err != nil {
+			return fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
 		}
 		return nil
 	}
-	if class.lru {
-		// Inline LRU rows replace the cache machinery entirely. No cache
-		// parameter can be invalid here (the policy is LRU and
-		// validateConfig covered the geometry), so skipping NewSlots
-		// loses no validation.
-		rows := b.frames[b.frameOff[i]:b.frameOff[i+1]]
-		for j := range rows {
-			rows[j] = -1
-		}
-		return nil
-	}
-	ncaches := 1 // validation only: frameless/order-free classification never consults frames
-	if class.path >= pathSWAR && !class.frameless {
-		ncaches = npe
-	}
-	for p := 0; p < ncaches; p++ {
+	for p := 0; p < npe; p++ {
 		slot := b.peOff[i] + p
 		if w.caches[slot] == nil {
 			c, err := cache.NewSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages)
@@ -841,6 +884,81 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config, column
 	return nil
 }
 
+// route groups the chunk's two-level configurations into owner maps,
+// moves the lone LRU configuration of a map onto its row walker
+// (soloPath), and sizes and resets the inline and packed LRU rows of
+// the configurations that use them.
+func (w *batchWorker) route(cfgs []sim.Config) {
+	b := &w.bat
+	n := len(cfgs)
+	b.maps = b.maps[:0]
+	b.mapOf = grown(b.mapOf, n)
+	for i, cfg := range cfgs {
+		b.mapOf[i] = -1
+		if !b.class[i].path.twoLevel() {
+			continue
+		}
+		k := mapKey{cfg.NPE, cfg.PageSize, cfg.Layout, cfg.LayoutRun}
+		j := len(b.maps) - 1
+		for ; j >= 0 && b.maps[j].key != k; j-- {
+		}
+		if j < 0 {
+			// Until the member lists are laid out, lo holds the map's
+			// first member and hi its member count.
+			b.maps = append(b.maps, ownerMap{key: k, lo: i})
+			j = len(b.maps) - 1
+		}
+		b.maps[j].hi++
+		b.mapOf[i] = j
+	}
+	for j := range b.maps {
+		if b.maps[j].hi != 1 {
+			continue
+		}
+		i := b.maps[j].lo
+		if p, ok := soloPath(cfgs[i], b.class[i].path, b.ownOff[i+1]-b.ownOff[i]); ok {
+			b.class[i].path = p
+			b.mapOf[i] = -1
+			b.maps[j].hi = 0
+		}
+	}
+	at := 0
+	for j := range b.maps {
+		m := &b.maps[j]
+		m.lo, m.hi, at = at, at, at+m.hi
+	}
+	b.mapCfg = grown(b.mapCfg, at)
+	for i, j := range b.mapOf {
+		if j >= 0 {
+			b.mapCfg[b.maps[j].hi] = i
+			b.maps[j].hi++
+		}
+	}
+
+	b.frameOff = grown(b.frameOff, n+1)
+	b.pfOff = grown(b.pfOff, n+1)
+	fr, pf := 0, 0
+	for i := range cfgs {
+		b.frameOff[i], b.pfOff[i] = fr, pf
+		c := b.class[i]
+		switch {
+		case c.path == pathSWAR:
+			pf += b.npe[i] * ((b.maxPages[i] + lanes - 1) / lanes)
+		case c.path == pathRows || c.path == pathEvent && c.lru:
+			fr += b.npe[i] * b.maxPages[i]
+		}
+	}
+	b.frameOff[n], b.pfOff[n] = fr, pf
+	b.frames = grown(b.frames, fr)
+	for j := range b.frames {
+		b.frames[j] = -1
+	}
+	b.pframes = grown(b.pframes, pf)
+	for j := range b.pframes {
+		b.pframes[j] = ^uint64(0) // every lane empty
+	}
+}
+
 // evView builds the event pass's view of configuration i.
 func (w *batchWorker) evView(i int) evState {
 	b := &w.bat
@@ -850,7 +968,6 @@ func (w *batchWorker) evView(i int) evState {
 		perPE:     b.perPE[lo:hi],
 		traf:      b.traf[b.trafOff[i]:b.trafOff[i+1]],
 		lastGid:   b.lastGid[lo:hi],
-		xhits:     b.xhits[lo:hi],
 		particip:  b.particip[lo:hi],
 		caches:    w.caches[lo:hi],
 		npe:       int32(b.npe[i]),
@@ -894,7 +1011,6 @@ func batchEventPass(st *Stream, heads []uint32, gids []int32, evs []evState) err
 						e.traf[int(owner)*npe+int(cur)]++
 					case e.lastGid[cur] == gid:
 						e.perPE[cur].CachedReads++
-						e.xhits[cur]++
 					default:
 						e.lastGid[cur] = gid
 						e.classifyMiss(int(cur), int(owner), gid)
@@ -1213,71 +1329,6 @@ func classifyReadsLRUP2(col []readRec, npe, mp int, owners []int32, rows []uint6
 	}
 }
 
-// classifyReadsCache is classifyReadsLRU for the remaining framed
-// configurations (non-LRU policies, or caches wider than the inline
-// row bound): same column walk, against the real slot caches, with the
-// lastGid guaranteed-hit short circuit and its xhits fold-back.
-func classifyReadsCache(col []readRec, npe int, owners []int32, caches []*cache.Cache, lastGid []int32, xhits []int64, perPE stats.PerPE, traf []int64) {
-	lastCtx, cur := int32(-2), -1
-	for _, rc := range col {
-		if rc.ctx != lastCtx {
-			lastCtx = rc.ctx
-			if lastCtx >= 0 {
-				cur = int(owners[lastCtx])
-			} else {
-				cur = -1
-			}
-		}
-		gid := rc.gid
-		c := int64(rc.count)
-		if cur >= 0 {
-			owner := int(owners[gid])
-			switch {
-			case owner == cur:
-				perPE[cur].LocalReads += c
-			case lastGid[cur] == gid:
-				perPE[cur].CachedReads += c
-				xhits[cur] += c
-			default:
-				lastGid[cur] = gid
-				cacheTouch(caches[cur], gid, cur, owner, npe, c, perPE, traf, xhits)
-			}
-		} else {
-			owner := int(owners[gid])
-			for pe := 0; pe < npe; pe++ {
-				switch {
-				case pe == owner:
-					perPE[pe].LocalReads += c
-				case lastGid[pe] == gid:
-					perPE[pe].CachedReads += c
-					xhits[pe] += c
-				default:
-					lastGid[pe] = gid
-					cacheTouch(caches[pe], gid, pe, owner, npe, c, perPE, traf, xhits)
-				}
-			}
-		}
-	}
-}
-
-// cacheTouch is one lookup-and-insert against a real slot cache, for a
-// run of cnt reads: the first consults the cache, the remaining cnt−1
-// are the short-circuited hits the event pass counts via lastGid
-// (folded into the cache's Stats through xhits at assembly).
-func cacheTouch(c *cache.Cache, gid int32, pe, owner, npe int, cnt int64, perPE stats.PerPE, traf []int64, xhits []int64) {
-	switch c.LookupSlot(int(gid), 0) {
-	case cache.Hit:
-		perPE[pe].CachedReads += cnt
-	default: // Miss (PartialMiss cannot occur without partial-fill modeling)
-		perPE[pe].RemoteReads++
-		perPE[pe].CachedReads += cnt - 1
-		traf[pe*npe+owner]++ // page request
-		traf[owner*npe+pe]++ // page reply
-		c.InsertSlot(int(gid), nil)
-	}
-	xhits[pe] += cnt - 1
-}
-
 // controlRead charges one replicated control read — executed by every
 // PE — to the configuration, with the same per-PE short circuit as
 // context reads.
@@ -1294,7 +1345,6 @@ func (e *evState) controlRead(gid int32) {
 			e.traf[owner*npe+pe]++
 		case e.lastGid[pe] == gid:
 			e.perPE[pe].CachedReads++
-			e.xhits[pe]++
 		default:
 			e.lastGid[pe] = gid
 			e.classifyMiss(pe, owner, gid)

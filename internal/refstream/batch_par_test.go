@@ -27,23 +27,26 @@ func parGrid() []sim.Config {
 	return cfgs
 }
 
-// fineCut returns a Replayer whose cut closes a chunk at about one
-// slot-cache configuration's cost, so the small groups and short
-// streams of the test suite split into many ragged chunks. The default
-// target would leave every one of them a single chunk.
+// fineCut returns a Replayer whose cut closes a chunk at about the cost
+// of an owner map of one policy configuration, so the small groups and
+// short streams of the test suite split into many ragged chunks. The
+// default target would leave every one of them a single chunk.
 func fineCut(st *Stream) *Replayer {
 	r := NewReplayer()
-	r.target = pathWeight[pathSlot] * int64(st.Events())
+	r.target = (mapWeight + pathWeight[pathPolicy]) * int64(st.Events())
 	return r
 }
 
 // TestBatchPartitions pins the cut as a property: over seeded random
-// groups — every path class, invalid configurations included — and a
-// spread of targets, the chunks are contiguous, ascending and cover
-// every index exactly once; none exceeds the target unless it is a
-// single configuration; each chunk's cost is the sum of its members';
-// and the cut is a pure function of (stream, cfgs), whatever Replayer
-// computes it.
+// groups — every path class, runs of framed configurations sharing an
+// (NPE, page size), invalid configurations included — and a spread of
+// targets, the chunks are contiguous, ascending and cover every index
+// exactly once; no chunk boundary falls inside a run of framed
+// column-walking configurations with one (NPE, page size), so each
+// owner map is built once; none exceeds the target unless it is a
+// single unit (such a run, or one other configuration); each chunk's
+// cost is the sum of its units'; and the cut is a pure function of
+// (stream, cfgs), whatever Replayer computes it.
 func TestBatchPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, key := range []string{"k1", "k6", "k24"} {
@@ -56,30 +59,59 @@ func TestBatchPartitions(t *testing.T) {
 			t.Fatal(err)
 		}
 		events := int64(st.Events())
+		// walker reports a framed configuration that walks the read
+		// column: the members of the runs Cut must keep whole.
+		walker := func(c sim.Config) bool {
+			return validateConfig(c) == nil && c.NPE > 1 && c.CacheElems/c.PageSize > 0 &&
+				pageCount(st.ArrayLens, c.PageSize) > 0 && st.frameAgg(c.PageSize).ok
+		}
+		joined := func(a, b sim.Config) bool {
+			return walker(a) && walker(b) && a.NPE == b.NPE && a.PageSize == b.PageSize
+		}
 		other := NewReplayer() // a Replayer with history, for the purity check
 		if _, err := other.RunBatchN(st, shapeGrid(), 1); err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 40; trial++ {
-			cfgs := make([]sim.Config, rng.Intn(300))
-			for i := range cfgs {
-				cfgs[i] = sim.Config{
-					NPE:        []int{1, 2, 3, 8, 12, 64}[rng.Intn(6)],
-					PageSize:   []int{1, 16, 32, 128}[rng.Intn(4)],
-					CacheElems: []int{0, 64, 256, 8192}[rng.Intn(4)],
-					Policy:     cache.Policy(rng.Intn(4)),
-					Layout:     partition.Kind(rng.Intn(3)),
-					LayoutRun:  2,
-				}
-				if rng.Intn(50) == 0 {
-					cfgs[i].NPE = -1 // invalid: charged the lowest weight, must not trip the cut
+			var cfgs []sim.Config
+			for n := rng.Intn(300); len(cfgs) < n; {
+				npe := []int{1, 2, 3, 8, 12, 64}[rng.Intn(6)]
+				ps := []int{1, 16, 32, 128}[rng.Intn(4)]
+				for j := rng.Intn(6); j >= 0 && len(cfgs) < n; j-- {
+					c := sim.Config{
+						NPE:        npe,
+						PageSize:   ps,
+						CacheElems: []int{0, 64, 256, 8192}[rng.Intn(4)],
+						Policy:     cache.Policy(rng.Intn(4)),
+						Layout:     partition.Kind(rng.Intn(3)),
+						LayoutRun:  2,
+					}
+					if rng.Intn(50) == 0 {
+						c.NPE = -1 // invalid: charged the lowest weight, must not trip the cut
+					}
+					cfgs = append(cfgs, c)
 				}
 			}
-			single := NewReplayer()
-			single.target = 1 // one chunk per configuration: its cost alone
-			unit := append([]Chunk(nil), single.Cut(st, cfgs)...)
-			if len(unit) != len(cfgs) {
-				t.Fatalf("%s trial %d: target 1 cut %d configs into %d chunks", key, trial, len(cfgs), len(unit))
+			unitCut := NewReplayer()
+			unitCut.target = 1 // one chunk per unit: its cost alone
+			units := append([]Chunk(nil), unitCut.Cut(st, cfgs)...)
+			at := 0
+			for ui, u := range units {
+				if u.Lo != at {
+					t.Fatalf("%s trial %d: unit %d = [%d,%d) after %d", key, trial, ui, u.Lo, u.Hi, at)
+				}
+				at = u.Hi
+				for i := u.Lo + 1; i < u.Hi; i++ {
+					if !joined(cfgs[i-1], cfgs[i]) {
+						t.Fatalf("%s trial %d: unit [%d,%d) joins configs %d and %d, which share no run", key, trial, u.Lo, u.Hi, i-1, i)
+					}
+				}
+				if u.Hi < len(cfgs) && u.Hi > u.Lo && joined(cfgs[u.Hi-1], cfgs[u.Hi]) {
+					t.Fatalf("%s trial %d: unit [%d,%d) stops inside a run", key, trial, u.Lo, u.Hi)
+				}
+			}
+			if at != len(cfgs) {
+				t.Fatalf("%s trial %d: units cover %d of %d configs", key, trial, at, len(cfgs))
 			}
 			for _, target := range []int64{0, 1, 40 * events, 500 * events} {
 				r := NewReplayer()
@@ -88,25 +120,30 @@ func TestBatchPartitions(t *testing.T) {
 				if target == 0 {
 					target = chunkTarget
 				}
-				at := 0
+				at, ui := 0, 0
 				for ci, c := range chunks {
 					if c.Lo != at || c.Hi <= c.Lo {
 						t.Fatalf("%s trial %d target %d: chunk %d = [%d,%d) after %d: not contiguous ascending", key, trial, target, ci, c.Lo, c.Hi, at)
 					}
 					at = c.Hi
 					var sum int64
-					for _, u := range unit[c.Lo:c.Hi] {
-						sum += u.Cost
+					n := 0
+					for ; ui < len(units) && units[ui].Hi <= c.Hi; ui++ {
+						if units[ui].Lo < c.Lo {
+							t.Fatalf("%s trial %d target %d: chunk %d = [%d,%d) splits unit [%d,%d)", key, trial, target, ci, c.Lo, c.Hi, units[ui].Lo, units[ui].Hi)
+						}
+						sum += units[ui].Cost
+						n++
 					}
 					if c.Cost != sum {
-						t.Errorf("%s trial %d target %d: chunk %d cost %d, members sum to %d", key, trial, target, ci, c.Cost, sum)
+						t.Errorf("%s trial %d target %d: chunk %d cost %d, units sum to %d", key, trial, target, ci, c.Cost, sum)
 					}
-					if c.Cost > target && c.Hi-c.Lo > 1 {
-						t.Errorf("%s trial %d: chunk %d of %d configs costs %d > target %d", key, trial, ci, c.Hi-c.Lo, c.Cost, target)
+					if c.Cost > target && n > 1 {
+						t.Errorf("%s trial %d: chunk %d of %d units costs %d > target %d", key, trial, ci, n, c.Cost, target)
 					}
 				}
-				if at != len(cfgs) {
-					t.Fatalf("%s trial %d target %d: chunks cover %d of %d configs", key, trial, target, at, len(cfgs))
+				if at != len(cfgs) || ui != len(units) {
+					t.Fatalf("%s trial %d target %d: chunks cover %d of %d configs, %d of %d units", key, trial, target, at, len(cfgs), ui, len(units))
 				}
 				other.target = r.target
 				if again := other.Cut(st, cfgs); !reflect.DeepEqual(append([]Chunk(nil), again...), chunks) {
@@ -292,7 +329,7 @@ func TestParallelBatchMetrics(t *testing.T) {
 	if served != int64(len(reps)) {
 		t.Errorf("path counters sum to %d, want %d (each representative under exactly one path)", served, len(reps))
 	}
-	for _, p := range []path{pathFold, pathSWAR, pathRows, pathSlot} {
+	for _, p := range []path{pathFold, pathSWAR, pathRows, pathStack, pathPolicy} {
 		if snap.Counters[pathMetric[p]] == 0 {
 			t.Errorf("%s = 0: parGrid holds configurations of this path", pathMetric[p])
 		}

@@ -81,7 +81,9 @@ func FuzzReplayVsDirect(f *testing.F) {
 // through randomized capture groups: RunBatchN over a fuzzer-shaped
 // group of configurations must match looped single-config Run result
 // for result, bit-identically, with the group's page-size mix, PE
-// widths, cache shapes and policies all varied together.
+// widths, cache shapes and policies all varied together. The axes step
+// per configuration, so no two share an owner map; FuzzSharedOwnerMap
+// covers shared maps.
 func FuzzBatchVsSingle(f *testing.F) {
 	f.Add(uint8(0), uint16(200), uint8(8), uint8(32), uint16(256), uint8(0), uint8(1), uint8(0), uint8(3))
 	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1), uint8(7))
@@ -142,7 +144,7 @@ func FuzzParallelVsSerialBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kIdx uint8, n uint16, npe, ps uint8, ce uint16, layout, run, policy, k, workers uint8) {
 		kernel := kernels[int(kIdx)%len(kernels)]
 		size := int(n)%400 + 1
-		// Group sizes up to 24, cut at about one slot-cache
+		// Group sizes up to 24, cut at about one owner map of one policy
 		// configuration per chunk (fineCut), so the fuzzer reaches ragged
 		// multi-chunk splits; axes step exactly as in FuzzBatchVsSingle.
 		group := int(k)%24 + 1

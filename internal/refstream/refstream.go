@@ -19,7 +19,7 @@
 //     counter of a sim.Result — per-PE access classes, cache
 //     statistics, the traffic matrix, reduction sends/broadcasts —
 //     for any eligible configuration by streaming the captured events
-//     through owner tables and slot caches, with no floating-point
+//     through owner tables and cache rows, with no floating-point
 //     math, no defined-bit bookkeeping, and no steady-state
 //     allocations beyond the Result itself.
 //

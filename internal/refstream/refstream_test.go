@@ -15,7 +15,10 @@ import (
 // shapeGrid is the seeded configuration grid of the equivalence suite:
 // every axis the sweep engine varies — PE count, page size, cache
 // capacity, replacement policy, layout — including degenerate shapes
-// (1 PE, page of 1, cache smaller than a page, more PEs than pages).
+// (1 PE, page of 1, cache smaller than a page, more PEs than pages),
+// and one owner map shared by LRU at five sizes (one frame, the inline
+// row bound, past it) and FIFO, Clock and Random at two, so a batch
+// prices them from one set of PE strings.
 func shapeGrid() []sim.Config {
 	var cfgs []sim.Config
 	add := func(c sim.Config) { cfgs = append(cfgs, c) }
@@ -39,6 +42,19 @@ func shapeGrid() []sim.Config {
 		c := sim.PaperConfig(8, 16)
 		c.Policy = pol
 		add(c)
+	}
+	shared := sim.Config{NPE: 6, PageSize: 8, Layout: partition.KindBlockCyclic, LayoutRun: 2}
+	for _, frames := range []int{1, 3, 16, 64, 100} {
+		c := shared
+		c.CacheElems = frames * shared.PageSize
+		add(c)
+	}
+	for _, pol := range []cache.Policy{cache.FIFO, cache.Clock, cache.Random} {
+		for _, frames := range []int{2, 100} {
+			c := shared
+			c.CacheElems, c.Policy = frames*shared.PageSize, pol
+			add(c)
+		}
 	}
 	return cfgs
 }

@@ -24,7 +24,7 @@ func Eligible(cfg sim.Config) bool {
 
 // Replayer classifies captured reference streams under arbitrary
 // machine configurations. It owns every reusable allocation of the
-// replay path — owner tables, slot caches, counters, the traffic slab —
+// replay path — owner tables, cache rows, counters, the traffic slab —
 // so its steady state allocates nothing beyond the returned Results.
 // A Replayer is not safe for concurrent use; give each worker its own.
 // Distinct Replayers may replay the same Stream concurrently, and a
@@ -44,8 +44,9 @@ type Replayer struct {
 
 	batchWorker // partition 0's state: Run, RunChunk and serial RunBatchN
 
-	chunks []Chunk // Cut's output, reused across calls
-	target int64   // tests only: overrides chunkTarget when non-zero
+	chunks  []Chunk  // Cut's output, reused across calls
+	cutMaps []cutMap // Cut's owner-map tally of one unit, reused
+	target  int64    // tests only: overrides chunkTarget when non-zero
 
 	// RunBatchN's distinct representatives (by position in reps), each
 	// configuration's representative and the representatives' Results,

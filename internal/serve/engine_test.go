@@ -136,8 +136,8 @@ func TestParBudget(t *testing.T) {
 }
 
 // TestSweepParallelBatchByteIdentical: a sweep heavy enough to be cut
-// into several chunks (144 slot-cache configurations of one stream; an
-// idle Workers-8 engine gives its one batch task the full budget) must
+// into several chunks (144 FIFO/Clock/Random configurations of one
+// stream, in 24 owner maps; an idle Workers-8 engine gives its one batch task the full budget) must
 // produce bodies byte-identical to the same sweep on a single-worker
 // engine, whose chunks run one after another.
 func TestSweepParallelBatchByteIdentical(t *testing.T) {

@@ -1,11 +1,11 @@
 package refstream
 
 // batch.go — the batch replayer: classify a whole capture group in one
-// stream pass. A sweep group shares one captured stream but used to pay
-// one decode walk per configuration; RunBatchN walks the decoded event
-// columns once and fans every event down all configurations of the
-// group. The paper's single-assignment pages make this sound: replay
-// state is pure per-configuration arithmetic (owner tables, cache rows,
+// stream pass. A sweep group shares one captured stream; RunBatchN
+// derives each per-page-size view of it (read column, summaries) once
+// and classifies every configuration of the group from those views.
+// The paper's single-assignment pages make this sound: replay state is
+// pure per-configuration arithmetic (owner tables, cache rows,
 // counters), so configurations never interact and one decoded access
 // can be applied to all of them in any interleaving.
 //
@@ -25,28 +25,27 @@ package refstream
 //     layout with power-of-two NPE ≤ 64) classify from the memoized
 //     64×64 fold table (foldClassify), the rest from the lazily built
 //     run-length read histogram (aggregateClassify);
-//   - framed configurations classify over the shared context-resolved
-//     read column (the cache is the only order-dependent piece; writes
-//     and reductions come from the structural summary), grouped by
-//     owner map — (NPE, page size, layout, layout run), which fixes
-//     what every PE's private cache sees. An owner map whose only
-//     framed configuration is LRU with at most lruCap frames walks the
-//     column once on inline recency rows: packed SWAR rows for small
-//     Modulo caches — four uint16 frame lanes per uint64 word, recency
+//   - framed configurations classify over the context-resolved read
+//     column (the cache is the only order-dependent piece; writes and
+//     reductions come from the structural summary), grouped by owner
+//     map — (NPE, page size, layout, layout run), which fixes what every
+//     PE's private cache sees. An owner map whose only framed
+//     configuration is LRU with at most lruCap frames walks the column
+//     once on inline recency rows: packed SWAR rows for small Modulo
+//     caches — four uint16 frame lanes per uint64 word, recency
 //     maintained with shifts and masks (classifyReadsLRUP1/P2) — plain
 //     frame rows otherwise (classifyReadsLRU). Every other owner map is
 //     classified in two levels (twolevel.go): one walk builds each PE's
 //     remote-page string, one move-to-front walk per PE string prices
 //     all its LRU sizes, and FIFO, Clock and Random configurations run
-//     policy rows over the strings;
-//   - when the structural summary is unusable (non-contiguous
-//     reduction terms), or when the call classifies exactly one
-//     configuration (Run, or a RunBatchN whose configurations share one
-//     representative), the general event pass runs instead, sweeping
-//     each decoded event down every order-dependent configuration of
-//     the bucket (batchEventPass) against inline LRU rows or the real
-//     slot caches. The one-configuration rule is about memory, not
-//     speed: see readColumn.
+//     policy rows over the strings.
+//
+// A group walks the stream's memoized read column, shared by its
+// framed configurations. A call that classifies exactly one
+// configuration (Run, or a RunBatchN whose configurations share one
+// representative) walks the same walkers over a column built into the
+// worker's own buffer instead, so it memoizes nothing on the stream:
+// see readColumn.
 //
 // Whatever the path, a framed configuration's cache statistics follow
 // in closed form from its counters: replay looks up before it inserts
@@ -93,11 +92,11 @@ const (
 	// path: one per Cut, however many chunks the group is cut into.
 	MetricBatchGroups = "refstream.batch.groups"
 	// MetricBatchConfigsPerPass is a histogram of how many
-	// configurations each shared event pass classified (obs.DepthBuckets).
+	// configurations each read-column pass classified (obs.DepthBuckets).
 	MetricBatchConfigsPerPass = "refstream.batch.configs_per_pass"
-	// MetricBatchDecodePasses counts event-column walks: the quantity
+	// MetricBatchDecodePasses counts read-column passes: the quantity
 	// batching minimizes (one per chunk and page-size bucket with at
-	// least one order-dependent configuration, instead of one per
+	// least one framed configuration, instead of one per
 	// configuration).
 	MetricBatchDecodePasses = "refstream.batch.decode_passes"
 	// MetricBatchPartitions is a histogram of how many chunks each group
@@ -109,7 +108,7 @@ const (
 	// remote-page string once for all the map's configurations.
 	MetricBatchOwnerMaps = "refstream.batch.owner_maps"
 	// MetricBatchPathPrefix, followed by a path name (fold, hist, swar,
-	// rows, stack, policy, event), counts the configurations served by
+	// rows, stack, policy), counts the configurations served by
 	// that classification path, recorded by the chunk classifier that
 	// ran it.
 	MetricBatchPathPrefix = "refstream.batch.path."
@@ -126,7 +125,6 @@ const (
 	pathRows               // framed LRU, alone in its owner map, on plain frame rows
 	pathStack              // framed LRU, two-level: one stack walk per PE string prices every size
 	pathPolicy             // framed FIFO/Clock/Random, two-level: policy rows per PE string
-	pathEvent              // summary unusable, or a one-configuration call: the general event pass
 	numPaths
 )
 
@@ -134,7 +132,6 @@ const (
 var pathMetric = [numPaths]string{
 	MetricBatchPathPrefix + "fold", MetricBatchPathPrefix + "hist", MetricBatchPathPrefix + "swar",
 	MetricBatchPathPrefix + "rows", MetricBatchPathPrefix + "stack", MetricBatchPathPrefix + "policy",
-	MetricBatchPathPrefix + "event",
 }
 
 // pathWeight is the cost of classifying one configuration, per stream
@@ -143,11 +140,9 @@ var pathMetric = [numPaths]string{
 // policy configurations. The fold : hist : swar : rows ratios are the
 // ladder's refstream.batch_us_per_config.* rungs (orderfree_pow2 :
 // orderfree_other : lru_small_pow2 : lru_other ≈ 1 : 3 : 13 : 32); the
-// two-level weights were timed on grid_wide's groups (docs/PERF.md);
-// the event pass has no rung and is charged above everything it
-// replaces. One unit is about a third of a nanosecond on the
-// measurement box.
-var pathWeight = [numPaths]int64{1, 3, 13, 32, 8, 16, 64}
+// two-level weights were timed on grid_wide's groups (docs/PERF.md).
+// One unit is about a third of a nanosecond on the measurement box.
+var pathWeight = [numPaths]int64{1, 3, 13, 32, 8, 16}
 
 const mapWeight = 32
 
@@ -162,37 +157,29 @@ const mapWeight = 32
 const chunkTarget = 1 << 20
 
 // cfgClass is what setup derives about one configuration's
-// classification: the path, and the two properties result assembly and
-// the event pass need beyond it.
+// classification: the path, and whether result assembly must treat the
+// cache as frameless.
 type cfgClass struct {
 	path      path
 	frameless bool // the configuration's cache holds zero page frames
-	lru       bool // on the event pass: classified by inline LRU rows, not slot caches
 }
 
-// classOf derives a valid configuration's class from the two stream
-// properties it depends on — the page count under the configuration's
-// page size and whether the structural summary is usable — and from
-// whether the call may walk the read column (column; see readColumn).
-// A framed configuration that walks the column is classed two-level
+// classOf derives a valid configuration's class from the page count
+// under its page size. A framed configuration is classed two-level
 // here; route moves the one of an owner map that is alone and LRU onto
 // the row walkers (soloPath).
-func classOf(cfg sim.Config, totalPages int, aggOK, column bool) cfgClass {
-	npe := cfg.NPE
+func classOf(cfg sim.Config, totalPages int) cfgClass {
 	mp := cfg.CacheElems / cfg.PageSize
 	c := cfgClass{frameless: mp == 0 || totalPages == 0}
 	switch {
-	case (c.frameless || npe == 1) && aggOK:
+	case c.frameless || cfg.NPE == 1:
 		// Order-free. The contingency table serves the configuration
 		// whenever the folded page key determines the owner (see
 		// foldEligible); the rest fall back to the read histogram.
 		c.path = pathHist
-		if foldEligible(cfg, npe) {
+		if foldEligible(cfg, cfg.NPE) {
 			c.path = pathFold
 		}
-	case !aggOK || !column:
-		c.path = pathEvent
-		c.lru = !c.frameless && cfg.Policy == cache.LRU && mp <= lruCap
 	case cfg.Policy == cache.LRU || mp <= 1: // one frame: every policy evicts the only page
 		c.path = pathStack
 	default:
@@ -229,10 +216,10 @@ type Chunk struct {
 
 // Cut splits a capture group into chunks of bounded estimated cost. The
 // group is a sequence of units — a maximal run of consecutive framed
-// configurations that walk the read column with one (NPE, page size),
-// or any other configuration on its own — and Cut prefix-sums their
-// cost, weight × stream length, closing a chunk whenever the next unit
-// would take it past chunkTarget. So no chunk exceeds the target unless
+// configurations with one (NPE, page size), or any other configuration
+// on its own — and Cut prefix-sums their cost, weight × stream length,
+// closing a chunk whenever the next unit would take it past
+// chunkTarget. So no chunk exceeds the target unless
 // it is a single unit, and a run's owner maps are each built once. The
 // chunks are contiguous, ascending and cover cfgs exactly once, and
 // they are a pure function of (st, cfgs) — never of a worker count — so
@@ -270,15 +257,13 @@ func (r *Replayer) Cut(st *Stream, cfgs []sim.Config) []Chunk {
 	return chunks
 }
 
-// cutGeom memoizes the stream properties of the last page size Cut
-// classed a configuration under.
+// cutGeom memoizes the page count under the last page size Cut classed
+// a configuration under.
 type cutGeom struct {
 	ps, pages int
-	aggOK     bool
 }
 
-// path is the column-walking class of a configuration (pathFold for an
-// invalid one).
+// path is the class of a configuration (pathFold for an invalid one).
 func (g *cutGeom) path(st *Stream, cfg sim.Config) path {
 	if validateConfig(cfg) != nil {
 		return pathFold
@@ -286,9 +271,8 @@ func (g *cutGeom) path(st *Stream, cfg sim.Config) path {
 	if cfg.PageSize != g.ps {
 		g.ps = cfg.PageSize
 		g.pages = pageCount(st.ArrayLens, g.ps)
-		g.aggOK = st.frameAgg(g.ps).ok
 	}
-	return classOf(cfg, g.pages, g.aggOK, true).path
+	return classOf(cfg, g.pages).path
 }
 
 // unit returns the end of the unit that starts at cfgs[lo] and its
@@ -360,8 +344,8 @@ func (e *BatchError) Error() string { return fmt.Sprintf("config %d: %v", e.Inde
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // batchWorker owns one chunk's worth of mutable replay state: the
-// event pass's slot caches, the memoized layout table, the
-// structure-of-arrays slabs and the two-level scratch. The Replayer
+// memoized layout table, the structure-of-arrays slabs, the two-level
+// scratch and a one-configuration call's read column. The Replayer
 // embeds one — Run, RunChunk and a serial RunBatchN share it — and a
 // parallel RunBatchN draws extra workers from a free list, so
 // steady-state parallel calls reuse every worker's slabs just as serial
@@ -369,10 +353,10 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // classifies contiguous, disjoint slices of the configuration slab over
 // the shared read-only decoded stream.
 type batchWorker struct {
-	caches  []*cache.Cache
 	layouts map[layoutKey]partition.Layout // memoized boxed layouts
 	bat     batchState
 	two     twoLevel
+	col     []readRec // a one-configuration call's read column (see readColumn)
 }
 
 // batchState is RunBatchN's reusable scratch: flat structure-of-arrays
@@ -384,12 +368,11 @@ type batchState struct {
 	npe   []int
 	class []cfgClass
 
-	// Inline LRU state, for an owner map's lone LRU configuration and
-	// for LRU configurations on the event pass: a recency-ordered row of
-	// maxPages gids per (configuration, PE) instead of the full cache
-	// machinery. Lookup is a linear scan of one cache line, hit is a
-	// move-to-front, miss shifts the row and drops the tail: exactly
-	// cache.Cache's LRU decisions.
+	// Inline LRU state, for an owner map's lone LRU configuration: a
+	// recency-ordered row of maxPages gids per (configuration, PE)
+	// instead of the full cache machinery. Lookup is a linear scan of
+	// one cache line, hit is a move-to-front, miss shifts the row and
+	// drops the tail: exactly cache.Cache's LRU decisions.
 	maxPages []int   // per configuration: page frames (CacheElems/PageSize)
 	frames   []int32 // recency rows, npe×maxPages per configuration, -1 = empty
 
@@ -405,13 +388,12 @@ type batchState struct {
 	peOff    []int // sums of NPE: per-(configuration, PE) slab offsets
 	trafOff  []int // sums of NPE²: traffic-slab offsets
 	ownOff   []int // sums of the page count under the configuration's page size
-	frameOff []int // sums of NPE×maxPages over inline-LRU configurations
+	frameOff []int // sums of NPE×maxPages over plain-row configurations
 	pfOff    []int // sums of NPE×words-per-row over packed configurations
 
 	// Flat per-(configuration, PE) state.
 	perPE    stats.PerPE
-	lastGid  []int32 // event pass: last page id the PE's cache operated on; -1 initially
-	particip []bool  // reduction participation marks
+	particip []bool // reduction participation marks
 
 	// Flat per-configuration slabs.
 	traf   []int64 // npe×npe traffic matrices, row-major
@@ -428,39 +410,13 @@ type batchState struct {
 	mapOf  []int
 	mapCfg []int
 
-	pageBase []int32   // appendPageTable scratch
-	psList   []int     // distinct page sizes, first-appearance order
-	evIdx    []int     // order-dependent configurations of the current bucket
-	evs      []evState // event-pass views of the current bucket's configurations
-}
-
-// evState is the event pass's view of one configuration: slice headers
-// into the batchState slabs plus the tiny mutable context the stream
-// state machine tracks per configuration. Keeping the headers together
-// makes the per-event inner loop one pointer hop per configuration.
-type evState struct {
-	owners   []int32
-	perPE    stats.PerPE
-	traf     []int64
-	lastGid  []int32
-	particip []bool
-	caches   []*cache.Cache
-
-	frames []int32 // inline-LRU recency rows, npe×mp; nil for the cache path
-
-	npe       int32
-	mp        int32 // frames per row; >0 selects the inline LRU
-	cur       int32 // open context PE, -1 when none
-	frameless bool
-	anyTerms  bool
-	reduceS   int64
-	reduceB   int64
-	cfgIdx    int // position in the RunBatchN cfgs slice
+	pageBase []int32 // appendPageTable scratch
+	psList   []int   // distinct page sizes, first-appearance order
+	framed   []int   // framed configurations of the current bucket
 }
 
 // lruCap bounds the inline LRU: beyond this many frames the linear
-// row scan loses to the cache's O(1) slot table (and, on the column,
-// to the two-level stack walk), so wider caches take those paths.
+// row scan loses to the two-level stack walk, so wider caches take it.
 // packCap bounds the packed rows (two words of four 16-bit lanes);
 // packEmpty is the empty-lane sentinel, so packing
 // requires every page id to stay below it. laneOnes/laneHighs are the
@@ -554,7 +510,7 @@ func (r *Replayer) distinct(cfgs []sim.Config) []sim.Config {
 
 // runReps cuts and classifies distinct configurations into results,
 // fanning out over up to workers goroutines. One configuration is one
-// chunk, classified without the read column like Run.
+// chunk, classified over the worker's own read column like Run.
 func (r *Replayer) runReps(st *Stream, cfgs []sim.Config, results []*sim.Result, workers int) error {
 	chunks := r.Cut(st, cfgs)
 	if workers > 1 && len(chunks) > 1 {
@@ -617,8 +573,8 @@ func rebase(err error, lo int) error {
 // group's output — against r's own slabs. It is what a caller that
 // schedules chunks itself (internal/sweep's work queue) runs per chunk
 // after Cut; a returned *BatchError carries the chunk-local index. A
-// chunk is part of a group, so its framed configurations walk the read
-// column even when the chunk holds only one.
+// chunk is part of a group, so its framed configurations walk the
+// stream's memoized read column even when the chunk holds only one.
 func (r *Replayer) RunChunk(st *Stream, cfgs []sim.Config, results []*sim.Result) error {
 	return r.batchWorker.runChunk(st, cfgs, results, r.Metrics, false)
 }
@@ -627,9 +583,9 @@ func (r *Replayer) RunChunk(st *Stream, cfgs []sim.Config, results []*sim.Result
 // (len(results) == len(cfgs)): the whole serial batch algorithm,
 // against this worker's own slabs. A returned *BatchError carries the
 // chunk-local index. single marks a call that classifies exactly one
-// configuration: its framed configuration takes the event pass and
-// builds no read column (see readColumn). The path each configuration
-// took and each read-column or event walk are recorded on reg (nil
+// configuration: it builds its read column into the worker's buffer
+// rather than the stream's memo (see readColumn). The path each
+// configuration took and each read-column pass are recorded on reg (nil
 // disables; obs instruments are race-safe, so concurrent chunks record
 // directly).
 func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result, reg *obs.Registry, single bool) error {
@@ -658,22 +614,15 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 	}
 	b.peOff[n], b.trafOff[n], b.ownOff[n] = pe, tr, ow
 	b.perPE = grown(b.perPE, pe)
-	b.lastGid = grown(b.lastGid, pe)
-	for i := range b.lastGid {
-		b.lastGid[i] = -1
-	}
 	b.particip = grown(b.particip, pe)
 	b.traf = grown(b.traf, tr)
 	b.owners = grown(b.owners, ow)
-	if len(w.caches) < pe {
-		w.caches = append(w.caches, make([]*cache.Cache, pe-len(w.caches))...)
-	}
 
 	// Per-configuration machine setup, strictly in input order so the
-	// first error is the lowest-index one: validation, class, owner
-	// tables, and slot caches for the event pass.
+	// first error is the lowest-index one: validation, class and owner
+	// tables.
 	for i := range cfgs {
-		if err := w.setupBatchConfig(st, i, cfgs[i], !single); err != nil {
+		if err := w.setupBatchConfig(st, i, cfgs[i]); err != nil {
 			return &BatchError{Index: i, Err: err}
 		}
 	}
@@ -688,10 +637,10 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		}
 	}
 
-	// Classification, bucketed by page size: the gid column, the read
-	// column and the run-length histogram are per page size, so sharing
-	// a bucket means computing them once for every configuration in it.
-	heads, _ := st.decoded()
+	// Classification, bucketed by page size: the read column, the
+	// summaries and the run-length histogram are per page size, so
+	// sharing a bucket means computing them once for every configuration
+	// in it.
 	b.psList = b.psList[:0]
 	for _, cfg := range cfgs {
 		if !slices.Contains(b.psList, cfg.PageSize) {
@@ -699,19 +648,14 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		}
 	}
 	for _, ps := range b.psList {
-		gids := st.gidColumn(ps)
 		agg := st.frameAgg(ps)
-		b.evIdx = b.evIdx[:0]
-		first := -1
+		b.framed = b.framed[:0]
 		for i, cfg := range cfgs {
 			if cfg.PageSize != ps {
 				continue
 			}
-			if first < 0 {
-				first = i
-			}
 			if b.class[i].path >= pathSWAR {
-				b.evIdx = append(b.evIdx, i)
+				b.framed = append(b.framed, i)
 				continue
 			}
 			npe := b.npe[i]
@@ -731,64 +675,49 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 				b.traf[b.trafOff[i]:b.trafOff[i+1]],
 				b.particip[b.peOff[i]:b.peOff[i+1]])
 		}
-		if len(b.evIdx) == 0 {
+		if len(b.framed) == 0 {
 			continue
 		}
-		if len(gids) != len(heads) {
-			return &BatchError{Index: first, Err: fmt.Errorf(
-				"refstream: %s: corrupt stream: %d gids for %d events", st.Kernel.Key, len(gids), len(heads))}
-		}
 		reg.Counter(MetricBatchDecodePasses).Inc()
-		reg.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets).Observe(int64(len(b.evIdx)))
-		if agg.ok && !single {
-			// Over the context-resolved read column: the cache part is
-			// the only order-dependent piece; writes and reductions come
-			// from the shared summary.
-			col := st.readColumn(ps)
-			for _, i := range b.evIdx {
-				npe := b.npe[i]
-				lo := b.peOff[i]
-				owners := b.owners[b.ownOff[i]:b.ownOff[i+1]]
-				perPE := b.perPE[lo : lo+npe]
-				traf := b.traf[b.trafOff[i]:b.trafOff[i+1]]
-				switch b.class[i].path {
-				case pathSWAR:
-					rows := b.pframes[b.pfOff[i]:b.pfOff[i+1]]
-					if b.maxPages[i] <= lanes {
-						classifyReadsLRUP1(col, npe, b.maxPages[i], owners, rows, perPE, traf)
-					} else {
-						classifyReadsLRUP2(col, npe, b.maxPages[i], owners, rows, perPE, traf)
-					}
-				case pathRows:
-					classifyReadsLRU(col, npe, b.maxPages[i], owners,
-						b.frames[b.frameOff[i]:b.frameOff[i+1]], perPE, traf)
-				default:
-					continue // two-level: by owner map, below
-				}
-				aggregateWrites(agg, owners, perPE)
-				b.reduceS[i], b.reduceB[i] = aggregateReduces(agg, npe, owners, traf,
-					b.particip[lo:lo+npe])
-			}
-			for _, m := range b.maps {
-				if m.key.pageSize == ps && m.hi > m.lo {
-					reg.Counter(MetricBatchOwnerMaps).Inc()
-					w.classifyMap(cfgs, col, agg, m)
-				}
-			}
+		reg.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets).Observe(int64(len(b.framed)))
+		// Over the context-resolved read column: the cache part is the
+		// only order-dependent piece; writes and reductions come from the
+		// shared summary.
+		var col []readRec
+		if single {
+			w.col = st.appendReadColumn(w.col[:0], ps)
+			col = w.col
 		} else {
-			// Histogram unusable (non-contiguous reduction terms), or one
-			// configuration: the general event pass sweeps each decoded
-			// event down every order-dependent configuration of the bucket.
-			b.evs = b.evs[:0]
-			for _, i := range b.evIdx {
-				b.evs = append(b.evs, w.evView(i))
+			col = st.readColumn(ps)
+		}
+		for _, i := range b.framed {
+			npe := b.npe[i]
+			lo := b.peOff[i]
+			owners := b.owners[b.ownOff[i]:b.ownOff[i+1]]
+			perPE := b.perPE[lo : lo+npe]
+			traf := b.traf[b.trafOff[i]:b.trafOff[i+1]]
+			switch b.class[i].path {
+			case pathSWAR:
+				rows := b.pframes[b.pfOff[i]:b.pfOff[i+1]]
+				if b.maxPages[i] <= lanes {
+					classifyReadsLRUP1(col, npe, b.maxPages[i], owners, rows, perPE, traf)
+				} else {
+					classifyReadsLRUP2(col, npe, b.maxPages[i], owners, rows, perPE, traf)
+				}
+			case pathRows:
+				classifyReadsLRU(col, npe, b.maxPages[i], owners,
+					b.frames[b.frameOff[i]:b.frameOff[i+1]], perPE, traf)
+			default:
+				continue // two-level: by owner map, below
 			}
-			if err := batchEventPass(st, heads, gids[:len(heads)], b.evs); err != nil {
-				return &BatchError{Index: first, Err: err}
-			}
-			for j := range b.evs {
-				e := &b.evs[j]
-				b.reduceS[e.cfgIdx], b.reduceB[e.cfgIdx] = e.reduceS, e.reduceB
+			aggregateWrites(agg, owners, perPE)
+			b.reduceS[i], b.reduceB[i] = aggregateReduces(agg, npe, owners, traf,
+				b.particip[lo:lo+npe])
+		}
+		for _, m := range b.maps {
+			if m.key.pageSize == ps && m.hi > m.lo {
+				reg.Counter(MetricBatchOwnerMaps).Inc()
+				w.classifyMap(cfgs, col, agg, m)
 			}
 		}
 	}
@@ -833,13 +762,10 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 }
 
 // setupBatchConfig validates cfgs[i] and derives its machine properties
-// into the batch slabs: its class (column says whether the chunk may
-// walk the read column), the owner table under its page size and
-// layout, and, for a framed configuration on the event pass that inline
-// LRU rows do not serve, freshly reset slot caches. Every other path
-// classifies without cache.Cache, so the cache parameters are only
-// validated.
-func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config, column bool) error {
+// into the batch slabs: its class and the owner table under its page
+// size and layout. No path classifies with cache.Cache, so the cache
+// parameters are only validated.
+func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
 	}
@@ -861,25 +787,9 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config, column
 		}
 	}
 	b.maxPages[i] = cfg.CacheElems / cfg.PageSize
-	class := classOf(cfg, totalPages, st.frameAgg(cfg.PageSize).ok, column)
-	b.class[i] = class
-	if class.path != pathEvent || class.frameless || class.lru {
-		if err := cache.Validate(cfg.CacheElems, cfg.PageSize, cfg.Policy); err != nil {
-			return fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
-		}
-		return nil
-	}
-	for p := 0; p < npe; p++ {
-		slot := b.peOff[i] + p
-		if w.caches[slot] == nil {
-			c, err := cache.NewSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages)
-			if err != nil {
-				return fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
-			}
-			w.caches[slot] = c
-		} else if err := w.caches[slot].ReconfigureSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages); err != nil {
-			return fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
-		}
+	b.class[i] = classOf(cfg, totalPages)
+	if err := cache.Validate(cfg.CacheElems, cfg.PageSize, cfg.Policy); err != nil {
+		return fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
 	}
 	return nil
 }
@@ -940,11 +850,10 @@ func (w *batchWorker) route(cfgs []sim.Config) {
 	fr, pf := 0, 0
 	for i := range cfgs {
 		b.frameOff[i], b.pfOff[i] = fr, pf
-		c := b.class[i]
-		switch {
-		case c.path == pathSWAR:
+		switch b.class[i].path {
+		case pathSWAR:
 			pf += b.npe[i] * ((b.maxPages[i] + lanes - 1) / lanes)
-		case c.path == pathRows || c.path == pathEvent && c.lru:
+		case pathRows:
 			fr += b.npe[i] * b.maxPages[i]
 		}
 	}
@@ -957,97 +866,6 @@ func (w *batchWorker) route(cfgs []sim.Config) {
 	for j := range b.pframes {
 		b.pframes[j] = ^uint64(0) // every lane empty
 	}
-}
-
-// evView builds the event pass's view of configuration i.
-func (w *batchWorker) evView(i int) evState {
-	b := &w.bat
-	lo, hi := b.peOff[i], b.peOff[i+1]
-	e := evState{
-		owners:    b.owners[b.ownOff[i]:b.ownOff[i+1]],
-		perPE:     b.perPE[lo:hi],
-		traf:      b.traf[b.trafOff[i]:b.trafOff[i+1]],
-		lastGid:   b.lastGid[lo:hi],
-		particip:  b.particip[lo:hi],
-		caches:    w.caches[lo:hi],
-		npe:       int32(b.npe[i]),
-		cur:       -1,
-		frameless: b.class[i].frameless,
-		cfgIdx:    i,
-	}
-	if b.class[i].lru {
-		e.frames = b.frames[b.frameOff[i]:b.frameOff[i+1]]
-		e.mp = int32(b.maxPages[i])
-	}
-	return e
-}
-
-// batchEventPass streams the decoded events once, sweeping each event
-// down every order-dependent configuration of one page-size bucket.
-// Per configuration it runs the engine's curPE state machine (an
-// assignment or reduction term opens the context its page's owner
-// executes, the end of a statement closes it, a read outside any
-// context is a replicated control read), plus the lastGid short
-// circuit: a PE whose cache's previous operation was on the same page
-// takes a guaranteed hit without touching the cache (the page is
-// resident, and re-touching it mutates no replacement state under any
-// policy — see the package comment above).
-func batchEventPass(st *Stream, heads []uint32, gids []int32, evs []evState) error {
-	for i, h := range heads {
-		op := h & 7
-		if op == opRead {
-			gid := gids[i]
-			for j := range evs {
-				e := &evs[j]
-				if cur := e.cur; cur >= 0 {
-					owner := e.owners[gid]
-					switch {
-					case owner == cur:
-						e.perPE[cur].LocalReads++
-					case e.frameless:
-						npe := int(e.npe)
-						e.perPE[cur].RemoteReads++
-						e.traf[int(cur)*npe+int(owner)]++
-						e.traf[int(owner)*npe+int(cur)]++
-					case e.lastGid[cur] == gid:
-						e.perPE[cur].CachedReads++
-					default:
-						e.lastGid[cur] = gid
-						e.classifyMiss(int(cur), int(owner), gid)
-					}
-				} else {
-					e.controlRead(gid)
-				}
-			}
-			continue
-		}
-		switch op {
-		case opAssign:
-			for j := range evs {
-				e := &evs[j]
-				e.cur = e.owners[gids[i]]
-				e.perPE[e.cur].Writes++ // writes are always local (§7)
-			}
-		case opEnd:
-			for j := range evs {
-				evs[j].cur = -1
-			}
-		case opTerm:
-			for j := range evs {
-				e := &evs[j]
-				e.cur = e.owners[gids[i]]
-				e.particip[e.cur] = true
-				e.anyTerms = true
-			}
-		case opEndReduce:
-			for j := range evs {
-				evs[j].endReduce(int(h >> 3))
-			}
-		default:
-			return fmt.Errorf("refstream: %s: corrupt stream: opcode %d", st.Kernel.Key, h&7)
-		}
-	}
-	return nil
 }
 
 // foldClassify charges reads, control reads and writes from the
@@ -1327,93 +1145,4 @@ func classifyReadsLRUP2(col []readRec, npe, mp int, owners []int32, rows []uint6
 			}
 		}
 	}
-}
-
-// controlRead charges one replicated control read — executed by every
-// PE — to the configuration, with the same per-PE short circuit as
-// context reads.
-func (e *evState) controlRead(gid int32) {
-	owner := int(e.owners[gid])
-	npe := int(e.npe)
-	for pe := 0; pe < npe; pe++ {
-		switch {
-		case owner == pe:
-			e.perPE[pe].LocalReads++
-		case e.frameless:
-			e.perPE[pe].RemoteReads++
-			e.traf[pe*npe+owner]++
-			e.traf[owner*npe+pe]++
-		case e.lastGid[pe] == gid:
-			e.perPE[pe].CachedReads++
-		default:
-			e.lastGid[pe] = gid
-			e.classifyMiss(pe, owner, gid)
-		}
-	}
-}
-
-// classifyMiss charges one non-local read of the element on global
-// page gid, owned by owner, to PE pe: the pure-arithmetic core of
-// sim's classification, with no value or defined-bit lookups. It
-// consults the PE's cache — the inline LRU row when the configuration
-// qualifies, the real slot cache otherwise. The in-page offset is
-// irrelevant: a PartialMiss needs a defined bitmap, and replay inserts
-// pages with none (every cell defined), which is exactly the
-// eligibility bound.
-func (e *evState) classifyMiss(pe, owner int, gid int32) {
-	if mp := int(e.mp); mp > 0 {
-		row := e.frames[pe*mp : pe*mp+mp]
-		for i, g := range row {
-			if g == gid { // hit: refresh recency, exactly LRU's touch
-				copy(row[1:i+1], row[:i])
-				row[0] = gid
-				e.perPE[pe].CachedReads++
-				return
-			}
-		}
-		copy(row[1:], row) // miss: insert at front, tail falls off
-		row[0] = gid
-		npe := int(e.npe)
-		e.perPE[pe].RemoteReads++
-		e.traf[pe*npe+owner]++ // page request
-		e.traf[owner*npe+pe]++ // page reply
-		return
-	}
-	switch e.caches[pe].LookupSlot(int(gid), 0) {
-	case cache.Hit:
-		e.perPE[pe].CachedReads++
-	default: // Miss (PartialMiss cannot occur without partial-fill modeling)
-		npe := int(e.npe)
-		e.perPE[pe].RemoteReads++
-		e.traf[pe*npe+owner]++ // page request
-		e.traf[owner*npe+pe]++ // page reply
-		e.caches[pe].InsertSlot(int(gid), nil)
-	}
-}
-
-// endReduce accounts the host-processor collection (§9) for one
-// configuration: one send per participating PE, then a broadcast.
-func (e *evState) endReduce(array int) {
-	e.cur = -1
-	npe := int(e.npe)
-	host := array % npe
-	for pe := 0; pe < npe; pe++ {
-		if !e.particip[pe] {
-			continue
-		}
-		e.reduceS++
-		if pe != host {
-			e.traf[pe*npe+host]++
-		}
-		e.particip[pe] = false
-	}
-	if e.anyTerms {
-		e.reduceB += int64(npe - 1)
-		for pe := 0; pe < npe; pe++ {
-			if pe != host {
-				e.traf[host*npe+pe]++
-			}
-		}
-	}
-	e.anyTerms = false
 }

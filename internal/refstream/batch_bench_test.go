@@ -123,8 +123,9 @@ func BenchmarkGroupBatchReplayPar(b *testing.B) {
 
 // TestBatchNoSlowerThanSingleReplay is the CI perf gate: classifying a
 // capture group in one batch pass must never regress below classifying
-// it in one-configuration calls (Run, each on the event pass) — if it
-// does, the batch path has lost its reason to exist. Timing assertions
+// it in one-configuration calls (Run, each building its own read column
+// and walking it alone) — if it does, the batch path has lost its
+// reason to exist. Timing assertions
 // are unreliable on shared runners, so the gate is opt-in
 // (REFSTREAM_PERF_GATE=1, set by the bench-smoke CI job), compares
 // best-of-N times measured in the same process, and allows a 1.25x

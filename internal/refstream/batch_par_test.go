@@ -63,7 +63,7 @@ func TestBatchPartitions(t *testing.T) {
 		// column: the members of the runs Cut must keep whole.
 		walker := func(c sim.Config) bool {
 			return validateConfig(c) == nil && c.NPE > 1 && c.CacheElems/c.PageSize > 0 &&
-				pageCount(st.ArrayLens, c.PageSize) > 0 && st.frameAgg(c.PageSize).ok
+				pageCount(st.ArrayLens, c.PageSize) > 0
 		}
 		joined := func(a, b sim.Config) bool {
 			return walker(a) && walker(b) && a.NPE == b.NPE && a.PageSize == b.PageSize

@@ -2,7 +2,12 @@ package refstream
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -236,8 +241,9 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	if served != 3 {
 		t.Errorf("path counters sum to %d, want 3: one per representative", served)
 	}
-	// A call of one framed LRU configuration runs the event pass, and
-	// the counters name the path that ran.
+	// A call of one framed LRU configuration of at most eight frames
+	// under Modulo layout walks its column on SWAR rows, and the
+	// counters name the path that ran.
 	one1 := obs.NewRegistry()
 	r1 := NewReplayer()
 	r1.Metrics = one1
@@ -246,7 +252,7 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	}
 	for p, name := range pathMetric {
 		want := int64(0)
-		if path(p) == pathEvent {
+		if path(p) == pathSWAR {
 			want = 1
 		}
 		if got := one1.Counter(name).Value(); got != want {
@@ -315,9 +321,9 @@ func TestBatchDegenerateGroups(t *testing.T) {
 // TestOneConfigCallsBuildNoReadColumn pins the memory rule of a call
 // that classifies one configuration: Run, and a RunBatchN whose
 // configurations share one representative, classify framed
-// configurations of every policy on the event pass and never build the
-// stream's read column, which a daemon answering single points would
-// otherwise retain per (stream, page size). Two framed configurations
+// configurations of every policy over a read column in the worker's
+// own buffer and never build the stream's, which a daemon answering
+// single points would otherwise retain per (stream, page size). Two framed configurations
 // at one page size are a group and build it once. Every result still
 // equals a direct sim.Run.
 func TestOneConfigCallsBuildNoReadColumn(t *testing.T) {
@@ -329,9 +335,6 @@ func TestOneConfigCallsBuildNoReadColumn(t *testing.T) {
 	st, err := Capture(k, n)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !st.frameAgg(32).ok {
-		t.Fatal("k1's structural summary is unusable: the read column would not be used at all")
 	}
 	var cfgs []sim.Config
 	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Clock, cache.Random} {
@@ -394,7 +397,7 @@ func TestOneConfigCallsBuildNoReadColumn(t *testing.T) {
 // TestBatchMetrics audits the batch observability surface: one group
 // counter per call, decode passes bounded by the distinct page sizes
 // (not the configuration count), and one configs-per-pass observation
-// per shared event pass.
+// per read-column pass.
 func TestBatchMetrics(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -408,7 +411,7 @@ func TestBatchMetrics(t *testing.T) {
 	r := NewReplayer()
 	r.Metrics = reg
 	// Six framed multi-PE configurations across two page sizes: two
-	// shared event passes classify all six.
+	// read-column passes classify all six.
 	cfgs := []sim.Config{
 		sim.PaperConfig(8, 32), sim.PaperConfig(16, 32), sim.PaperConfig(4, 32),
 		sim.PaperConfig(8, 16), sim.PaperConfig(16, 16), sim.PaperConfig(4, 16),
@@ -465,5 +468,27 @@ func TestBatchReplayAllocs(t *testing.T) {
 	if allocs > limit {
 		t.Errorf("%.0f allocs per steady-state batch of %d configs, want <= %.0f (5 per Result + the results slice)",
 			allocs, len(cfgs), limit)
+	}
+}
+
+// TestPathCountersDocumented holds docs/OBSERVABILITY.md's path-counter
+// table to pathMetric in both directions: the table's
+// refstream.batch.path.* rows must name exactly the registered paths,
+// in order, so neither a new path nor a deleted one can drift from the
+// docs.
+func TestPathCountersDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("^\\|\\s*`(" + regexp.QuoteMeta(MetricBatchPathPrefix) + "[a-z0-9_]*)`\\s*\\|")
+	var documented []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := row.FindStringSubmatch(strings.TrimSpace(line)); m != nil {
+			documented = append(documented, m[1])
+		}
+	}
+	if !slices.Equal(documented, pathMetric[:]) {
+		t.Errorf("docs/OBSERVABILITY.md path-counter rows %q, want %q", documented, pathMetric)
 	}
 }

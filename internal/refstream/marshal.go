@@ -41,7 +41,8 @@ var streamMagic = [4]byte{'r', 's', 'c', '1'}
 
 // ErrCorruptStream reports that a serialized stream failed structural
 // validation: wrong magic, a truncated field, an out-of-range element
-// index, or trailing garbage. Errors from UnmarshalStream wrap it.
+// index, reduction terms that are not consecutive elements of one
+// array, or trailing garbage. Errors from UnmarshalStream wrap it.
 var ErrCorruptStream = errors.New("refstream: corrupt stream encoding")
 
 func corruptf(format string, args ...any) error {
@@ -127,8 +128,9 @@ func (r *streamReader) bytes(n int) []byte {
 
 // UnmarshalStream decodes and validates a serialized stream. The
 // returned Stream is immutable and replay-ready: its columns have been
-// fully walked, every opcode and element index range-checked, so a
-// later replay cannot index out of bounds. Any structural defect —
+// fully walked, every opcode and element index range-checked and every
+// reduction's terms checked consecutive, so a later replay cannot index
+// out of bounds or misread a reduction. Any structural defect —
 // truncation, unknown kernel, mismatched array declarations, trailing
 // bytes — returns an error wrapping ErrCorruptStream.
 func UnmarshalStream(data []byte) (*Stream, error) {
@@ -266,13 +268,16 @@ func UnmarshalStreamKernels(data []byte, resolve func(key string) (*loops.Kernel
 
 // validateColumns walks the compressed event columns once, checking
 // that every varint decodes, every opcode is known, every array ID has
-// a declaration, every element index lands inside its array, and the
-// event count matches — the precondition that lets replay run with no
-// per-event bounds checks.
+// a declaration, every element index lands inside its array, every
+// reduction's terms are consecutive elements of the driver array that
+// closes it, and the event count matches — the precondition that lets
+// replay run with no per-event bounds checks and classify reductions
+// from page ranges (frameAgg).
 func (s *Stream) validateColumns() error {
 	heads, lins := s.heads, s.lins
 	last := make([]int, len(s.ArrayLens))
 	count := 0
+	driver, term := -1, 0 // the open reduction's array (-1: none) and last term
 	for len(heads) > 0 {
 		h, n := binary.Uvarint(heads)
 		if n <= 0 {
@@ -287,18 +292,30 @@ func (s *Stream) validateColumns() error {
 		if array >= len(s.ArrayLens) {
 			return corruptf("array %d out of range at event %d", array, count)
 		}
+		lin := 0
 		if opHasLin(op) {
 			d, n := binary.Uvarint(lins)
 			if n <= 0 {
 				return corruptf("malformed lins varint at event %d", count)
 			}
 			lins = lins[n:]
-			lin := last[array] + int(unzigzag(d))
+			lin = last[array] + int(unzigzag(d))
 			if lin < 0 || lin >= s.ArrayLens[array] {
 				return corruptf("element %d of array %d out of range [0,%d) at event %d",
 					lin, array, s.ArrayLens[array], count)
 			}
 			last[array] = lin
+		}
+		switch {
+		case op == opTerm && driver >= 0 && (array != driver || lin != term+1):
+			return corruptf("reduction term %d of array %d does not follow term %d of array %d at event %d",
+				lin, array, term, driver, count)
+		case op == opTerm:
+			driver, term = array, lin
+		case op == opEndReduce && driver >= 0 && array != driver:
+			return corruptf("reduction over array %d closed by array %d at event %d", driver, array, count)
+		case op == opEndReduce:
+			driver = -1
 		}
 		count++
 		if count > s.events {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -128,6 +129,51 @@ func TestUnmarshalCorruptions(t *testing.T) {
 	// Trailing garbage is corruption, not padding.
 	if _, err := UnmarshalStream(append(append([]byte(nil), enc...), 0)); !errors.Is(err, ErrCorruptStream) {
 		t.Fatalf("trailing byte accepted: %v", err)
+	}
+}
+
+// gappedTerms returns the encoding of a k3 stream whose second
+// reduction term skips an element of the driver array. Every other
+// field is well formed, so only the term rule can reject it.
+func gappedTerms(t testing.TB) []byte {
+	t.Helper()
+	st := captureT(t, "k3", 0)
+	heads, lins := st.decoded()
+	gap := &Stream{Kernel: st.Kernel, N: st.N, ArrayLens: st.ArrayLens, Checksums: st.Checksums,
+		events: st.events, dheads: heads, dlins: slices.Clone(lins)}
+	terms := 0
+	for i, h := range heads {
+		if h&7 == opTerm {
+			if terms++; terms == 2 {
+				gap.dlins[i]++ // terms 1, 3, 3, 4, ...
+				break
+			}
+		}
+	}
+	if terms != 2 {
+		t.Fatalf("k3 stream has %d reduction terms, want at least 2", terms)
+	}
+	enc, err := gap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestUnmarshalRejectsGappedTerms: reduction terms that are not
+// consecutive elements of one driver array are corruption. Replay
+// classifies a reduction from the page range its terms cover
+// (frameAgg), which is only exact for consecutive terms.
+func TestUnmarshalRejectsGappedTerms(t *testing.T) {
+	enc, err := captureT(t, "k3", 0).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalStream(enc); err != nil {
+		t.Fatalf("k3 as captured: %v", err)
+	}
+	if _, err := UnmarshalStream(gappedTerms(t)); !errors.Is(err, ErrCorruptStream) {
+		t.Fatalf("k3 with a gap between two terms: error %v, want ErrCorruptStream", err)
 	}
 }
 

@@ -332,14 +332,15 @@ type reduceRun struct {
 // fold table for the common order-free shapes, the read histogram for
 // the rest — are memoized separately and built only when a
 // configuration actually needs them. Keeping reads out of this builder
-// makes it a cheap single dispatch per event, which matters because
-// every replay mode consults frameAgg to pick its classification path.
+// makes it a cheap single dispatch per event. Each reduction run's page
+// range is exact because a reduction's terms are consecutive elements
+// of one driver array: the recording engine emits them so, and
+// UnmarshalStream rejects any stream whose terms are not.
 type frameAgg struct {
 	assigns    []aggRun // assignment openings per target page (ctx unused)
 	reduces    []reduceRun
 	readsTotal int64 // context reads (an assignment or term page is open)
 	ctrlTotal  int64 // replicated control reads
-	ok         bool  // false: term pages were not contiguous; use the event loop
 }
 
 // frameAgg returns the stream's structural summary under the given
@@ -351,7 +352,7 @@ func (s *Stream) frameAgg(pageSize int) *frameAgg {
 func (s *Stream) buildFrameAgg(pageSize int) *frameAgg {
 	heads, _ := s.decoded()
 	gids := s.gidColumn(pageSize)
-	a := &frameAgg{ok: true}
+	a := &frameAgg{}
 	inCtx := false // an assignment or term page is open
 	var rLo, rHi int32
 	inTerms := false
@@ -383,10 +384,6 @@ func (s *Stream) buildFrameAgg(pageSize int) *frameAgg {
 				inTerms, rLo, rHi = true, g, g+1
 			case g == rHi:
 				rHi = g + 1
-			case g >= rLo && g < rHi:
-				// revisiting a page already in the range
-			default:
-				a.ok = false // non-contiguous terms: range iteration would lie
 			}
 		case opEndReduce:
 			inCtx = false
@@ -403,8 +400,6 @@ func (s *Stream) buildFrameAgg(pageSize int) *frameAgg {
 			} else {
 				a.reduces = append(a.reduces, rr)
 			}
-		default:
-			a.ok = false // unknown opcode: let the event loop report it
 		}
 	}
 	return a
@@ -533,9 +528,9 @@ func (s *Stream) buildReadsHist(pageSize int) *readsHist {
 // Adjacent records with the same (ctx, gid) collapse into one with a
 // count. The collapse is order-exact: after a run's first read the
 // page is the PE's most recent, so the remaining count−1 reads are
-// guaranteed cache hits under every policy (the same invariant behind
-// the event pass's lastGid short circuit), and replacement state after
-// the run equals one touch. It shrinks the column less than a
+// guaranteed cache hits under every policy (a re-touch of the most
+// recent page mutates no replacement state), and replacement state
+// after the run equals one touch. It shrinks the column less than a
 // page-wise scan suggests, because a statement's reads alternate
 // between arrays: at default N and page size 32 the column holds 0.83
 // records per event over all kernels (event-weighted), from 0.02 for
@@ -547,33 +542,39 @@ type readRec struct {
 
 // readColumn returns the stream's context-resolved read column under
 // the given page size, memoized like the gid columns. The batch
-// replayer walks it once per framed configuration: a 16-byte record
-// stream with no opcode dispatch, so the walk is bounded by the cache
-// arithmetic rather than by decoding.
+// replayer walks it once per framed configuration or owner map: a
+// 16-byte record stream with no opcode dispatch, so the walk is bounded
+// by the cache arithmetic rather than by decoding.
 //
 // The column is retained with the stream, one per page size, and its
 // backing array is reserved at one record per event: 16 bytes per
-// event, four times the gid column the event pass reads. A group of
-// framed configurations amortizes that over its members (the walk is
-// about twice as fast as the event pass). A call that classifies one
+// event, four times the gid column. A group of framed configurations
+// amortizes that over its members. A call that classifies one
 // configuration (Run, or a RunBatchN whose configurations share one
-// representative) cannot, so it takes the event pass and never builds
-// the column: a daemon answering single points would otherwise hold a
-// column for every stream and page size it has seen.
+// representative) cannot, so it appends the column into its worker's
+// reused buffer (appendReadColumn) and never builds this memo: a daemon
+// answering single points would otherwise hold a column for every
+// stream and page size it has seen.
 func (s *Stream) readColumn(pageSize int) []readRec {
 	return s.readCols.get(s, pageSize, (*Stream).buildReadColumn)
 }
 
 func (s *Stream) buildReadColumn(pageSize int) []readRec {
+	return s.appendReadColumn(make([]readRec, 0, s.events), pageSize)
+}
+
+// appendReadColumn appends the stream's read column under pageSize to
+// col and returns the extended slice.
+func (s *Stream) appendReadColumn(col []readRec, pageSize int) []readRec {
 	heads, lins := s.decoded()
 	gids := s.gidColumn(pageSize)
-	col := make([]readRec, 0, len(heads))
+	base := len(col)
 	ps := int32(pageSize)
 	cur := int32(-1)
 	for i, h := range heads {
 		switch h & 7 {
 		case opRead:
-			if k := len(col) - 1; k >= 0 && col[k].ctx == cur && col[k].gid == gids[i] {
+			if k := len(col) - 1; k >= base && col[k].ctx == cur && col[k].gid == gids[i] {
 				col[k].count++
 			} else {
 				col = append(col, readRec{ctx: cur, gid: gids[i], loc: lins[i] / ps, count: 1})

@@ -394,9 +394,22 @@ func TestStreamEncodingRoundTrip(t *testing.T) {
 // allocates at most 5 times — the Result struct, the per-PE counter
 // copy, the traffic slab, its row headers, and the cache-stats slice.
 // Checksums are shared with the stream, and every classification
-// buffer lives in the Replayer.
+// buffer lives in the Replayer, the one-configuration read column
+// included. The configurations cover every framed path a
+// one-configuration call takes: SWAR rows (the paper's 8-frame LRU),
+// policy rows (FIFO, Clock, Random) and the LRU stack (100 frames).
 func TestReplayAllocs(t *testing.T) {
-	for _, key := range []string{"k1", "k24"} {
+	base := sim.PaperConfig(16, 32)
+	cfgs := []sim.Config{base}
+	for _, pol := range []cache.Policy{cache.FIFO, cache.Clock, cache.Random} {
+		c := base
+		c.Policy = pol
+		cfgs = append(cfgs, c)
+	}
+	wide := base
+	wide.CacheElems = 100 * base.PageSize
+	cfgs = append(cfgs, wide)
+	for _, key := range []string{"k1", "k24", "k6"} {
 		k, err := loops.ByKey(key)
 		if err != nil {
 			t.Fatal(err)
@@ -406,17 +419,18 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := NewReplayer()
-		cfg := sim.PaperConfig(16, 32)
-		if _, err := r.Run(st, cfg); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
+		for _, cfg := range cfgs {
 			if _, err := r.Run(st, cfg); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > 5 {
-			t.Errorf("%s: %.0f allocs per steady-state replay, want <= 5", key, allocs)
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := r.Run(st, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 5 {
+				t.Errorf("%s %+v: %.0f allocs per steady-state replay, want <= 5", key, cfg, allocs)
+			}
 		}
 	}
 }

@@ -121,8 +121,9 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // Checksums aliases the stream's memoized (immutable) slice.
 //
 // Run is a chunk of one configuration on the embedded worker, so it
-// builds no read column (see readColumn); its error is the chunk's,
-// without the *BatchError position.
+// builds its read column in the worker's buffer, not on the stream (see
+// readColumn); its error is the chunk's, without the *BatchError
+// position.
 func (r *Replayer) Run(st *Stream, cfg sim.Config) (*sim.Result, error) {
 	var out [1]*sim.Result
 	if err := r.batchWorker.runChunk(st, []sim.Config{cfg}, out[:], r.Metrics, true); err != nil {
@@ -145,8 +146,8 @@ func foldEligible(cfg sim.Config, npe int) bool {
 // cache, or a single PE where every access is local and the cache is
 // never consulted) from the run-length read histogram, over explicit
 // state views: each configuration of a chunk has its own slice of the
-// structure-of-arrays slabs. The sums are exactly what the event pass
-// would accumulate event by event, because without cache state no
+// structure-of-arrays slabs. The sums are exactly what a walk of the
+// events would accumulate one by one, because without cache state no
 // outcome depends on access order. The read-column walk reuses the
 // write and reduce pieces for framed configurations too (their
 // accounting never consults the cache, so it is order-free for every
@@ -190,7 +191,7 @@ func aggregateWrites(a *frameAgg, owners []int32, perPE stats.PerPE) {
 // aggregateReduces charges the histogram's reduction runs: the
 // host-processor collection and broadcast of §9, summed per run. The
 // arithmetic never touches the cache, so it is exact for framed
-// configurations as well, as long as the histogram is usable (a.ok).
+// configurations as well.
 func aggregateReduces(a *frameAgg, npe int, owners []int32, traf []int64, particip []bool) (reduceS, reduceB int64) {
 	for _, rr := range a.reduces {
 		if rr.gidHi == rr.gidLo {

@@ -197,8 +197,8 @@ func TestControlReadsEveryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg := st.frameAgg(4); agg.ctrlTotal == 0 || !agg.ok {
-		t.Fatalf("control reads %d, summary usable %v: the kernel does not exercise level 1's control-read branch", agg.ctrlTotal, agg.ok)
+	if st.frameAgg(4).ctrlTotal == 0 {
+		t.Fatal("no control reads: the kernel does not exercise level 1's control-read branch")
 	}
 	var cfgs []sim.Config
 	for _, npe := range []int{2, 3, 8} {

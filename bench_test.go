@@ -245,47 +245,51 @@ func sweepGrid(b *testing.B) []sweep.Point {
 	}.Points()
 }
 
-// benchSweep runs the grid b.N times under the given worker count and
-// replay mode, reporting points/s.
-func benchSweep(b *testing.B, pts []sweep.Point, workers int, mode sweep.ReplayMode) {
+// benchSweep runs the grid b.N times under the given worker count,
+// reporting points/s.
+func benchSweep(b *testing.B, pts []sweep.Point, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep.RunOpts(context.Background(), pts, sweep.Options{Workers: workers, Replay: mode}); err != nil {
+		if _, err := sweep.RunN(context.Background(), workers, pts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
-// BenchmarkSweepGridSerial sweeps the standard grid with one worker and
-// replay off: the direct-execution baseline every other sweep benchmark
-// is measured against.
+// BenchmarkSweepGridSerial runs every point of the standard grid
+// directly through one sim.Scratch: the direct-execution baseline
+// every sweep benchmark is measured against.
 func BenchmarkSweepGridSerial(b *testing.B) {
-	benchSweep(b, sweepGrid(b), 1, sweep.ReplayOff)
+	pts := sweepGrid(b)
+	scratch := sim.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pts {
+			if _, err := scratch.Run(p.Kernel, p.N, p.Config); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
-// BenchmarkSweepGridParallel sweeps the same grid over GOMAXPROCS
-// workers, still executing every point directly; compare points/s
-// against the serial baseline.
-func BenchmarkSweepGridParallel(b *testing.B) {
-	benchSweep(b, sweepGrid(b), 0, sweep.ReplayOff)
-}
-
-// BenchmarkSweepGridBatchSerial sweeps the grid with one worker under
-// the batch planner: each kernel executes once (capture) and each
-// capture group is classified in a single decode pass over its stream
+// BenchmarkSweepGridBatchSerial sweeps the grid with one worker: each
+// kernel executes once (capture) and each capture group is classified
+// in a single decode pass over its stream
 // (refstream.Replayer.RunBatchN). The ratio against
 // BenchmarkSweepGridSerial is the execute-once + decode-once speedup.
 func BenchmarkSweepGridBatchSerial(b *testing.B) {
-	benchSweep(b, sweepGrid(b), 1, sweep.ReplayOn)
+	benchSweep(b, sweepGrid(b), 1)
 }
 
-// BenchmarkSweepGridBatchParallel runs batch passes over the bounded
+// BenchmarkSweepGridBatchParallel runs the batch passes over the bounded
 // worker pool — one group per task, groups spread across workers.
 func BenchmarkSweepGridBatchParallel(b *testing.B) {
-	benchSweep(b, sweepGrid(b), 0, sweep.ReplayOn)
+	benchSweep(b, sweepGrid(b), 0)
 }
 
 // wideGroup is one grid_wide-shaped capture group: a single (kernel,
@@ -307,7 +311,7 @@ func wideGroup(k *loops.Kernel, n int) []sweep.Point {
 // workers; run it with -cpu=1,2 and the ratio is how well a single
 // group's chunks spread over the queue's workers (docs/PERF.md).
 func BenchmarkSweepWideGroup(b *testing.B) {
-	benchSweep(b, wideGroup(benchKernel(b, "k2"), 0), 0, sweep.ReplayOn)
+	benchSweep(b, wideGroup(benchKernel(b, "k2"), 0), 0)
 }
 
 // BenchmarkSweepScratchReuse isolates the per-point allocation savings

@@ -147,14 +147,21 @@ func scanFlags(toks []string) (flags []string) {
 // `Replayer.Cut(st, cfgs)`.
 var goRefRE = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*){1,2})(?:\\([^()`]*\\))?`")
 
+// bareRefRE matches a code span that is exactly a bare Go name that
+// starts upper-case, optionally called, as in `RunBatchN` or
+// `Representative()`. checkBare leaves out the names with no
+// lower-case letter (`LRU`, `NPE`), which are mostly not Go.
+var bareRefRE = regexp.MustCompile("`([A-Z][A-Za-z0-9_]*)(?:\\([^()`]*\\))?`")
+
 // goDecls indexes what the tree's Go files declare: each package
-// name's top-level names, and each type's fields, methods and
-// embedded types (keyed "pkg.Type").
+// name's top-level names, each type's fields, methods and embedded
+// types (keyed "pkg.Type"), and every one of those names on its own.
 type goDecls struct {
 	pkgs    map[string]map[string]bool
 	members map[string]map[string]bool
 	embeds  map[string][]string
 	types   map[string][]string // type name → packages declaring it
+	names   map[string]bool
 }
 
 // loadGoDecls parses every Go file under the repository root, tests
@@ -163,12 +170,13 @@ type goDecls struct {
 func loadGoDecls(t *testing.T) *goDecls {
 	t.Helper()
 	d := &goDecls{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
-		embeds: map[string][]string{}, types: map[string][]string{}}
+		embeds: map[string][]string{}, types: map[string][]string{}, names: map[string]bool{}}
 	member := func(typ, name string) {
 		if d.members[typ] == nil {
 			d.members[typ] = map[string]bool{}
 		}
 		d.members[typ][name] = true
+		d.names[name] = true
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -197,6 +205,7 @@ func loadGoDecls(t *testing.T) *goDecls {
 			case *ast.FuncDecl:
 				if decl.Recv == nil {
 					d.pkgs[pkg][decl.Name.Name] = true
+					d.names[decl.Name.Name] = true
 				} else {
 					member(pkg+"."+typeName(decl.Recv.List[0].Type), decl.Name.Name)
 				}
@@ -206,10 +215,12 @@ func loadGoDecls(t *testing.T) *goDecls {
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
 							d.pkgs[pkg][n.Name] = true
+							d.names[n.Name] = true
 						}
 					case *ast.TypeSpec:
 						typ := spec.Name.Name
 						d.pkgs[pkg][typ] = true
+						d.names[typ] = true
 						d.types[typ] = append(d.types[typ], pkg)
 						var fields []*ast.Field
 						switch st := spec.Type.(type) {
@@ -308,10 +319,18 @@ func (d *goDecls) checkRef(ref string) bool {
 	return false
 }
 
+// checkBare reports whether a bare code span names something the tree
+// declares at top level or as a field or method. A span with no
+// lower-case letter is an acronym or a constant-style word, not
+// checked.
+func (d *goDecls) checkBare(name string) bool {
+	return !strings.ContainsFunc(name, unicode.IsLower) || d.names[name]
+}
+
 // TestDocsNameLiveSurface fails when a current document names a CLI
-// flag of lfksim or lfksimd, a make target, or (in a code span) a
-// qualified Go name that the tree no longer has: a deletion must take
-// its documentation with it.
+// flag of lfksim or lfksimd, a make target, or (in a code span) a Go
+// name, qualified or bare, that the tree no longer has: a deletion
+// must take its documentation with it.
 func TestDocsNameLiveSurface(t *testing.T) {
 	decls := loadGoDecls(t)
 	flags := map[string]map[string]bool{
@@ -357,6 +376,11 @@ func TestDocsNameLiveSurface(t *testing.T) {
 					t.Errorf("%s:%d names `%s`, which no Go file in the tree declares", doc, n+1, m[1])
 				}
 			}
+			for _, m := range bareRefRE.FindAllStringSubmatch(line, -1) {
+				if !decls.checkBare(m[1]) {
+					t.Errorf("%s:%d names `%s`, which no Go file in the tree declares", doc, n+1, m[1])
+				}
+			}
 		}
 	}
 }
@@ -393,6 +417,40 @@ func TestGoRefs(t *testing.T) {
 	} {
 		if got := d.checkRef(ref); got != want {
 			t.Errorf("checkRef(%q) = %v, want %v", ref, got, want)
+		}
+	}
+}
+
+// TestBareGoRefs pins the bare-name half of the docs lint: it finds
+// exactly the spans that are one upper-case name, called or not, and
+// checks only those with a lower-case letter.
+func TestBareGoRefs(t *testing.T) {
+	line := "see `RunBatchN`, `Representative()`, `LRU`, `sim.Run`, `go test`, " +
+		"`Replayer.Cut(st, cfgs)`, `README.md` and `Clone(r)`"
+	var refs []string
+	for _, m := range bareRefRE.FindAllStringSubmatch(line, -1) {
+		refs = append(refs, m[1])
+	}
+	want := []string{"RunBatchN", "Representative", "LRU", "Clone"}
+	if !reflect.DeepEqual(refs, want) {
+		t.Fatalf("spans = %v, want %v", refs, want)
+	}
+	d := loadGoDecls(t)
+	for name, want := range map[string]bool{
+		"RunBatchN":               true, // a method
+		"Representative":          true,
+		"Replayer":                true, // a type
+		"MetricBatchGroups":       true, // a constant
+		"PerPE":                   true, // a field
+		"FuzzReplayVsDirect":      true, // a test-file function
+		"LRU":                     true, // no lower-case letter: not checked
+		"Clone":                   false,
+		"ReplayOff":               false,
+		"FuzzReplayMatchesDirect": false,
+		"Accept":                  false, // an HTTP header, not Go
+	} {
+		if got := d.checkBare(name); got != want {
+			t.Errorf("checkBare(%q) = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -281,43 +281,6 @@ func normalizeDefined(defined []bool) []bool {
 	return nil
 }
 
-// Flush empties the cache, preserving statistics.
-func (c *Cache) Flush() {
-	if c.entries != nil {
-		c.entries = make(map[Key]*entry)
-	} else {
-		for i := range c.slots {
-			c.slots[i] = -1
-		}
-		c.freeFrames = c.freeFrames[:0]
-		for i, e := range c.frames {
-			e.prev, e.next = nil, nil
-			e.defined = nil
-			c.freeFrames = append(c.freeFrames, int32(i))
-		}
-		c.used = 0
-	}
-	c.head.next = c.tail
-	c.tail.prev = c.head
-	c.clockHand = nil
-}
-
-// InvalidateArray drops all cached pages of one array. Single assignment
-// never requires this for coherence; it supports the §5 host-processor
-// re-initialization protocol, after which stale snapshots of the old
-// array version must not be observable.
-func (c *Cache) InvalidateArray(array int) int {
-	dropped := 0
-	for key, e := range c.entries {
-		if key.Array == array {
-			c.remove(e)
-			delete(c.entries, key)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 func (c *Cache) pushFront(e *entry) {
 	e.prev = c.head
 	e.next = c.head.next

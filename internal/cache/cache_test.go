@@ -214,38 +214,6 @@ func TestZeroFrameCacheNeverCaches(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c, _ := New(8, 2, LRU)
-	c.Insert(Key{Page: 0}, page(1, 2), nil)
-	c.Insert(Key{Page: 1}, page(3, 4), nil)
-	c.Flush()
-	if c.Len() != 0 {
-		t.Errorf("Len after flush = %d", c.Len())
-	}
-	if _, out := c.Lookup(Key{Page: 0}, 0); out != Miss {
-		t.Error("flushed page still visible")
-	}
-	if c.Stats().Inserts != 2 {
-		t.Error("flush should preserve statistics")
-	}
-}
-
-func TestInvalidateArray(t *testing.T) {
-	c, _ := New(16, 2, LRU)
-	c.Insert(Key{Array: 1, Page: 0}, page(1, 1), nil)
-	c.Insert(Key{Array: 1, Page: 1}, page(2, 2), nil)
-	c.Insert(Key{Array: 2, Page: 0}, page(3, 3), nil)
-	if n := c.InvalidateArray(1); n != 2 {
-		t.Errorf("invalidated %d pages, want 2", n)
-	}
-	if c.Contains(Key{Array: 1, Page: 0}) || c.Contains(Key{Array: 1, Page: 1}) {
-		t.Error("array-1 pages survived invalidation")
-	}
-	if !c.Contains(Key{Array: 2, Page: 0}) {
-		t.Error("array-2 page wrongly invalidated")
-	}
-}
-
 func TestKeysRecencyOrder(t *testing.T) {
 	c, _ := New(8, 2, LRU)
 	c.Insert(Key{Page: 0}, page(0, 0), nil)

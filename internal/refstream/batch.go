@@ -453,8 +453,9 @@ const (
 //
 // Only one representative of each set of count-identical
 // configurations (sim.Config.Representative) is cut and classified:
-// the first configuration of the set takes its Result, every later one
-// a deep copy, and each is stamped with its own configuration.
+// the first configuration of the set takes its Result, and every later
+// one a shallow copy stamped with its own configuration that shares
+// the representative's slices (sim.Result is write-once).
 func (r *Replayer) RunBatchN(st *Stream, cfgs []sim.Config, workers int) ([]*sim.Result, error) {
 	reps := r.distinct(cfgs)
 	out := grown(r.repOut, len(reps))
@@ -476,10 +477,12 @@ func (r *Replayer) RunBatchN(st *Stream, cfgs []sim.Config, workers int) ([]*sim
 		res := out[j]
 		if j == next {
 			next++
+			res.Config = cfgs[i]
 		} else {
-			res = res.Clone() // a later member: the first took res itself
+			c := *res // a later member: the first took res itself
+			c.Config = cfgs[i]
+			res = &c
 		}
-		res.Config = cfgs[i]
 		results[i] = res
 	}
 	return results, nil
@@ -736,11 +739,7 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 			Checksums:    st.Checksums,
 		}
 		res.Totals = res.PerPE.Totals()
-		slab := append([]int64(nil), b.traf[b.trafOff[i]:b.trafOff[i+1]]...)
-		res.Traffic = make([][]int64, npe)
-		for p := range res.Traffic {
-			res.Traffic[p] = slab[p*npe : (p+1)*npe : (p+1)*npe]
-		}
+		res.Traffic = sim.TrafficMatrix(b.traf[b.trafOff[i]:b.trafOff[i+1]], npe)
 		res.Cache = make([]cache.Stats, npe)
 		frames := int64(b.maxPages[i])
 		for p := 0; p < npe; p++ {

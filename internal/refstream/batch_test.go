@@ -209,9 +209,10 @@ func TestBatchErrorAttribution(t *testing.T) {
 // TestBatchClassifiesRepresentatives: a batch classifies one
 // representative per set of count-identical configurations
 // (sim.Config.Representative), yet every position gets what
-// single-config replay of its own configuration returns, in a copy it
-// shares with nobody; a repeated failure is blamed on its first
-// position.
+// single-config replay of its own configuration returns; a later
+// class-mate shares its representative's body under its own Config
+// (sim.Result is write-once), and a repeated failure is blamed on its
+// first position.
 func TestBatchClassifiesRepresentatives(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -269,13 +270,14 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 			t.Errorf("position %d (%+v): batch diverges from single-config replay", i, cfg)
 		}
 	}
-	want2 := got[2].Clone()
-	got[0].PerPE[0].LocalReads++
-	got[0].Cache[0].Hits++
-	got[0].Traffic[0][1]++
-	got[0].Checksums[0].Sum++
-	if !reflect.DeepEqual(got[2], want2) {
-		t.Error("mutating position 0 changed its class-mate at position 2")
+	for later, first := range map[int]int{2: 0, 3: 1} {
+		if got[later] == got[first] || !sharesBody(got[later], got[first]) {
+			t.Errorf("position %d does not share its class-mate %d's body in a Result of its own", later, first)
+		}
+		if got[later].Config != cfgs[later] || got[first].Config != cfgs[first] {
+			t.Errorf("positions %d and %d carry configs %+v and %+v, want their own",
+				later, first, got[later].Config, got[first].Config)
+		}
 	}
 
 	bad := sim.PaperConfig(4, 32)
@@ -286,6 +288,21 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	if !errors.As(err, &be) || be.Index != 2 {
 		t.Errorf("error %v, want a *BatchError at position 2", err)
 	}
+}
+
+// sharesBody reports whether a and b share the backing arrays of every
+// slice of a Result: PerPE, Cache, each Traffic row and Checksums.
+func sharesBody(a, b *sim.Result) bool {
+	if len(a.Traffic) != len(b.Traffic) {
+		return false
+	}
+	for p := range a.Traffic {
+		if &a.Traffic[p][0] != &b.Traffic[p][0] {
+			return false
+		}
+	}
+	return &a.PerPE[0] == &b.PerPE[0] && &a.Cache[0] == &b.Cache[0] &&
+		&a.Checksums[0] == &b.Checksums[0]
 }
 
 // TestBatchDegenerateGroups: the empty group and the singleton group
@@ -441,10 +458,12 @@ func TestBatchMetrics(t *testing.T) {
 }
 
 // TestBatchReplayAllocs is the batch alloc guard: in steady state every
-// additional configuration in a group costs only its Result (at most
+// additional representative in a group costs only its Result (at most
 // the same 5 allocations single-config replay is held to), because all
-// classification state lives in the Replayer's reused slabs. The slack
-// for the results slice itself is one allocation per call.
+// classification state lives in the Replayer's reused slabs, and every
+// later class-mate costs one: a shallow copy sharing its
+// representative's slices. The slack for the results slice itself is
+// one allocation per call.
 func TestBatchReplayAllocs(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -455,19 +474,39 @@ func TestBatchReplayAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := shapeGrid()
-	r := NewReplayer()
-	if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
-		t.Fatal(err)
+	// Class-mates: the grid twice over, plus a block-cyclic(1) twin of
+	// each modulo configuration.
+	mates := append(slices.Clone(cfgs), cfgs...)
+	for _, c := range cfgs {
+		if c.Layout == partition.KindModulo {
+			c.Layout, c.LayoutRun = partition.KindBlockCyclic, 1
+			mates = append(mates, c)
+		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
+	for _, tc := range []struct {
+		name string
+		cfgs []sim.Config
+	}{{"distinct", cfgs}, {"class-mates", mates}} {
+		reps := map[sim.Config]bool{}
+		for _, c := range tc.cfgs {
+			reps[c.Representative()] = true
+		}
+		r := NewReplayer()
+		if _, err := r.RunBatchN(st, tc.cfgs, 1); err != nil {
 			t.Fatal(err)
 		}
-	})
-	limit := float64(5*len(cfgs) + 1)
-	if allocs > limit {
-		t.Errorf("%.0f allocs per steady-state batch of %d configs, want <= %.0f (5 per Result + the results slice)",
-			allocs, len(cfgs), limit)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := r.RunBatchN(st, tc.cfgs, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		later := len(tc.cfgs) - len(reps)
+		limit := float64(5*len(reps) + later + 1)
+		if allocs > limit {
+			t.Errorf("%s: %.0f allocs per steady-state batch of %d representatives and %d later class-mates, "+
+				"want <= %.0f (5 per representative + 1 per class-mate + the results slice)",
+				tc.name, allocs, len(reps), later, limit)
+		}
 	}
 }
 

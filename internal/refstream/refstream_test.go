@@ -182,6 +182,69 @@ func TestReplayerReuse(t *testing.T) {
 	}
 }
 
+// TestReplayerResultsIndependent is the replay twin of sim's
+// TestScratchResultsIndependent: every Result the Replayer has returned
+// — from Run, RunChunk, and serial and parallel RunBatchN — still
+// equals direct execution after the same Replayer classifies another
+// group on every entry point. Class-mates share one Result body, so a
+// body that aliased a reused worker slab would be wrong for a whole
+// class at once.
+func TestReplayerResultsIndependent(t *testing.T) {
+	k1, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k24, err := loops.ByKey("k24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1, err := Capture(k1, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st24, err := Capture(k24, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := append(parGrid(), parGrid()...) // every configuration has a later class-mate
+	r := fineCut(st1)                       // so the parallel pass really fans out
+	classify := func(st *Stream, cfgs []sim.Config) (one *sim.Result, chunk, serial, par []*sim.Result) {
+		t.Helper()
+		one, err := r.Run(st, cfgs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk = make([]*sim.Result, len(cfgs))
+		if err := r.RunChunk(st, cfgs, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if serial, err = r.RunBatchN(st, cfgs, 1); err != nil {
+			t.Fatal(err)
+		}
+		if par, err = r.RunBatchN(st, cfgs, 4); err != nil {
+			t.Fatal(err)
+		}
+		return one, chunk, serial, par
+	}
+	one, chunk, serial, par := classify(st1, cfgs)
+	classify(st24, shapeGrid()) // another stream, another group, on the same slabs
+
+	for i, cfg := range cfgs {
+		want, err := sim.Run(k1, 200, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && !reflect.DeepEqual(one, want) {
+			t.Errorf("Run result for %+v changed after the Replayer classified another group", cfg)
+		}
+		for name, got := range map[string][]*sim.Result{"RunChunk": chunk, "serial RunBatchN": serial, "parallel RunBatchN": par} {
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s position %d (%+v) changed after the Replayer classified another group", name, i, cfg)
+			}
+		}
+	}
+}
+
 // TestStreamSharedConcurrently replays one Stream from many goroutines
 // at once (each with its own Replayer), as sweep workers do; run under
 // -race this proves the Stream is shared read-only.

@@ -38,7 +38,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/cache"
@@ -137,7 +136,13 @@ func (c Config) Representative() Config {
 	return c
 }
 
-// Result reports one simulated run.
+// Result reports one simulated run. A Result is write-once: it is
+// read-only from the moment an engine returns it, like a cell under
+// single assignment. Results may therefore share slices — every
+// replayed Result of one stream shares its Checksums, and the members
+// of a configuration class (Config.Representative) share their
+// representative's PerPE, Cache, Traffic and Checksums, each with its
+// own Config. A caller that wants to change one copies it first.
 type Result struct {
 	Kernel string
 	N      int
@@ -163,25 +168,6 @@ type Result struct {
 
 // RemotePercent returns the run's "% of Reads Remote".
 func (r *Result) RemotePercent() float64 { return r.Totals.RemotePercent() }
-
-// Clone returns a deep copy of r that shares no slice with it; the
-// traffic matrix is copied into one slab, as Run builds it.
-func (r *Result) Clone() *Result {
-	c := *r
-	c.PerPE = slices.Clone(r.PerPE)
-	c.Cache = slices.Clone(r.Cache)
-	c.Checksums = slices.Clone(r.Checksums)
-	if r.Traffic != nil {
-		npe := len(r.Traffic)
-		slab := make([]int64, npe*npe)
-		c.Traffic = make([][]int64, npe)
-		for i := range c.Traffic {
-			c.Traffic[i] = slab[i*npe : (i+1)*npe : (i+1)*npe]
-			copy(c.Traffic[i], r.Traffic[i])
-		}
-	}
-	return &c
-}
 
 // engine is the counting simulator's state for one run. All per-array
 // storage is slab-allocated and indexed by precomputed bases so the
@@ -591,7 +577,7 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 		ReduceBcasts: e.reduceB,
 	}
 	res.Totals = res.PerPE.Totals()
-	res.Traffic = trafficMatrix(e.trafBuf, cfg.NPE)
+	res.Traffic = TrafficMatrix(e.trafBuf, cfg.NPE)
 	res.Cache = make([]cache.Stats, cfg.NPE)
 	for pe := 0; pe < cfg.NPE; pe++ {
 		res.Cache[pe] = e.caches[pe].Stats()
@@ -609,10 +595,11 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// trafficMatrix copies an npe*npe row-major message-count slab into a
-// fresh matrix backed by a single allocation (one slab, one row-header
-// slice), keeping Result construction O(1) allocations.
-func trafficMatrix(buf []int64, npe int) [][]int64 {
+// TrafficMatrix copies an npe*npe row-major message-count slab into a
+// fresh Result.Traffic matrix: one slab and one row-header slice,
+// keeping Result construction O(1) allocations. Every engine lays its
+// traffic out through it.
+func TrafficMatrix(buf []int64, npe int) [][]int64 {
 	slab := append([]int64(nil), buf[:npe*npe]...)
 	rows := make([][]int64, npe)
 	for i := range rows {

@@ -27,16 +27,18 @@ func progressGrid(t *testing.T) []Point {
 // point, and registry counters that match.
 func TestRunOptsProgress(t *testing.T) {
 	pts := progressGrid(t)
+	// Partial-fill points are ineligible for replay, so every point runs
+	// directly and the sim.runs assertion below counts one engine run
+	// per point; replay_test.go covers the planner's counters.
+	for i := range pts {
+		pts[i].Config.ModelPartialFill = true
+	}
 	reg := obs.NewRegistry()
 	var events []Progress // callback is serialized, so plain append is safe
-	// ReplayOff pins the direct path, so the sim.runs assertion below
-	// counts one engine run per point; replay_test.go covers the
-	// planner's counters.
 	res, err := RunOpts(context.Background(), pts, Options{
 		Workers:  3,
 		Metrics:  reg,
 		Progress: func(p Progress) { events = append(events, p) },
-		Replay:   ReplayOff,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ type plannedCut struct {
 // representatives), so a test can compute it beside the sweep.
 func cutOf(t testing.TB, pts []Point) plannedCut {
 	t.Helper()
-	groups, direct := planTasks(pts, ReplayOn)
+	groups, direct := planTasks(pts)
 	if len(groups) != 1 || len(direct) != 0 {
 		t.Fatalf("planned %d groups and %d direct points, want one group", len(groups), len(direct))
 	}
@@ -121,10 +121,7 @@ func TestWideGroupUsesEveryWorker(t *testing.T) {
 	for i := 0; i < len(pts); i += 97 {
 		sample, at = append(sample, pts[i]), append(at, i)
 	}
-	direct, err := RunOpts(context.Background(), sample, Options{Workers: 1, Replay: ReplayOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, sample)
 	for j, i := range at {
 		if !reflect.DeepEqual(two[i], direct[j]) {
 			t.Errorf("point %d (%s): chunked replay differs from direct execution", i, pts[i])

@@ -34,7 +34,7 @@ func mixedGrid(t *testing.T) []Point {
 		NPEs:    []int{1, 4, 16},
 	}.Points()
 	// Ineligible ablation point mid-grid: must fall back to direct
-	// execution under every mode.
+	// execution.
 	pf := sim.PaperConfig(8, 32)
 	pf.ModelPartialFill = true
 	pts = append(pts[:3], append([]Point{{Kernel: k1, N: 200, Config: pf}}, pts[3:]...)...)
@@ -50,27 +50,45 @@ func mixedGrid(t *testing.T) []Point {
 	return pts
 }
 
+// runDirect runs every point through one sim.Scratch, in grid order:
+// the unreduced reference a sweep is held to.
+func runDirect(t testing.TB, pts []Point) []*sim.Result {
+	t.Helper()
+	scratch := sim.NewScratch()
+	out := make([]*sim.Result, len(pts))
+	for i, p := range pts {
+		res, err := scratch.Run(p.Kernel, p.N, p.Config)
+		if err != nil {
+			t.Fatalf("point %d (%s): %v", i, p, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
 // TestReplayModesBitIdentical is the planner's determinism contract:
-// the replay mode changes how points are executed, never what they
-// return. Every mode, at several worker counts, must produce
-// results bit-identical to each other and to serial direct runs.
+// a sweep executes each point in one of two modes — replayed from its
+// group's captured stream, or run direct (singletons, ineligible
+// points) — and the mode changes how a point is executed, never what
+// it returns. mixedGrid exercises both modes; at several worker counts
+// every point must be bit-identical to a serial direct run.
 func TestReplayModesBitIdentical(t *testing.T) {
 	pts := mixedGrid(t)
-	baseline, err := RunOpts(context.Background(), pts, Options{Workers: 1, Replay: ReplayOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []ReplayMode{ReplayAuto, ReplayOn} {
-		for _, workers := range []int{1, 4} {
-			got, err := RunOpts(context.Background(), pts, Options{Workers: workers, Replay: mode})
-			if err != nil {
-				t.Fatalf("replay=%s workers=%d: %v", mode, workers, err)
-			}
-			for i := range pts {
-				if !reflect.DeepEqual(got[i], baseline[i]) {
-					t.Errorf("replay=%s workers=%d: point %d (%s) differs from direct execution",
-						mode, workers, i, pts[i])
-				}
+	baseline := runDirect(t, pts)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		got, err := RunOpts(context.Background(), pts, Options{Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if reg.Counter(MetricReplayPoints).Value() == 0 || reg.Counter(MetricDirectPoints).Value() == 0 {
+			t.Fatalf("workers=%d: %s = %d, %s = %d; the grid must exercise both modes",
+				workers, MetricReplayPoints, reg.Counter(MetricReplayPoints).Value(),
+				MetricDirectPoints, reg.Counter(MetricDirectPoints).Value())
+		}
+		for i := range pts {
+			if !reflect.DeepEqual(got[i], baseline[i]) {
+				t.Errorf("workers=%d: point %d (%s) differs from direct execution", workers, i, pts[i])
 			}
 		}
 	}
@@ -86,51 +104,35 @@ func TestReplayModesBitIdentical(t *testing.T) {
 func TestReplayPlanCounters(t *testing.T) {
 	pts := mixedGrid(t)
 	// mixedGrid has groups (k1,200) and (k24,200) of 4 points and 3
-	// representatives each, singleton (k1,333), and one ineligible point.
-	cases := []struct {
-		mode     ReplayMode
-		captures int64
-		replayed int64
-		distinct int64
-		batched  int64 // groups the batch replayer cut and classified
-	}{
-		{ReplayOn, 3, 9, 7, 3},   // singleton group still captures and replays
-		{ReplayAuto, 2, 8, 6, 2}, // singleton runs direct: capture would not amortize
-		{ReplayOff, 0, 0, 0, 0},
+	// representatives each, singleton (k1,333), which runs direct, and
+	// one ineligible point.
+	const captures, replayed, distinct, batched = 2, 8, 6, 2
+	reg := obs.NewRegistry()
+	var last Progress
+	opts := Options{Workers: 8, Metrics: reg, Progress: func(p Progress) { last = p }}
+	if _, err := RunOpts(context.Background(), pts, opts); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		reg := obs.NewRegistry()
-		var last Progress
-		opts := Options{Workers: 8, Metrics: reg, Replay: c.mode, Progress: func(p Progress) { last = p }}
-		if _, err := RunOpts(context.Background(), pts, opts); err != nil {
-			t.Fatalf("replay=%s: %v", c.mode, err)
+	if last.Done != len(pts) || reg.Counter(MetricPointsDone).Value() != int64(len(pts)) {
+		t.Errorf("progress %+v, %s = %d; want every one of %d points done",
+			last, MetricPointsDone, reg.Counter(MetricPointsDone).Value(), len(pts))
+	}
+	for name, want := range map[string]int64{
+		MetricStreamCaptures:        captures,
+		MetricReplayPoints:          replayed,
+		MetricDistinctConfigs:       distinct,
+		MetricDirectPoints:          int64(len(pts)) - replayed,
+		refstream.MetricBatchGroups: batched,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-		if last.Done != len(pts) || reg.Counter(MetricPointsDone).Value() != int64(len(pts)) {
-			t.Errorf("replay=%s: progress %+v, %s = %d; want every one of %d points done",
-				c.mode, last, MetricPointsDone, reg.Counter(MetricPointsDone).Value(), len(pts))
-		}
-		if got := reg.Counter(MetricStreamCaptures).Value(); got != c.captures {
-			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricStreamCaptures, got, c.captures)
-		}
-		if got := reg.Counter(MetricReplayPoints).Value(); got != c.replayed {
-			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricReplayPoints, got, c.replayed)
-		}
-		if got := reg.Counter(MetricDistinctConfigs).Value(); got != c.distinct {
-			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricDistinctConfigs, got, c.distinct)
-		}
-		direct := int64(len(pts)) - c.replayed
-		if got := reg.Counter(MetricDirectPoints).Value(); got != direct {
-			t.Errorf("replay=%s: %s = %d, want %d", c.mode, MetricDirectPoints, got, direct)
-		}
-		if got := reg.Counter(refstream.MetricBatchGroups).Value(); got != c.batched {
-			t.Errorf("replay=%s: %s = %d, want %d", c.mode, refstream.MetricBatchGroups, got, c.batched)
-		}
-		// These three-point groups are far under the cost target: one
-		// chunk each, so the partitions histogram reads 1 per group.
-		if h := reg.Snapshot().Histograms[refstream.MetricBatchPartitions]; h.Count != c.batched || h.Sum != c.batched {
-			t.Errorf("replay=%s: %s = %d observations summing to %d, want %d of 1",
-				c.mode, refstream.MetricBatchPartitions, h.Count, h.Sum, c.batched)
-		}
+	}
+	// Groups of three representatives are far under the cost target:
+	// one chunk each, so the partitions histogram reads 1 per group.
+	if h := reg.Snapshot().Histograms[refstream.MetricBatchPartitions]; h.Count != batched || h.Sum != batched {
+		t.Errorf("%s = %d observations summing to %d, want %d of 1",
+			refstream.MetricBatchPartitions, h.Count, h.Sum, batched)
 	}
 }
 
@@ -148,7 +150,7 @@ func TestReplayErrorDeterminism(t *testing.T) {
 	pts[1].Config = bad    // first failure
 	pts[3].Config.NPE = -1 // second failure, must not win
 	for _, workers := range []int{1, 4} {
-		_, err := RunOpts(context.Background(), pts, Options{Workers: workers, Replay: ReplayOn})
+		_, err := RunOpts(context.Background(), pts, Options{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: failing grid succeeded", workers)
 		}
@@ -179,7 +181,7 @@ func TestCaptureOverlapCounter(t *testing.T) {
 	// One worker: every capture finishes with no other worker running,
 	// so the counter must stay zero whatever the number of groups.
 	reg := obs.NewRegistry()
-	if _, err := RunOpts(context.Background(), pts, Options{Workers: 1, Metrics: reg, Replay: ReplayOn}); err != nil {
+	if _, err := RunOpts(context.Background(), pts, Options{Workers: 1, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(MetricCaptureOverlap).Value(); got != 0 {
@@ -189,12 +191,9 @@ func TestCaptureOverlapCounter(t *testing.T) {
 	// Many groups, many workers: overlap is scheduler-dependent, but it
 	// can never exceed the number of captures, and sharing the queue
 	// must not change what the sweep computes.
-	baseline, err := RunOpts(context.Background(), pts, Options{Workers: 1, Replay: ReplayOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := runDirect(t, pts)
 	reg = obs.NewRegistry()
-	got, err := RunOpts(context.Background(), pts, Options{Workers: 4, Metrics: reg, Replay: ReplayOn})
+	got, err := RunOpts(context.Background(), pts, Options{Workers: 4, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,36 +231,21 @@ func TestPlanReplay(t *testing.T) {
 		{Kernel: k1, N: 0, Config: sim.PaperConfig(2, 16)},    // 6: clamps to DefaultN
 	}
 
-	off := planReplay(pts, ReplayOff)
-	for i, g := range off {
-		if g != nil {
-			t.Errorf("ReplayOff: point %d got a group", i)
-		}
+	plan := planReplay(pts)
+	if plan[0] == nil || plan[0] != plan[1] {
+		t.Errorf("points 0 and 1 should share one group, got %p / %p", plan[0], plan[1])
 	}
-
-	auto := planReplay(pts, ReplayAuto)
-	if auto[0] == nil || auto[0] != auto[1] {
-		t.Errorf("ReplayAuto: points 0 and 1 should share one group, got %p / %p", auto[0], auto[1])
+	if plan[2] != nil || plan[4] != nil {
+		t.Errorf("ineligible/nil-kernel points got groups: %p / %p", plan[2], plan[4])
 	}
-	if auto[2] != nil || auto[4] != nil {
-		t.Errorf("ReplayAuto: ineligible/nil-kernel points got groups: %p / %p", auto[2], auto[4])
+	if plan[3] != nil {
+		t.Errorf("singleton point got a group")
 	}
-	if auto[3] != nil {
-		t.Errorf("ReplayAuto: singleton point got a group")
+	if plan[5] == nil || plan[5] != plan[6] {
+		t.Errorf("clamped problem sizes should share one group, got %p / %p", plan[5], plan[6])
 	}
-	if auto[5] == nil || auto[5] != auto[6] {
-		t.Errorf("ReplayAuto: clamped problem sizes should share one group, got %p / %p", auto[5], auto[6])
-	}
-	if auto[0] == auto[5] {
-		t.Errorf("ReplayAuto: distinct problem sizes share a group")
-	}
-
-	on := planReplay(pts, ReplayOn)
-	if on[3] == nil {
-		t.Errorf("ReplayOn: singleton point should get a group")
-	}
-	if on[2] != nil || on[4] != nil {
-		t.Errorf("ReplayOn: ineligible/nil-kernel points got groups")
+	if plan[0] == plan[5] {
+		t.Errorf("distinct problem sizes share a group")
 	}
 }
 
@@ -290,26 +274,13 @@ func TestPlanTasks(t *testing.T) {
 	}
 	one1 := sim.PaperConfig(1, 32).Representative()
 
-	groups, direct := planTasks(pts, ReplayOn)
-	if len(groups) != 2 || !reflect.DeepEqual(direct, []int{2}) {
-		t.Fatalf("ReplayOn: %d groups, direct %v; want 2 groups, direct [2]", len(groups), direct)
+	groups, direct := planTasks(pts)
+	if len(groups) != 1 || !reflect.DeepEqual(direct, []int{0, 2}) {
+		t.Fatalf("%d groups, direct %v; want one group, and the singleton and the ineligible point direct", len(groups), direct)
 	}
-	if !reflect.DeepEqual(groups[0].members, [][]int{{0}}) || groups[0].n != 200 {
-		t.Errorf("ReplayOn: group 0 = %+v, want the singleton {0}", groups[0])
-	}
-	if !reflect.DeepEqual(groups[1].members, [][]int{{1, 5}, {3, 4}}) || groups[1].n != 100 ||
-		!reflect.DeepEqual(groups[1].cfgs, []sim.Config{one1, sim.PaperConfig(8, 32)}) {
-		t.Errorf("ReplayOn: group 1 = %+v, want classes {1, 5} and {3, 4}", groups[1])
-	}
-
-	groups, direct = planTasks(pts, ReplayAuto)
-	if len(groups) != 1 || !reflect.DeepEqual(groups[0].members, [][]int{{1, 5}, {3, 4}}) || !reflect.DeepEqual(direct, []int{0, 2}) {
-		t.Errorf("ReplayAuto: groups %+v direct %v, want one group {1, 5}, {3, 4} and the singleton direct", groups, direct)
-	}
-
-	groups, direct = planTasks(pts, ReplayOff)
-	if len(groups) != 0 || !reflect.DeepEqual(direct, []int{0, 1, 2, 3, 4, 5}) {
-		t.Errorf("ReplayOff: groups %+v direct %v, want every point direct", groups, direct)
+	if !reflect.DeepEqual(groups[0].members, [][]int{{1, 5}, {3, 4}}) || groups[0].n != 100 ||
+		!reflect.DeepEqual(groups[0].cfgs, []sim.Config{one1, sim.PaperConfig(8, 32)}) {
+		t.Errorf("group = %+v, want classes {1, 5} and {3, 4}", groups[0])
 	}
 }
 
@@ -321,11 +292,8 @@ func TestScatterMatchesDirect(t *testing.T) {
 		"wideGroup(k2)": wideGroup(t, "k2", 0),
 		"mixedGrid":     mixedGrid(t),
 	} {
-		want, err := RunOpts(context.Background(), pts, Options{Replay: ReplayOff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunOpts(context.Background(), pts, Options{Replay: ReplayAuto})
+		want := runDirect(t, pts)
+		got, err := RunOpts(context.Background(), pts, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,31 +305,28 @@ func TestScatterMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestScatterSharesNothing: class-mates get deep copies, so mutating
-// one member's result leaves every other member's intact.
-func TestScatterSharesNothing(t *testing.T) {
+// TestClassMatesShareOneBody: sim.Result is write-once, so the first
+// member of a class takes its representative's result and every later
+// member a Result of its own that shares the representative's PerPE,
+// Cache, Traffic and Checksums, stamped with the member's Config.
+func TestClassMatesShareOneBody(t *testing.T) {
 	pts := mixedGrid(t)
-	want, err := RunOpts(context.Background(), pts, Options{Replay: ReplayOff})
+	got, err := RunOpts(context.Background(), pts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunOpts(context.Background(), pts, Options{Replay: ReplayAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, _ := planTasks(pts, ReplayAuto)
+	groups, _ := planTasks(pts)
 	mates := 0
 	for _, g := range groups {
 		for _, m := range g.members {
-			r := got[m[0]] // the representative's own result object
-			r.PerPE[0].LocalReads++
-			r.Cache[0].Hits++
-			r.Traffic[0][len(r.Traffic)-1]++
-			r.Checksums[0].Sum++
+			r := got[m[0]]
 			for _, i := range m[1:] {
 				mates++
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("point %d changed with its class-mate %d", i, m[0])
+				if got[i] == r || !sharesBody(got[i], r) {
+					t.Errorf("point %d does not share its class-mate %d's body in a Result of its own", i, m[0])
+				}
+				if got[i].Config != pts[i].Config {
+					t.Errorf("point %d carries config %+v, want its own %+v", i, got[i].Config, pts[i].Config)
 				}
 			}
 		}
@@ -369,6 +334,21 @@ func TestScatterSharesNothing(t *testing.T) {
 	if mates == 0 {
 		t.Fatal("mixedGrid has no class-mates: the test is vacuous")
 	}
+}
+
+// sharesBody reports whether a and b share the backing arrays of every
+// slice of a Result: PerPE, Cache, each Traffic row and Checksums.
+func sharesBody(a, b *sim.Result) bool {
+	if len(a.Traffic) != len(b.Traffic) {
+		return false
+	}
+	for p := range a.Traffic {
+		if &a.Traffic[p][0] != &b.Traffic[p][0] {
+			return false
+		}
+	}
+	return &a.PerPE[0] == &b.PerPE[0] && &a.Cache[0] == &b.Cache[0] &&
+		&a.Checksums[0] == &b.Checksums[0]
 }
 
 // TestRepeatedInvalidConfigBlamesFirst: one invalid configuration

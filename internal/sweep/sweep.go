@@ -11,7 +11,10 @@
 //   - Determinism: results are returned in grid order — result i is
 //     point i — regardless of how the scheduler interleaves workers,
 //     and every result is bit-identical to a serial sim.Run of the
-//     same point (no mutable state is shared between points).
+//     same point. Results are write-once (sim.Result): points may share
+//     a result's slices, and no point's result is ever written after
+//     it is returned, so sharing cannot make one point's values depend
+//     on another's.
 //   - Bounded concurrency: a sweep is `workers` goroutines (default
 //     runtime.GOMAXPROCS(0)) and nothing else, each doing one thing at
 //     a time — a capture, a classification or a direct run — so a
@@ -34,11 +37,12 @@
 // is skipped entirely. Replay results are proven bit-identical to
 // direct runs, so the guarantees above are preserved; points that
 // replay cannot serve (partial-fill ablations) fall back to direct
-// execution per point. Within a group, configurations whose counts are
+// execution per point, as do singleton groups, where a capture would
+// not amortize. Within a group, configurations whose counts are
 // identical by construction (sim.Config.Representative) are classified
-// once: each member gets its own deep copy of the result, stamped with
-// the configuration it asked for. ReplayOff runs every point directly
-// and is the unreduced reference.
+// once: the first member takes the representative's result and every
+// later one a shallow copy that shares its slices, each stamped with
+// the configuration it asked for.
 //
 // The unit of dispatch is a chunk: a contiguous, cost-bounded slice of
 // one group's configurations (refstream.Replayer.Cut). The paper's
@@ -200,34 +204,6 @@ type Progress struct {
 // non-decreasing across calls, as is Done+Failed.
 type ProgressFunc func(Progress)
 
-// ReplayMode selects how the sweep planner uses reference-stream
-// replay (internal/refstream) to serve grid points.
-type ReplayMode int
-
-const (
-	// ReplayAuto (the zero value) replays groups of two or more
-	// eligible points sharing a (kernel, problem size) — where one
-	// capture amortizes — and runs everything else directly.
-	ReplayAuto ReplayMode = iota
-	// ReplayOff runs every point directly through sim.Scratch.
-	ReplayOff
-	// ReplayOn replays every eligible point, even singleton groups.
-	// Ineligible points (partial-fill) still run directly.
-	ReplayOn
-)
-
-func (m ReplayMode) String() string {
-	switch m {
-	case ReplayAuto:
-		return "auto"
-	case ReplayOff:
-		return "off"
-	case ReplayOn:
-		return "on"
-	}
-	return fmt.Sprintf("ReplayMode(%d)", int(m))
-}
-
 // Options configures a sweep beyond its point list.
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
@@ -242,11 +218,6 @@ type Options struct {
 	// process-wide obs.Default() is used (itself nil — fully disabled —
 	// unless a front end enabled it).
 	Metrics *obs.Registry
-	// Replay selects the execute-once/classify-many strategy. The
-	// default (ReplayAuto) is safe for every sweep: replay is proven
-	// bit-identical to direct execution, so changing the mode changes
-	// wall time, never results.
-	Replay ReplayMode
 }
 
 // Observability counter names recorded by sweeps. Totals are added when
@@ -331,16 +302,11 @@ func (c chunk) minIdx() int { return c.g.members[c.lo][0] }
 // planReplay assigns each point to a replay group, or nil for direct
 // execution. Grouping is by (kernel, clamped problem size) — exactly
 // the key the reference stream depends on — and within a group by
-// representative configuration. Under ReplayAuto only groups with at
-// least two eligible points get a group (a singleton would pay capture
-// — an instrumented direct run — without amortizing it); under
-// ReplayOn every eligible point does; under ReplayOff the plan is
-// all-nil.
-func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
+// representative configuration. Only keys with at least two eligible
+// points get a group: a singleton would pay capture — an instrumented
+// direct run — without amortizing it.
+func planReplay(pts []Point) []*replayGroup {
 	plan := make([]*replayGroup, len(pts))
-	if mode == ReplayOff {
-		return plan
-	}
 	type key struct {
 		k *loops.Kernel
 		n int
@@ -363,7 +329,7 @@ func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 			continue
 		}
 		k := key{p.Kernel, p.Kernel.ClampN(p.N)}
-		if mode == ReplayAuto && counts[k] < 2 {
+		if counts[k] < 2 {
 			continue
 		}
 		g := groups[k]
@@ -389,8 +355,8 @@ func planReplay(pts []Point, mode ReplayMode) []*replayGroup {
 // with: the replay groups, in grid order of their first member — the
 // order they are captured in — and the grid indices of the points that
 // run directly, ascending.
-func planTasks(pts []Point, mode ReplayMode) (groups []*replayGroup, direct []int) {
-	for i, g := range planReplay(pts, mode) {
+func planTasks(pts []Point) (groups []*replayGroup, direct []int) {
+	for i, g := range planReplay(pts) {
 		if g == nil {
 			direct = append(direct, i)
 		} else if g.first() == i {
@@ -448,12 +414,11 @@ func RunN(ctx context.Context, workers int, pts []Point) ([]*sim.Result, error) 
 	return RunOpts(ctx, pts, Options{Workers: workers})
 }
 
-// RunOpts is RunN with live progress reporting, metrics, and planner
-// control: the same deterministic grid-order results and lowest-index
-// error contract, plus per-point Progress callbacks, registry counters,
-// and Options.Replay. The instrumentation observes without
-// participating, and replay is bit-identical to direct execution —
-// results do not depend on any Options field.
+// RunOpts is RunN with live progress reporting and metrics: the same
+// deterministic grid-order results and lowest-index error contract,
+// plus per-point Progress callbacks and registry counters. The
+// instrumentation observes without participating — results do not
+// depend on any Options field.
 func RunOpts(ctx context.Context, pts []Point, opts Options) ([]*sim.Result, error) {
 	s := newRun(pts, opts)
 	if err := runQueue(ctx, opts.Workers, s.groups, s.direct, s.reg.Counter(MetricCaptureOverlap), s.worker); err != nil {
@@ -494,7 +459,7 @@ func newRun(pts []Point, opts Options) *run {
 		cDirect:   reg.Counter(MetricDirectPoints),
 	}
 	reg.Counter(MetricPointsTotal).Add(int64(len(pts)))
-	s.groups, s.direct = planTasks(pts, opts.Replay)
+	s.groups, s.direct = planTasks(pts)
 	return s
 }
 
@@ -615,17 +580,16 @@ func (s *run) worker(context.Context) worker {
 }
 
 // scatter hands a representative's result to every member it stands
-// for. Each member gets back the configuration it asked for; the first
-// takes res itself and every later one a deep copy, so no two points
-// share mutable state.
+// for. Each member gets back the configuration it asked for: the first
+// takes res itself, and every later one a shallow copy that shares
+// res's slices — one allocation, sound because a Result is write-once.
 func (s *run) scatter(res *sim.Result, members []int) {
-	for k, i := range members {
-		r := res
-		if k > 0 {
-			r = res.Clone()
-		}
-		r.Config = s.pts[i].Config
-		s.results[i] = r
+	res.Config = s.pts[members[0]].Config
+	s.results[members[0]] = res
+	for _, i := range members[1:] {
+		c := *res
+		c.Config = s.pts[i].Config
+		s.results[i] = &c
 	}
 }
 

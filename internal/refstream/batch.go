@@ -30,15 +30,16 @@ package refstream
 //     reductions come from the structural summary), grouped by owner
 //     map — (NPE, page size, layout, layout run), which fixes what every
 //     PE's private cache sees. An owner map whose only framed
-//     configuration is LRU with at most lruCap frames walks the column
-//     once on inline recency rows: packed SWAR rows for small Modulo
-//     caches — four uint16 frame lanes per uint64 word, recency
-//     maintained with shifts and masks (classifyReadsLRUP1/P2) — plain
-//     frame rows otherwise (classifyReadsLRU). Every other owner map is
-//     classified in two levels (twolevel.go): one walk builds each PE's
-//     remote-page string, one move-to-front walk per PE string prices
-//     all its LRU sizes, and FIFO, Clock and Random configurations run
-//     policy rows over the strings.
+//     configuration is LRU with at most packCap frames walks the column
+//     once on packed SWAR rows — four uint16 frame lanes per uint64
+//     word, recency maintained with shifts and masks
+//     (classifyReadsLRUP1/P2) — under any layout and machine width:
+//     single assignment never invalidates a fetched page, so a PE's
+//     cache depends only on its remote-page string and frame count.
+//     Every other owner map is classified in two levels (twolevel.go):
+//     one walk builds each PE's remote-page string, one move-to-front
+//     walk per PE string prices all its LRU sizes, and FIFO, Clock and
+//     Random configurations run policy rows over the strings.
 //
 // A group walks the stream's memoized read column, shared by its
 // framed configurations. A call that classifies exactly one
@@ -108,7 +109,7 @@ const (
 	// remote-page string once for all the map's configurations.
 	MetricBatchOwnerMaps = "refstream.batch.owner_maps"
 	// MetricBatchPathPrefix, followed by a path name (fold, hist, swar,
-	// rows, stack, policy), counts the configurations served by
+	// stack, policy), counts the configurations served by
 	// that classification path, recorded by the chunk classifier that
 	// ran it.
 	MetricBatchPathPrefix = "refstream.batch.path."
@@ -122,7 +123,6 @@ const (
 	pathFold   path = iota // order-free, from the fold table
 	pathHist               // order-free, from the run-length read histogram
 	pathSWAR               // framed LRU, alone in its owner map, on packed SWAR rows
-	pathRows               // framed LRU, alone in its owner map, on plain frame rows
 	pathStack              // framed LRU, two-level: one stack walk per PE string prices every size
 	pathPolicy             // framed FIFO/Clock/Random, two-level: policy rows per PE string
 	numPaths
@@ -131,18 +131,19 @@ const (
 // pathMetric names the per-path counters.
 var pathMetric = [numPaths]string{
 	MetricBatchPathPrefix + "fold", MetricBatchPathPrefix + "hist", MetricBatchPathPrefix + "swar",
-	MetricBatchPathPrefix + "rows", MetricBatchPathPrefix + "stack", MetricBatchPathPrefix + "policy",
+	MetricBatchPathPrefix + "stack", MetricBatchPathPrefix + "policy",
 }
 
 // pathWeight is the cost of classifying one configuration, per stream
 // event, relative to the fold path; mapWeight is the cost of one owner
 // map's level-1 walk, charged once per map on top of its stack and
-// policy configurations. The fold : hist : swar : rows ratios are the
-// ladder's refstream.batch_us_per_config.* rungs (orderfree_pow2 :
-// orderfree_other : lru_small_pow2 : lru_other ≈ 1 : 3 : 13 : 32); the
-// two-level weights were timed on grid_wide's groups (docs/PERF.md).
-// One unit is about a third of a nanosecond on the measurement box.
-var pathWeight = [numPaths]int64{1, 3, 13, 32, 8, 16}
+// policy configurations. The fold : hist : swar ratios are the ladder's
+// refstream.batch_us_per_config.* rungs (orderfree_pow2 :
+// orderfree_other : lru_small_pow2 ≈ 1 : 3 : 13); the two-level weights
+// were timed on grid_wide's groups (docs/PERF.md), so a lone LRU map
+// above packCap frames is priced as stack plus one map walk. One unit
+// is about a third of a nanosecond on the measurement box.
+var pathWeight = [numPaths]int64{1, 3, 13, 8, 16}
 
 const mapWeight = 32
 
@@ -166,8 +167,8 @@ type cfgClass struct {
 
 // classOf derives a valid configuration's class from the page count
 // under its page size. A framed configuration is classed two-level
-// here; route moves the one of an owner map that is alone and LRU onto
-// the row walkers (soloPath).
+// here; route moves the one of an owner map that is alone, LRU and
+// small onto packed rows (soloPath).
 func classOf(cfg sim.Config, totalPages int) cfgClass {
 	mp := cfg.CacheElems / cfg.PageSize
 	c := cfgClass{frameless: mp == 0 || totalPages == 0}
@@ -191,20 +192,12 @@ func classOf(cfg sim.Config, totalPages int) cfgClass {
 // twoLevel reports whether the path is classified by owner map.
 func (p path) twoLevel() bool { return p == pathStack || p == pathPolicy }
 
-// soloPath is the path of an owner map's only framed configuration
-// when that configuration is LRU with at most lruCap frames: one walk
-// of the read column on inline rows, packed when the row fits two SWAR
-// words. ok is false when the map stays two-level.
-func soloPath(cfg sim.Config, p path, totalPages int) (_ path, ok bool) {
-	mp := cfg.CacheElems / cfg.PageSize
-	if p != pathStack || mp > lruCap {
-		return p, false
-	}
-	npe := cfg.NPE
-	if mp <= packCap && totalPages < packEmpty && npe&(npe-1) == 0 && cfg.Layout == partition.KindModulo {
-		return pathSWAR, true
-	}
-	return pathRows, true
+// soloPath reports whether an owner map's only framed configuration,
+// of path p, walks the read column once on packed SWAR rows: an LRU
+// cache of at most packCap frames over a page space whose ids fit a
+// lane. Otherwise the map stays two-level.
+func soloPath(cfg sim.Config, p path, totalPages int) bool {
+	return p == pathStack && cfg.CacheElems/cfg.PageSize <= packCap && totalPages < packEmpty
 }
 
 // Chunk is a contiguous slice [Lo, Hi) of a capture group's
@@ -277,9 +270,9 @@ func (g *cutGeom) path(st *Stream, cfg sim.Config) path {
 
 // unit returns the end of the unit that starts at cfgs[lo] and its
 // weight per stream event. A run of two-level configurations is priced
-// as runChunk will classify it: per owner map, a lone LRU configuration
-// on its row walker, any other map one level-1 walk plus its members'
-// level-2 weights.
+// as runChunk will classify it: per owner map, a lone small LRU
+// configuration on packed rows, any other map one level-1 walk plus its
+// members' level-2 weights.
 func (r *Replayer) unit(st *Stream, cfgs []sim.Config, lo int, g *cutGeom) (hi int, weight int64) {
 	p := g.path(st, cfgs[lo])
 	if !p.twoLevel() {
@@ -312,8 +305,8 @@ func (r *Replayer) unit(st *Stream, cfgs []sim.Config, lo int, g *cutGeom) (hi i
 		if m.n != 1 {
 			continue
 		}
-		if solo, ok := soloPath(m.first, m.p, pageCount(st.ArrayLens, ps)); ok {
-			weight += pathWeight[solo] - pathWeight[m.p] - mapWeight
+		if soloPath(m.first, m.p, pageCount(st.ArrayLens, ps)) {
+			weight += pathWeight[pathSWAR] - pathWeight[m.p] - mapWeight
 		}
 	}
 	r.cutMaps = maps
@@ -365,31 +358,23 @@ type batchWorker struct {
 // reused across calls.
 type batchState struct {
 	// Per-configuration geometry and classification class.
-	npe   []int
-	class []cfgClass
+	npe      []int
+	class    []cfgClass
+	maxPages []int // page frames (CacheElems/PageSize)
 
-	// Inline LRU state, for an owner map's lone LRU configuration: a
-	// recency-ordered row of maxPages gids per (configuration, PE)
-	// instead of the full cache machinery. Lookup is a linear scan of
-	// one cache line, hit is a move-to-front, miss shifts the row and
-	// drops the tail: exactly cache.Cache's LRU decisions.
-	maxPages []int   // per configuration: page frames (CacheElems/PageSize)
-	frames   []int32 // recency rows, npe×maxPages per configuration, -1 = empty
-
-	// Packed recency rows: when the configuration has at most eight
-	// frames, modulo layout with a power-of-two machine width, and a
-	// page space that fits 16-bit tags, its rows are packed four uint16
-	// lanes per word (lane 0 = most recent, 0xFFFF = empty), so lookup
-	// is a SWAR compare and replacement a pair of word shifts — the
-	// shape of the paper grid's entire framed population.
+	// Packed recency rows, for an owner map's lone LRU configuration of
+	// at most packCap frames over a page space that fits 16-bit tags: a
+	// recency-ordered row of maxPages gids per (configuration, PE),
+	// packed four uint16 lanes per word (lane 0 = most recent, 0xFFFF =
+	// empty), so lookup is a SWAR compare and replacement a pair of word
+	// shifts — exactly cache.Cache's LRU decisions.
 	pframes []uint64
 
 	// Prefix tables into the flat slabs, all len(cfgs)+1.
-	peOff    []int // sums of NPE: per-(configuration, PE) slab offsets
-	trafOff  []int // sums of NPE²: traffic-slab offsets
-	ownOff   []int // sums of the page count under the configuration's page size
-	frameOff []int // sums of NPE×maxPages over plain-row configurations
-	pfOff    []int // sums of NPE×words-per-row over packed configurations
+	peOff   []int // sums of NPE: per-(configuration, PE) slab offsets
+	trafOff []int // sums of NPE²: traffic-slab offsets
+	ownOff  []int // sums of the page count under the configuration's page size
+	pfOff   []int // sums of NPE×words-per-row over packed configurations
 
 	// Flat per-(configuration, PE) state.
 	perPE    stats.PerPE
@@ -415,14 +400,12 @@ type batchState struct {
 	framed   []int   // framed configurations of the current bucket
 }
 
-// lruCap bounds the inline LRU: beyond this many frames the linear
-// row scan loses to the two-level stack walk, so wider caches take it.
-// packCap bounds the packed rows (two words of four 16-bit lanes);
-// packEmpty is the empty-lane sentinel, so packing
-// requires every page id to stay below it. laneOnes/laneHighs are the
-// SWAR constants for the per-lane equality test.
+// packCap bounds the packed rows (two words of four 16-bit lanes):
+// wider caches take the two-level stack walk. packEmpty is the
+// empty-lane sentinel, so packing requires every page id to stay below
+// it. laneOnes/laneHighs are the SWAR constants for the per-lane
+// equality test.
 const (
-	lruCap    = 64
 	packCap   = 8
 	lanes     = 4
 	packEmpty = 0xFFFF
@@ -707,9 +690,6 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 				} else {
 					classifyReadsLRUP2(col, npe, b.maxPages[i], owners, rows, perPE, traf)
 				}
-			case pathRows:
-				classifyReadsLRU(col, npe, b.maxPages[i], owners,
-					b.frames[b.frameOff[i]:b.frameOff[i+1]], perPE, traf)
 			default:
 				continue // two-level: by owner map, below
 			}
@@ -794,9 +774,8 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 }
 
 // route groups the chunk's two-level configurations into owner maps,
-// moves the lone LRU configuration of a map onto its row walker
-// (soloPath), and sizes and resets the inline and packed LRU rows of
-// the configurations that use them.
+// moves the lone small LRU configuration of a map onto packed rows
+// (soloPath), and sizes and resets those rows.
 func (w *batchWorker) route(cfgs []sim.Config) {
 	b := &w.bat
 	n := len(cfgs)
@@ -825,8 +804,8 @@ func (w *batchWorker) route(cfgs []sim.Config) {
 			continue
 		}
 		i := b.maps[j].lo
-		if p, ok := soloPath(cfgs[i], b.class[i].path, b.ownOff[i+1]-b.ownOff[i]); ok {
-			b.class[i].path = p
+		if soloPath(cfgs[i], b.class[i].path, b.ownOff[i+1]-b.ownOff[i]) {
+			b.class[i].path = pathSWAR
 			b.mapOf[i] = -1
 			b.maps[j].hi = 0
 		}
@@ -844,23 +823,15 @@ func (w *batchWorker) route(cfgs []sim.Config) {
 		}
 	}
 
-	b.frameOff = grown(b.frameOff, n+1)
 	b.pfOff = grown(b.pfOff, n+1)
-	fr, pf := 0, 0
+	pf := 0
 	for i := range cfgs {
-		b.frameOff[i], b.pfOff[i] = fr, pf
-		switch b.class[i].path {
-		case pathSWAR:
+		b.pfOff[i] = pf
+		if b.class[i].path == pathSWAR {
 			pf += b.npe[i] * ((b.maxPages[i] + lanes - 1) / lanes)
-		case pathRows:
-			fr += b.npe[i] * b.maxPages[i]
 		}
 	}
-	b.frameOff[n], b.pfOff[n] = fr, pf
-	b.frames = grown(b.frames, fr)
-	for j := range b.frames {
-		b.frames[j] = -1
-	}
+	b.pfOff[n] = pf
 	b.pframes = grown(b.pframes, pf)
 	for j := range b.pframes {
 		b.pframes[j] = ^uint64(0) // every lane empty
@@ -913,82 +884,14 @@ func foldClassify(t *foldTable, npe int, perPE stats.PerPE, traf []int64) {
 	}
 }
 
-// classifyReadsLRU walks the context-resolved read column for one
-// framed LRU configuration, classifying against its inline recency
-// rows. The front-of-row check doubles as the guaranteed-hit short
-// circuit (the most recent page is by definition row[0]).
-func classifyReadsLRU(col []readRec, npe, mp int, owners, frames []int32, perPE stats.PerPE, traf []int64) {
-	lastCtx, cur := int32(-2), -1 // -2: no owner lookup cached yet
-	for _, rc := range col {
-		if rc.ctx != lastCtx {
-			lastCtx = rc.ctx
-			if lastCtx >= 0 {
-				cur = int(owners[lastCtx])
-			} else {
-				cur = -1
-			}
-		}
-		gid := rc.gid
-		c := int64(rc.count)
-		if cur >= 0 {
-			owner := int(owners[gid])
-			if owner == cur {
-				perPE[cur].LocalReads += c
-				continue
-			}
-			lruTouch(frames[cur*mp:cur*mp+mp], gid, cur, owner, npe, c, perPE, traf)
-		} else {
-			owner := int(owners[gid])
-			for pe := 0; pe < npe; pe++ {
-				if pe == owner {
-					perPE[pe].LocalReads += c
-					continue
-				}
-				lruTouch(frames[pe*mp:pe*mp+mp], gid, pe, owner, npe, c, perPE, traf)
-			}
-		}
-	}
-}
-
-// lruTouch performs one run of c lookups against an inline LRU row:
-// scan for the page, re-front it on a hit, shift-insert on a miss with
-// the tail falling off — exactly cache.Cache's LRU decisions for
-// replay's lookup-then-insert-on-miss discipline. After the first
-// lookup the page is the row's front, so the run's remaining c−1
-// lookups are hits regardless of how the first resolved.
-func lruTouch(row []int32, gid int32, pe, owner, npe int, c int64, perPE stats.PerPE, traf []int64) {
-	if row[0] == gid {
-		perPE[pe].CachedReads += c
-		return
-	}
-	for i := 1; i < len(row); i++ {
-		if row[i] == gid { // hit: refresh recency, exactly LRU's touch
-			for j := i; j > 0; j-- {
-				row[j] = row[j-1]
-			}
-			row[0] = gid
-			perPE[pe].CachedReads += c
-			return
-		}
-	}
-	for j := len(row) - 1; j > 0; j-- { // miss: insert at front, tail falls off
-		row[j] = row[j-1]
-	}
-	row[0] = gid
-	perPE[pe].RemoteReads++
-	perPE[pe].CachedReads += c - 1
-	traf[pe*npe+owner]++ // page request
-	traf[owner*npe+pe]++ // page reply
-}
-
-// classifyReadsLRUP1 is classifyReadsLRU for packed single-word rows
-// (at most four frames): the row scan is one SWAR halfword compare and
-// recency maintenance a pair of shifts, all inlined into the walk. The
-// modulo-layout and power-of-two preconditions (batchState.packed) let
-// the owner come from the read's array-local page index by mask,
-// skipping the owner-table load entirely.
+// classifyReadsLRUP1 walks the context-resolved read column for an
+// owner map's lone LRU configuration on packed single-word rows (at
+// most four frames): the row scan is one SWAR halfword compare and
+// recency maintenance a pair of shifts, all inlined into the walk. A
+// run of c reads of one page is one lookup: after it the page is the
+// row's front, so the remaining c−1 are hits. The front-lane check
+// doubles as the guaranteed-hit short circuit.
 func classifyReadsLRUP1(col []readRec, npe, mp int, owners []int32, rows []uint64, perPE stats.PerPE, traf []int64) {
-	m := int32(npe - 1)
 	keep := uint64(1)<<(16*uint(mp)) - 1 // mp=4 shifts past the word: keep = ^0
 	lastCtx, cur := int32(-2), -1        // -2: no owner lookup cached yet
 	for _, rc := range col {
@@ -1001,7 +904,7 @@ func classifyReadsLRUP1(col []readRec, npe, mp int, owners []int32, rows []uint6
 			}
 		}
 		g := uint64(uint32(rc.gid))
-		owner := int(rc.loc & m)
+		owner := int(owners[rc.gid])
 		c := int64(rc.count)
 		if cur >= 0 {
 			if owner == cur {
@@ -1059,7 +962,6 @@ func classifyReadsLRUP1(col []readRec, npe, mp int, owners []int32, rows []uint6
 // with its last lane spilling into word 1's front, and a miss shifts
 // both words with word 1's tail falling off.
 func classifyReadsLRUP2(col []readRec, npe, mp int, owners []int32, rows []uint64, perPE stats.PerPE, traf []int64) {
-	m := int32(npe - 1)
 	keep1 := uint64(1)<<(16*uint(mp-lanes)) - 1 // mp=8: keep = ^0
 	lastCtx, cur := int32(-2), -1
 	for _, rc := range col {
@@ -1072,7 +974,7 @@ func classifyReadsLRUP2(col []readRec, npe, mp int, owners []int32, rows []uint6
 			}
 		}
 		g := uint64(uint32(rc.gid))
-		owner := int(rc.loc & m)
+		owner := int(owners[rc.gid])
 		c := int64(rc.count)
 		if cur >= 0 {
 			if owner == cur {

@@ -329,7 +329,7 @@ func TestParallelBatchMetrics(t *testing.T) {
 	if served != int64(len(reps)) {
 		t.Errorf("path counters sum to %d, want %d (each representative under exactly one path)", served, len(reps))
 	}
-	for _, p := range []path{pathFold, pathSWAR, pathRows, pathStack, pathPolicy} {
+	for _, p := range []path{pathFold, pathSWAR, pathStack, pathPolicy} {
 		if snap.Counters[pathMetric[p]] == 0 {
 			t.Errorf("%s = 0: parGrid holds configurations of this path", pathMetric[p])
 		}

@@ -243,21 +243,35 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 		t.Errorf("path counters sum to %d, want 3: one per representative", served)
 	}
 	// A call of one framed LRU configuration of at most eight frames
-	// under Modulo layout walks its column on SWAR rows, and the
-	// counters name the path that ran.
-	one1 := obs.NewRegistry()
-	r1 := NewReplayer()
-	r1.Metrics = one1
-	if _, err := r1.RunBatchN(st, []sim.Config{sim.PaperConfig(8, 32)}, 1); err != nil {
-		t.Fatal(err)
-	}
-	for p, name := range pathMetric {
-		want := int64(0)
-		if path(p) == pathSWAR {
-			want = 1
+	// walks its column on SWAR rows under any layout and NPE; a wider
+	// one is priced two-level by the stack walk. The counters name the
+	// path that ran.
+	blockSmall := sim.PaperConfig(12, 32) // 4 frames, NPE 12, Block
+	blockSmall.CacheElems, blockSmall.Layout = 4*32, partition.KindBlock
+	wideLRU := sim.PaperConfig(8, 32) // 16 frames, Modulo
+	wideLRU.CacheElems = 16 * 32
+	for _, tc := range []struct {
+		cfg  sim.Config
+		want path
+	}{
+		{sim.PaperConfig(8, 32), pathSWAR},
+		{blockSmall, pathSWAR},
+		{wideLRU, pathStack},
+	} {
+		one1 := obs.NewRegistry()
+		r1 := NewReplayer()
+		r1.Metrics = one1
+		if _, err := r1.RunBatchN(st, []sim.Config{tc.cfg}, 1); err != nil {
+			t.Fatal(err)
 		}
-		if got := one1.Counter(name).Value(); got != want {
-			t.Errorf("one-configuration call: %s = %d, want %d", name, got, want)
+		for p, name := range pathMetric {
+			want := int64(0)
+			if path(p) == tc.want {
+				want = 1
+			}
+			if got := one1.Counter(name).Value(); got != want {
+				t.Errorf("one-configuration call %+v: %s = %d, want %d", tc.cfg, name, got, want)
+			}
 		}
 	}
 	single := NewReplayer()

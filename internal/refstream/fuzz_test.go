@@ -41,12 +41,17 @@ func cachedCapture(t *testing.T, k *loops.Kernel, n int) *Stream {
 // captured stream bit-identically to a direct sim.Run.
 func FuzzReplayVsDirect(f *testing.F) {
 	// Seeds cover each layout kind, each policy, degenerate machines and
-	// reduction-heavy kernels.
+	// reduction-heavy kernels; the last three land on packed SWAR rows
+	// under Block layout with NPE 12 and under block-cyclic(3) layout,
+	// and on a lone 32-frame LRU classified two-level.
 	f.Add(uint8(0), uint16(200), uint8(8), uint8(32), uint16(256), uint8(0), uint8(1), uint8(0))
 	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1))
 	f.Add(uint8(7), uint16(333), uint8(64), uint8(16), uint16(64), uint8(2), uint8(3), uint8(2))
 	f.Add(uint8(11), uint16(64), uint8(5), uint8(7), uint16(31), uint8(0), uint8(1), uint8(3))
 	f.Add(uint8(23), uint16(400), uint8(16), uint8(64), uint16(1024), uint8(1), uint8(1), uint8(0))
+	f.Add(uint8(0), uint16(200), uint8(11), uint8(31), uint16(256), uint8(1), uint8(0), uint8(0))
+	f.Add(uint8(5), uint16(100), uint8(5), uint8(15), uint16(64), uint8(2), uint8(2), uint8(0))
+	f.Add(uint8(2), uint16(300), uint8(7), uint8(15), uint16(512), uint8(0), uint8(0), uint8(0))
 	kernels := loops.All()
 	f.Fuzz(func(t *testing.T, kIdx uint8, n uint16, npe, ps uint8, ce uint16, layout, run, policy uint8) {
 		k := kernels[int(kIdx)%len(kernels)]

@@ -516,14 +516,12 @@ func (s *Stream) buildReadsHist(pageSize int) *readsHist {
 }
 
 // readRec is one entry of the context-resolved read column: the global
-// page id the read touches, its array-local page index (loc, which
-// determines the owner under modulo layout: loc mod NPE), and the
-// global page id of the open context (the assignment or term target
-// page whose owner executes the read), or -1 for a replicated control
-// read. The column is what is left of the event stream once assignment
-// boundaries are folded into each read: the exact input the
-// order-dependent cache classification consumes, with every other
-// opcode's effect pre-applied.
+// page id the read touches and the global page id of the open context
+// (the assignment or term target page whose owner executes the read),
+// or -1 for a replicated control read. The column is what is left of
+// the event stream once assignment boundaries are folded into each
+// read: the exact input the order-dependent cache classification
+// consumes, with every other opcode's effect pre-applied.
 //
 // Adjacent records with the same (ctx, gid) collapse into one with a
 // count. The collapse is order-exact: after a run's first read the
@@ -536,19 +534,18 @@ func (s *Stream) buildReadsHist(pageSize int) *readsHist {
 // records per event over all kernels (event-weighted), from 0.02 for
 // k12 and k24 to 0.99 for k4 and k6.
 type readRec struct {
-	ctx, gid, loc int32
-	count         int32
+	ctx, gid, count int32
 }
 
 // readColumn returns the stream's context-resolved read column under
 // the given page size, memoized like the gid columns. The batch
 // replayer walks it once per framed configuration or owner map: a
-// 16-byte record stream with no opcode dispatch, so the walk is bounded
+// 12-byte record stream with no opcode dispatch, so the walk is bounded
 // by the cache arithmetic rather than by decoding.
 //
 // The column is retained with the stream, one per page size, and its
-// backing array is reserved at one record per event: 16 bytes per
-// event, four times the gid column. A group of framed configurations
+// backing array is reserved at one record per event: 12 bytes per
+// event, three times the gid column. A group of framed configurations
 // amortizes that over its members. A call that classifies one
 // configuration (Run, or a RunBatchN whose configurations share one
 // representative) cannot, so it appends the column into its worker's
@@ -566,10 +563,9 @@ func (s *Stream) buildReadColumn(pageSize int) []readRec {
 // appendReadColumn appends the stream's read column under pageSize to
 // col and returns the extended slice.
 func (s *Stream) appendReadColumn(col []readRec, pageSize int) []readRec {
-	heads, lins := s.decoded()
+	heads, _ := s.decoded()
 	gids := s.gidColumn(pageSize)
 	base := len(col)
-	ps := int32(pageSize)
 	cur := int32(-1)
 	for i, h := range heads {
 		switch h & 7 {
@@ -577,7 +573,7 @@ func (s *Stream) appendReadColumn(col []readRec, pageSize int) []readRec {
 			if k := len(col) - 1; k >= base && col[k].ctx == cur && col[k].gid == gids[i] {
 				col[k].count++
 			} else {
-				col = append(col, readRec{ctx: cur, gid: gids[i], loc: lins[i] / ps, count: 1})
+				col = append(col, readRec{ctx: cur, gid: gids[i], count: 1})
 			}
 		case opAssign, opTerm:
 			cur = gids[i]

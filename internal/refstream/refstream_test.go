@@ -459,8 +459,9 @@ func TestStreamEncodingRoundTrip(t *testing.T) {
 // Checksums are shared with the stream, and every classification
 // buffer lives in the Replayer, the one-configuration read column
 // included. The configurations cover every framed path a
-// one-configuration call takes: SWAR rows (the paper's 8-frame LRU),
-// policy rows (FIFO, Clock, Random) and the LRU stack (100 frames).
+// one-configuration call takes: SWAR rows (the paper's 8-frame LRU,
+// and a 4-frame LRU under Block layout on 12 PEs), policy rows (FIFO,
+// Clock, Random) and the LRU stack (16 and 100 frames).
 func TestReplayAllocs(t *testing.T) {
 	base := sim.PaperConfig(16, 32)
 	cfgs := []sim.Config{base}
@@ -469,9 +470,14 @@ func TestReplayAllocs(t *testing.T) {
 		c.Policy = pol
 		cfgs = append(cfgs, c)
 	}
-	wide := base
-	wide.CacheElems = 100 * base.PageSize
-	cfgs = append(cfgs, wide)
+	for _, frames := range []int{16, 100} {
+		wide := base
+		wide.CacheElems = frames * base.PageSize
+		cfgs = append(cfgs, wide)
+	}
+	blockSmall := sim.PaperConfig(12, 32)
+	blockSmall.CacheElems, blockSmall.Layout = 4*32, partition.KindBlock
+	cfgs = append(cfgs, blockSmall)
 	for _, key := range []string{"k1", "k24", "k6"} {
 		k, err := loops.ByKey(key)
 		if err != nil {

@@ -22,18 +22,16 @@ race:
 	$(GO) test -race ./...
 
 # Compare the engines on one capture group (direct execution vs
-# single-config replay vs one batch pass), a wide group's chunks fanned
-# out by RunBatchN at 1/4/8 workers and swept by the work queue at 1/2,
-# then run the perf gates that CI enforces: a batch pass must never be
-# slower than replaying the group one configuration at a time, and with
-# GOMAXPROCS>1 a fanned-out pass must never be slower than the serial
-# one and a two-worker sweep of one wide group must finish within 0.75x
-# the one-worker time (docs/PERF.md).
+# single-config replay vs one batch pass) and a wide group swept by the
+# work queue at 1/2 workers, then run the perf gates that CI enforces: a
+# batch pass must never be slower than replaying the group one
+# configuration at a time, and with GOMAXPROCS>1 a two-worker sweep of
+# one wide group must finish within 0.75x the one-worker time
+# (docs/PERF.md).
 bench-batch:
 	$(GO) test -run=NONE -bench='BenchmarkGroup(Direct|SingleReplay|BatchReplay)$$' -benchmem ./internal/refstream
-	$(GO) test -run=NONE -bench=BenchmarkGroupBatchReplayPar -benchmem -cpu=1,4,8 ./internal/refstream
 	$(GO) test -run=NONE -bench=BenchmarkSweepWideGroup -benchmem -cpu=1,2 .
-	REFSTREAM_PERF_GATE=1 $(GO) test -run 'TestBatchNoSlowerThanSingleReplay|TestBatchParNoSlowerThanSerial|TestWideSweepScalesToTwoWorkers' -count=1 -v ./internal/refstream ./internal/sweep
+	REFSTREAM_PERF_GATE=1 $(GO) test -run 'TestBatchNoSlowerThanSingleReplay|TestWideSweepScalesToTwoWorkers' -count=1 -v ./internal/refstream ./internal/sweep
 
 # Vet and test the benchmark module (benchmark/ has its own go.mod, so
 # ./... does not reach it): it compiles against exported names of

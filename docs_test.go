@@ -402,7 +402,7 @@ func TestGoRefs(t *testing.T) {
 	for ref, want := range map[string]bool{
 		"refstream.Replayer.RunBatchN": true,
 		"refstream.Replayer.Run":       true,
-		"refstream.Replayer.runChunk":  true, // promoted from the embedded batchWorker
+		"refstream.twoLevel.build":     true, // promoted from the embedded peStrings
 		"Replayer.Metrics":             true,
 		"lru.Cache.Peek":               true,
 		"sim.Config.Representative":    true,

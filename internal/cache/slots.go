@@ -22,9 +22,10 @@ import "fmt"
 // fresh-cache state exactly.
 const RandomSeed = 0x9e3779b97f4a7c15
 
-// NextRandom advances the Random policy's xorshift generator: a full
-// cache draws one value per eviction and evicts its page of rank
-// value mod resident pages, counted from the most recent.
+// NextRandom advances the Random policy's generator, Marsaglia's 64-bit
+// xorshift with the shift triple (13, 7, 17): x ^= x<<13, x ^= x>>7,
+// x ^= x<<17. A full cache draws one value per eviction and evicts its
+// page of rank value mod resident pages, counted from the most recent.
 func NextRandom(x uint64) uint64 {
 	x ^= x << 13
 	x ^= x >> 7

@@ -127,3 +127,27 @@ func TestSlotModeNoFrames(t *testing.T) {
 		t.Errorf("no-frame cache stats %+v len %d", st, c.Len())
 	}
 }
+
+// TestNextRandomKnownAnswer pins the Random policy's generator: the
+// first eight states from RandomSeed under the (13, 7, 17) xorshift,
+// computed independently of NextRandom. Every Random eviction in the
+// simulator and in replay's policy rows draws from this sequence, so a
+// changed shift must fail here, in the generator's own package.
+func TestNextRandomKnownAnswer(t *testing.T) {
+	want := []uint64{
+		0xdc1b77ae0bf34dad,
+		0x64f0eeb9026e6076,
+		0x7b07ce91e5906136,
+		0x305f050c368dcc74,
+		0x2ceb16e0a1c54aec,
+		0x97101dce4e7bfb79,
+		0x9ad2e144d6e8f2cf,
+		0xd9aa792e1af470ea,
+	}
+	x := uint64(RandomSeed)
+	for i, w := range want {
+		if x = NextRandom(x); x != w {
+			t.Fatalf("state %d = %#016x, want %#016x", i+1, x, w)
+		}
+	}
+}

@@ -45,7 +45,7 @@ package refstream
 // framed configurations. A call that classifies exactly one
 // configuration (Run, or a RunBatchN whose configurations share one
 // representative) walks the same walkers over a column built into the
-// worker's own buffer instead, so it memoizes nothing on the stream:
+// Replayer's own buffer instead, so it memoizes nothing on the stream:
 // see readColumn.
 //
 // Whatever the path, a framed configuration's cache statistics follow
@@ -55,34 +55,32 @@ package refstream
 //
 // Large groups are classified in chunks: Cut splits the configuration
 // slab into contiguous slices of bounded estimated cost (path class ×
-// stream length), each classified against one batchWorker's slabs over
-// the shared read-only decoded stream, with results landing at their
+// stream length), each classified against one Replayer's slabs over the
+// shared read-only decoded stream, with results landing at their
 // original indices. The same single-assignment argument that makes the
 // batch sound makes any split sound: configurations never interact, so
-// chunks share nothing mutable and may run on any worker in any order.
-// Cut keeps a run of framed configurations with one (NPE, page size)
-// whole, so an owner map's strings are built once. internal/sweep
-// feeds the chunks of every group to one work queue; RunBatchN spreads
-// one group's chunks over its own parallelism budget. A group under
-// the cost target is one chunk and pays nothing.
+// chunks share nothing mutable and may run on any Replayer in any
+// order. Cut keeps a run of framed configurations with one (NPE, page
+// size) whole, so an owner map's strings are built once.
+// internal/sweep feeds the chunks of every group to one work queue, so
+// one group spreads over every sweep worker; RunBatchN runs a group's
+// chunks one after another. A group under the cost target is one chunk
+// and pays nothing.
 //
 // Results are bit-identical to direct sim.Run whatever the chunking:
 // Run is a chunk of one configuration, so refstream_test.go,
 // FuzzBatchVsSingle and FuzzSharedOwnerMap (batch against sim.Run),
 // TestParallelMatchesSerialBatch and FuzzParallelVsSerialBatch hold the
-// equivalence across kernels, owner maps, cuts and worker counts, and
+// equivalence across kernels, owner maps, cuts and Replayers, and
 // docs/PERF.md records the measured win.
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -336,22 +334,6 @@ type BatchError struct {
 func (e *BatchError) Error() string { return fmt.Sprintf("config %d: %v", e.Index, e.Err) }
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// batchWorker owns one chunk's worth of mutable replay state: the
-// memoized layout table, the structure-of-arrays slabs, the two-level
-// scratch and a one-configuration call's read column. The Replayer
-// embeds one — Run, RunChunk and a serial RunBatchN share it — and a
-// parallel RunBatchN draws extra workers from a free list, so
-// steady-state parallel calls reuse every worker's slabs just as serial
-// calls reuse the embedded one. Workers never share mutable state: each
-// classifies contiguous, disjoint slices of the configuration slab over
-// the shared read-only decoded stream.
-type batchWorker struct {
-	layouts map[layoutKey]partition.Layout // memoized boxed layouts
-	bat     batchState
-	two     twoLevel
-	col     []readRec // a one-configuration call's read column (see readColumn)
-}
-
 // batchState is RunBatchN's reusable scratch: flat structure-of-arrays
 // slabs indexed by configuration (directly, or per (configuration, PE)
 // through the peOff prefix table). Everything grows on first use and is
@@ -420,19 +402,11 @@ const (
 // *BatchError whose Index is the lowest failing position in cfgs.
 // Beyond the Results themselves, a steady-state call allocates nothing.
 //
-// workers is the parallelism budget: the group is Cut into chunks and
-// up to workers goroutines, each with its own batchWorker, classify
-// every workers-th chunk over the shared
-// read-only decoded stream, with every Result landing at its original
-// index — so the output (and the error, attributed to the lowest
-// failing position across chunks) is byte-identical at every budget.
-// Chunks cost about the same by construction, so striding balances as
-// well as a shared counter would, and it gives each worker the same
-// chunks on every call: slabs and cache rows reach their steady-state
-// size after one. A group of one chunk, or a budget of one, runs on
-// the calling goroutine. The per-call goroutine fan-out is the only
-// steady-state cost parallelism adds: worker slabs come from a free
-// list and are reused across calls.
+// The group is Cut into chunks, classified one after another on the
+// calling goroutine against r's slabs. workers is ignored: a caller
+// that wants one group spread over cores cuts it with Cut and runs the
+// chunks on one Replayer per worker with RunChunk, as internal/sweep
+// does.
 //
 // Only one representative of each set of count-identical
 // configurations (sim.Config.Representative) is cut and classified:
@@ -444,15 +418,17 @@ func (r *Replayer) RunBatchN(st *Stream, cfgs []sim.Config, workers int) ([]*sim
 	out := grown(r.repOut, len(reps))
 	r.repOut = out
 	defer clear(out)
-	if err := r.runReps(st, reps, out, workers); err != nil {
-		var be *BatchError
-		if errors.As(err, &be) {
-			// Representatives are in order of first occurrence, so the
-			// lowest failing one's first member is the lowest failing
-			// position in cfgs.
-			return nil, &BatchError{Index: slices.Index(r.repOf, be.Index), Err: be.Err}
+	for _, c := range r.Cut(st, reps) {
+		// A group of one representative is one chunk, classified over
+		// the Replayer's own read column like Run.
+		if err := r.runChunk(st, reps[c.Lo:c.Hi], out[c.Lo:c.Hi], len(reps) == 1); err != nil {
+			// Chunks are ascending and representatives are in order of
+			// first occurrence, so the first failing chunk's lowest
+			// failing representative's first member is the lowest
+			// failing position in cfgs.
+			be := err.(*BatchError) // runChunk blames every failure on a position
+			return nil, &BatchError{Index: slices.Index(r.repOf, c.Lo+be.Index), Err: be.Err}
 		}
-		return nil, err
 	}
 	results := make([]*sim.Result, len(cfgs))
 	next := 0 // representatives are numbered in order of first occurrence
@@ -494,66 +470,6 @@ func (r *Replayer) distinct(cfgs []sim.Config) []sim.Config {
 	return reps
 }
 
-// runReps cuts and classifies distinct configurations into results,
-// fanning out over up to workers goroutines. One configuration is one
-// chunk, classified over the worker's own read column like Run.
-func (r *Replayer) runReps(st *Stream, cfgs []sim.Config, results []*sim.Result, workers int) error {
-	chunks := r.Cut(st, cfgs)
-	if workers > 1 && len(chunks) > 1 {
-		return r.runChunksPar(st, cfgs, results, chunks, min(workers, len(chunks)))
-	}
-	for _, c := range chunks {
-		if err := r.batchWorker.runChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi], r.Metrics, len(cfgs) == 1); err != nil {
-			return rebase(err, c.Lo)
-		}
-	}
-	return nil
-}
-
-// runChunksPar is RunBatchN's fan-out, kept apart so that the variables
-// its goroutines capture are not heap-allocated on the serial path.
-func (r *Replayer) runChunksPar(st *Stream, cfgs []sim.Config, results []*sim.Result, chunks []Chunk, workers int) error {
-	for len(r.extra) < workers-1 {
-		r.extra = append(r.extra, &batchWorker{})
-	}
-	r.parErrs = grown(r.parErrs, len(chunks))
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		w := &r.batchWorker
-		if p > 0 {
-			w = r.extra[p-1]
-		}
-		wg.Add(1)
-		go func(p int, w *batchWorker) {
-			defer wg.Done()
-			for i := p; i < len(chunks); i += workers {
-				c := chunks[i]
-				r.parErrs[i] = w.runChunk(st, cfgs[c.Lo:c.Hi], results[c.Lo:c.Hi], r.Metrics, false)
-			}
-		}(p, w)
-	}
-	wg.Wait()
-	// Chunks are contiguous and ascending and each reports its own
-	// lowest failing position, so the first failing chunk in order
-	// carries the globally lowest index.
-	for i, err := range r.parErrs {
-		if err != nil {
-			return rebase(err, chunks[i].Lo)
-		}
-	}
-	return nil
-}
-
-// rebase turns a chunk-local *BatchError into one indexed from the
-// start of the group.
-func rebase(err error, lo int) error {
-	var be *BatchError
-	if lo > 0 && errors.As(err, &be) {
-		return &BatchError{Index: lo + be.Index, Err: be.Err}
-	}
-	return err
-}
-
 // RunChunk classifies one chunk of a capture group — cfgs is the
 // chunk's slice of the group, results the matching slice of the
 // group's output — against r's own slabs. It is what a caller that
@@ -562,20 +478,21 @@ func rebase(err error, lo int) error {
 // chunk is part of a group, so its framed configurations walk the
 // stream's memoized read column even when the chunk holds only one.
 func (r *Replayer) RunChunk(st *Stream, cfgs []sim.Config, results []*sim.Result) error {
-	return r.batchWorker.runChunk(st, cfgs, results, r.Metrics, false)
+	return r.runChunk(st, cfgs, results, false)
 }
 
 // runChunk classifies one chunk of a capture group into results
-// (len(results) == len(cfgs)): the whole serial batch algorithm,
-// against this worker's own slabs. A returned *BatchError carries the
+// (len(results) == len(cfgs)): the whole batch algorithm, against r's
+// own slabs. Every error it returns is a *BatchError carrying the
 // chunk-local index. single marks a call that classifies exactly one
-// configuration: it builds its read column into the worker's buffer
-// rather than the stream's memo (see readColumn). The path each
-// configuration took and each read-column pass are recorded on reg (nil
-// disables; obs instruments are race-safe, so concurrent chunks record
+// configuration: it builds its read column into r's buffer rather than
+// the stream's memo (see readColumn). The path each configuration took
+// and each read-column pass are recorded on r.Metrics (nil disables;
+// obs instruments are race-safe, so Replayers sharing a registry record
 // directly).
-func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result, reg *obs.Registry, single bool) error {
-	b := &w.bat
+func (r *Replayer) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result, single bool) error {
+	b := &r.bat
+	reg := r.Metrics
 	n := len(cfgs)
 
 	// Size and zero the slabs. Invalid geometry contributes nothing
@@ -608,11 +525,11 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 	// first error is the lowest-index one: validation, class and owner
 	// tables.
 	for i := range cfgs {
-		if err := w.setupBatchConfig(st, i, cfgs[i]); err != nil {
+		if err := r.setupBatchConfig(st, i, cfgs[i]); err != nil {
 			return &BatchError{Index: i, Err: err}
 		}
 	}
-	w.route(cfgs)
+	r.route(cfgs)
 	var served [numPaths]int64
 	for i := range cfgs {
 		served[b.class[i].path]++
@@ -671,8 +588,8 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		// shared summary.
 		var col []readRec
 		if single {
-			w.col = st.appendReadColumn(w.col[:0], ps)
-			col = w.col
+			r.col = st.appendReadColumn(r.col[:0], ps)
+			col = r.col
 		} else {
 			col = st.readColumn(ps)
 		}
@@ -700,7 +617,7 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 		for _, m := range b.maps {
 			if m.key.pageSize == ps && m.hi > m.lo {
 				reg.Counter(MetricBatchOwnerMaps).Inc()
-				w.classifyMap(cfgs, col, agg, m)
+				r.classifyMap(cfgs, col, agg, m)
 			}
 		}
 	}
@@ -744,11 +661,11 @@ func (w *batchWorker) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Res
 // into the batch slabs: its class and the owner table under its page
 // size and layout. No path classifies with cache.Cache, so the cache
 // parameters are only validated.
-func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error {
+func (r *Replayer) setupBatchConfig(st *Stream, i int, cfg sim.Config) error {
 	if err := validateConfig(cfg); err != nil {
 		return err
 	}
-	b := &w.bat
+	b := &r.bat
 	npe := cfg.NPE
 	b.npe[i] = npe
 	var totalPages int
@@ -756,7 +673,7 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 	owners := b.owners[b.ownOff[i]:b.ownOff[i+1]]
 	for a, elems := range st.ArrayLens {
 		pages := (elems + cfg.PageSize - 1) / cfg.PageSize
-		l, err := w.layout(cfg.Layout, npe, pages, cfg.LayoutRun)
+		l, err := r.layout(cfg.Layout, npe, pages, cfg.LayoutRun)
 		if err != nil {
 			return fmt.Errorf("refstream: %s: %w", st.Kernel.Key, err)
 		}
@@ -776,8 +693,8 @@ func (w *batchWorker) setupBatchConfig(st *Stream, i int, cfg sim.Config) error 
 // route groups the chunk's two-level configurations into owner maps,
 // moves the lone small LRU configuration of a map onto packed rows
 // (soloPath), and sizes and resets those rows.
-func (w *batchWorker) route(cfgs []sim.Config) {
-	b := &w.bat
+func (r *Replayer) route(cfgs []sim.Config) {
+	b := &r.bat
 	n := len(cfgs)
 	b.maps = b.maps[:0]
 	b.mapOf = grown(b.mapOf, n)

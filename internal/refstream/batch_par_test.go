@@ -154,11 +154,46 @@ func TestBatchPartitions(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialBatch is the parallel replayer's
-// bit-identity contract: for every kernel and a spread of worker
-// budgets, RunBatchN must produce Results bit-identical to a serial
-// RunBatchN of the same group — and therefore, transitively, to
-// per-configuration replay and direct execution.
+// dealChunks classifies cfgs the way internal/sweep's queue spreads a
+// group over its workers: chunk i of chunks runs on rs[i%len(rs)] with
+// RunChunk, its Results landing at their group indices. With
+// concurrent set each Replayer runs its chunks on its own goroutine
+// over the shared stream; otherwise they all run on the caller's.
+func dealChunks(t testing.TB, st *Stream, cfgs []sim.Config, chunks []Chunk, rs []*Replayer, concurrent bool) []*sim.Result {
+	out := make([]*sim.Result, len(cfgs))
+	share := func(p int) {
+		for i := p; i < len(chunks); i += len(rs) {
+			c := chunks[i]
+			if err := rs[p].RunChunk(st, cfgs[c.Lo:c.Hi], out[c.Lo:c.Hi]); err != nil {
+				t.Errorf("chunk %d [%d,%d) on Replayer %d: %v", i, c.Lo, c.Hi, p, err)
+			}
+		}
+	}
+	if !concurrent {
+		for p := range rs {
+			share(p)
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	for p := range rs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			share(p)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestParallelMatchesSerialBatch is the chunked replayer's bit-identity
+// contract as internal/sweep uses it: for every kernel, a finely cut
+// group dealt over 2, 3, 4 or 8 Replayers running side by side must
+// produce Results bit-identical to one RunBatchN pass of the same group
+// — and therefore, transitively, to per-configuration replay and direct
+// execution. The Replayers deal the group twice, so reused slabs must
+// keep producing identical output.
 func TestParallelMatchesSerialBatch(t *testing.T) {
 	cfgs := parGrid()
 	workerCounts := []int{2, 3, 4, 8}
@@ -174,36 +209,31 @@ func TestParallelMatchesSerialBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial batch: %v", err)
 			}
+			chunks := fineCut(st).Cut(st, cfgs)
 			for _, workers := range workerCounts {
-				r := fineCut(st)
-				got, err := r.RunBatchN(st, cfgs, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+				rs := make([]*Replayer, workers)
+				for p := range rs {
+					rs[p] = NewReplayer()
 				}
-				for i := range cfgs {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Errorf("workers=%d config %d (npe=%d ps=%d ce=%d %s/%s): parallel diverges from serial",
-							workers, i, cfgs[i].NPE, cfgs[i].PageSize, cfgs[i].CacheElems, cfgs[i].Layout, cfgs[i].Policy)
+				for pass := 0; pass < 2; pass++ {
+					got := dealChunks(t, st, cfgs, chunks, rs, true)
+					for i := range cfgs {
+						if !reflect.DeepEqual(got[i], want[i]) {
+							t.Errorf("workers=%d pass %d config %d (npe=%d ps=%d ce=%d %s/%s): chunked classification diverges from one pass",
+								workers, pass, i, cfgs[i].NPE, cfgs[i].PageSize, cfgs[i].CacheElems, cfgs[i].Layout, cfgs[i].Policy)
+						}
 					}
-				}
-				// A reused Replayer must keep producing identical output
-				// at the same budget (the serve-worker usage).
-				again, err := r.RunBatchN(st, cfgs, workers)
-				if err != nil {
-					t.Fatalf("workers=%d reuse: %v", workers, err)
-				}
-				if !reflect.DeepEqual(again, want) {
-					t.Errorf("workers=%d: reused parallel Replayer diverges from serial", workers)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelBatchSharedStream runs two parallel RunBatchN calls
-// concurrently over one decoded Stream (each Replayer fanning out its
-// own partitions); under -race this proves the partition workers keep
-// the shared Stream — decoded columns, memoized summaries — read-only.
+// TestParallelBatchSharedStream runs two Replayers' RunBatchN calls
+// concurrently over one decoded Stream, each cutting the group into
+// many chunks; under -race this proves chunk classification keeps the
+// shared Stream — decoded columns, memoized summaries — read-only,
+// which is what internal/sweep's workers rely on.
 func TestParallelBatchSharedStream(t *testing.T) {
 	k, err := loops.ByKey("k2")
 	if err != nil {
@@ -225,13 +255,13 @@ func TestParallelBatchSharedStream(t *testing.T) {
 			defer wg.Done()
 			r := fineCut(st)
 			for iter := 0; iter < 5; iter++ {
-				got, err := r.RunBatchN(st, cfgs, 4)
+				got, err := r.RunBatchN(st, cfgs, 1)
 				if err != nil {
-					t.Errorf("parallel batch: %v", err)
+					t.Errorf("chunked batch: %v", err)
 					return
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Error("concurrent parallel batch diverges from serial baseline")
+					t.Error("concurrent chunked batch diverges from one pass")
 					return
 				}
 			}
@@ -240,9 +270,9 @@ func TestParallelBatchSharedStream(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelBatchErrorAttribution: a parallel batch must blame the
-// lowest failing input index — even when the failure sits in a later
-// partition or several partitions fail — with exactly the serial
+// TestParallelBatchErrorAttribution: a batch cut into many chunks must
+// blame the lowest failing input index — even when the failure sits in
+// a later chunk or several chunks fail — with exactly the one-chunk
 // batch's error text.
 func TestParallelBatchErrorAttribution(t *testing.T) {
 	k, err := loops.ByKey("k1")
@@ -257,28 +287,27 @@ func TestParallelBatchErrorAttribution(t *testing.T) {
 	for _, badIdx := range []int{0, 5, len(cfgs) / 2, len(cfgs) - 1} {
 		bad := append([]sim.Config(nil), cfgs...)
 		bad[badIdx] = sim.Config{NPE: -1, PageSize: 32}
-		_, serialErr := NewReplayer().RunBatchN(st, bad, 1)
-		if serialErr == nil {
-			t.Fatalf("badIdx=%d: serial batch accepted an invalid config", badIdx)
+		_, wholeErr := NewReplayer().RunBatchN(st, bad, 1)
+		if wholeErr == nil {
+			t.Fatalf("badIdx=%d: one-chunk batch accepted an invalid config", badIdx)
 		}
-		_, parErr := fineCut(st).RunBatchN(st, bad, 4)
-		if parErr == nil {
-			t.Fatalf("badIdx=%d: parallel batch accepted an invalid config", badIdx)
+		_, cutErr := fineCut(st).RunBatchN(st, bad, 1)
+		if cutErr == nil {
+			t.Fatalf("badIdx=%d: chunked batch accepted an invalid config", badIdx)
 		}
-		if parErr.Error() != serialErr.Error() {
-			t.Errorf("badIdx=%d: parallel error %q, serial error %q", badIdx, parErr, serialErr)
+		if cutErr.Error() != wholeErr.Error() {
+			t.Errorf("badIdx=%d: chunked error %q, one-chunk error %q", badIdx, cutErr, wholeErr)
 		}
 		var be *BatchError
-		if !errors.As(parErr, &be) || be.Index != badIdx {
-			t.Errorf("badIdx=%d: parallel BatchError.Index = %v, want %d", badIdx, parErr, badIdx)
+		if !errors.As(cutErr, &be) || be.Index != badIdx {
+			t.Errorf("badIdx=%d: chunked BatchError.Index = %v, want %d", badIdx, cutErr, badIdx)
 		}
 	}
-	// Two failures: the lower index wins regardless of which partition
-	// finishes first.
+	// Two failures in different chunks: the lower index wins.
 	bad := append([]sim.Config(nil), cfgs...)
 	bad[2] = sim.Config{NPE: 4, PageSize: -3}
 	bad[len(bad)-2] = sim.Config{NPE: -1, PageSize: 32}
-	_, err = fineCut(st).RunBatchN(st, bad, 4)
+	_, err = fineCut(st).RunBatchN(st, bad, 1)
 	var be *BatchError
 	if !errors.As(err, &be) || be.Index != 2 {
 		t.Errorf("two failures: got %v, want BatchError at index 2", err)
@@ -308,7 +337,7 @@ func TestParallelBatchMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := fineCut(st)
 	r.Metrics = reg
-	if _, err := r.RunBatchN(st, cfgs, 4); err != nil {
+	if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -334,61 +363,24 @@ func TestParallelBatchMetrics(t *testing.T) {
 			t.Errorf("%s = 0: parGrid holds configurations of this path", pathMetric[p])
 		}
 	}
-	// The same group at a budget of one records the same counts: the
-	// cut, not the worker count, decides them.
-	serial := obs.NewRegistry()
-	r = fineCut(st)
-	r.Metrics = serial
-	if _, err := r.RunBatchN(st, cfgs, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := serial.Snapshot().Counters, snap.Counters; !reflect.DeepEqual(got, want) {
-		t.Errorf("counters at workers=1 %v differ from workers=4 %v", got, want)
+	// The same chunks dealt over two Replayers that share a registry,
+	// as internal/sweep runs them, record the same counts: the cut, not
+	// who runs the chunks, decides them.
+	dealt := obs.NewRegistry()
+	cutter := fineCut(st)
+	cutter.Metrics = dealt
+	rs := []*Replayer{{Metrics: dealt}, {Metrics: dealt}}
+	dealChunks(t, st, reps, cutter.Cut(st, reps), rs, true)
+	if got, want := dealt.Snapshot().Counters, snap.Counters; !reflect.DeepEqual(got, want) {
+		t.Errorf("counters of the dealt chunks %v differ from RunBatchN's %v", got, want)
 	}
 	// A group under the target observes one partition, so the histogram
 	// doubles as a split-vs-whole mix signal.
-	r.Metrics = reg
-	if _, err := r.RunBatchN(st, cfgs[:1], 4); err != nil {
+	if _, err := r.RunBatchN(st, cfgs[:1], 1); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
 	if h := snap.Histograms[MetricBatchPartitions]; h.Count != 2 || h.Sum != int64(wantParts)+1 {
 		t.Errorf("after a one-chunk call: partitions count=%d sum=%d, want 2/%d", h.Count, h.Sum, wantParts+1)
-	}
-}
-
-// TestBatchParallelAllocs extends the batch alloc guard to the
-// parallel path: worker slabs come from the Replayer's free list and
-// the cut reuses its buffer, so a steady-state parallel call adds only
-// the per-call dispatch (one goroutine and closure per worker) on top
-// of the serial budget of 5 allocations per Result plus the results
-// slice.
-func TestBatchParallelAllocs(t *testing.T) {
-	k, err := loops.ByKey("k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Capture(k, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := parGrid()
-	const workers = 4
-	r := fineCut(st)
-	if len(r.Cut(st, cfgs)) < workers {
-		t.Fatalf("parGrid cuts into fewer than %d chunks", workers)
-	}
-	if _, err := r.RunBatchN(st, cfgs, workers); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.RunBatchN(st, cfgs, workers); err != nil {
-			t.Fatal(err)
-		}
-	})
-	limit := float64(5*len(cfgs) + 1 + 4*workers)
-	if allocs > limit {
-		t.Errorf("%.0f allocs per steady-state parallel batch of %d configs across %d workers, want <= %.0f (5 per Result + results slice + dispatch)",
-			allocs, len(cfgs), workers, limit)
 	}
 }

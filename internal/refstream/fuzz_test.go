@@ -134,12 +134,15 @@ func FuzzBatchVsSingle(f *testing.F) {
 	})
 }
 
-// FuzzParallelVsSerialBatch drives the chunked replayer's equivalence
-// contract: a fuzzer-shaped capture group, cut fine and classified
-// with a fuzzer-chosen worker budget, must match the single-pass
-// RunBatchN of the same group exactly — results at the same indices,
-// bit-identical — across group sizes from one chunk to many and
-// budgets below, at and above the chunk count.
+// FuzzParallelVsSerialBatch drives the chunk split's equivalence
+// contract: a fuzzer-shaped capture group, cut fine and its chunks
+// dealt in turn to a fuzzer-chosen number of Replayers with RunChunk —
+// the split internal/sweep's workers run side by side, here run on one
+// goroutine — must match one RunBatchN pass of the same group exactly:
+// results at the same indices, bit-identical, across group sizes from
+// one chunk to many and Replayer counts below, at and above the chunk
+// count. A fineCut RunBatchN of the group, its chunks run one after
+// another on one Replayer, must match too.
 func FuzzParallelVsSerialBatch(f *testing.F) {
 	f.Add(uint8(0), uint16(200), uint8(8), uint8(32), uint16(256), uint8(0), uint8(1), uint8(0), uint8(11), uint8(4))
 	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1), uint8(7), uint8(2))
@@ -164,22 +167,28 @@ func FuzzParallelVsSerialBatch(f *testing.F) {
 				LayoutRun:  (int(run)+i)%6 + 1,
 			})
 		}
-		nw := int(workers)%8 + 1
 		st := cachedCapture(t, kernel, size)
 		want, err := NewReplayer().RunBatchN(st, cfgs, 1)
 		if err != nil {
-			t.Fatalf("serial batch rejected group %+v: %v", cfgs, err)
+			t.Fatalf("one-pass batch rejected group %+v: %v", cfgs, err)
 		}
-		got, err := fineCut(st).RunBatchN(st, cfgs, nw)
+		cut, err := fineCut(st).RunBatchN(st, cfgs, 1)
 		if err != nil {
-			t.Fatalf("parallel batch (workers=%d) rejected group the serial path accepted: %v", nw, err)
+			t.Fatalf("chunked batch rejected a group the one-pass batch accepted: %v", err)
 		}
+		rs := make([]*Replayer, int(workers)%8+1)
+		for p := range rs {
+			rs[p] = NewReplayer()
+		}
+		dealt := dealChunks(t, st, cfgs, fineCut(st).Cut(st, cfgs), rs, false)
 		for i := range cfgs {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("%s n=%d workers=%d config %d %+v: parallel batch diverges from serial\nparallel: totals %v reduce %d/%d\nserial:   totals %v reduce %d/%d",
-					kernel.Key, size, nw, i, cfgs[i],
-					got[i].Totals, got[i].ReduceSends, got[i].ReduceBcasts,
-					want[i].Totals, want[i].ReduceSends, want[i].ReduceBcasts)
+			for name, got := range map[string]*sim.Result{"chunked RunBatchN": cut[i], "dealt chunks": dealt[i]} {
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s n=%d replayers=%d config %d %+v: %s diverges from one pass\nchunked: totals %v reduce %d/%d\none pass: totals %v reduce %d/%d",
+						kernel.Key, size, len(rs), i, cfgs[i], name,
+						got.Totals, got.ReduceSends, got.ReduceBcasts,
+						want[i].Totals, want[i].ReduceSends, want[i].ReduceBcasts)
+				}
 			}
 		}
 	})

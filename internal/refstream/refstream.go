@@ -29,8 +29,9 @@
 // configuration and bucketing configurations by page size so page-id
 // derivation and the memoized stream summaries are computed once per
 // bucket; Replayer.Run is the same engine on a group of one.
-// internal/sweep submits whole groups to it and internal/serve rides
-// the same path for /v1/classify and /v1/sweep.
+// internal/sweep cuts each group into chunks (Replayer.Cut) that its
+// workers classify side by side (Replayer.RunChunk), and internal/serve
+// runs one RunBatchN per group for /v1/classify and /v1/sweep.
 //
 // Replay results — single and batch — are bit-identical to a direct
 // sim.Run of the same point; internal/sweep uses that equivalence to

@@ -184,7 +184,7 @@ func TestReplayerReuse(t *testing.T) {
 
 // TestReplayerResultsIndependent is the replay twin of sim's
 // TestScratchResultsIndependent: every Result the Replayer has returned
-// — from Run, RunChunk, and serial and parallel RunBatchN — still
+// — from Run, RunChunk and a RunBatchN cut into many chunks — still
 // equals direct execution after the same Replayer classifies another
 // group on every entry point. Class-mates share one Result body, so a
 // body that aliased a reused worker slab would be wrong for a whole
@@ -207,8 +207,8 @@ func TestReplayerResultsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := append(parGrid(), parGrid()...) // every configuration has a later class-mate
-	r := fineCut(st1)                       // so the parallel pass really fans out
-	classify := func(st *Stream, cfgs []sim.Config) (one *sim.Result, chunk, serial, par []*sim.Result) {
+	r := fineCut(st1)                       // so RunBatchN runs many chunks
+	classify := func(st *Stream, cfgs []sim.Config) (one *sim.Result, chunk, batch []*sim.Result) {
 		t.Helper()
 		one, err := r.Run(st, cfgs[1])
 		if err != nil {
@@ -218,15 +218,12 @@ func TestReplayerResultsIndependent(t *testing.T) {
 		if err := r.RunChunk(st, cfgs, chunk); err != nil {
 			t.Fatal(err)
 		}
-		if serial, err = r.RunBatchN(st, cfgs, 1); err != nil {
+		if batch, err = r.RunBatchN(st, cfgs, 1); err != nil {
 			t.Fatal(err)
 		}
-		if par, err = r.RunBatchN(st, cfgs, 4); err != nil {
-			t.Fatal(err)
-		}
-		return one, chunk, serial, par
+		return one, chunk, batch
 	}
-	one, chunk, serial, par := classify(st1, cfgs)
+	one, chunk, batch := classify(st1, cfgs)
 	classify(st24, shapeGrid()) // another stream, another group, on the same slabs
 
 	for i, cfg := range cfgs {
@@ -237,7 +234,7 @@ func TestReplayerResultsIndependent(t *testing.T) {
 		if i == 1 && !reflect.DeepEqual(one, want) {
 			t.Errorf("Run result for %+v changed after the Replayer classified another group", cfg)
 		}
-		for name, got := range map[string][]*sim.Result{"RunChunk": chunk, "serial RunBatchN": serial, "parallel RunBatchN": par} {
+		for name, got := range map[string][]*sim.Result{"RunChunk": chunk, "RunBatchN": batch} {
 			if !reflect.DeepEqual(got[i], want) {
 				t.Errorf("%s position %d (%+v) changed after the Replayer classified another group", name, i, cfg)
 			}

@@ -27,14 +27,15 @@ func Eligible(cfg sim.Config) bool {
 // replay path — owner tables, cache rows, counters, the traffic slab —
 // so its steady state allocates nothing beyond the returned Results.
 // A Replayer is not safe for concurrent use; give each worker its own.
-// Distinct Replayers may replay the same Stream concurrently, and a
-// parallel RunBatchN fans its partitions out over the same shared
-// stream internally (batch.go).
+// Distinct Replayers may replay the same Stream concurrently: they
+// share only its read-only decoded columns and memoized summaries.
 //
 // There is one replay engine, the chunk classifier of batch.go: Run is
 // a chunk of one configuration, and RunBatchN classifies a whole
-// capture group, cut into cost-bounded chunks that up to its workers
-// budget of goroutines share.
+// capture group, cut into cost-bounded chunks that run one after
+// another on the calling goroutine. A caller that wants one group
+// spread over cores cuts it itself and hands the chunks to several
+// Replayers (Cut and RunChunk), as internal/sweep does.
 type Replayer struct {
 	// Metrics, when non-nil, receives the batch-replay counters
 	// (MetricBatchGroups, MetricBatchConfigsPerPass,
@@ -42,7 +43,13 @@ type Replayer struct {
 	// MetricBatchPathPrefix family). Nil disables them.
 	Metrics *obs.Registry
 
-	batchWorker // partition 0's state: Run, RunChunk and serial RunBatchN
+	// One chunk's worth of mutable replay state, reused chunk after
+	// chunk: the memoized layout table, the structure-of-arrays slabs,
+	// the two-level scratch and a one-configuration call's read column.
+	layouts map[layoutKey]partition.Layout // memoized boxed layouts
+	bat     batchState
+	two     twoLevel
+	col     []readRec // a one-configuration call's read column (see readColumn)
 
 	chunks  []Chunk  // Cut's output, reused across calls
 	cutMaps []cutMap // Cut's owner-map tally of one unit, reused
@@ -55,11 +62,6 @@ type Replayer struct {
 	reps   []sim.Config
 	repOf  []int
 	repOut []*sim.Result
-
-	// Parallel RunBatchN: the extra workers (grown on demand and
-	// reused) and each chunk's outcome.
-	extra   []*batchWorker
-	parErrs []error
 }
 
 // layoutKey identifies a partition layout: the full parameter set
@@ -75,19 +77,19 @@ type layoutKey struct {
 
 // layout returns the memoized partition layout for the key, building it
 // on first use.
-func (w *batchWorker) layout(kind partition.Kind, npe, pages, run int) (partition.Layout, error) {
+func (r *Replayer) layout(kind partition.Kind, npe, pages, run int) (partition.Layout, error) {
 	lk := layoutKey{kind, npe, pages, run}
-	if l, ok := w.layouts[lk]; ok {
+	if l, ok := r.layouts[lk]; ok {
 		return l, nil
 	}
 	l, err := partition.Make(kind, npe, pages, run)
 	if err != nil {
 		return nil, err
 	}
-	if w.layouts == nil {
-		w.layouts = make(map[layoutKey]partition.Layout)
+	if r.layouts == nil {
+		r.layouts = make(map[layoutKey]partition.Layout)
 	}
-	w.layouts[lk] = l
+	r.layouts[lk] = l
 	return l, nil
 }
 
@@ -120,13 +122,12 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // returned Result is independent of the Replayer, except that
 // Checksums aliases the stream's memoized (immutable) slice.
 //
-// Run is a chunk of one configuration on the embedded worker, so it
-// builds its read column in the worker's buffer, not on the stream (see
-// readColumn); its error is the chunk's, without the *BatchError
-// position.
+// Run is a chunk of one configuration, so it builds its read column in
+// the Replayer's buffer, not on the stream (see readColumn); its error
+// is the chunk's, without the *BatchError position.
 func (r *Replayer) Run(st *Stream, cfg sim.Config) (*sim.Result, error) {
 	var out [1]*sim.Result
-	if err := r.batchWorker.runChunk(st, []sim.Config{cfg}, out[:], r.Metrics, true); err != nil {
+	if err := r.runChunk(st, []sim.Config{cfg}, out[:], true); err != nil {
 		return nil, err.(*BatchError).Err // runChunk blames every failure on a position
 	}
 	return out[0], nil

@@ -279,7 +279,7 @@ func (r *policyRow) insert(g int32) {
 	r.row[n-1] = g
 }
 
-// twoLevel is a batchWorker's scratch for two-level classification,
+// twoLevel is a Replayer's scratch for two-level classification,
 // reused owner map after owner map.
 type twoLevel struct {
 	peStrings
@@ -351,8 +351,8 @@ type ownerMap struct {
 // sizes in one stack walk per PE and each FIFO, Clock or Random
 // configuration on its own rows. Writes and reductions come from the
 // structural summary, as on every column path.
-func (w *batchWorker) classifyMap(cfgs []sim.Config, col []readRec, agg *frameAgg, m ownerMap) {
-	b, t := &w.bat, &w.two
+func (r *Replayer) classifyMap(cfgs []sim.Config, col []readRec, agg *frameAgg, m ownerMap) {
+	b, t := &r.bat, &r.two
 	members := b.mapCfg[m.lo:m.hi]
 	npe := m.key.npe
 	first := members[0]
@@ -364,11 +364,11 @@ func (w *batchWorker) classifyMap(cfgs []sim.Config, col []readRec, agg *frameAg
 		if b.class[i].path == pathStack {
 			t.stk = append(t.stk, i)
 		} else {
-			w.pricePolicy(i, cfgs[i].Policy, npe, owners)
+			r.pricePolicy(i, cfgs[i].Policy, npe, owners)
 		}
 	}
 	if len(t.stk) > 0 {
-		w.priceLRU(npe, owners)
+		r.priceLRU(npe, owners)
 	}
 	for _, i := range members {
 		lo := b.peOff[i]
@@ -395,8 +395,8 @@ func (w *batchWorker) classifyMap(cfgs []sim.Config, col []readRec, agg *frameAg
 // (twoLevel.stk) from one move-to-front walk per PE string. Misses are
 // tallied per (owner, number of sizes missed) and summed into each
 // size's counters once per PE.
-func (w *batchWorker) priceLRU(npe int, owners []int32) {
-	b, t := &w.bat, &w.two
+func (r *Replayer) priceLRU(npe int, owners []int32) {
+	b, t := &r.bat, &r.two
 	stk := t.stk
 	for j := 1; j < len(stk); j++ { // a map holds a handful: insertion sort
 		for x := j; x > 0 && b.maxPages[stk[x]] < b.maxPages[stk[x-1]]; x-- {
@@ -414,9 +414,9 @@ func (w *batchWorker) priceLRU(npe int, owners []int32) {
 	t.cnt = grown(t.cnt, npe*stride)
 	for p := 0; p < npe; p++ {
 		s := t.stack(pages)
-		for _, r := range t.runs[t.off[p]:t.off[p+1]] {
-			if m := s.touch(r.gid); m > 0 {
-				t.cnt[int(owners[r.gid])*stride+int(m)]++
+		for _, run := range t.runs[t.off[p]:t.off[p+1]] {
+			if m := s.touch(run.gid); m > 0 {
+				t.cnt[int(owners[run.gid])*stride+int(m)]++
 			}
 		}
 		for o := 0; o < npe; o++ {
@@ -437,15 +437,15 @@ func (w *batchWorker) priceLRU(npe int, owners []int32) {
 
 // pricePolicy charges the misses of FIFO, Clock or Random configuration
 // i, one policyRow walk per PE string.
-func (w *batchWorker) pricePolicy(i int, policy cache.Policy, npe int, owners []int32) {
-	b, t := &w.bat, &w.two
+func (r *Replayer) pricePolicy(i int, policy cache.Policy, npe int, owners []int32) {
+	b, t := &r.bat, &r.two
 	perPE := b.perPE[b.peOff[i] : b.peOff[i]+npe]
 	traf := b.traf[b.trafOff[i]:b.trafOff[i+1]]
 	for p := 0; p < npe; p++ {
-		r := t.policyRow(policy, b.maxPages[i], len(owners))
+		row := t.policyRow(policy, b.maxPages[i], len(owners))
 		var misses int64
 		for _, run := range t.runs[t.off[p]:t.off[p+1]] {
-			if !r.touch(run.gid) {
+			if !row.touch(run.gid) {
 				misses++
 				traf[p*npe+int(owners[run.gid])]++
 			}

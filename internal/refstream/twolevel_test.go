@@ -40,6 +40,12 @@ func FuzzPolicyRowsMatchCache(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(9), []byte{0, 1, 2, 3, 0, 1, 4, 2, 3, 5, 6, 0, 1, 7, 8})
 	f.Add(uint8(3), uint8(3), uint8(12), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 5, 9})
 	f.Add(uint8(2), uint8(129), uint8(200), []byte{1, 2, 3, 4, 5, 1, 2, 3})
+	// Clock evictions from the middle of the row, each followed by a
+	// read that hits only if the hand rested on the victim's older
+	// neighbour: TestPolicyRowsPinned's sweep plus a re-read of B, and
+	// a shortest such string on three frames.
+	f.Add(uint8(2), uint8(3), uint8(7), []byte{0, 1, 2, 3, 0, 1, 4, 1, 2, 5, 6, 1})
+	f.Add(uint8(2), uint8(2), uint8(4), []byte{4, 3, 1, 2, 3, 0, 3, 4, 2})
 	f.Fuzz(func(t *testing.T, policy, frames, pages uint8, str []byte) {
 		pol := cache.Policy(policy % 4)
 		fr := int(frames)%130 + 1

@@ -223,13 +223,6 @@ type task struct {
 	// direct marks points that model partial page fills: replay cannot
 	// serve them, so they run on the simulator.
 	direct bool
-	// budget is the partition fan-out the batch pass may use
-	// (refstream.Replayer.RunBatchN): an even share of the worker pool
-	// across the requests admitted when the task was formed, so one big
-	// sweep on an idle service spreads over every core but cannot
-	// monopolize a busy one, and never more than the task's points.
-	// Always >= 1.
-	budget int
 	tr     *trace.Trace
 	parent trace.SpanRef
 }
@@ -388,7 +381,6 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 		n      int
 		direct bool
 	}
-	budget := e.parBudget()
 	groups := map[groupKey]*task{}
 	var queue []*task
 	for _, i := range leaders {
@@ -406,7 +398,6 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 	}
 
 	for qi, t := range queue {
-		t.budget = min(budget, len(t.pts))
 		select {
 		case e.tasks <- t:
 			e.gQueue.Add(1)
@@ -422,7 +413,10 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 	}
 
 	// Collect in input order; scanning in order makes the first error
-	// seen the lowest-index failure.
+	// seen the lowest-index failure. Every exit, context expiry
+	// included, observes the wait.
+	var err error
+collect:
 	for i, fl := range fls {
 		if fl == nil {
 			continue
@@ -430,38 +424,19 @@ func (e *Engine) DoSweep(ctx context.Context, pts []point) ([]json.RawMessage, e
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
-			wsp.End()
-			return nil, ctx.Err()
+			err = ctx.Err()
+			break collect
 		}
-		if fl.err != nil {
-			e.hFlightWait.Observe(wsp.End().Microseconds())
-			return nil, fl.err
+		if err = fl.err; err != nil {
+			break
 		}
 		bodies[i] = fl.body
 	}
 	e.hFlightWait.Observe(wsp.End().Microseconds())
+	if err != nil {
+		return nil, err
+	}
 	return bodies, nil
-}
-
-// parBudget derives the partition budget for a batch task submitted
-// now: an even share of the worker pool across currently admitted
-// requests, floored at one. On an idle service one sweep's batch
-// passes fan out across every worker (refstream.Replayer.RunBatchN);
-// as admissions approach MaxInflight the share decays to a serial pass
-// per task, so parallel replay never starves other requests of
-// workers. The budget rides the task, not the worker, because
-// occupancy at submission is what the admission decision saw.
-func (e *Engine) parBudget() int {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	inflight := e.inflight
-	if inflight < 1 {
-		inflight = 1
-	}
-	if b := e.opts.Workers / inflight; b > 1 {
-		return b
-	}
-	return 1
 }
 
 // resolve settles every point of t in the result table: each flight
@@ -498,9 +473,8 @@ func (e *Engine) worker() {
 }
 
 // execute runs one task: fetch the group's stream and classify every
-// point in one pass — fanned out across the task's partition budget
-// when it has one — or, for a direct task, run its points on the
-// simulator (the partial-fill ablation). Every body goes through the
+// point in one pass on this worker, or, for a direct task, run its
+// points on the simulator (the partial-fill ablation). Every body goes through the
 // same encodePoint, so a sweep-produced body is byte-identical to the
 // classify-produced body of the same point. On failure the error is
 // attributed to the point RunBatchN blamed (the lowest input index),
@@ -533,16 +507,8 @@ func (e *Engine) execute(scratch *sim.Scratch, replayer *refstream.Replayer, t *
 				cfgs[i] = p.cfg
 			}
 			t.tr.Event(t.parent, "batch_configs", int64(len(cfgs)), "configs")
-			// The span is named for how the pass ran — replay_par when the
-			// budget lets RunBatchN fan partitions out, replay for a serial
-			// pass — while both feed the serve.stage.replay_us histogram,
-			// so stage latency stays one series.
-			span := "replay"
-			if t.budget > 1 {
-				span = "replay_par"
-			}
-			sp = t.tr.StartChild(t.parent, span)
-			res, err = replayer.RunBatchN(st, cfgs, t.budget)
+			sp = t.tr.StartChild(t.parent, "replay")
+			res, err = replayer.RunBatchN(st, cfgs, 1)
 			e.hReplay.Observe(sp.End().Microseconds())
 		}
 	}

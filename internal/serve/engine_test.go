@@ -96,52 +96,15 @@ func TestSweepRidesBatchReplay(t *testing.T) {
 	}
 }
 
-// TestParBudget pins the budget derivation: an even share of the
-// worker pool across admitted requests, floored at one.
-func TestParBudget(t *testing.T) {
-	s, _, _ := newTestService(t, Options{Workers: 8, MaxInflight: 16})
-	e := s.Engine()
-	if got := e.parBudget(); got != 8 {
-		t.Errorf("idle engine: budget = %d, want all 8 workers", got)
-	}
-	var releases []func()
-	take := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			rel, err := e.admit()
-			if err != nil {
-				t.Fatal(err)
-			}
-			releases = append(releases, rel)
-		}
-	}
-	take(2)
-	if got := e.parBudget(); got != 4 {
-		t.Errorf("2 admitted: budget = %d, want 4", got)
-	}
-	take(1)
-	if got := e.parBudget(); got != 2 {
-		t.Errorf("3 admitted: budget = %d, want 2", got)
-	}
-	take(9)
-	if got := e.parBudget(); got != 1 {
-		t.Errorf("12 admitted: budget = %d, want floor of 1", got)
-	}
-	for _, rel := range releases {
-		rel()
-	}
-	if got := e.parBudget(); got != 8 {
-		t.Errorf("drained engine: budget = %d, want 8 again", got)
-	}
-}
-
-// TestSweepParallelBatchByteIdentical: a sweep heavy enough to be cut
-// into several chunks (144 FIFO/Clock/Random configurations of one
-// stream, in 24 owner maps; an idle Workers-8 engine gives its one batch task the full budget) must
-// produce bodies byte-identical to the same sweep on a single-worker
-// engine, whose chunks run one after another.
+// TestSweepParallelBatchByteIdentical: a multi-kernel sweep, one batch
+// task per kernel, heavy enough that each group is cut into several
+// chunks (144 FIFO/Clock/Random configurations per stream, in 24 owner
+// maps), must produce the same bytes on an eight-worker engine, whose
+// tasks run side by side on separate Replayers, as on a single-worker
+// engine, whose tasks run one after another.
 func TestSweepParallelBatchByteIdentical(t *testing.T) {
-	req := `{"kernels":["k6"],"n":100,"npes":[2,4,8,16,32,64],"page_sizes":[16,32,64,128],` +
+	kernels := []string{"k6", "k8", "k18", "k23"}
+	req := `{"kernels":["k6","k8","k18","k23"],"n":100,"npes":[2,4,8,16,32,64],"page_sizes":[16,32,64,128],` +
 		`"cache_elems":[256,2048],"policies":["fifo","clock","random"]}`
 
 	_, serialTS, _ := newTestService(t, Options{Workers: 1})
@@ -156,16 +119,16 @@ func TestSweepParallelBatchByteIdentical(t *testing.T) {
 		t.Fatalf("parallel sweep status = %d (body %s)", code, parBody)
 	}
 	if !bytes.Equal(parBody, serialBody) {
-		t.Fatalf("parallel-budget sweep body differs from single-worker body:\n%s\n%s", parBody, serialBody)
+		t.Fatalf("eight-worker sweep body differs from single-worker body:\n%s\n%s", parBody, serialBody)
 	}
-	// The group must actually have been cut: the partitions histogram
-	// records one observation > 1 for the batch pass.
+	// Every group must actually have been cut: the partitions histogram
+	// records one observation per batch task, each > 1.
 	h, ok := reg.Snapshot().Histograms[refstream.MetricBatchPartitions]
-	if !ok || h.Count != 1 {
-		t.Fatalf("batch partitions histogram: %+v, want one observation", h)
+	if !ok || h.Count != int64(len(kernels)) {
+		t.Fatalf("batch partitions histogram: %+v, want %d observations", h, len(kernels))
 	}
-	if h.Sum <= 1 {
-		t.Errorf("batch pass used %d partitions, want > 1 (group not cut)", h.Sum)
+	if h.Min <= 1 {
+		t.Errorf("a batch pass ran its group as %d partition, want every group cut", h.Min)
 	}
 }
 
@@ -278,6 +241,8 @@ func TestDeadlineReturns504(t *testing.T) {
 		}
 	}()
 
+	waits := func() int64 { return reg.Snapshot().Histograms[MetricStageFlightWaitUS].Count }
+	before := waits()
 	done := make(chan int, 1)
 	go func() {
 		code, _, _ := post(t, ts, "/v1/classify", `{"kernel":"k1","deadline_ms":50}`)
@@ -290,6 +255,10 @@ func TestDeadlineReturns504(t *testing.T) {
 	}
 	if dl := counter(reg, MetricDeadlineExceeded); dl != 1 {
 		t.Fatalf("deadline_exceeded = %d, want 1", dl)
+	}
+	// The 504's wait is a stage observation like any other.
+	if got := waits() - before; got != 1 {
+		t.Errorf("flight_wait histogram grew by %d over the 504, want 1", got)
 	}
 
 	// The abandoned execution still lands in the cache.

@@ -22,14 +22,15 @@ race:
 	$(GO) test -race ./...
 
 # Compare the engines on one capture group (direct execution vs
-# single-config replay vs one batch pass) and a wide group swept by the
-# work queue at 1/2 workers, then run the perf gates that CI enforces: a
+# single-config replay vs one batch pass), time a daemon's classify
+# miss (one-configuration calls on a warm Replayer, by path) and a wide
+# group swept by the work queue at 1/2 workers, then run the perf gates that CI enforces: a
 # batch pass must never be slower than replaying the group one
 # configuration at a time, and with GOMAXPROCS>1 a two-worker sweep of
 # one wide group must finish within 0.75x the one-worker time
 # (docs/PERF.md).
 bench-batch:
-	$(GO) test -run=NONE -bench='BenchmarkGroup(Direct|SingleReplay|BatchReplay)$$' -benchmem ./internal/refstream
+	$(GO) test -run=NONE -bench='BenchmarkGroup(Direct|SingleReplay|BatchReplay)$$|BenchmarkReplayMiss' -benchmem ./internal/refstream
 	$(GO) test -run=NONE -bench=BenchmarkSweepWideGroup -benchmem -cpu=1,2 .
 	REFSTREAM_PERF_GATE=1 $(GO) test -run 'TestBatchNoSlowerThanSingleReplay|TestWideSweepScalesToTwoWorkers' -count=1 -v ./internal/refstream ./internal/sweep
 

@@ -29,10 +29,10 @@ package refstream
 //     column (the cache is the only order-dependent piece; writes and
 //     reductions come from the structural summary), grouped by owner
 //     map — (NPE, page size, layout, layout run), which fixes what every
-//     PE's private cache sees. An owner map whose only framed
-//     configuration is LRU with at most packCap frames walks the column
-//     once on packed SWAR rows — four uint16 frame lanes per uint64
-//     word, recency maintained with shifts and masks
+//     PE's private cache sees. In a group, an owner map whose only
+//     framed configuration is LRU with at most packCap frames walks the
+//     column once on packed SWAR rows — four uint16 frame lanes per
+//     uint64 word, recency maintained with shifts and masks
 //     (classifyReadsLRUP1/P2) — under any layout and machine width:
 //     single assignment never invalidates a fetched page, so a PE's
 //     cache depends only on its remote-page string and frame count.
@@ -44,9 +44,11 @@ package refstream
 // A group walks the stream's memoized read column, shared by its
 // framed configurations. A call that classifies exactly one
 // configuration (Run, or a RunBatchN whose configurations share one
-// representative) walks the same walkers over a column built into the
-// Replayer's own buffer instead, so it memoizes nothing on the stream:
-// see readColumn.
+// representative) builds no column at all: its framed configuration
+// goes two-level whatever its policy and size, and level 1 walks the
+// stream's event columns directly (peStrings.buildEvents), so the call
+// memoizes nothing on the stream beyond the page-id column: see
+// readColumn.
 //
 // Whatever the path, a framed configuration's cache statistics follow
 // in closed form from its counters: replay looks up before it inserts
@@ -69,7 +71,8 @@ package refstream
 //
 // Results are bit-identical to direct sim.Run whatever the chunking:
 // Run is a chunk of one configuration, so refstream_test.go,
-// FuzzBatchVsSingle and FuzzSharedOwnerMap (batch against sim.Run),
+// FuzzBatchVsSingle (which also holds the two level-1 feeders to each
+// other) and FuzzSharedOwnerMap (batch against sim.Run),
 // TestParallelMatchesSerialBatch and FuzzParallelVsSerialBatch hold the
 // equivalence across kernels, owner maps, cuts and Replayers, and
 // docs/PERF.md records the measured win.
@@ -93,9 +96,10 @@ const (
 	// MetricBatchConfigsPerPass is a histogram of how many
 	// configurations each read-column pass classified (obs.DepthBuckets).
 	MetricBatchConfigsPerPass = "refstream.batch.configs_per_pass"
-	// MetricBatchDecodePasses counts read-column passes: the quantity
-	// batching minimizes (one per chunk and page-size bucket with at
-	// least one framed configuration, instead of one per
+	// MetricBatchDecodePasses counts read-column passes (a
+	// one-configuration call's event-column walk included): the
+	// quantity batching minimizes (one per chunk and page-size bucket
+	// with at least one framed configuration, instead of one per
 	// configuration).
 	MetricBatchDecodePasses = "refstream.batch.decode_passes"
 	// MetricBatchPartitions is a histogram of how many chunks each group
@@ -165,8 +169,8 @@ type cfgClass struct {
 
 // classOf derives a valid configuration's class from the page count
 // under its page size. A framed configuration is classed two-level
-// here; route moves the one of an owner map that is alone, LRU and
-// small onto packed rows (soloPath).
+// here; in a group, route moves the one of an owner map that is alone,
+// LRU and small onto packed rows (soloPath).
 func classOf(cfg sim.Config, totalPages int) cfgClass {
 	mp := cfg.CacheElems / cfg.PageSize
 	c := cfgClass{frameless: mp == 0 || totalPages == 0}
@@ -419,8 +423,8 @@ func (r *Replayer) RunBatchN(st *Stream, cfgs []sim.Config, workers int) ([]*sim
 	r.repOut = out
 	defer clear(out)
 	for _, c := range r.Cut(st, reps) {
-		// A group of one representative is one chunk, classified over
-		// the Replayer's own read column like Run.
+		// A group of one representative is one chunk, classified like
+		// Run, without a read column.
 		if err := r.runChunk(st, reps[c.Lo:c.Hi], out[c.Lo:c.Hi], len(reps) == 1); err != nil {
 			// Chunks are ascending and representatives are in order of
 			// first occurrence, so the first failing chunk's lowest
@@ -485,8 +489,9 @@ func (r *Replayer) RunChunk(st *Stream, cfgs []sim.Config, results []*sim.Result
 // (len(results) == len(cfgs)): the whole batch algorithm, against r's
 // own slabs. Every error it returns is a *BatchError carrying the
 // chunk-local index. single marks a call that classifies exactly one
-// configuration: it builds its read column into r's buffer rather than
-// the stream's memo (see readColumn). The path each configuration took
+// configuration: its framed configuration is priced two-level from
+// strings built off the event columns, so it builds no read column (see
+// readColumn). The path each configuration took
 // and each read-column pass are recorded on r.Metrics (nil disables;
 // obs instruments are race-safe, so Replayers sharing a registry record
 // directly).
@@ -529,7 +534,7 @@ func (r *Replayer) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result
 			return &BatchError{Index: i, Err: err}
 		}
 	}
-	r.route(cfgs)
+	r.route(cfgs, single)
 	var served [numPaths]int64
 	for i := range cfgs {
 		served[b.class[i].path]++
@@ -585,12 +590,10 @@ func (r *Replayer) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result
 		reg.Histogram(MetricBatchConfigsPerPass, obs.DepthBuckets).Observe(int64(len(b.framed)))
 		// Over the context-resolved read column: the cache part is the
 		// only order-dependent piece; writes and reductions come from the
-		// shared summary.
+		// shared summary. A one-configuration call has no packed-row
+		// configuration and feeds level 1 from the event columns instead.
 		var col []readRec
-		if single {
-			r.col = st.appendReadColumn(r.col[:0], ps)
-			col = r.col
-		} else {
+		if !single {
 			col = st.readColumn(ps)
 		}
 		for _, i := range b.framed {
@@ -616,8 +619,16 @@ func (r *Replayer) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result
 		}
 		for _, m := range b.maps {
 			if m.key.pageSize == ps && m.hi > m.lo {
+				first := b.mapCfg[m.lo]
+				owners := b.owners[b.ownOff[first]:b.ownOff[first+1]] // every member's table is this one
 				reg.Counter(MetricBatchOwnerMaps).Inc()
-				r.classifyMap(cfgs, col, agg, m)
+				if single {
+					heads, _ := st.decoded()
+					r.two.buildEvents(heads, st.gidColumn(ps), m.key.npe, owners)
+				} else {
+					r.two.build(col, m.key.npe, owners)
+				}
+				r.classifyMap(cfgs, agg, m, owners)
 			}
 		}
 	}
@@ -692,8 +703,10 @@ func (r *Replayer) setupBatchConfig(st *Stream, i int, cfg sim.Config) error {
 
 // route groups the chunk's two-level configurations into owner maps,
 // moves the lone small LRU configuration of a map onto packed rows
-// (soloPath), and sizes and resets those rows.
-func (r *Replayer) route(cfgs []sim.Config) {
+// (soloPath) unless the chunk is a one-configuration call, whose level
+// 1 walks the event columns instead of a read column, and sizes and
+// resets those rows.
+func (r *Replayer) route(cfgs []sim.Config, single bool) {
 	b := &r.bat
 	n := len(cfgs)
 	b.maps = b.maps[:0]
@@ -717,7 +730,7 @@ func (r *Replayer) route(cfgs []sim.Config) {
 		b.mapOf[i] = j
 	}
 	for j := range b.maps {
-		if b.maps[j].hi != 1 {
+		if single || b.maps[j].hi != 1 {
 			continue
 		}
 		i := b.maps[j].lo

@@ -1,11 +1,14 @@
 package refstream
 
 import (
+	"math/rand"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/loops"
+	"repro/internal/partition"
 	"repro/internal/sim"
 )
 
@@ -81,10 +84,87 @@ func BenchmarkGroupBatchReplay(b *testing.B) {
 	}
 }
 
+// missPoint is one classify miss: a warm stream and a configuration.
+type missPoint struct {
+	st  *Stream
+	cfg sim.Config
+}
+
+// BenchmarkReplayMiss is the classify-miss rung of a daemon serving
+// single points: one framed configuration per call on one warm
+// Replayer, over the paper kernels' streams at DefaultN, ¾ and ½, with
+// configurations drawn from a fixed seed across NPE 1–64, page sizes
+// {8, …, 128}, cache_elems 32·[0,32), every layout and every policy,
+// as the serve_tail workload draws them. The sub-benchmarks split the
+// draws by the path the call takes: policy (FIFO, Clock, Random rows),
+// stack (LRU above packCap frames) and lru_small (LRU of at most
+// packCap frames, which groups serve on packed rows and a
+// one-configuration call prices on the stack). Order-free draws never
+// walk the events and are left out. One op is one call.
+func BenchmarkReplayMiss(b *testing.B) {
+	var streams []*Stream
+	for _, k := range loops.PaperSet() {
+		for _, n := range []int{k.DefaultN, k.DefaultN * 3 / 4, k.DefaultN / 2} {
+			st, err := Capture(k, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			streams = append(streams, st)
+		}
+	}
+	const perClass = 96
+	rng := rand.New(rand.NewSource(43))
+	classes := map[string][]missPoint{}
+	for len(classes["policy"]) < perClass || len(classes["stack"]) < perClass || len(classes["lru_small"]) < perClass {
+		st := streams[rng.Intn(len(streams))]
+		cfg := sim.Config{
+			NPE:        1 + rng.Intn(64),
+			PageSize:   []int{8, 16, 24, 32, 48, 64, 96, 128}[rng.Intn(8)],
+			CacheElems: 32 * rng.Intn(32),
+			Layout:     partition.Kind(rng.Intn(3)),
+			LayoutRun:  1,
+			Policy:     []cache.Policy{cache.LRU, cache.FIFO, cache.Clock, cache.Random}[rng.Intn(4)],
+		}
+		pages := pageCount(st.ArrayLens, cfg.PageSize)
+		var name string
+		switch p := classOf(cfg, pages).path; {
+		case !p.twoLevel():
+			continue
+		case p == pathPolicy:
+			name = "policy"
+		case soloPath(cfg, p, pages):
+			name = "lru_small"
+		default:
+			name = "stack"
+		}
+		if len(classes[name]) < perClass {
+			classes[name] = append(classes[name], missPoint{st, cfg})
+		}
+	}
+	for _, name := range []string{"policy", "stack", "lru_small"} {
+		pts := classes[name]
+		b.Run(name, func(b *testing.B) {
+			r := NewReplayer()
+			for _, pt := range pts { // warm the stream memos and r's scratch
+				if _, err := r.Run(pt.st, pt.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pt := pts[i%len(pts)]
+				if _, err := r.Run(pt.st, pt.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestBatchNoSlowerThanSingleReplay is the CI perf gate: classifying a
 // capture group in one batch pass must never regress below classifying
-// it in one-configuration calls (Run, each building its own read column
-// and walking it alone) — if it does, the batch path has lost its
+// it in one-configuration calls (Run, each walking the stream's events
+// for its configuration alone) — if it does, the batch path has lost its
 // reason to exist. Timing assertions
 // are unreliable on shared runners, so the gate is opt-in
 // (REFSTREAM_PERF_GATE=1, set by the bench-smoke CI job), compares

@@ -242,10 +242,12 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 	if served != 3 {
 		t.Errorf("path counters sum to %d, want 3: one per representative", served)
 	}
-	// A call of one framed LRU configuration of at most eight frames
-	// walks its column on SWAR rows under any layout and NPE; a wider
-	// one is priced two-level by the stack walk. The counters name the
-	// path that ran.
+	// A call of one framed LRU configuration is priced two-level by the
+	// stack walk whatever its frame count, layout and NPE: its level 1
+	// walks the event columns, and SWAR rows walk a read column, which
+	// such a call never builds (packed rows serve lone maps inside
+	// groups; TestReplayMatchesOracle's RunBatchN leg holds them to the
+	// oracle). The counters name the path that ran.
 	blockSmall := sim.PaperConfig(12, 32) // 4 frames, NPE 12, Block
 	blockSmall.CacheElems, blockSmall.Layout = 4*32, partition.KindBlock
 	wideLRU := sim.PaperConfig(8, 32) // 16 frames, Modulo
@@ -254,8 +256,8 @@ func TestBatchClassifiesRepresentatives(t *testing.T) {
 		cfg  sim.Config
 		want path
 	}{
-		{sim.PaperConfig(8, 32), pathSWAR},
-		{blockSmall, pathSWAR},
+		{sim.PaperConfig(8, 32), pathStack},
+		{blockSmall, pathStack},
 		{wideLRU, pathStack},
 	} {
 		one1 := obs.NewRegistry()
@@ -352,9 +354,9 @@ func TestBatchDegenerateGroups(t *testing.T) {
 // TestOneConfigCallsBuildNoReadColumn pins the memory rule of a call
 // that classifies one configuration: Run, and a RunBatchN whose
 // configurations share one representative, classify framed
-// configurations of every policy over a read column in the worker's
-// own buffer and never build the stream's, which a daemon answering
-// single points would otherwise retain per (stream, page size). Two framed configurations
+// configurations of every policy from the stream's event columns and
+// never build its read column, which a daemon answering single points
+// would otherwise retain per (stream, page size). Two framed configurations
 // at one page size are a group and build it once. Every result still
 // equals a direct sim.Run.
 func TestOneConfigCallsBuildNoReadColumn(t *testing.T) {

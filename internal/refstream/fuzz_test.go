@@ -41,9 +41,9 @@ func cachedCapture(t *testing.T, k *loops.Kernel, n int) *Stream {
 // captured stream bit-identically to a direct sim.Run.
 func FuzzReplayVsDirect(f *testing.F) {
 	// Seeds cover each layout kind, each policy, degenerate machines and
-	// reduction-heavy kernels; the last three land on packed SWAR rows
-	// under Block layout with NPE 12 and under block-cyclic(3) layout,
-	// and on a lone 32-frame LRU classified two-level.
+	// reduction-heavy kernels; the last three are small LRU caches under
+	// Block layout with NPE 12 and under block-cyclic(3) layout, and a
+	// 32-frame LRU, all priced by the two-level stack walk.
 	f.Add(uint8(0), uint16(200), uint8(8), uint8(32), uint16(256), uint8(0), uint8(1), uint8(0))
 	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1))
 	f.Add(uint8(7), uint16(333), uint8(64), uint8(16), uint16(64), uint8(2), uint8(3), uint8(2))
@@ -86,9 +86,11 @@ func FuzzReplayVsDirect(f *testing.F) {
 // through randomized capture groups: RunBatchN over a fuzzer-shaped
 // group of configurations must match looped single-config Run result
 // for result, bit-identically, with the group's page-size mix, PE
-// widths, cache shapes and policies all varied together. The axes step
-// per configuration, so no two share an owner map; FuzzSharedOwnerMap
-// covers shared maps.
+// widths, cache shapes and policies all varied together. A group of
+// two or more feeds level 1 from the read column and Run from the event
+// columns, so this is also the two feeders' agreement check. The axes
+// step per configuration, so no two share an owner map;
+// FuzzSharedOwnerMap covers shared maps.
 func FuzzBatchVsSingle(f *testing.F) {
 	f.Add(uint8(0), uint16(200), uint8(8), uint8(32), uint16(256), uint8(0), uint8(1), uint8(0), uint8(3))
 	f.Add(uint8(3), uint16(100), uint8(1), uint8(1), uint16(0), uint8(1), uint8(2), uint8(1), uint8(7))

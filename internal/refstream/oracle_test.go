@@ -217,21 +217,28 @@ func runOracle(k *loops.Kernel, n int, cfg sim.Config) (*oracle, error) {
 // TestReplayMatchesOracle holds Replayer.Run to the oracle on every
 // kernel at a small size, over a seeded sample of LRU, FIFO and
 // frameless machines: every layout, NPE up to 64 (mostly not powers of
-// two) and 0–130 frames, so the sample reaches every path those
-// policies take. Clock and Random are held to cache.Cache instead
-// (FuzzPolicyRowsMatchCache, TestPolicyRowsPinned).
+// two) and 0–130 frames. A second leg classifies each kernel's sample
+// as one RunBatchN group, where a small LRU configuration sits alone in
+// its owner map and so takes packed SWAR rows, which a
+// one-configuration call never does; between them the legs reach every
+// path those policies take. Clock and Random are held to cache.Cache
+// instead (FuzzPolicyRowsMatchCache, TestPolicyRowsPinned).
 func TestReplayMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	frameRanges := [][2]int{{0, 0}, {1, 8}, {9, 64}, {65, 130}}
 	reg := obs.NewRegistry()
 	r := refstream.NewReplayer()
 	r.Metrics = reg
+	batch := refstream.NewReplayer()
+	batch.Metrics = reg
 	for _, k := range loops.All() {
 		n := k.ClampN(40)
 		st, err := refstream.Capture(k, n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var cfgs []sim.Config
+		var oracles []*oracle
 		for i := range 16 {
 			fr := frameRanges[i%len(frameRanges)]
 			ps := []int{1, 4, 7, 16, 32}[rng.Intn(5)]
@@ -251,26 +258,41 @@ func TestReplayMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pe, c := range res.PerPE {
-				cs := res.Cache[pe]
-				got := [8]int64{c.Writes, c.LocalReads, c.CachedReads, c.RemoteReads, cs.Hits, cs.Misses, cs.Inserts, cs.Evictions}
-				if want := o.count[pe]; got != want || cs.PartialMisses != 0 || cs.Refreshes != 0 {
-					t.Fatalf("%s n=%d %+v PE %d: replay %v %+v, oracle %v", k.Key, n, cfg, pe, got, cs, want)
-				}
-				for q, m := range res.Traffic[pe] {
-					if m != o.traffic[pe][q] {
-						t.Fatalf("%s n=%d %+v: traffic[%d][%d] = %d, oracle %d", k.Key, n, cfg, pe, q, m, o.traffic[pe][q])
-					}
-				}
-			}
-			if res.ReduceSends != o.sends || res.ReduceBcasts != o.bcasts {
-				t.Fatalf("%s n=%d %+v: reduce %d/%d, oracle %d/%d", k.Key, n, cfg, res.ReduceSends, res.ReduceBcasts, o.sends, o.bcasts)
-			}
+			checkOracle(t, "Run", k.Key, n, cfg, res, o)
+			cfgs, oracles = append(cfgs, cfg), append(oracles, o)
+		}
+		got, err := batch.RunBatchN(st, cfgs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			checkOracle(t, "RunBatchN", k.Key, n, cfg, got[i], oracles[i])
 		}
 	}
 	for _, p := range []string{"fold", "hist", "swar", "stack", "policy"} {
 		if reg.Counter(refstream.MetricBatchPathPrefix+p).Value() == 0 {
 			t.Errorf("the sample never reached path %s", p)
 		}
+	}
+}
+
+// checkOracle fails t unless res carries the oracle's counters, cache
+// statistics, traffic and reduction tallies.
+func checkOracle(t *testing.T, leg, key string, n int, cfg sim.Config, res *sim.Result, o *oracle) {
+	t.Helper()
+	for pe, c := range res.PerPE {
+		cs := res.Cache[pe]
+		got := [8]int64{c.Writes, c.LocalReads, c.CachedReads, c.RemoteReads, cs.Hits, cs.Misses, cs.Inserts, cs.Evictions}
+		if want := o.count[pe]; got != want || cs.PartialMisses != 0 || cs.Refreshes != 0 {
+			t.Fatalf("%s: %s n=%d %+v PE %d: replay %v %+v, oracle %v", leg, key, n, cfg, pe, got, cs, want)
+		}
+		for q, m := range res.Traffic[pe] {
+			if m != o.traffic[pe][q] {
+				t.Fatalf("%s: %s n=%d %+v: traffic[%d][%d] = %d, oracle %d", leg, key, n, cfg, pe, q, m, o.traffic[pe][q])
+			}
+		}
+	}
+	if res.ReduceSends != o.sends || res.ReduceBcasts != o.bcasts {
+		t.Fatalf("%s: %s n=%d %+v: reduce %d/%d, oracle %d/%d", leg, key, n, cfg, res.ReduceSends, res.ReduceBcasts, o.sends, o.bcasts)
 	}
 }

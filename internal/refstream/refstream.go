@@ -540,7 +540,7 @@ type readRec struct {
 
 // readColumn returns the stream's context-resolved read column under
 // the given page size, memoized like the gid columns. The batch
-// replayer walks it once per framed configuration or owner map: a
+// replayer walks it once per owner map or packed-row configuration: a
 // 12-byte record stream with no opcode dispatch, so the walk is bounded
 // by the cache arithmetic rather than by decoding.
 //
@@ -549,29 +549,22 @@ type readRec struct {
 // event, three times the gid column. A group of framed configurations
 // amortizes that over its members. A call that classifies one
 // configuration (Run, or a RunBatchN whose configurations share one
-// representative) cannot, so it appends the column into its worker's
-// reused buffer (appendReadColumn) and never builds this memo: a daemon
-// answering single points would otherwise hold a column for every
-// stream and page size it has seen.
+// representative) cannot, so it never asks for the column: its level 1
+// walks the event columns directly (peStrings.buildEvents), and a
+// daemon answering single points holds no column for any stream.
 func (s *Stream) readColumn(pageSize int) []readRec {
 	return s.readCols.get(s, pageSize, (*Stream).buildReadColumn)
 }
 
 func (s *Stream) buildReadColumn(pageSize int) []readRec {
-	return s.appendReadColumn(make([]readRec, 0, s.events), pageSize)
-}
-
-// appendReadColumn appends the stream's read column under pageSize to
-// col and returns the extended slice.
-func (s *Stream) appendReadColumn(col []readRec, pageSize int) []readRec {
 	heads, _ := s.decoded()
 	gids := s.gidColumn(pageSize)
-	base := len(col)
+	col := make([]readRec, 0, s.events)
 	cur := int32(-1)
 	for i, h := range heads {
 		switch h & 7 {
 		case opRead:
-			if k := len(col) - 1; k >= base && col[k].ctx == cur && col[k].gid == gids[i] {
+			if k := len(col) - 1; k >= 0 && col[k].ctx == cur && col[k].gid == gids[i] {
 				col[k].count++
 			} else {
 				col = append(col, readRec{ctx: cur, gid: gids[i], count: 1})

@@ -454,11 +454,11 @@ func TestStreamEncodingRoundTrip(t *testing.T) {
 // allocates at most 5 times — the Result struct, the per-PE counter
 // copy, the traffic slab, its row headers, and the cache-stats slice.
 // Checksums are shared with the stream, and every classification
-// buffer lives in the Replayer, the one-configuration read column
-// included. The configurations cover every framed path a
-// one-configuration call takes: SWAR rows (the paper's 8-frame LRU,
-// and a 4-frame LRU under Block layout on 12 PEs), policy rows (FIFO,
-// Clock, Random) and the LRU stack (16 and 100 frames).
+// buffer lives in the Replayer, the pool of PE-string blocks included.
+// The configurations cover both framed paths a one-configuration call
+// takes: the LRU stack (the paper's 8-frame LRU, a 4-frame LRU under
+// Block layout on 12 PEs, 16 and 100 frames) and policy rows (FIFO,
+// Clock, Random).
 func TestReplayAllocs(t *testing.T) {
 	base := sim.PaperConfig(16, 32)
 	cfgs := []sim.Config{base}

@@ -44,12 +44,11 @@ type Replayer struct {
 	Metrics *obs.Registry
 
 	// One chunk's worth of mutable replay state, reused chunk after
-	// chunk: the memoized layout table, the structure-of-arrays slabs,
-	// the two-level scratch and a one-configuration call's read column.
+	// chunk: the memoized layout table, the structure-of-arrays slabs
+	// and the two-level scratch.
 	layouts map[layoutKey]partition.Layout // memoized boxed layouts
 	bat     batchState
 	two     twoLevel
-	col     []readRec // a one-configuration call's read column (see readColumn)
 
 	chunks  []Chunk  // Cut's output, reused across calls
 	cutMaps []cutMap // Cut's owner-map tally of one unit, reused
@@ -122,9 +121,9 @@ func NewReplayer() *Replayer { return &Replayer{} }
 // returned Result is independent of the Replayer, except that
 // Checksums aliases the stream's memoized (immutable) slice.
 //
-// Run is a chunk of one configuration, so it builds its read column in
-// the Replayer's buffer, not on the stream (see readColumn); its error
-// is the chunk's, without the *BatchError position.
+// Run is a chunk of one configuration, so it builds no read column (see
+// readColumn); its error is the chunk's, without the *BatchError
+// position.
 func (r *Replayer) Run(st *Stream, cfg sim.Config) (*sim.Result, error) {
 	var out [1]*sim.Result
 	if err := r.runChunk(st, []sim.Config{cfg}, out[:], true); err != nil {

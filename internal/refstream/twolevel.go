@@ -4,9 +4,10 @@ package refstream
 // is private and, under single assignment, never invalidated (§4), so
 // all a framed configuration's cache ever sees is its PE's own string
 // of remote-page reads, and that string is fixed by the owner map:
-// (NPE, page size, layout, layout run). Level 1 walks the
-// context-resolved read column once per owner map and writes every
-// PE's local-read count and remote-page string (peStrings.build).
+// (NPE, page size, layout, layout run). Level 1 walks a group's
+// context-resolved read column once per owner map (peStrings.build), or
+// a one-configuration call's event columns (peStrings.buildEvents), and
+// writes every PE's local-read count and remote-page string.
 // Level 2 classifies each framed configuration of the map from the
 // strings alone: one move-to-front walk per PE prices every LRU size of
 // the map at once (Mattson et al.'s inclusion property: an LRU cache of
@@ -21,125 +22,196 @@ import (
 	"repro/internal/sim"
 )
 
-// pageRun is one element of a PE's remote-page string: count
-// consecutive reads of page gid, no other remote page read in between.
-// After the first read the page is the PE's most recent and resident,
-// and a re-touch changes no replacement state under any policy (see
-// readRec), so the run's other count−1 reads are hits everywhere. The
-// count is bounded by the stream's read events.
-type pageRun struct{ gid, count int32 }
+// A PE's remote-page string is the sequence of pages it reads
+// remotely, one element per run: consecutive reads of one page, no
+// other remote page read in between, fold into their first. After the
+// first read the page is the PE's most recent and resident, and a
+// re-touch changes no replacement state under any policy (see readRec),
+// so the run's other reads are hits everywhere and level 2 needs only
+// the page. The reads themselves are tallied in peString.remote.
+//
+// blockRuns is the length of a string block. Strings are written in one
+// pass, so their lengths are unknown until it ends: each PE's string is
+// a chain of fixed-size blocks drawn from one pool, and a PE's last
+// block is the only one not full. The pool therefore never holds more
+// than the largest build's runs plus one block per PE, whatever mix of
+// configurations a Replayer serves (TestOneConfigScratchBounded).
+const blockRuns = 256
 
-// peStrings is level 1's output for one owner map, reused map after
-// map: each PE's local reads, its non-local reads (the sum of its
-// string's counts) and its remote-page string, every PE's string in one
-// PE-major slab sized by a counting pass.
-type peStrings struct {
-	local, remote []int64 // per PE
-	off           []int   // PE p's string is runs[off[p]:off[p+1]]
-	runs          []pageRun
-	last          []int32 // per PE: the page of the string's last run
-	pos           []int   // per PE: the fill pass's write position
+// peString is level 1's output for one PE: its local and non-local
+// reads and its remote-page string, a chain of pool blocks, the last
+// of them filled to len(tail).
+type peString struct {
+	local, remote int64
+	tail          []int32 // the chain's last block, filled to its length
+	head          int32   // the chain's first block in the pool; -1 while empty
+	blk           int32   // the chain's last block in the pool
+	page          int32   // the page of the last run; -1 while empty
 }
 
-// build walks the read column twice under one owner table: a counting
-// pass sizes every PE's string and tallies local and non-local reads,
-// a fill pass writes the strings. A control read (ctx < 0) is executed
-// by every PE, so it lands in every PE's string but its owner's, as in
-// the simulator.
-func (s *peStrings) build(col []readRec, npe int, owners []int32) {
-	s.local = grown(s.local, npe)
-	s.remote = grown(s.remote, npe)
-	s.off = grown(s.off, npe+1)
-	s.last = grown(s.last, npe)
-	s.pos = grown(s.pos, npe)
-	local, remote, last := s.local, s.remote, s.last
-	lens := s.off[1:] // the counting pass leaves PE p's run count in off[p+1]
-	for p := range last {
-		last[p] = -1
+// peStrings is level 1's output for one owner map, reused map after
+// map: a peString per PE. Two feeders write it in one pass each: build
+// from a group's memoized read column, buildEvents from the stream's
+// event columns for a one-configuration call, which so never builds a
+// read column (see readColumn). Level 2 walks PE p's string block by
+// block: pool[b] for b from str[p].head along link.
+type peStrings struct {
+	str  []peString // per PE
+	pool [][]int32  // string blocks of capacity blockRuns, each filled to its length
+	link []int32    // by block: the next block of its string, -1 after the last
+	used int        // blocks handed out by the current build
+}
+
+// reset empties every PE's string and tallies for a build over npe PEs.
+func (s *peStrings) reset(npe int) {
+	s.str = grown(s.str, npe)
+	for p := range s.str {
+		s.str[p] = peString{head: -1, page: -1}
 	}
+	s.used = 0
+}
+
+// add appends a read of page g to string x, where a re-read of the
+// last run's page extends that run, and reports false, writing nothing,
+// when a new run needs a new block (addBlock). It is the fast path both
+// feeders' loops inline.
+func (x *peString) add(g int32) bool {
+	if x.page == g {
+		return true
+	}
+	n := len(x.tail)
+	if n == cap(x.tail) {
+		return false
+	}
+	x.page = g
+	x.tail = x.tail[:n+1]
+	x.tail[n] = g
+	return true
+}
+
+// addBlock chains the pool's next free block onto string x, allocating
+// it on first use, and starts it with a run of page g.
+func (s *peStrings) addBlock(x *peString, g int32) {
+	b := int32(s.used)
+	s.used++
+	if int(b) == len(s.pool) {
+		s.pool = append(s.pool, make([]int32, 0, blockRuns))
+		s.link = append(s.link, -1)
+	}
+	s.link[b] = -1
+	if x.head < 0 {
+		x.head = b
+	} else {
+		s.pool[x.blk] = x.tail // full
+		s.link[x.blk] = b
+	}
+	x.blk = b
+	x.page = g
+	x.tail = append(s.pool[b][:0], g)
+}
+
+// seal records each string's last block at its filled length, so level
+// 2 walks every block alike.
+func (s *peStrings) seal() {
+	for p := range s.str {
+		if x := &s.str[p]; x.head >= 0 {
+			s.pool[x.blk] = x.tail
+		}
+	}
+}
+
+// build is level 1 over a group's read column, in one pass under one
+// owner table. A control read (ctx < 0) is executed by every PE, so it
+// lands in every PE's string but its owner's, as in the simulator.
+func (s *peStrings) build(col []readRec, npe int, owners []int32) {
+	s.reset(npe)
+	str := s.str
 	lastCtx, cur := int32(-2), -1 // -2: no owner lookup cached yet
+	var x *peString               // cur's string
 	for _, rc := range col {
 		if rc.ctx != lastCtx {
 			lastCtx = rc.ctx
 			cur = -1
 			if lastCtx >= 0 {
 				cur = int(owners[lastCtx])
+				x = &str[cur]
 			}
 		}
 		gid, c := rc.gid, int64(rc.count)
 		owner := int(owners[gid])
 		if cur >= 0 {
 			if owner == cur {
-				local[cur] += c
+				x.local += c
 				continue
 			}
-			remote[cur] += c
-			if last[cur] != gid {
-				last[cur] = gid
-				lens[cur]++
+			x.remote += c
+			if !x.add(gid) {
+				s.addBlock(x, gid)
 			}
 			continue
 		}
-		for pe := 0; pe < npe; pe++ {
+		for pe := range str {
+			y := &str[pe]
 			if pe == owner {
-				local[pe] += c
+				y.local += c
 				continue
 			}
-			remote[pe] += c
-			if last[pe] != gid {
-				last[pe] = gid
-				lens[pe]++
+			y.remote += c
+			if !y.add(gid) {
+				s.addBlock(y, gid)
 			}
 		}
 	}
-	for p := 0; p < npe; p++ {
-		s.off[p+1] += s.off[p]
-		s.pos[p] = s.off[p]
-		last[p] = -1
-	}
-	if total := s.off[npe]; cap(s.runs) < total {
-		s.runs = make([]pageRun, total)
-	} else {
-		s.runs = s.runs[:total]
-	}
-	runs, pos := s.runs, s.pos
-	lastCtx, cur = -2, -1
-	for _, rc := range col {
-		if rc.ctx != lastCtx {
-			lastCtx = rc.ctx
+	s.seal()
+}
+
+// buildEvents is level 1 for a one-configuration call: the same strings
+// as build, from one walk of the stream's decoded heads and its page-id
+// column gids. An assignment or term opens the context its target
+// page's owner executes; the reads until the next end are that PE's,
+// and a read outside every context is a control read, executed by every
+// PE. Consecutive reads of one page extend one run, so the strings
+// equal build's, whose column merged them first.
+func (s *peStrings) buildEvents(heads []uint32, gids []int32, npe int, owners []int32) {
+	s.reset(npe)
+	str := s.str
+	cur := -1       // the PE executing the open context; -1 outside one
+	var x *peString // cur's string
+	for i, h := range heads {
+		switch h & 7 {
+		case opRead:
+			gid := gids[i]
+			owner := int(owners[gid])
+			if cur >= 0 {
+				if owner == cur {
+					x.local++
+					continue
+				}
+				x.remote++
+				if !x.add(gid) {
+					s.addBlock(x, gid)
+				}
+				continue
+			}
+			for pe := range str {
+				y := &str[pe]
+				if pe == owner {
+					y.local++
+					continue
+				}
+				y.remote++
+				if !y.add(gid) {
+					s.addBlock(y, gid)
+				}
+			}
+		case opAssign, opTerm:
+			cur = int(owners[gids[i]])
+			x = &str[cur]
+		case opEnd, opEndReduce:
 			cur = -1
-			if lastCtx >= 0 {
-				cur = int(owners[lastCtx])
-			}
-		}
-		gid := rc.gid
-		owner := int(owners[gid])
-		if cur >= 0 {
-			if owner == cur {
-				continue
-			}
-			if last[cur] == gid {
-				runs[pos[cur]-1].count += rc.count
-			} else {
-				last[cur] = gid
-				runs[pos[cur]] = pageRun{gid, rc.count}
-				pos[cur]++
-			}
-			continue
-		}
-		for pe := 0; pe < npe; pe++ {
-			if pe == owner {
-				continue
-			}
-			if last[pe] == gid {
-				runs[pos[pe]-1].count += rc.count
-			} else {
-				last[pe] = gid
-				runs[pos[pe]] = pageRun{gid, rc.count}
-				pos[pe]++
-			}
 		}
 	}
+	s.seal()
 }
 
 // pageStamps answers "is page g resident in the row being walked" with
@@ -182,12 +254,13 @@ type lruStack struct {
 func (s *lruStack) touch(g int32) int32 {
 	row := s.row
 	if s.stamp[g] == s.epoch {
-		d := 0
-		for row[d] != g {
-			d++
-		}
-		copy(row[1:d+1], row[:d])
+		// One pass finds g and slides the pages above it down a place.
+		d, prev := 0, row[0]
 		row[0] = g
+		for prev != g {
+			d++
+			row[d], prev = prev, row[d]
+		}
 		return s.mOf[d]
 	}
 	if n := len(row); n < cap(row) {
@@ -346,18 +419,15 @@ type ownerMap struct {
 	lo, hi int
 }
 
-// classifyMap classifies every configuration of owner map m: level 1
-// builds the PE strings from the read column, level 2 prices all LRU
-// sizes in one stack walk per PE and each FIFO, Clock or Random
-// configuration on its own rows. Writes and reductions come from the
-// structural summary, as on every column path.
-func (r *Replayer) classifyMap(cfgs []sim.Config, col []readRec, agg *frameAgg, m ownerMap) {
+// classifyMap classifies every configuration of owner map m from the PE
+// strings level 1 built under owners (peStrings.build or buildEvents):
+// level 2 prices all LRU sizes in one stack walk per PE and each FIFO,
+// Clock or Random configuration on its own rows. Writes and reductions
+// come from the structural summary, as on every framed path.
+func (r *Replayer) classifyMap(cfgs []sim.Config, agg *frameAgg, m ownerMap, owners []int32) {
 	b, t := &r.bat, &r.two
 	members := b.mapCfg[m.lo:m.hi]
 	npe := m.key.npe
-	first := members[0]
-	owners := b.owners[b.ownOff[first]:b.ownOff[first+1]] // every member's table is this one
-	t.build(col, npe, owners)
 
 	t.stk = t.stk[:0]
 	for _, i := range members {
@@ -374,8 +444,8 @@ func (r *Replayer) classifyMap(cfgs []sim.Config, col []readRec, agg *frameAgg, 
 		lo := b.peOff[i]
 		perPE := b.perPE[lo : lo+npe]
 		for p := range perPE {
-			perPE[p].LocalReads = t.local[p]
-			perPE[p].CachedReads = t.remote[p] - perPE[p].RemoteReads
+			perPE[p].LocalReads = t.str[p].local
+			perPE[p].CachedReads = t.str[p].remote - perPE[p].RemoteReads
 		}
 		// Level 2 counted each miss once, at (reader, owner): the page
 		// request. The reply travels back.
@@ -412,15 +482,18 @@ func (r *Replayer) priceLRU(npe int, owners []int32) {
 	k := len(stk)
 	stride := k + 1
 	t.cnt = grown(t.cnt, npe*stride)
+	cnt := t.cnt
 	for p := 0; p < npe; p++ {
 		s := t.stack(pages)
-		for _, run := range t.runs[t.off[p]:t.off[p+1]] {
-			if m := s.touch(run.gid); m > 0 {
-				t.cnt[int(owners[run.gid])*stride+int(m)]++
+		for blk := t.str[p].head; blk >= 0; blk = t.link[blk] {
+			for _, g := range t.pool[blk] {
+				if m := s.touch(g); m > 0 {
+					cnt[int(owners[g])*stride+int(m)]++
+				}
 			}
 		}
 		for o := 0; o < npe; o++ {
-			c := t.cnt[o*stride : o*stride+stride]
+			c := cnt[o*stride : o*stride+stride]
 			var acc int64 // misses of size stk[m-1]: every run that missed ≥ m sizes
 			for m := k; m > 0; m-- {
 				acc += c[m]
@@ -444,10 +517,12 @@ func (r *Replayer) pricePolicy(i int, policy cache.Policy, npe int, owners []int
 	for p := 0; p < npe; p++ {
 		row := t.policyRow(policy, b.maxPages[i], len(owners))
 		var misses int64
-		for _, run := range t.runs[t.off[p]:t.off[p+1]] {
-			if !row.touch(run.gid) {
-				misses++
-				traf[p*npe+int(owners[run.gid])]++
+		for blk := t.str[p].head; blk >= 0; blk = t.link[blk] {
+			for _, g := range t.pool[blk] {
+				if !row.touch(g) {
+					misses++
+					traf[p*npe+int(owners[g])]++
+				}
 			}
 		}
 		perPE[p].RemoteReads = misses

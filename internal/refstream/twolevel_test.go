@@ -2,6 +2,7 @@ package refstream
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -192,10 +193,13 @@ func controlKernel() *loops.Kernel {
 	}
 }
 
-// TestControlReadsEveryPolicy checks the control-read branch of level
-// 1 under every policy: one owner map per (NPE, page size, layout)
-// holding LRU at several sizes and FIFO, Clock and Random, batch
-// against sim.Run.
+// TestControlReadsEveryPolicy checks the control-read branch of both
+// level-1 feeders under every policy, against sim.Run: the grid as one
+// batch, one owner map per (NPE, page size, layout) holding LRU at
+// several sizes and FIFO, Clock and Random, walks the read column
+// (peStrings.build), and every configuration again through Run, a
+// one-configuration call, walks the event columns
+// (peStrings.buildEvents).
 func TestControlReadsEveryPolicy(t *testing.T) {
 	k := controlKernel()
 	const n = 96
@@ -218,13 +222,16 @@ func TestControlReadsEveryPolicy(t *testing.T) {
 			}
 		}
 	}
-	reg := obs.NewRegistry()
+	batchReg, runReg := obs.NewRegistry(), obs.NewRegistry()
 	r := NewReplayer()
-	r.Metrics = reg
+	r.Metrics = batchReg
 	got, err := r.RunBatchN(st, cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	built := st.readCols.builds.Load()
+	one := NewReplayer()
+	one.Metrics = runReg
 	for i, cfg := range cfgs {
 		want, err := sim.Run(k, n, cfg)
 		if err != nil {
@@ -233,11 +240,23 @@ func TestControlReadsEveryPolicy(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("%+v: batch diverges from sim.Run\nbatch: %v %v\nsim:   %v %v", cfg, got[i].Totals, got[i].Cache, want.Totals, want.Cache)
 		}
-	}
-	for _, p := range []path{pathStack, pathPolicy} {
-		if reg.Counter(pathMetric[p]).Value() == 0 {
-			t.Errorf("%s = 0: the grid holds two-level configurations", pathMetric[p])
+		res, err := one.Run(st, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("%+v: Run diverges from sim.Run\nRun: %v %v\nsim: %v %v", cfg, res.Totals, res.Cache, want.Totals, want.Cache)
+		}
+	}
+	for leg, reg := range map[string]*obs.Registry{"batch": batchReg, "Run": runReg} {
+		for _, p := range []path{pathStack, pathPolicy} {
+			if reg.Counter(pathMetric[p]).Value() == 0 {
+				t.Errorf("%s leg: %s = 0: the grid holds two-level configurations", leg, pathMetric[p])
+			}
+		}
+	}
+	if got := st.readCols.builds.Load(); got != built {
+		t.Errorf("the Run leg built %d read columns, want 0: it feeds level 1 from the events", got-built)
 	}
 }
 
@@ -337,4 +356,83 @@ func TestLRUInclusion(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOneConfigScratchBounded pins what a Replayer serving single
+// points retains for its PE strings: after a few hundred mixed
+// one-configuration calls — NPE 1 to 64, every policy and layout,
+// several kernels and sizes — the block pool holds at most what the
+// largest call needed, its runs plus one partly filled block per PE.
+// Per-PE growable strings would instead keep, in every PE slot, the
+// longest string any call ever wrote there.
+func TestOneConfigScratchBounded(t *testing.T) {
+	var streams []*Stream
+	for _, key := range []string{"k1", "k6", "k8", "k18", "k2"} {
+		k, err := loops.ByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{k.DefaultN, k.DefaultN / 2} {
+			st, err := Capture(k, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams = append(streams, st)
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	r := NewReplayer()
+	bound, framed := 0, 0
+	for i := 0; i < 300; i++ {
+		st := streams[rng.Intn(len(streams))]
+		cfg := sim.Config{
+			NPE:        1 + rng.Intn(64),
+			PageSize:   []int{8, 16, 32, 64, 128}[rng.Intn(5)],
+			CacheElems: 32 * (1 + rng.Intn(31)),
+			Policy:     cache.Policy(rng.Intn(4)),
+			Layout:     partition.Kind(rng.Intn(3)),
+			LayoutRun:  1 + rng.Intn(4),
+		}
+		if i%4 == 0 {
+			cfg.NPE = 1 + rng.Intn(4) // few PEs: long strings
+		}
+		if _, err := r.Run(st, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !classOf(cfg, pageCount(st.ArrayLens, cfg.PageSize)).path.twoLevel() {
+			continue
+		}
+		framed++
+		bound = max(bound, stringRuns(&r.two.peStrings)+blockRuns*cfg.NPE)
+	}
+	if framed < 200 {
+		t.Fatalf("only %d of the calls built PE strings", framed)
+	}
+	got := retainedRuns(&r.two.peStrings)
+	t.Logf("%d framed calls: the scratch retains %d runs, bound %d", framed, got, bound)
+	if got > bound {
+		t.Errorf("the PE-string scratch retains %d runs after %d calls, want <= %d: the largest call's runs plus one block per PE",
+			got, framed, bound)
+	}
+}
+
+// stringRuns counts the runs of the last build's strings.
+func stringRuns(s *peStrings) int {
+	n := 0
+	for _, x := range s.str {
+		for b := x.head; b >= 0; b = s.link[b] {
+			n += len(s.pool[b])
+		}
+	}
+	return n
+}
+
+// retainedRuns is the capacity, in runs, that the strings' scratch
+// keeps between builds.
+func retainedRuns(s *peStrings) int {
+	n := 0
+	for _, blk := range s.pool {
+		n += cap(blk)
+	}
+	return n
 }

@@ -169,6 +169,40 @@ func runDaemon(opts serve.Options, addr string, drain time.Duration, captureDir,
 	return nil
 }
 
+// shardArgs is one shard's command line: an ephemeral listener
+// published through addrFile, the router's capture dir, and every
+// serving flag the router was given. The shard that answers a routed
+// request applies the router's limits, deadline and pool and cache
+// sizes, exactly as the embedded fallback does; a flag left at its
+// zero default stays off the command line.
+func shardArgs(opts serve.Options, addrFile, captureDir string) []string {
+	args := []string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}
+	if captureDir != "" {
+		// All shards share one content-addressed store directory:
+		// writes are temp+rename and peers pick up each other's
+		// captures on rescan, so sharing is safe and maximizes reuse.
+		args = append(args, "-capture-dir", captureDir)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"workers", opts.Workers},
+		{"queue", opts.MaxInflight},
+		{"result-cache", opts.ResultCacheEntries},
+		{"stream-cache", opts.StreamCacheEntries},
+		{"max-sweep-points", opts.MaxSweepPoints},
+	} {
+		if f.v != 0 {
+			args = append(args, fmt.Sprintf("-%s=%d", f.name, f.v))
+		}
+	}
+	if opts.DefaultDeadline != 0 {
+		args = append(args, "-deadline="+opts.DefaultDeadline.String())
+	}
+	return args
+}
+
 // runRouter fronts a sharded cluster: spawns shards re-execed lfksimd
 // processes (each a plain single-node daemon publishing its ephemeral
 // address through an addr file), routes classify/sweep traffic across
@@ -189,14 +223,7 @@ func runRouter(opts serve.Options, addr string, drain time.Duration, shards int,
 		Shards: shards,
 		Dir:    supDir,
 		Command: func(id int, shardAddrFile string) *exec.Cmd {
-			args := []string{"-addr", "127.0.0.1:0", "-addr-file", shardAddrFile}
-			if captureDir != "" {
-				// All shards share one content-addressed store directory:
-				// writes are temp+rename and peers pick up each other's
-				// captures on rescan, so sharing is safe and maximizes reuse.
-				args = append(args, "-capture-dir", captureDir)
-			}
-			cmd := exec.Command(exe, args...)
+			cmd := exec.Command(exe, shardArgs(opts, shardAddrFile, captureDir)...)
 			cmd.Stderr = os.Stderr
 			return cmd
 		},

@@ -1,20 +1,21 @@
 package cluster
 
 // router.go — the cluster coordinator. A Router owns the client-facing
-// HTTP surface of a shard set: it consistent-hashes each capture group
-// onto its home shard, forwards classify/sweep work over HTTP with
-// per-shard timeouts, and on failure walks the group's ring order to a
-// live peer with capped exponential backoff — bounded by a retry
-// budget, surfaced in cluster.* metrics and per-request trace spans.
-// A sweep that spans shards is split into per-shard sub-sweeps and the
-// responses merged back in grid order; because every shard serves
-// every point bit-identically (the single-assignment property: a
-// capture group's reference stream is immutable), the merged body is
-// byte-for-byte the single-node body.
+// HTTP surface of a shard set: it consistent-hashes each request's
+// capture group onto its home shard, forwards the request whole over
+// HTTP with per-shard timeouts, and on failure walks the group's ring
+// order to a live peer with capped exponential backoff — bounded by a
+// retry budget, surfaced in cluster.* metrics and per-request trace
+// spans. A sweep goes whole to its first group's home shard: because
+// every shard serves every point bit-identically (the
+// single-assignment property: a capture group's reference stream is
+// immutable), the shard's body is byte-for-byte the single-node body.
+// The cost is locality: a multi-kernel sweep's other groups are
+// captured on that shard too, or loaded from a shared capture store.
 //
 // Shard health is a three-state lifecycle (up → suspect → down) fed by
 // both an active prober and forwarding failures; down shards are
-// skipped in the ring walk (their groups re-dispatch to the next
+// skipped in the ring walk (their requests re-dispatch to the next
 // peer), and any success restores a shard to up. When every shard is
 // unreachable the router degrades to direct execution on an embedded
 // single-node server — slower, never wrong.
@@ -28,11 +29,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/kernelreg"
+	"repro/internal/loops"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/serve"
@@ -41,11 +42,11 @@ import (
 // Observability names of the cluster family. Counters unless noted;
 // docs/CLUSTER.md describes how they compose into a failover picture.
 const (
-	MetricForwards        = "cluster.forwards"         // sub-requests sent to shards
+	MetricForwards        = "cluster.forwards"         // requests sent to shards, one per attempt
 	MetricForwardFailures = "cluster.forward_failures" // transport errors + retryable statuses
-	MetricFailovers       = "cluster.failovers"        // groups re-dispatched to a peer
-	MetricRetriesExhaust  = "cluster.retry_exhausted"  // groups that ran out of retry budget
-	MetricLocalFallbacks  = "cluster.local_fallbacks"  // groups served by the embedded engine
+	MetricFailovers       = "cluster.failovers"        // requests re-dispatched to a peer
+	MetricRetriesExhaust  = "cluster.retry_exhausted"  // requests that ran out of retry budget
+	MetricLocalFallbacks  = "cluster.local_fallbacks"  // requests served by the embedded engine
 	MetricProbes          = "cluster.health_probes"    // active health checks sent
 	MetricProbeFailures   = "cluster.health_probe_failures"
 	MetricStateChanges    = "cluster.shard_state_changes"  // up/suspect/down transitions
@@ -95,9 +96,9 @@ type RouterOptions struct {
 	// (or obs.Default()).
 	Metrics *obs.Registry
 
-	// ShardTimeout bounds one forwarded sub-request (<= 0 selects 60s).
+	// ShardTimeout bounds one forwarded request (<= 0 selects 60s).
 	ShardTimeout time.Duration
-	// MaxAttempts bounds forwards per group including the first
+	// MaxAttempts bounds forwards per request including the first
 	// (<= 0 selects the shard count): the retry budget.
 	MaxAttempts int
 	// BackoffBase/BackoffMax shape the capped exponential backoff
@@ -208,11 +209,11 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		stopProbe:       make(chan struct{}),
 	}
 	rt.gShardsUp.Set(int64(opts.Shards))
-	rt.mux.HandleFunc("POST /v1/classify", rt.handleClassify)
-	rt.mux.HandleFunc("POST /v1/sweep", rt.handleSweep)
+	rt.mux.HandleFunc("POST /v1/classify", rt.handleRouted)
+	rt.mux.HandleFunc("POST /v1/sweep", rt.handleRouted)
 	rt.mux.HandleFunc("POST /v1/compile", rt.handleCompile)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /debug/trace", rt.handleTrace)
+	rt.mux.Handle("GET /debug/trace", rt.tring)
 	rt.mux.Handle("/", rt.local.Handler()) // kernels, metrics, pprof, vars
 	rt.probeWG.Add(1)
 	go rt.probeLoop()
@@ -337,7 +338,7 @@ func retryableStatus(code int) bool {
 	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable
 }
 
-// forwardOnce sends one sub-request to one shard and reads the whole
+// forwardOnce sends one request to one shard and reads the whole
 // response.
 func (rt *Router) forwardOnce(ctx context.Context, id int, path, reqID string, payload []byte) (int, []byte, error) {
 	cctx, cancel := context.WithTimeout(ctx, rt.opts.ShardTimeout)
@@ -365,12 +366,12 @@ func (rt *Router) forwardOnce(ctx context.Context, id int, path, reqID string, p
 	return resp.StatusCode, body, nil
 }
 
-// dispatch routes one group's sub-request: home shard first, then the
-// ring-order peers, skipping shards believed down, sleeping a capped
-// exponential backoff (with seeded jitter) between attempts, within
-// the MaxAttempts budget. Success means a response whose status is not
-// retryable — a 400 or 504 is the answer, not a reason to hammer
-// peers. Returns errAllAttemptsFailed when the budget is spent.
+// dispatch routes one request by its group key: home shard first, then
+// the ring-order peers, skipping shards believed down, sleeping a
+// capped exponential backoff (with seeded jitter) between attempts,
+// within the MaxAttempts budget. Success means a response whose status
+// is not retryable — a 400 or 504 is the answer, not a reason to
+// hammer peers. Returns errAllAttemptsFailed when the budget is spent.
 func (rt *Router) dispatch(ctx context.Context, tr *trace.Trace, parent trace.SpanRef, key, path, reqID string, payload []byte) (int, []byte, error) {
 	order := rt.ring.order(key)
 	attempts := 0
@@ -432,8 +433,8 @@ func (rt *Router) backoff(ctx context.Context, attempt int) {
 // --- request handling ---
 
 // recorder captures a response served by the embedded local handler so
-// the router can merge or relay it. A minimal http.ResponseWriter —
-// the local handler writes status, headers and one body.
+// the router can relay it. A minimal http.ResponseWriter — the local
+// handler writes status, headers and one body.
 type recorder struct {
 	status int
 	hdr    http.Header
@@ -486,48 +487,78 @@ func (rt *Router) finish(tr *trace.Trace, status int) {
 	rt.tring.Add(tr)
 }
 
-func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	tr, reqID := rt.begin(w, r, "/v1/classify")
+// handleRouted serves POST /v1/classify and POST /v1/sweep through one
+// forward path. The request is placed by its capture group — the
+// classify's kernel, or the sweep's first kernel (the paper set's first
+// when the sweep names none) at its clamped N — and its original bytes
+// go to that group's home shard, failing over along the ring. A sweep
+// is never split: the shard that answers is itself a single node, so
+// its body is the single-node body and is relayed as it came. A
+// request the router cannot place (parse error, unknown kernel) goes
+// to the local server, whose decode produces exactly the single-node
+// error bytes.
+func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.Path
+	tr, reqID := rt.begin(w, r, path)
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("reading request body: %w", err)))
 		rt.finish(tr, http.StatusBadRequest)
 		return
 	}
-	// Routing needs the group key; a request the router cannot place
-	// (parse error, unknown kernel) goes to the local server, whose
-	// decode produces exactly the single-node error bytes.
-	var req serve.ClassifyRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var key string
-	if err := dec.Decode(&req); err == nil {
-		// Resolve through the local registry: built-in keys and compiled
-		// "u:..." ids place the same way, so a compiled kernel's captures
-		// concentrate on one home shard exactly like a built-in's.
-		if k, kerr := rt.local.Registry().Resolve(req.Kernel); kerr == nil {
-			key = GroupKey(k.Key, k.ClampN(req.N))
-		}
-	}
+	key, kernels := rt.place(path, raw)
 	if key == "" {
-		status, body := rt.serveLocalBytes(r, "/v1/classify", raw)
+		status, body := rt.serveLocalBytes(r, path, raw)
 		writeJSON(w, status, body)
 		rt.finish(tr, status)
 		return
 	}
 	root := tr.Start("route")
-	status, body, err := rt.dispatch(r.Context(), tr, root, key, "/v1/classify", reqID, raw)
-	if err == nil && rt.healUnknown(r.Context(), reqID, status, body, req.Kernel) {
-		status, body, err = rt.dispatch(r.Context(), tr, root, key, "/v1/classify", reqID, raw)
+	status, body, err := rt.dispatch(r.Context(), tr, root, key, path, reqID, raw)
+	if err == nil && rt.healUnknown(r.Context(), reqID, status, body, kernels...) {
+		status, body, err = rt.dispatch(r.Context(), tr, root, key, path, reqID, raw)
 	}
 	if err != nil {
 		rt.cLocalFallbacks.Inc()
 		tr.Count("cluster.local_fallbacks", 1)
-		status, body = rt.serveLocalBytes(r, "/v1/classify", raw)
+		status, body = rt.serveLocalBytes(r, path, raw)
 	}
 	root.End()
 	writeJSON(w, status, body)
 	rt.finish(tr, status)
+}
+
+// place decodes a classify or sweep body and returns the group key it
+// is routed by, plus every kernel it names (for healUnknown). The key
+// is empty when the body does not decode or its placing kernel does
+// not resolve. Resolution goes through the local registry, so built-in
+// keys and compiled "u:..." ids place the same way and a compiled
+// kernel's captures concentrate on one home shard like a built-in's.
+func (rt *Router) place(path string, raw []byte) (key string, kernels []string) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var n int
+	if path == "/v1/classify" {
+		var req serve.ClassifyRequest
+		if dec.Decode(&req) != nil {
+			return "", nil
+		}
+		kernels, n = []string{req.Kernel}, req.N
+	} else {
+		var req serve.SweepRequest
+		if dec.Decode(&req) != nil {
+			return "", nil
+		}
+		kernels, n = req.Kernels, req.N
+	}
+	if len(kernels) == 0 { // a sweep without kernels runs the paper set
+		kernels = []string{loops.PaperSet()[0].Key}
+	}
+	k, err := rt.local.Registry().Resolve(kernels[0])
+	if err != nil {
+		return "", nil
+	}
+	return GroupKey(k.Key, k.ClampN(n)), kernels
 }
 
 // handleCompile serves POST /v1/compile cluster-wide. The embedded
@@ -599,7 +630,7 @@ func (rt *Router) replicate(ctx context.Context, reqID, id string) bool {
 // healUnknown inspects a shard answer for the 404 unknown_kernel
 // signature over a compiled id — the mark of a shard that restarted
 // and lost its in-memory registry — re-replicates every compiled
-// kernel the failed sub-request named, and reports whether the caller
+// kernel the failed request named, and reports whether the caller
 // should retry its dispatch.
 func (rt *Router) healUnknown(ctx context.Context, reqID string, status int, body []byte, kernels ...string) bool {
 	if status != http.StatusNotFound {
@@ -616,162 +647,6 @@ func (rt *Router) healUnknown(ctx context.Context, reqID string, status int, bod
 		}
 	}
 	return healed
-}
-
-// subSweep is one shard's share of a sweep: the original request with
-// the kernel axis cut down to the groups placed on that shard,
-// preserving their original order. All other axes ride along verbatim,
-// so each shard expands its sub-grid with the same inner-axis order as
-// the single-node grid.
-func subSweep(req serve.SweepRequest, kernels []string) serve.SweepRequest {
-	req.Kernels = kernels
-	return req
-}
-
-func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	tr, reqID := rt.begin(w, r, "/v1/sweep")
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("reading request body: %w", err)))
-		rt.finish(tr, http.StatusBadRequest)
-		return
-	}
-	var req serve.SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		// The local decode produces the single-node error bytes.
-		status, body := rt.serveLocalBytes(r, "/v1/sweep", raw)
-		writeJSON(w, status, body)
-		rt.finish(tr, status)
-		return
-	}
-	groups, total, err := serve.SweepGroups(req, rt.opts.Local)
-	if err != nil {
-		status, body := rt.serveLocalBytes(r, "/v1/sweep", raw)
-		writeJSON(w, status, body)
-		rt.finish(tr, status)
-		return
-	}
-
-	// Place each group on its home shard; preserve group order within a
-	// shard so each sub-response comes back in (a subsequence of) grid
-	// order.
-	type shardPlan struct {
-		kernels []string
-		groups  []int // original group indexes, ascending
-	}
-	plans := map[int]*shardPlan{}
-	planOrder := []int{} // shards in order of their first (lowest) group
-	homes := make([]int, len(groups))
-	for gi, g := range groups {
-		home := rt.ring.order(GroupKey(g.Kernel, g.N))[0]
-		homes[gi] = home
-		p := plans[home]
-		if p == nil {
-			p = &shardPlan{}
-			plans[home] = p
-			planOrder = append(planOrder, home)
-		}
-		p.kernels = append(p.kernels, g.Kernel)
-		p.groups = append(p.groups, gi)
-	}
-
-	// Dispatch sub-sweeps concurrently; each walks its own failover
-	// order independently (a dead shard's share re-dispatches to a live
-	// peer without disturbing the others).
-	root := tr.Start("route")
-	type subResult struct {
-		status int
-		body   []byte
-		local  bool
-	}
-	results := make(map[int]*subResult, len(plans))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, home := range planOrder {
-		plan := plans[home]
-		wg.Add(1)
-		go func(home int, plan *shardPlan) {
-			defer wg.Done()
-			payload, err := json.Marshal(subSweep(req, plan.kernels))
-			res := &subResult{}
-			if err == nil {
-				groupKey := GroupKey(groups[plan.groups[0]].Kernel, groups[plan.groups[0]].N)
-				var derr error
-				res.status, res.body, derr = rt.dispatch(r.Context(), tr, root, groupKey, "/v1/sweep", reqID, payload)
-				if derr == nil && rt.healUnknown(r.Context(), reqID, res.status, res.body, plan.kernels...) {
-					res.status, res.body, derr = rt.dispatch(r.Context(), tr, root, groupKey, "/v1/sweep", reqID, payload)
-				}
-				if derr != nil {
-					rt.cLocalFallbacks.Inc()
-					tr.Count("cluster.local_fallbacks", 1)
-					res.status, res.body = rt.serveLocalBytes(r, "/v1/sweep", payload)
-					res.local = true
-				}
-			} else {
-				res.status, res.body = http.StatusInternalServerError, errorBody(err)
-			}
-			mu.Lock()
-			results[home] = res
-			mu.Unlock()
-		}(home, plan)
-	}
-	wg.Wait()
-	root.End()
-
-	// The lowest-index-error contract across shards: if any sub-sweep
-	// failed, relay the failure of the group with the lowest original
-	// grid index (kernels are the outermost axis, so group order is
-	// grid order).
-	for _, home := range planOrder {
-		if res := results[home]; res.status != http.StatusOK {
-			writeJSON(w, res.status, res.body)
-			rt.finish(tr, res.status)
-			return
-		}
-	}
-
-	// Merge: per-shard cursors walking the original group order. Each
-	// group expands to the same number of points (identical inner
-	// axes), so group gi's points are the next ppg entries of its
-	// shard's sub-response.
-	type cursor struct {
-		points []json.RawMessage
-		next   int
-	}
-	cursors := make(map[int]*cursor, len(results))
-	ppg := 0
-	for home, res := range results {
-		var sr serve.SweepResult
-		if err := json.Unmarshal(res.body, &sr); err != nil {
-			writeJSON(w, http.StatusBadGateway, errorBody(fmt.Errorf("cluster: shard %d returned an unparseable sweep body: %w", home, err)))
-			rt.finish(tr, http.StatusBadGateway)
-			return
-		}
-		want := total / len(groups) * len(plans[home].kernels)
-		if sr.Count != want || len(sr.Points) != want {
-			writeJSON(w, http.StatusBadGateway, errorBody(fmt.Errorf("cluster: shard %d returned %d points, want %d", home, len(sr.Points), want)))
-			rt.finish(tr, http.StatusBadGateway)
-			return
-		}
-		cursors[home] = &cursor{points: sr.Points}
-		ppg = total / len(groups)
-	}
-	merged := make([]json.RawMessage, 0, total)
-	for gi := range groups {
-		c := cursors[homes[gi]]
-		merged = append(merged, c.points[c.next:c.next+ppg]...)
-		c.next += ppg
-	}
-	body, err := json.Marshal(&serve.SweepResult{Count: total, Points: merged})
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody(err))
-		rt.finish(tr, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-	rt.finish(tr, http.StatusOK)
 }
 
 // --- introspection ---
@@ -808,51 +683,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Serving bool          `json:"serving"`
 		Shards  []shardHealth `json:"shards"`
 	}{Status: status, Serving: true, Shards: shards})
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleTrace serves the router's own trace ring: ?id= for one span
-// tree, otherwise newest-first summaries (?n=, default 32).
-func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Cache-Control", "no-store")
-	if id := r.URL.Query().Get("id"); id != "" {
-		t := rt.tring.Get(id)
-		if t == nil {
-			writeJSON(w, http.StatusNotFound, errorBody(fmt.Errorf("no trace %q in the ring", id)))
-			return
-		}
-		body, err := json.MarshalIndent(t.Snapshot(), "", "  ")
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	n := 32
-	if v := r.URL.Query().Get("n"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			n = parsed
-		}
-	}
-	type summary struct {
-		ID     string `json:"id"`
-		Route  string `json:"route"`
-		Status int    `json:"status"`
-		DurUS  int64  `json:"dur_us"`
-		Spans  int    `json:"spans"`
-	}
-	list := rt.tring.Recent(n)
-	summaries := make([]summary, 0, len(list))
-	for _, t := range list {
-		o := t.Snapshot()
-		summaries = append(summaries, summary{ID: o.ID, Route: o.Route, Status: o.Status, DurUS: o.DurUS, Spans: len(o.Spans)})
-	}
-	body, err := json.MarshalIndent(summaries, "", "  ")
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody(err))
 		return

@@ -11,6 +11,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,9 +25,21 @@ import (
 	"repro/internal/serve"
 )
 
-// sweepBody is a 4-kernel slice of the standard grid: big enough to
-// span every shard of a 3-shard ring, small enough for fast tests.
+// sweepBody is a 4-kernel slice of the standard grid: its groups span
+// every shard of a 3-shard ring, yet the router forwards it whole to
+// k1's home shard; small enough for fast tests.
 const sweepBody = `{"kernels":["k1","k2","k3","k6"],"npes":[2,8],"page_sizes":[32,64],"cache_elems":[0,256]}`
+
+// homeShard is the shard a request placed on kernel key (at its
+// default N) goes to first: a sweep's first kernel, or a classify's.
+func homeShard(t *testing.T, rt *Router, key string) int {
+	t.Helper()
+	k, err := loops.ByKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt.ring.order(GroupKey(k.Key, k.ClampN(0)))[0]
+}
 
 // swapHandler lets a test atomically replace a shard's behavior while
 // the shard keeps serving — the race-free way to model an engine that
@@ -134,8 +147,10 @@ func TestRoutedSweepMatchesSingleNode(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatalf("routed sweep body differs from single-node baseline (%d vs %d bytes)", len(want), len(got))
 	}
-	if c.reg.Counter(MetricForwards).Value() == 0 {
-		t.Fatal("no forwards counted — the sweep never reached a shard")
+	// The four kernels' groups span several shards, but the sweep is
+	// forwarded whole: one forward on a healthy cluster.
+	if got := c.reg.Counter(MetricForwards).Value(); got != 1 {
+		t.Fatalf("cluster.forwards = %d, want 1 (the sweep forwarded whole)", got)
 	}
 }
 
@@ -158,10 +173,11 @@ func TestRoutedClassifyMatchesSingleNode(t *testing.T) {
 func TestFailoverOnDeadShard(t *testing.T) {
 	want := baseline(t, "/v1/sweep", sweepBody)
 	c := newTestCluster(t, 3)
-	// Kill one shard's listener outright — connection refused, the
-	// transport-error flavor of failure.
-	c.shards[1].CloseClientConnections()
-	c.shards[1].Close()
+	// Kill the sweep's home shard's listener outright — connection
+	// refused, the transport-error flavor of failure.
+	home := homeShard(t, c.router, "k1")
+	c.shards[home].CloseClientConnections()
+	c.shards[home].Close()
 	code, _, got := postJSON(t, c.front.URL+"/v1/sweep", sweepBody)
 	if code != http.StatusOK {
 		t.Fatalf("sweep with a dead shard: %d: %s", code, got)
@@ -170,7 +186,13 @@ func TestFailoverOnDeadShard(t *testing.T) {
 		t.Fatal("failover sweep body differs from single-node baseline")
 	}
 	if c.reg.Counter(MetricForwardFailures).Value() == 0 {
-		t.Error("no forward failures counted despite a dead shard")
+		t.Error("no forward failures counted despite a dead home shard")
+	}
+	if c.reg.Counter(MetricFailovers).Value() == 0 {
+		t.Error("failover not counted")
+	}
+	if c.reg.Counter(MetricLocalFallbacks).Value() != 0 {
+		t.Error("sweep fell back to local despite live peers")
 	}
 }
 
@@ -183,12 +205,7 @@ func TestFailoverOnDrainingShard(t *testing.T) {
 	c := newTestCluster(t, 3)
 
 	// Drain exactly k1's home shard; the peers stay live.
-	k, err := loops.ByKey("k1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	home := c.router.ring.order(GroupKey(k.Key, k.ClampN(0)))[0]
-	c.handlers[home].swap(drain503)
+	c.handlers[homeShard(t, c.router, "k1")].swap(drain503)
 
 	code, _, got := postJSON(t, c.front.URL+"/v1/classify", req)
 	if code != http.StatusOK {
@@ -272,9 +289,11 @@ func TestAllShardsDownDegradesToLocal(t *testing.T) {
 }
 
 // TestBadRequestsMatchSingleNodeBytes pins the error-path contract:
-// requests the router cannot place (parse errors, unknown kernels,
-// over-limit sweeps) produce byte-identical status and body to the
-// single-node server, via the embedded local decode.
+// requests the router cannot place (parse errors, an unknown first
+// kernel) are answered by the embedded local decode, and placeable but
+// invalid ones (a bad axis, a later unknown kernel, an over-limit
+// sweep) by the shard they are forwarded to — either way with status
+// and body byte-identical to the single-node server.
 func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 	cases := []struct{ path, body string }{
 		{"/v1/classify", `{"kernel":"nope"}`},
@@ -282,6 +301,7 @@ func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 		{"/v1/classify", `not json`},
 		{"/v1/sweep", `{"kernels":["k1"],"npes":[0]}`},
 		{"/v1/sweep", `{"kernels":["nope"]}`},
+		{"/v1/sweep", `{"kernels":["k1","nope"]}`},
 		{"/v1/sweep", `{"npes":[1,2,4,8,16,32,64],"page_sizes":[1,2,4,8,16,32,64,128,256,512]}`},
 	}
 	s := serve.New(serve.Options{Metrics: obs.NewRegistry(), AccessLog: io.Discard})
@@ -329,8 +349,8 @@ func TestShardStateLifecycle(t *testing.T) {
 	}
 }
 
-// TestMergePreservesDuplicateKernels pins a merge edge case: the same
-// kernel listed twice expands twice, in order, exactly as single-node.
+// TestMergePreservesDuplicateKernels: the same kernel listed twice
+// expands twice, in order, exactly as single-node.
 func TestMergePreservesDuplicateKernels(t *testing.T) {
 	body := `{"kernels":["k2","k1","k2"],"npes":[2],"page_sizes":[32]}`
 	want := baseline(t, "/v1/sweep", body)
@@ -341,5 +361,77 @@ func TestMergePreservesDuplicateKernels(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatal("duplicate-kernel sweep differs from single-node baseline")
+	}
+}
+
+// TestRoutedTraceHasForwardSpan pins the router's GET /debug/trace: the
+// trace of a routed classify, fetched by ?id=, holds the route span and
+// a forward.shardN child under it, and the listing names it.
+func TestRoutedTraceHasForwardSpan(t *testing.T) {
+	c := newTestCluster(t, 3)
+	req, err := http.NewRequest(http.MethodPost, c.front.URL+"/v1/classify", strings.NewReader(`{"kernel":"k2","npe":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-ID", "routed-1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed classify: %d", resp.StatusCode)
+	}
+
+	get := func(path string) (int, []byte) {
+		resp, err := http.Get(c.front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+	code, body := get("/debug/trace?id=routed-1")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace?id=routed-1 = %d %s", code, body)
+	}
+	var out struct {
+		Route string `json:"route"`
+		Done  bool   `json:"done"`
+		Spans []struct {
+			Name   string `json:"name"`
+			Parent int    `json:"parent"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Route != "/v1/classify" || !out.Done {
+		t.Fatalf("trace header = %+v", out)
+	}
+	want := fmt.Sprintf("forward.shard%d", homeShard(t, c.router, "k2"))
+	route, child := -1, false
+	for i, sp := range out.Spans {
+		if sp.Name == "route" && sp.Parent == -1 {
+			route = i
+		}
+		if route >= 0 && sp.Name == want && sp.Parent == route {
+			child = true
+		}
+	}
+	if route < 0 || !child {
+		t.Fatalf("trace lacks a route span with a %s child: %+v", want, out.Spans)
+	}
+
+	code, body = get("/debug/trace")
+	if code != http.StatusOK || !strings.Contains(string(body), `"id": "routed-1"`) || !strings.Contains(string(body), `"done": true`) {
+		t.Fatalf("/debug/trace listing = %d %s", code, body)
+	}
+	if code, _ := get("/debug/trace?id=never-seen"); code != http.StatusNotFound {
+		t.Fatalf("unknown trace id = %d, want 404", code)
 	}
 }

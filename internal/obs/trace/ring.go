@@ -1,6 +1,13 @@
 package trace
 
-import "sync"
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"sync"
+	"time"
+)
 
 // DefaultRingEntries is the capacity NewRing substitutes for a
 // non-positive request.
@@ -82,4 +89,65 @@ func (r *Ring) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.n
+}
+
+// summary is one row of the GET /debug/trace listing.
+type summary struct {
+	ID     string    `json:"id"`
+	Route  string    `json:"route"`
+	Status int       `json:"status"`
+	Start  time.Time `json:"start"`
+	DurUS  int64     `json:"dur_us"`
+	Spans  int       `json:"spans"`
+	Done   bool      `json:"done"`
+}
+
+// ServeHTTP serves GET /debug/trace from the ring: without parameters a
+// newest-first summary listing (bounded by ?n=, default 32); with ?id=
+// the full span tree of one retained trace. Errors carry the serving
+// layer's {"error": ...} body.
+func (r *Ring) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	w.Header().Set("Cache-Control", "no-store")
+	var v any
+	if id := req.URL.Query().Get("id"); id != "" {
+		t := r.Get(id)
+		if t == nil {
+			writeError(w, http.StatusNotFound, fmt.Sprintf("no trace %q in the ring (%d held, newest win)", id, r.Len()))
+			return
+		}
+		v = t.Snapshot()
+	} else {
+		n := 32
+		if s := req.URL.Query().Get("n"); s != "" {
+			if parsed, err := strconv.Atoi(s); err == nil && parsed > 0 {
+				n = parsed
+			}
+		}
+		list := r.Recent(n)
+		rows := make([]summary, 0, len(list))
+		for _, t := range list {
+			o := t.Snapshot()
+			rows = append(rows, summary{ID: o.ID, Route: o.Route, Status: o.Status, Start: o.Start, DurUS: o.DurUS, Spans: len(o.Spans), Done: o.Done})
+		}
+		v = rows
+	}
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+func writeJSON(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+func writeError(w http.ResponseWriter, status int, msg string) {
+	body, _ := json.Marshal(struct {
+		Error string `json:"error"`
+	}{msg})
+	writeJSON(w, status, body)
 }

@@ -214,10 +214,33 @@ func runOracle(k *loops.Kernel, n int, cfg sim.Config) (*oracle, error) {
 	return o, o.err
 }
 
+// hostKernel is a test-only inner product whose reduction driver is
+// array 1. Every built-in reduces over array 0, whose host is PE 0
+// under any rule that ignores the array; this kernel's host is PE 1 at
+// NPE >= 2, so it holds replay to the §9 rule (host = array ID mod NPE).
+func hostKernel() *loops.Kernel {
+	return &loops.Kernel{
+		Key: "host1", Name: "inner product reduced over array 1", DefaultN: 40, MinN: 1,
+		Arrays: func(n int) []loops.Spec {
+			return []loops.Spec{
+				{Name: "Z", Dims: []int{n + 1}, Init: loops.InitAll(func(i int) float64 { return float64(i%7) + 1 })},
+				{Name: "X", Dims: []int{n + 1}, Init: loops.InitAll(func(i int) float64 { return float64(i%5) - 2 })},
+				{Name: "Q", Dims: []int{1}},
+			}
+		},
+		Run: func(c *loops.Ctx, n int) {
+			z, x, q := c.A("Z"), c.A("X"), c.A("Q")
+			v := c.ReduceSum(x, 1, n+1, func(k int) float64 { return z.Get(k) * x.Get(k) })
+			q.Set(func() float64 { return v }, 0)
+		},
+		Outputs: []string{"Q"},
+	}
+}
+
 // TestReplayMatchesOracle holds Replayer.Run to the oracle on every
-// kernel at a small size, over a seeded sample of LRU, FIFO and
-// frameless machines: every layout, NPE up to 64 (mostly not powers of
-// two) and 0–130 frames. A second leg classifies each kernel's sample
+// kernel and on hostKernel, at a small size, over a seeded sample of
+// LRU, FIFO and frameless machines: every layout, NPE up to 64 (mostly
+// not powers of two) and 0–130 frames. A second leg classifies each kernel's sample
 // as one RunBatchN group, where a small LRU configuration sits alone in
 // its owner map and so takes packed SWAR rows, which a
 // one-configuration call never does; between them the legs reach every
@@ -231,7 +254,7 @@ func TestReplayMatchesOracle(t *testing.T) {
 	r.Metrics = reg
 	batch := refstream.NewReplayer()
 	batch.Metrics = reg
-	for _, k := range loops.All() {
+	for _, k := range append(loops.All(), hostKernel()) {
 		n := k.ClampN(40)
 		st, err := refstream.Capture(k, n)
 		if err != nil {

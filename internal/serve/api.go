@@ -212,9 +212,8 @@ type limits struct {
 	maxSweepPoints int
 	// reg resolves kernel keys: built-ins via loops.ByKey, compiled
 	// "u:" ids via the registry. A nil registry still resolves
-	// built-ins (kernelreg.Resolve is nil-safe), so paths without a
-	// compile subsystem — SweepGroups on a bare Options, tests — keep
-	// working unchanged.
+	// built-ins (kernelreg.Resolve is nil-safe), so limits taken from a
+	// bare Options in tests keep working.
 	reg *kernelreg.Registry
 }
 
@@ -356,42 +355,6 @@ func canonSweep(req SweepRequest, lim limits) ([]point, error) {
 		out[i] = p
 	}
 	return out, nil
-}
-
-// Group names one capture group of a sweep: a (kernel, clamped N)
-// pair, the unit of stream capture and therefore of cluster placement.
-// A sweep's groups are contiguous runs of its grid-ordered points
-// (kernels are the outermost axis), which is what lets a router split
-// a sweep across shards and merge the responses back in grid order.
-type Group struct {
-	Kernel string // canonical kernel key
-	N      int    // clamped problem size
-}
-
-// SweepGroups validates req exactly as POST /v1/sweep does — same
-// canonicalization, same errors, same MaxSweepPoints limit from opts —
-// and returns its capture groups in grid order (one per requested
-// kernel entry, duplicates preserved) plus the total point count.
-// Every group expands to the same number of points (size/len(groups)):
-// the other axes are identical across kernels. The cluster router
-// routes on this so a sharded sweep accepts, rejects and orders
-// exactly what a single node would.
-func SweepGroups(req SweepRequest, opts Options) ([]Group, int, error) {
-	pts, err := canonSweep(req, opts.withDefaults().limits())
-	if err != nil {
-		return nil, 0, err
-	}
-	nk := len(req.Kernels)
-	if nk == 0 {
-		nk = len(loops.PaperSet())
-	}
-	ppk := len(pts) / nk
-	groups := make([]Group, nk)
-	for i := range groups {
-		p := pts[i*ppk]
-		groups[i] = Group{Kernel: p.kernel.Key, N: p.n}
-	}
-	return groups, len(pts), nil
 }
 
 // encodePoint renders the canonical JSON body of one served point.

@@ -98,7 +98,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/kernels", s.handleKernels)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
+	s.mux.Handle("GET /debug/trace", s.ring)
 	AttachDebug(s.mux, reg)
 	return s
 }

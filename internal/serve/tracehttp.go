@@ -3,21 +3,19 @@ package serve
 // tracehttp.go — the request-scoped observability layer of the HTTP
 // front end: X-Request-ID acceptance/generation, the per-request
 // obs/trace.Trace riding the request context, the bounded ring of
-// recent traces behind GET /debug/trace, and the structured JSON
-// access log. Everything here rides headers and side channels only —
+// recent traces behind GET /debug/trace (trace.Ring serves it), and
+// the structured JSON access log. Everything here rides headers and side channels only —
 // response bodies are produced by the engine and stay byte-identical
 // whether or not tracing observes the request (pinned by
 // trace_test.go).
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -110,64 +108,6 @@ func (l *accessLogger) log(o trace.Out) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, _ = l.w.Write(append(line, '\n'))
-}
-
-// traceSummary is one row of the GET /debug/trace listing.
-type traceSummary struct {
-	ID     string    `json:"id"`
-	Route  string    `json:"route"`
-	Status int       `json:"status"`
-	Start  time.Time `json:"start"`
-	DurUS  int64     `json:"dur_us"`
-	Spans  int       `json:"spans"`
-	Done   bool      `json:"done"`
-}
-
-// handleTrace serves the recent-trace ring: without parameters a
-// newest-first summary listing (bounded by ?n=, default 32); with
-// ?id= the full span tree of one retained trace.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Cache-Control", "no-store")
-	if id := r.URL.Query().Get("id"); id != "" {
-		t := s.ring.Get(id)
-		if t == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q in the ring (capacity %d, newest win)", id, s.ring.Len()))
-			return
-		}
-		body, err := json.MarshalIndent(t.Snapshot(), "", "  ")
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	n := 32
-	if v := r.URL.Query().Get("n"); v != "" {
-		if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-			n = parsed
-		}
-	}
-	list := s.ring.Recent(n)
-	summaries := make([]traceSummary, 0, len(list))
-	for _, t := range list {
-		o := t.Snapshot()
-		summaries = append(summaries, traceSummary{
-			ID:     o.ID,
-			Route:  o.Route,
-			Status: o.Status,
-			Start:  o.Start,
-			DurUS:  o.DurUS,
-			Spans:  len(o.Spans),
-			Done:   o.Done,
-		})
-	}
-	body, err := json.MarshalIndent(summaries, "", "  ")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // buildDetails is the build/version block of the GET /healthz body,

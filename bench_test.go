@@ -252,7 +252,7 @@ func benchSweep(b *testing.B, pts []sweep.Point, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep.RunN(context.Background(), workers, pts); err != nil {
+		if _, err := sweep.RunOpts(context.Background(), pts, sweep.Options{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -213,15 +213,8 @@ func runRouter(opts serve.Options, addr string, drain time.Duration, shards int,
 	if err != nil {
 		return err
 	}
-	supDir, err := os.MkdirTemp("", "lfksimd-cluster-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(supDir)
-
 	sup, err := cluster.StartSupervisor(cluster.SupervisorOptions{
 		Shards: shards,
-		Dir:    supDir,
 		Command: func(id int, shardAddrFile string) *exec.Cmd {
 			cmd := exec.Command(exe, shardArgs(opts, shardAddrFile, captureDir)...)
 			cmd.Stderr = os.Stderr
@@ -239,11 +232,10 @@ func runRouter(opts serve.Options, addr string, drain time.Duration, shards int,
 	local.Metrics = reg
 	local.Registry = kernelreg.New(kernelreg.Limits{}, reg)
 	rt, err := cluster.NewRouter(cluster.RouterOptions{
-		Shards:  shards,
-		AddrOf:  sup.Addr,
-		PIDOf:   sup.PID,
-		Local:   local,
-		Metrics: reg,
+		Shards: shards,
+		AddrOf: sup.Addr,
+		PIDOf:  sup.PID,
+		Local:  local,
 	})
 	if err != nil {
 		return err

@@ -472,3 +472,87 @@ func TestCommandFlags(t *testing.T) {
 		}
 	}
 }
+
+// optionStructs are the library's option structs, by package directory.
+var optionStructs = []struct{ dir, pkg, typ string }{
+	{"internal/serve", "serve", "Options"},
+	{"internal/cluster", "cluster", "RouterOptions"},
+	{"internal/cluster", "cluster", "SupervisorOptions"},
+	{"internal/sweep", "sweep", "Options"},
+	{"internal/kernelreg", "kernelreg", "Limits"},
+}
+
+// TestOptionsHaveCallers holds the option structs to fields somebody
+// sets: each field must be named (`Field:` or `.Field =`) in a non-test
+// Go file outside its own package that imports it — a command, the
+// benchmark or another package. A field only tests set is a constant with a knob
+// on it: it doubles the configurations tests and docs must cover and
+// changes nothing a user can reach.
+func TestOptionsHaveCallers(t *testing.T) {
+	sources := map[string]string{} // non-test Go file → contents
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			sources[path] = string(b)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, o := range optionStructs {
+		found := false
+		var fields []string
+		for path, src := range sources {
+			if filepath.Dir(path) != filepath.FromSlash(o.dir) {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == o.typ {
+					found = true
+					for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+						for _, name := range fl.Names {
+							fields = append(fields, name.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+		if !found {
+			t.Fatalf("%s.%s: type not found in %s", o.pkg, o.typ, o.dir)
+		}
+		for _, field := range fields {
+			id := o.pkg + "." + o.typ + "." + field
+			set := regexp.MustCompile(`\b` + field + `:|\.` + field + `\s*=[^=]`)
+			imports := `"repro/` + o.dir + `"`
+			called := false
+			for _, src := range sources {
+				if strings.Contains(src, imports) && set.MatchString(src) {
+					called = true
+					break
+				}
+			}
+			if !called {
+				t.Errorf("%s is set by no non-test file outside %s: make it a constant", id, o.dir)
+			}
+		}
+	}
+}

@@ -202,7 +202,7 @@ type Report struct {
 // classified concurrently over the sweep engine's bounded worker pool;
 // reports come back in input order.
 func Kernels(ks []*loops.Kernel, n int) ([]Report, error) {
-	return sweep.Map(context.Background(), 0, ks,
+	return sweep.Map(context.Background(), ks,
 		func(_ context.Context, _ int, k *loops.Kernel) (Report, error) {
 			size := n
 			if size <= 0 {

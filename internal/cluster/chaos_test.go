@@ -150,11 +150,7 @@ func TestChaosKillShardMidSweep(t *testing.T) {
 	// Single-node baseline bytes for the full standard grid.
 	want := baseline(t, "/v1/sweep", standardGridReq)
 
-	sup, err := StartSupervisor(SupervisorOptions{
-		Shards:  3,
-		Command: shardCommand(""),
-		Dir:     t.TempDir(),
-	})
+	sup, err := StartSupervisor(SupervisorOptions{Shards: 3, Command: shardCommand("")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +158,10 @@ func TestChaosKillShardMidSweep(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rt, err := NewRouter(RouterOptions{
-		Shards:        3,
-		AddrOf:        sup.Addr,
-		PIDOf:         sup.PID,
-		Local:         serve.Options{Metrics: reg, AccessLog: io.Discard},
-		BackoffBase:   2 * time.Millisecond,
-		BackoffMax:    50 * time.Millisecond,
-		ProbeInterval: 100 * time.Millisecond,
-		Seed:          seed,
+		Shards: 3,
+		AddrOf: sup.Addr,
+		PIDOf:  sup.PID,
+		Local:  serve.Options{Metrics: reg, AccessLog: io.Discard},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,36 +170,82 @@ func TestChaosKillShardMidSweep(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	// SIGKILL the sweep's home shard mid-sweep: the grid names no
-	// kernels, so it is placed by the paper set's first. The delay is
-	// seed-derived so the three CI seeds kill at different points of
-	// the request's life — during captures, during replays, before
-	// the body is sent.
-	victim := homeShard(t, rt, loops.PaperSet()[0].Key)
-	killDelay := time.Duration(5+seed*13%120) * time.Millisecond
-	killed := make(chan error, 1)
+	type reply struct {
+		code int
+		body []byte
+		err  error
+	}
+	replied := make(chan reply, 1)
 	go func() {
-		time.Sleep(killDelay)
-		killed <- sup.Kill(victim)
+		resp, err := http.Post(front.URL+"/v1/sweep", "application/json", strings.NewReader(standardGridReq))
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		replied <- reply{resp.StatusCode, b, err}
 	}()
 
-	code, _, got := postJSON(t, front.URL+"/v1/sweep", standardGridReq)
-	if err := <-killed; err != nil {
+	// SIGKILL the sweep's home shard mid-sweep: the grid names no
+	// kernels, so it is placed by the paper set's first. The kill is
+	// placed by the victim's own progress, read from its /metrics: once
+	// it has admitted the sweep and executed a seed-chosen number of the
+	// grid's 28-point kernel groups (0 to 4 of 11, under half the grid,
+	// so the victim is still busy when the kill lands); the three CI
+	// seeds target 1, 2 and 4 groups.
+	victim := homeShard(t, rt, loops.PaperSet()[0].Key)
+	const gridPoints, groupPoints = 308, 308 / 11
+	target := groupPoints * (seed % 5)
+	base := "http://" + sup.Addr(victim)
+	deadline := time.Now().Add(30 * time.Second)
+	var executed int64
+	for {
+		snap := metricsSnapshot(t, base)
+		executed = snap.Counters[serve.MetricPointsExecuted]
+		if snap.Gauges[serve.MetricInflight] > 0 && executed >= target {
+			break
+		}
+		select {
+		case r := <-replied:
+			t.Fatalf("the sweep was answered (%d, %v) before shard %d had executed %d points", r.code, r.err, victim, target)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard %d executed %d points in 30s, never %d with the sweep in flight", victim, executed, target)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := sup.Kill(victim); err != nil {
 		t.Fatalf("killing shard %d: %v", victim, err)
 	}
-	// Whether the kill landed mid-flight depends on timing, so it is
-	// reported, not asserted.
-	t.Logf("killed home shard %d after %v: %d failovers", victim, killDelay, reg.Counter(MetricFailovers).Value())
-	if code != http.StatusOK {
-		t.Fatalf("sweep with shard killed after %v: %d: %s", killDelay, code, got)
+	r := <-replied
+	if r.err != nil {
+		t.Fatalf("sweep: %v", r.err)
 	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("sweep body after mid-flight SIGKILL differs from single-node baseline (%d vs %d bytes)", len(got), len(want))
+	if r.code != http.StatusOK {
+		t.Fatalf("sweep with shard %d killed after %d points: %d: %s", victim, target, r.code, r.body)
+	}
+	if !bytes.Equal(want, r.body) {
+		t.Fatalf("sweep body after mid-flight SIGKILL differs from single-node baseline (%d vs %d bytes)", len(r.body), len(want))
+	}
+	n := reg.Counter(MetricFailovers).Value()
+	t.Logf("killed home shard %d after %d points: %d failovers", victim, executed, n)
+	switch failures := reg.Counter(MetricForwardFailures).Value(); {
+	case n >= 1:
+	case failures == 0 && executed > gridPoints/2:
+		// The poll answered late, with the victim past half the grid:
+		// it finished the sweep before the kill landed.
+		t.Logf("shard %d answered before the kill (%d of %d points seen executed): no failover to check",
+			victim, executed, gridPoints)
+	default:
+		t.Errorf("no failover after the home shard was killed with %d of %d points executed (%d forward failures)",
+			executed, gridPoints, failures)
 	}
 
 	// The router must converge on degraded-but-serving: the prober
 	// marks the dead shard down, and classifies keep answering.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		resp, err := http.Get(front.URL + "/healthz")
 		if err != nil {
@@ -234,11 +272,7 @@ func TestWarmStartAcrossShardRestart(t *testing.T) {
 		t.Skip("process-level chaos test")
 	}
 	storeDir := t.TempDir()
-	sup, err := StartSupervisor(SupervisorOptions{
-		Shards:  1,
-		Command: shardCommand(storeDir),
-		Dir:     t.TempDir(),
-	})
+	sup, err := StartSupervisor(SupervisorOptions{Shards: 1, Command: shardCommand(storeDir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +318,13 @@ func TestWarmStartAcrossShardRestart(t *testing.T) {
 
 // TestSupervisorAddrFileDiscovery pins the addr-file contract at the
 // supervisor level: a fresh shard publishes a dialable address, Kill
-// reports a -1 PID, and Restart publishes a new address.
+// reports a -1 PID, Restart publishes a new address, and Stop removes
+// the supervisor's addr directory, crash debris included.
 func TestSupervisorAddrFileDiscovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level test")
 	}
-	dir := t.TempDir()
-	sup, err := StartSupervisor(SupervisorOptions{Shards: 1, Command: shardCommand(""), Dir: dir})
+	sup, err := StartSupervisor(SupervisorOptions{Shards: 1, Command: shardCommand("")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +351,12 @@ func TestSupervisorAddrFileDiscovery(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("classify against restarted shard: %d: %s", code, body)
 	}
-	// Crash debris in the addr dir must not confuse a later spawn.
-	if err := os.WriteFile(filepath.Join(dir, "shard-0.addr.tmp"), []byte("junk"), 0o644); err != nil {
+	// Crash debris in the addr dir goes with it.
+	if err := os.WriteFile(filepath.Join(sup.dir, "shard-0.addr.tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	sup.Stop()
+	if _, err := os.Stat(sup.dir); !os.IsNotExist(err) {
+		t.Fatalf("addr dir %s survives Stop: %v", sup.dir, err)
 	}
 }

@@ -19,10 +19,10 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per shard on the hash
-// ring: enough that 3 shards split the 11-kernel paper set roughly
-// evenly, small enough that ring construction is trivial.
-const DefaultReplicas = 64
+// replicas is the virtual-node count per shard on the hash ring: enough
+// that 3 shards split the 11-kernel paper set roughly evenly, small
+// enough that ring construction is trivial.
+const replicas = 64
 
 // ring is a consistent-hash ring over shard IDs with virtual nodes.
 // Immutable after newRing; shard health is the Router's concern — the
@@ -40,10 +40,7 @@ type ringPoint struct {
 	shard int
 }
 
-func newRing(shards, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+func newRing(shards int) *ring {
 	r := &ring{points: make([]ringPoint, 0, shards*replicas), shards: shards}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < replicas; v++ {

@@ -13,8 +13,8 @@ import (
 // onto one.
 func TestRingOrderDeterministicAndComplete(t *testing.T) {
 	const shards = 3
-	r1 := newRing(shards, 0)
-	r2 := newRing(shards, 0)
+	r1 := newRing(shards)
+	r2 := newRing(shards)
 	used := map[int]bool{}
 	for _, k := range loops.PaperSet() {
 		key := GroupKey(k.Key, k.DefaultN)
@@ -43,7 +43,7 @@ func TestRingOrderDeterministicAndComplete(t *testing.T) {
 // keys do not share preference order wholesale (the walk starts at the
 // key's own position).
 func TestRingOrderStableUnderKeyChange(t *testing.T) {
-	r := newRing(5, 0)
+	r := newRing(5)
 	orders := map[string][]int{}
 	for _, k := range loops.PaperSet() {
 		orders[k.Key] = r.order(GroupKey(k.Key, k.DefaultN))

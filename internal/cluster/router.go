@@ -76,6 +76,17 @@ func (s shardState) String() string {
 	}
 }
 
+// The router's fixed timings. Forwards wait shardTimeout each, and
+// between attempts back off base·2^(n-1) plus up to base of jitter,
+// capped at backoffMax; the prober checks every shard each
+// probeInterval.
+const (
+	shardTimeout  = 60 * time.Second
+	backoffBase   = 5 * time.Millisecond
+	backoffMax    = 250 * time.Millisecond
+	probeInterval = 500 * time.Millisecond
+)
+
 // RouterOptions configures NewRouter.
 type RouterOptions struct {
 	// Shards is the shard count; AddrOf(i) returns shard i's current
@@ -88,55 +99,9 @@ type RouterOptions struct {
 
 	// Local configures the embedded single-node server: the all-shards-
 	// down fallback and the handler for non-routed endpoints
-	// (/v1/kernels, /metrics, pprof). Its Metrics registry is shared
-	// with the router's own cluster.* instruments.
+	// (/v1/kernels, /metrics, pprof). Its Metrics registry (a fresh one
+	// when nil) also receives the router's cluster.* instruments.
 	Local serve.Options
-
-	// Metrics receives the cluster.* instruments; nil uses Local.Metrics
-	// (or obs.Default()).
-	Metrics *obs.Registry
-
-	// ShardTimeout bounds one forwarded request (<= 0 selects 60s).
-	ShardTimeout time.Duration
-	// MaxAttempts bounds forwards per request including the first
-	// (<= 0 selects the shard count): the retry budget.
-	MaxAttempts int
-	// BackoffBase/BackoffMax shape the capped exponential backoff
-	// between attempts (<= 0 select 5ms and 250ms).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// ProbeInterval paces the active health prober (<= 0 selects 500ms).
-	ProbeInterval time.Duration
-	// Replicas is the virtual-node count per shard (<= 0 selects
-	// DefaultReplicas).
-	Replicas int
-	// Seed drives backoff jitter (0 selects 1). Placement is not
-	// seeded — the ring is deterministic by design.
-	Seed int64
-	// TraceRingEntries bounds the router's GET /debug/trace ring.
-	TraceRingEntries int
-}
-
-func (o RouterOptions) withDefaults() RouterOptions {
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 60 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = o.Shards
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 250 * time.Millisecond
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // Router fronts a shard set. Create with NewRouter, mount Handler, and
@@ -169,29 +134,23 @@ type Router struct {
 
 // NewRouter builds a Router and starts its health prober.
 func NewRouter(opts RouterOptions) (*Router, error) {
-	opts = opts.withDefaults()
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 shard, got %d", opts.Shards)
 	}
 	if opts.AddrOf == nil {
 		return nil, fmt.Errorf("cluster: RouterOptions.AddrOf is required")
 	}
-	if opts.Metrics == nil {
-		if opts.Local.Metrics == nil {
-			opts.Local.Metrics = obs.NewRegistry()
-		}
-		opts.Metrics = opts.Local.Metrics
-	} else if opts.Local.Metrics == nil {
-		opts.Local.Metrics = opts.Metrics
+	if opts.Local.Metrics == nil {
+		opts.Local.Metrics = obs.NewRegistry()
 	}
-	reg := opts.Metrics
+	reg := opts.Local.Metrics
 	rt := &Router{
 		opts:            opts,
-		ring:            newRing(opts.Shards, opts.Replicas),
+		ring:            newRing(opts.Shards),
 		local:           serve.New(opts.Local),
 		reg:             reg,
 		mux:             http.NewServeMux(),
-		tring:           trace.NewRing(opts.TraceRingEntries),
+		tring:           trace.NewRing(),
 		hc:              &http.Client{},
 		cForwards:       reg.Counter(MetricForwards),
 		cForwardFails:   reg.Counter(MetricForwardFailures),
@@ -205,7 +164,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		gShardsUp:       reg.Gauge(MetricShardsUp),
 		hForward:        reg.Histogram(MetricForwardUS, obs.MicrosBuckets),
 		states:          make([]shardState, opts.Shards),
-		rng:             rand.New(rand.NewSource(opts.Seed)),
+		rng:             rand.New(rand.NewSource(1)),
 		stopProbe:       make(chan struct{}),
 	}
 	rt.gShardsUp.Set(int64(opts.Shards))
@@ -222,9 +181,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 
 // Handler returns the router's route tree.
 func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// Local exposes the embedded single-node server (tests).
-func (rt *Router) Local() *serve.Server { return rt.local }
 
 // Close stops the health prober and drains the embedded engine.
 func (rt *Router) Close() {
@@ -281,7 +237,7 @@ func (rt *Router) noteSuccess(id int) { rt.setState(id, stateUp) }
 // comes back after a restart.
 func (rt *Router) probeLoop() {
 	defer rt.probeWG.Done()
-	tick := time.NewTicker(rt.opts.ProbeInterval)
+	tick := time.NewTicker(probeInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -297,11 +253,7 @@ func (rt *Router) probeLoop() {
 
 func (rt *Router) probe(id int) {
 	rt.cProbes.Inc()
-	timeout := rt.opts.ProbeInterval
-	if timeout < 500*time.Millisecond {
-		timeout = 500 * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rt.opts.AddrOf(id)+"/healthz", nil)
 	if err != nil {
@@ -341,7 +293,7 @@ func retryableStatus(code int) bool {
 // forwardOnce sends one request to one shard and reads the whole
 // response.
 func (rt *Router) forwardOnce(ctx context.Context, id int, path, reqID string, payload []byte) (int, []byte, error) {
-	cctx, cancel := context.WithTimeout(ctx, rt.opts.ShardTimeout)
+	cctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(cctx, http.MethodPost, "http://"+rt.opts.AddrOf(id)+path, bytes.NewReader(payload))
 	if err != nil {
@@ -369,15 +321,16 @@ func (rt *Router) forwardOnce(ctx context.Context, id int, path, reqID string, p
 // dispatch routes one request by its group key: home shard first, then
 // the ring-order peers, skipping shards believed down, sleeping a
 // capped exponential backoff (with seeded jitter) between attempts,
-// within the MaxAttempts budget. Success means a response whose status
-// is not retryable — a 400 or 504 is the answer, not a reason to
-// hammer peers. Returns errAllAttemptsFailed when the budget is spent.
+// within a budget of one attempt per shard. Success means a response
+// whose status is not retryable — a 400 or 504 is the answer, not a
+// reason to hammer peers. Returns errAllAttemptsFailed when the budget
+// is spent.
 func (rt *Router) dispatch(ctx context.Context, tr *trace.Trace, parent trace.SpanRef, key, path, reqID string, payload []byte) (int, []byte, error) {
 	order := rt.ring.order(key)
 	attempts := 0
-	for round := 0; round < 2 && attempts < rt.opts.MaxAttempts; round++ {
+	for round := 0; round < 2 && attempts < rt.opts.Shards; round++ {
 		for _, id := range order {
-			if attempts >= rt.opts.MaxAttempts {
+			if attempts >= rt.opts.Shards {
 				break
 			}
 			// First round honors health; the second is the last-gasp
@@ -415,14 +368,14 @@ func (rt *Router) dispatch(ctx context.Context, tr *trace.Trace, parent trace.Sp
 }
 
 // backoff sleeps the capped exponential schedule: base·2^(n-1) +
-// jitter, capped at BackoffMax, abandoned if ctx ends first.
+// jitter, capped at backoffMax, abandoned if ctx ends first.
 func (rt *Router) backoff(ctx context.Context, attempt int) {
-	d := rt.opts.BackoffBase << (attempt - 1)
-	if d > rt.opts.BackoffMax || d <= 0 {
-		d = rt.opts.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	rt.rngMu.Lock()
-	j := time.Duration(rt.rng.Int63n(int64(rt.opts.BackoffBase) + 1))
+	j := time.Duration(rt.rng.Int63n(int64(backoffBase) + 1))
 	rt.rngMu.Unlock()
 	select {
 	case <-time.After(d + j):

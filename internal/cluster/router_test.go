@@ -76,8 +76,8 @@ type testCluster struct {
 	reg      *obs.Registry
 }
 
-// newTestCluster boots n in-process shards and a router over them,
-// with fast failover tuning. Callers mutate c.shards / c.handlers to
+// newTestCluster boots n in-process shards and a router over them.
+// Callers mutate c.shards / c.handlers to
 // inject faults.
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
@@ -92,13 +92,9 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		t.Cleanup(func() { ts.Close(); s.Close() })
 	}
 	rt, err := NewRouter(RouterOptions{
-		Shards:        n,
-		AddrOf:        func(id int) string { return strings.TrimPrefix(c.shards[id].URL, "http://") },
-		Local:         serve.Options{Metrics: c.reg, AccessLog: io.Discard},
-		ShardTimeout:  30 * time.Second,
-		BackoffBase:   time.Millisecond,
-		BackoffMax:    5 * time.Millisecond,
-		ProbeInterval: 50 * time.Millisecond,
+		Shards: n,
+		AddrOf: func(id int) string { return strings.TrimPrefix(c.shards[id].URL, "http://") },
+		Local:  serve.Options{Metrics: c.reg, AccessLog: io.Discard},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,9 +287,11 @@ func TestAllShardsDownDegradesToLocal(t *testing.T) {
 // TestBadRequestsMatchSingleNodeBytes pins the error-path contract:
 // requests the router cannot place (parse errors, an unknown first
 // kernel) are answered by the embedded local decode, and placeable but
-// invalid ones (a bad axis, a later unknown kernel, an over-limit
-// sweep) by the shard they are forwarded to — either way with status
-// and body byte-identical to the single-node server.
+// invalid ones (a bad axis, a later unknown kernel, a sweep over the
+// 4 096-point limit) by the shard they are forwarded to — either way
+// with status and body byte-identical to the single-node server. The
+// over-limit grid, 7 NPEs × 10 page sizes × 60 cache sizes = 4 200
+// points of one kernel, is answered 400 before any capture.
 func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 	cases := []struct{ path, body string }{
 		{"/v1/classify", `{"kernel":"nope"}`},
@@ -302,7 +300,7 @@ func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 		{"/v1/sweep", `{"kernels":["k1"],"npes":[0]}`},
 		{"/v1/sweep", `{"kernels":["nope"]}`},
 		{"/v1/sweep", `{"kernels":["k1","nope"]}`},
-		{"/v1/sweep", `{"npes":[1,2,4,8,16,32,64],"page_sizes":[1,2,4,8,16,32,64,128,256,512]}`},
+		{"/v1/sweep", overLimitSweep()},
 	}
 	s := serve.New(serve.Options{Metrics: obs.NewRegistry(), AccessLog: io.Discard})
 	single := httptest.NewServer(s.Handler())
@@ -315,6 +313,17 @@ func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 			t.Errorf("%s %q: single-node %d %s vs routed %d %s", tc.path, tc.body, wantCode, want, gotCode, got)
 		}
 	}
+}
+
+// overLimitSweep is a one-kernel grid of 7 × 10 × 60 = 4 200 points,
+// over the server's default 4 096-point sweep limit.
+func overLimitSweep() string {
+	caches := make([]string, 60)
+	for i := range caches {
+		caches[i] = fmt.Sprint(i * 16)
+	}
+	return `{"kernels":["k1"],"npes":[1,2,4,8,16,32,64],"page_sizes":[1,2,4,8,16,32,64,128,256,512],"cache_elems":[` +
+		strings.Join(caches, ",") + `]}`
 }
 
 // TestShardStateLifecycle drives up → suspect → down → up through

@@ -28,15 +28,14 @@ type SupervisorOptions struct {
 	// temp file + rename) once the listener is up. The supervisor sets
 	// nothing else up — environment, binary, and flags are the caller's.
 	Command func(id int, addrFile string) *exec.Cmd
-	// Dir is where addr files live; empty means a fresh temp directory.
-	Dir string
-	// StartTimeout bounds the wait for each shard's addr file
-	// (<= 0 selects 15s).
-	StartTimeout time.Duration
 }
 
-// Supervisor owns a fixed-size set of shard processes. Safe for
-// concurrent use.
+// startTimeout bounds the wait for each shard's addr file.
+const startTimeout = 15 * time.Second
+
+// Supervisor owns a fixed-size set of shard processes and the
+// temporary directory their addr files live in. Safe for concurrent
+// use.
 type Supervisor struct {
 	opts SupervisorOptions
 	dir  string
@@ -56,7 +55,7 @@ type shardProc struct {
 }
 
 // StartSupervisor spawns every shard and waits until each has
-// published its address. On any failure it kills what it started.
+// published its address. On any failure it stops what it started.
 func StartSupervisor(opts SupervisorOptions) (*Supervisor, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 shard, got %d", opts.Shards)
@@ -64,16 +63,9 @@ func StartSupervisor(opts SupervisorOptions) (*Supervisor, error) {
 	if opts.Command == nil {
 		return nil, fmt.Errorf("cluster: SupervisorOptions.Command is required")
 	}
-	if opts.StartTimeout <= 0 {
-		opts.StartTimeout = 15 * time.Second
-	}
-	dir := opts.Dir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "cluster-shards-*")
-		if err != nil {
-			return nil, fmt.Errorf("cluster: addr dir: %w", err)
-		}
-		dir = d
+	dir, err := os.MkdirTemp("", "cluster-shards-*")
+	if err != nil {
+		return nil, fmt.Errorf("cluster: addr dir: %w", err)
 	}
 	s := &Supervisor{opts: opts, dir: dir, shards: make([]*shardProc, opts.Shards)}
 	for i := range s.shards {
@@ -100,7 +92,7 @@ func (s *Supervisor) spawn(id int) (*shardProc, error) {
 	sp := &shardProc{id: id, addrFile: addrFile, cmd: cmd, waitCh: make(chan struct{})}
 	go func() { sp.waitErr = cmd.Wait(); close(sp.waitCh) }()
 
-	deadline := time.Now().Add(s.opts.StartTimeout)
+	deadline := time.Now().Add(startTimeout)
 	for {
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
 			sp.addr = string(trimNL(b))
@@ -113,7 +105,7 @@ func (s *Supervisor) spawn(id int) (*shardProc, error) {
 		}
 		if time.Now().After(deadline) {
 			_ = cmd.Process.Kill()
-			return nil, fmt.Errorf("cluster: shard %d did not publish %s within %v", id, addrFile, s.opts.StartTimeout)
+			return nil, fmt.Errorf("cluster: shard %d did not publish %s within %v", id, addrFile, startTimeout)
 		}
 	}
 }
@@ -186,8 +178,9 @@ func (s *Supervisor) Restart(id int) error {
 	return nil
 }
 
-// Stop terminates every live shard: SIGTERM first (shards drain like
-// any daemon), SIGKILL after 5s. Always reaps. Safe to call twice.
+// Stop terminates every live shard — SIGTERM first (shards drain like
+// any daemon), SIGKILL after 5s — reaps them all and removes the addr
+// directory. Safe to call twice.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
 	shards := append([]*shardProc(nil), s.shards...)
@@ -210,4 +203,5 @@ func (s *Supervisor) Stop() {
 			<-sp.waitCh
 		}
 	}
+	_ = os.RemoveAll(s.dir)
 }

@@ -118,7 +118,7 @@ func ByID(id string) (Experiment, error) {
 // cancels the rest and its error (lowest presentation index) is
 // returned.
 func RunAll(ctx context.Context) ([]*Outcome, error) {
-	return sweep.Map(ctx, 0, Experiments(), func(ctx context.Context, i int, e Experiment) (*Outcome, error) {
+	return sweep.Map(ctx, Experiments(), func(ctx context.Context, i int, e Experiment) (*Outcome, error) {
 		o, err := e.RunTimed()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.ID, err)

@@ -22,7 +22,7 @@ import (
 // runPoints sweeps pts over the bounded worker pool and returns
 // results in grid order.
 func runPoints(pts []sweep.Point) ([]*sim.Result, error) {
-	return sweep.Run(context.Background(), pts)
+	return sweep.RunOpts(context.Background(), pts, sweep.Options{})
 }
 
 // pePoint builds one paper-baseline grid point.

@@ -164,7 +164,7 @@ func ExtAdvisor() (*Outcome, error) {
 	kernels := loops.PaperSet()
 	// Classify every kernel concurrently, then sweep both layouts for
 	// each in one grid.
-	classes, err := sweep.Map(context.Background(), 0, kernels,
+	classes, err := sweep.Map(context.Background(), kernels,
 		func(_ context.Context, _ int, k *loops.Kernel) (loops.Class, error) {
 			cls, _, err := classify.Dynamic(k, 0)
 			return cls, err

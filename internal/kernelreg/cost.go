@@ -135,20 +135,20 @@ func bytesAt(p *ir.Program, n int) int64 {
 
 // underBudget reports whether the program fits the ops and bytes
 // budgets at size n.
-func (l Limits) underBudget(p *ir.Program, n int) (bool, error) {
+func underBudget(p *ir.Program, n int) (bool, error) {
 	ops, err := opsAt(p.Body, n)
 	if err != nil {
 		return false, err
 	}
-	return ops <= l.MaxOps && bytesAt(p, n) <= l.MaxArrayBytes, nil
+	return ops <= maxOps && bytesAt(p, n) <= maxArrayBytes, nil
 }
 
 // deriveMaxN finds the largest admitted problem size: the biggest n in
-// [1, MaxKernelN] whose estimated cost fits the budgets, located by
+// [1, maxKernelN] whose estimated cost fits the budgets, located by
 // binary search (the invariant "lo fits" is maintained directly, so
 // the result is under budget even if cost is not monotone in n).
-func (l Limits) deriveMaxN(p *ir.Program) (int, error) {
-	ok, err := l.underBudget(p, 1)
+func deriveMaxN(p *ir.Program) (int, error) {
+	ok, err := underBudget(p, 1)
 	if err != nil {
 		return 0, errf(400, CodeTooExpensive, "kernelreg: %v", err)
 	}
@@ -156,13 +156,13 @@ func (l Limits) deriveMaxN(p *ir.Program) (int, error) {
 		return 0, errf(400, CodeTooExpensive,
 			"kernelreg: program exceeds the ops/bytes budget even at n=1")
 	}
-	lo, hi := 1, l.MaxKernelN
-	if fits, _ := l.underBudget(p, hi); fits {
+	lo, hi := 1, maxKernelN
+	if fits, _ := underBudget(p, hi); fits {
 		return hi, nil
 	}
 	for lo+1 < hi {
 		mid := lo + (hi-lo)/2
-		if fits, _ := l.underBudget(p, mid); fits {
+		if fits, _ := underBudget(p, mid); fits {
 			lo = mid
 		} else {
 			hi = mid

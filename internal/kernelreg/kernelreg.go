@@ -65,56 +65,24 @@ func IDOf(canonical string) string {
 	return IDPrefix + hex.EncodeToString(sum[:])
 }
 
-// Limits bounds what a compile may cost and what the registry may
-// hold. The zero value of any field selects its default.
-type Limits struct {
-	MaxSourceBytes int   // request source ceiling (default 64 KiB)
-	MaxStatements  int   // assignment statements after conversion (default 256)
-	MaxLoopDepth   int   // loop-nest depth (default 8)
-	MaxArrays      int   // declared arrays after conversion (default 64)
-	MaxOps         int64 // estimated executed RHS terms at any admitted n (default 1<<22)
-	MaxArrayBytes  int64 // total array footprint at any admitted n (default 128 MiB)
-	MaxKernelN     int   // ceiling on the derived per-kernel MaxN (default 1<<16)
+// The registry's fixed bounds on what a compile may cost and what the
+// registry may hold.
+const (
+	MaxSourceBytes        = 64 << 10        // request source ceiling
+	maxStatements         = 256             // assignment statements after conversion
+	maxLoopDepth          = 8               // loop-nest depth
+	maxArrays             = 64              // declared arrays after conversion
+	maxOps          int64 = 1 << 22         // estimated executed RHS terms at any admitted n
+	maxArrayBytes   int64 = 128 << 20       // total array footprint at any admitted n
+	maxKernelN            = 1 << 16         // ceiling on the derived per-kernel MaxN
+	capacity              = 256             // registry entries before LRU eviction
+	tenantQuota           = 64              // live kernels per tenant
+	compileDeadline       = 2 * time.Second // wall budget per compile
+)
 
-	CompileDeadline time.Duration // wall budget per compile (default 2s)
-
-	Capacity    int // registry entries before LRU eviction (default 256)
-	TenantQuota int // live kernels per tenant (default 64)
-}
-
-func (l Limits) withDefaults() Limits {
-	if l.MaxSourceBytes <= 0 {
-		l.MaxSourceBytes = 64 << 10
-	}
-	if l.MaxStatements <= 0 {
-		l.MaxStatements = 256
-	}
-	if l.MaxLoopDepth <= 0 {
-		l.MaxLoopDepth = 8
-	}
-	if l.MaxArrays <= 0 {
-		l.MaxArrays = 64
-	}
-	if l.MaxOps <= 0 {
-		l.MaxOps = 1 << 22
-	}
-	if l.MaxArrayBytes <= 0 {
-		l.MaxArrayBytes = 128 << 20
-	}
-	if l.MaxKernelN <= 0 {
-		l.MaxKernelN = 1 << 16
-	}
-	if l.CompileDeadline <= 0 {
-		l.CompileDeadline = 2 * time.Second
-	}
-	if l.Capacity <= 0 {
-		l.Capacity = 256
-	}
-	if l.TenantQuota <= 0 {
-		l.TenantQuota = 64
-	}
-	return l
-}
+// Limits is the registry's configuration. It has no fields: every
+// bound is one of the constants above.
+type Limits struct{}
 
 // Info is the listable metadata of one registered kernel.
 type Info struct {
@@ -136,7 +104,7 @@ type entry struct {
 // Registry is the bounded store of compiled kernels. Safe for
 // concurrent use. The nil *Registry resolves built-in keys only.
 type Registry struct {
-	lim Limits
+	deadline time.Duration // compileDeadline; tests shorten it
 
 	compiles      *obs.Counter
 	hits          *obs.Counter
@@ -148,14 +116,14 @@ type Registry struct {
 	entriesGauge  *obs.Gauge
 
 	mu      sync.Mutex
-	entries *lru.Cache[string, *entry] // by id; evicts past Limits.Capacity
+	entries *lru.Cache[string, *entry] // by id; evicts past capacity
 	tenants map[string]int
 }
 
 // New creates a registry. reg may be nil (metrics become no-ops).
 func New(lim Limits, reg *obs.Registry) *Registry {
 	r := &Registry{
-		lim:           lim.withDefaults(),
+		deadline:      compileDeadline,
 		compiles:      reg.Counter(MetricCompiles),
 		hits:          reg.Counter(MetricCompileHits),
 		compileErrors: reg.Counter(MetricCompileErrors),
@@ -166,16 +134,8 @@ func New(lim Limits, reg *obs.Registry) *Registry {
 		entriesGauge:  reg.Gauge(MetricEntries),
 		tenants:       map[string]int{},
 	}
-	r.entries = lru.New(r.lim.Capacity, r.evicted)
+	r.entries = lru.New(capacity, r.evicted)
 	return r
-}
-
-// Limits returns the effective (defaulted) limits.
-func (r *Registry) Limits() Limits {
-	if r == nil {
-		return Limits{}.withDefaults()
-	}
-	return r.lim
 }
 
 // Compile runs the full pipeline — parse, SA diagnostics, optional
@@ -203,9 +163,9 @@ func (r *Registry) Compile(req CompileRequest) (*CompileResponse, error) {
 }
 
 func (r *Registry) compileTimed(req CompileRequest) (*CompileResponse, error) {
-	if len(req.Source) > r.lim.MaxSourceBytes {
+	if len(req.Source) > MaxSourceBytes {
 		return nil, errf(400, CodeSourceTooLarge,
-			"kernelreg: source is %d bytes; limit %d", len(req.Source), r.lim.MaxSourceBytes)
+			"kernelreg: source is %d bytes; limit %d", len(req.Source), MaxSourceBytes)
 	}
 	type outcome struct {
 		resp *CompileResponse
@@ -222,19 +182,19 @@ func (r *Registry) compileTimed(req CompileRequest) (*CompileResponse, error) {
 		resp, err := r.compileSource(req)
 		ch <- outcome{resp: resp, err: err}
 	}()
-	timer := time.NewTimer(r.lim.CompileDeadline)
+	timer := time.NewTimer(r.deadline)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
 		// Both channels can be ready at once; the clock, not select's
 		// coin, decides whether the compile made its deadline.
-		if time.Since(start) <= r.lim.CompileDeadline {
+		if time.Since(start) <= r.deadline {
 			return o.resp, o.err
 		}
 	case <-timer.C:
 	}
 	return nil, errf(400, CodeDeadline,
-		"kernelreg: compile exceeded the %s deadline", r.lim.CompileDeadline)
+		"kernelreg: compile exceeded the %s deadline", r.deadline)
 }
 
 func (r *Registry) compileSource(req CompileRequest) (*CompileResponse, error) {
@@ -258,7 +218,7 @@ func (r *Registry) compileSource(req CompileRequest) (*CompileResponse, error) {
 				Diagnostics: WireDiags(diags),
 			}
 		}
-		conv, err = convert.ToSA(p, r.defaultN(req.DefaultN, r.lim.MaxKernelN))
+		conv, err = convert.ToSA(p, r.defaultN(req.DefaultN, maxKernelN))
 		if err != nil {
 			return nil, errf(422, CodeConvertFailed, "kernelreg: %v", err)
 		}
@@ -316,7 +276,7 @@ func (r *Registry) admit(canon string, req CompileRequest, converted bool) (*ent
 			"kernelreg: rendering is not a parse/render fixed point")
 	}
 
-	maxN, merr := r.lim.deriveMaxN(back)
+	maxN, merr := deriveMaxN(back)
 	if merr != nil {
 		return nil, merr
 	}
@@ -385,18 +345,18 @@ func (r *Registry) defaultN(requested, maxN int) int {
 }
 
 func (r *Registry) checkShape(p *ir.Program) *Error {
-	if len(p.Arrays) > r.lim.MaxArrays {
+	if len(p.Arrays) > maxArrays {
 		return errf(400, CodeProgramTooBig,
-			"kernelreg: %d arrays declared; limit %d", len(p.Arrays), r.lim.MaxArrays)
+			"kernelreg: %d arrays declared; limit %d", len(p.Arrays), maxArrays)
 	}
 	stmts, depth := shape(p.Body, 0)
-	if stmts > r.lim.MaxStatements {
+	if stmts > maxStatements {
 		return errf(400, CodeProgramTooBig,
-			"kernelreg: %d assignment statements; limit %d", stmts, r.lim.MaxStatements)
+			"kernelreg: %d assignment statements; limit %d", stmts, maxStatements)
 	}
-	if depth > r.lim.MaxLoopDepth {
+	if depth > maxLoopDepth {
 		return errf(400, CodeProgramTooBig,
-			"kernelreg: loop nest depth %d; limit %d", depth, r.lim.MaxLoopDepth)
+			"kernelreg: loop nest depth %d; limit %d", depth, maxLoopDepth)
 	}
 	return nil
 }
@@ -458,9 +418,9 @@ func (r *Registry) register(k *loops.Kernel, canon, tenant string, defaultN, max
 	if e := r.hitLocked(k.Key); e != nil {
 		return e, nil
 	}
-	if r.tenants[tenant] >= r.lim.TenantQuota {
+	if r.tenants[tenant] >= tenantQuota {
 		return nil, errf(429, CodeTenantQuota,
-			"kernelreg: tenant %q holds %d kernels; quota %d", tenant, r.tenants[tenant], r.lim.TenantQuota)
+			"kernelreg: tenant %q holds %d kernels; quota %d", tenant, r.tenants[tenant], tenantQuota)
 	}
 	e := &entry{
 		info: Info{

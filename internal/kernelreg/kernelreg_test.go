@@ -163,35 +163,68 @@ func TestConvertFlagNoOpOnCleanSource(t *testing.T) {
 }
 
 // TestRejectionTable drives every structured 4xx the compile pipeline
-// can produce and checks status + stable code.
+// can produce, at the registry's fixed limits, and checks status +
+// stable code.
 func TestRejectionTable(t *testing.T) {
-	deep := "PROGRAM deep\n  ARRAY A(n+1) OUTPUT\n  ARRAY B(n+1) INPUT\n" +
-		"  DO i = 1, n\n    DO j = 1, n\n      A(i) = B(j)\n    END DO\n  END DO\nEND\n"
-	twoStmts := "PROGRAM two\n  ARRAY A(n+1) OUTPUT\n  ARRAY C(n+1) OUTPUT\n  ARRAY B(n+1) INPUT\n" +
-		"  DO i = 1, n\n    A(i) = B(i)\n    C(i) = 2*B(i)\n  END DO\nEND\n"
+	var deep, many strings.Builder
+	deep.WriteString("PROGRAM deep\n  ARRAY A(n+1) OUTPUT\n  ARRAY B(n+1) INPUT\n")
+	for d := 0; d <= maxLoopDepth; d++ {
+		fmt.Fprintf(&deep, "  DO i%d = 1, n\n", d)
+	}
+	deep.WriteString("    A(i0) = B(i0)\n")
+	for d := 0; d <= maxLoopDepth; d++ {
+		deep.WriteString("  END DO\n")
+	}
+	deep.WriteString("END\n")
+	many.WriteString("PROGRAM many\n  ARRAY A(n+1) OUTPUT\n  ARRAY B(n+1) INPUT\n  DO i = 1, n\n")
+	for j := 0; j <= maxStatements; j++ {
+		many.WriteString("    A(i) = B(i)\n")
+	}
+	many.WriteString("  END DO\nEND\n")
+	// 20M cells of 8 bytes: over maxArrayBytes at every n.
+	pricey := "PROGRAM pricey\n  ARRAY A(20000000) OUTPUT\n  ARRAY B(n+1) INPUT\n" +
+		"  DO i = 1, n\n    A(i) = B(i)\n  END DO\nEND\n"
+	// A 2048 x 2048 nest: about 8.4M executed terms at n=1, over maxOps,
+	// on a 67 MB footprint that is under maxArrayBytes.
+	busy := "PROGRAM busy\n  ARRAY A(2049,2049) OUTPUT\n  ARRAY B(2049,2049) INPUT\n" +
+		"  DO i = 1, 2048\n    DO j = 1, 2048\n      A(i,j) = B(i,j)\n    END DO\n  END DO\nEND\n"
+	// Each too_expensive case must fail its own budget and fit the
+	// other, so both comparisons in underBudget are reached.
+	for _, c := range []struct {
+		source           string
+		overOps, overMem bool
+	}{{busy, true, false}, {pricey, false, true}} {
+		p, err := ir.Parse(c.source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, err := opsAt(p.Body, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mem := bytesAt(p, 1); (ops > maxOps) != c.overOps || (mem > maxArrayBytes) != c.overMem {
+			t.Fatalf("%s at n=1: %d ops, %d bytes; want over ops %v, over bytes %v",
+				strings.SplitN(c.source, "\n", 2)[0], ops, mem, c.overOps, c.overMem)
+		}
+	}
+	big := src("big", 1) + strings.Repeat("# pad\n", MaxSourceBytes/len("# pad\n"))
 	cases := []struct {
 		name   string
-		lim    Limits
 		req    CompileRequest
 		status int
 		code   string
 	}{
-		{"source_too_large", Limits{MaxSourceBytes: 64},
-			CompileRequest{Source: src("big", 1) + strings.Repeat("# pad\n", 64)}, 400, CodeSourceTooLarge},
-		{"parse_error", Limits{},
-			CompileRequest{Source: "PROGRAM broken\n  NOT A STATEMENT\nEND\n"}, 400, CodeParseError},
-		{"program_too_large_stmts", Limits{MaxStatements: 1},
-			CompileRequest{Source: twoStmts}, 400, CodeProgramTooBig},
-		{"program_too_large_depth", Limits{MaxLoopDepth: 1},
-			CompileRequest{Source: deep}, 400, CodeProgramTooBig},
-		{"sa_violations", Limits{},
-			CompileRequest{Source: sampleSrc(t, "gaussseidel")}, 422, CodeSAViolations},
-		{"too_expensive", Limits{MaxOps: 1},
-			CompileRequest{Source: src("pricey", 1)}, 400, CodeTooExpensive},
+		{"source_too_large", CompileRequest{Source: big}, 400, CodeSourceTooLarge},
+		{"parse_error", CompileRequest{Source: "PROGRAM broken\n  NOT A STATEMENT\nEND\n"}, 400, CodeParseError},
+		{"program_too_large_stmts", CompileRequest{Source: many.String()}, 400, CodeProgramTooBig},
+		{"program_too_large_depth", CompileRequest{Source: deep.String()}, 400, CodeProgramTooBig},
+		{"sa_violations", CompileRequest{Source: sampleSrc(t, "gaussseidel")}, 422, CodeSAViolations},
+		{"too_expensive_bytes", CompileRequest{Source: pricey}, 400, CodeTooExpensive},
+		{"too_expensive", CompileRequest{Source: busy}, 400, CodeTooExpensive},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := New(tc.lim, obs.NewRegistry())
+			reg := New(Limits{}, obs.NewRegistry())
 			_, err := reg.Compile(tc.req)
 			var ke *Error
 			if !errors.As(err, &ke) {
@@ -217,41 +250,53 @@ func TestResolveUnknownCompiledID(t *testing.T) {
 	}
 }
 
+// TestEvictionUnderCapacity fills the registry past its capacity,
+// spreading the compiles over enough tenants that no quota is reached:
+// the oldest ids are evicted, one per compile past capacity.
 func TestEvictionUnderCapacity(t *testing.T) {
 	mreg := obs.NewRegistry()
-	reg := New(Limits{Capacity: 2}, mreg)
-	ids := make([]string, 3)
+	reg := New(Limits{}, mreg)
+	const extra = 44
+	tenants := (capacity+extra)/tenantQuota + 1
+	ids := make([]string, capacity+extra)
 	for i := range ids {
-		resp, err := reg.Compile(CompileRequest{Source: src("p", i+2)})
+		resp, err := reg.Compile(CompileRequest{Source: src("p", i+2), Tenant: fmt.Sprint("t", i%tenants)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = resp.Kernel
 	}
-	if reg.Len() != 2 {
-		t.Fatalf("registry holds %d entries, want capacity 2", reg.Len())
+	if reg.Len() != capacity {
+		t.Fatalf("registry holds %d entries, want capacity %d", reg.Len(), capacity)
 	}
-	if _, err := reg.Resolve(ids[0]); err == nil {
-		t.Fatalf("oldest id %q survived eviction", ids[0])
-	}
-	for _, id := range ids[1:] {
-		if _, err := reg.Resolve(id); err != nil {
-			t.Fatalf("id %q evicted, want resident: %v", id, err)
+	for i, id := range ids {
+		_, err := reg.Resolve(id)
+		if evicted := i < extra; evicted != (err != nil) {
+			t.Fatalf("id %d (%q): resolve error %v, want evicted=%v", i, id, err, evicted)
 		}
 	}
-	if got := mreg.Snapshot().Counters[MetricEvictions]; got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricEvictions, got)
+	if got := mreg.Snapshot().Counters[MetricEvictions]; got != extra {
+		t.Fatalf("%s = %d, want %d", MetricEvictions, got, extra)
 	}
 }
 
+// TestTenantQuota fills one tenant's quota: its next new kernel is
+// rejected, a recompile of a live one is a hit, and another tenant
+// still has room.
 func TestTenantQuota(t *testing.T) {
 	mreg := obs.NewRegistry()
-	reg := New(Limits{TenantQuota: 1}, mreg)
-	first, err := reg.Compile(CompileRequest{Source: src("q", 2), Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
+	reg := New(Limits{}, mreg)
+	var first *CompileResponse
+	for i := 0; i < tenantQuota; i++ {
+		resp, err := reg.Compile(CompileRequest{Source: src("q", i+2), Tenant: "acme"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = resp
+		}
 	}
-	_, err = reg.Compile(CompileRequest{Source: src("q", 3), Tenant: "acme"})
+	_, err := reg.Compile(CompileRequest{Source: src("q", tenantQuota+2), Tenant: "acme"})
 	var ke *Error
 	if !errors.As(err, &ke) || ke.Status != 429 || ke.Code != CodeTenantQuota {
 		t.Fatalf("over-quota compile: %v, want 429 %s", err, CodeTenantQuota)
@@ -265,7 +310,7 @@ func TestTenantQuota(t *testing.T) {
 		t.Fatalf("recompile changed id: %q vs %q", again.Kernel, first.Kernel)
 	}
 	// A different tenant still has room.
-	if _, err := reg.Compile(CompileRequest{Source: src("q", 4), Tenant: "other"}); err != nil {
+	if _, err := reg.Compile(CompileRequest{Source: src("q", tenantQuota+2), Tenant: "other"}); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 	if got := mreg.Snapshot().Counters[MetricQuotaRejects]; got != 1 {
@@ -325,7 +370,8 @@ func TestReplicationRequestRoundTrip(t *testing.T) {
 func TestCompileDeadline(t *testing.T) {
 	// A deadline so tight even a tiny program cannot finish: the
 	// pipeline must answer 400 compile_deadline, not hang.
-	reg := New(Limits{CompileDeadline: time.Nanosecond}, obs.NewRegistry())
+	reg := New(Limits{}, obs.NewRegistry())
+	reg.deadline = time.Nanosecond
 	_, err := reg.Compile(CompileRequest{Source: src("slow", 2)})
 	var ke *Error
 	if !errors.As(err, &ke) || ke.Code != CodeDeadline {

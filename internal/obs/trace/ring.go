@@ -9,9 +9,8 @@ import (
 	"time"
 )
 
-// DefaultRingEntries is the capacity NewRing substitutes for a
-// non-positive request.
-const DefaultRingEntries = 256
+// RingEntries is how many traces a Ring holds.
+const RingEntries = 256
 
 // Ring is a bounded buffer of recent traces: the storage behind
 // GET /debug/trace. Adding the N+1th trace overwrites the oldest, so
@@ -24,14 +23,8 @@ type Ring struct {
 	n   int // live entries
 }
 
-// NewRing returns an empty ring holding up to capacity traces (<= 0
-// selects DefaultRingEntries).
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = DefaultRingEntries
-	}
-	return &Ring{buf: make([]*Trace, capacity)}
-}
+// NewRing returns an empty ring holding up to RingEntries traces.
+func NewRing() *Ring { return &Ring{buf: make([]*Trace, RingEntries)} }
 
 // Add records t, evicting the oldest entry when full.
 func (r *Ring) Add(t *Trace) {

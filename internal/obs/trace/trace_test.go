@@ -153,26 +153,25 @@ func TestNewIDUniqueAndSanitize(t *testing.T) {
 }
 
 func TestRingEvictionAndLookup(t *testing.T) {
-	r := NewRing(3)
-	for i := 1; i <= 5; i++ {
+	r := NewRing()
+	const extra = 2
+	for i := 1; i <= RingEntries+extra; i++ {
 		r.Add(New(fmt.Sprintf("t%d", i), "r"))
 	}
-	if r.Len() != 3 {
-		t.Fatalf("ring len = %d, want 3", r.Len())
+	if r.Len() != RingEntries {
+		t.Fatalf("ring len = %d, want %d", r.Len(), RingEntries)
 	}
 	if r.Get("t1") != nil || r.Get("t2") != nil {
 		t.Fatal("evicted traces still retrievable")
 	}
-	if tr := r.Get("t5"); tr == nil || tr.ID() != "t5" {
+	newest := fmt.Sprintf("t%d", RingEntries+extra)
+	if tr := r.Get(newest); tr == nil || tr.ID() != newest {
 		t.Fatal("newest trace not retrievable")
 	}
 	recent := r.Recent(0)
-	if len(recent) != 3 || recent[0].ID() != "t5" || recent[2].ID() != "t3" {
-		ids := make([]string, len(recent))
-		for i, tr := range recent {
-			ids[i] = tr.ID()
-		}
-		t.Fatalf("Recent order = %v, want [t5 t4 t3]", ids)
+	if len(recent) != RingEntries || recent[0].ID() != newest || recent[RingEntries-1].ID() != "t3" {
+		t.Fatalf("Recent = %d entries from %s to %s, want %d from %s to t3",
+			len(recent), recent[0].ID(), recent[len(recent)-1].ID(), RingEntries, newest)
 	}
 	if got := r.Recent(2); len(got) != 2 {
 		t.Fatalf("Recent(2) = %d entries", len(got))

@@ -19,14 +19,14 @@ import (
 // same property across requests, so a burst of identical workloads
 // costs one capture no matter how it is batched.
 //
-// Concurrent Gets of the same key share one capture: the first caller
+// Concurrent lookups of the same key share one capture: the first caller
 // executes it, the rest block until it resolves. A failed capture is
-// not cached — the entry is dropped so a later Get retries. Eviction is
+// not cached — the entry is dropped so a later call retries. Eviction is
 // LRU over resolved and in-flight entries alike; evicting an in-flight
 // entry never disturbs its waiters (they share the entry directly), it
-// only allows a future Get to capture afresh.
+// only allows a future call to capture afresh.
 type Cache struct {
-	// Captures counts capture executions and Hits counts Gets served by
+	// Captures counts capture executions and Hits counts lookups served by
 	// an existing (resolved or in-flight) entry. Optional: the nil
 	// instruments of a disabled obs registry no-op.
 	Captures *obs.Counter
@@ -70,18 +70,13 @@ func NewCache(capacity int) *Cache {
 	return &Cache{entries: lru.New[cacheKey, *cacheEntry](capacity, nil)}
 }
 
-// Get returns the reference stream of (k, n), capturing it on first
-// use. Safe for concurrent use; concurrent Gets of one key perform a
-// single capture.
-func (c *Cache) Get(k *loops.Kernel, n int) (*Stream, error) {
-	return c.GetScratch(nil, k, n)
-}
-
-// GetScratch is Get with the capture — should this call be the one to
-// perform it — running against the caller's reusable simulator scratch
-// (see CaptureScratch). Long-lived consumers that already hold a
-// per-worker scratch pass it here so a cache miss costs no fresh
-// kernel-array allocations.
+// GetScratch returns the reference stream of (k, n), capturing it on
+// first use. Safe for concurrent use; concurrent calls for one key
+// perform a single capture. The capture — should this call be the one
+// to perform it — runs against the caller's reusable simulator scratch
+// (see CaptureScratch; nil allocates a fresh one), so a long-lived
+// consumer that holds a per-worker scratch pays no fresh kernel-array
+// allocations on a miss.
 func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, error) {
 	if k == nil {
 		return nil, fmt.Errorf("refstream: nil kernel")
@@ -112,7 +107,7 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 			c.Saver(e.st)
 		}
 		if e.err != nil {
-			// Drop the failed entry (if still ours) so a later Get
+			// Drop the failed entry (if still ours) so a later call
 			// retries instead of replaying a stale error forever.
 			c.mu.Lock()
 			if cur, ok := c.entries.Peek(key); ok && cur == e {

@@ -37,7 +37,7 @@ func TestCacheConcurrentGetCapturesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i], errs[i] = c.Get(k, k.MinN)
+			streams[i], errs[i] = c.GetScratch(nil, k, k.MinN)
 		}(i)
 	}
 	wg.Wait()
@@ -72,11 +72,11 @@ func TestCacheClampNSharesKey(t *testing.T) {
 	c := NewCache(8)
 	c.Captures = reg.Counter("captures")
 
-	a, err := c.Get(k, 0)
+	a, err := c.GetScratch(nil, k, 0)
 	if err != nil {
 		t.Fatalf("Get(k, 0): %v", err)
 	}
-	b, err := c.Get(k, k.DefaultN)
+	b, err := c.GetScratch(nil, k, k.DefaultN)
 	if err != nil {
 		t.Fatalf("Get(k, DefaultN): %v", err)
 	}
@@ -97,10 +97,10 @@ func TestCacheEviction(t *testing.T) {
 	c := NewCache(1)
 	c.Captures = reg.Counter("captures")
 
-	if _, err := c.Get(k1, k1.MinN); err != nil {
+	if _, err := c.GetScratch(nil, k1, k1.MinN); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(k2, k2.MinN); err != nil {
+	if _, err := c.GetScratch(nil, k2, k2.MinN); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Len(); got != 1 {
@@ -110,7 +110,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("captures = %d, want 2", got)
 	}
 	// k1 was evicted: a new Get re-captures rather than erroring.
-	if _, err := c.Get(k1, k1.MinN); err != nil {
+	if _, err := c.GetScratch(nil, k1, k1.MinN); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Captures.Value(); got != 3 {

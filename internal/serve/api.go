@@ -202,13 +202,19 @@ func parseLayout(s string) (partition.Kind, error) {
 	return 0, fmt.Errorf("unknown layout %q (want modulo, block or blockcyclic)", s)
 }
 
-// limits bounds what a single request may ask of the process; they
-// exist so no request can allocate or compute without bound.
+// The fixed bounds on one point a request may ask for; with
+// limits.maxSweepPoints they exist so no request can allocate or
+// compute without bound.
+const (
+	maxN          = 1 << 20
+	maxNPE        = 1024
+	maxPageSize   = 1 << 20
+	maxCacheElems = 1 << 24
+)
+
+// limits is the per-server part of what a single request may ask of
+// the process.
 type limits struct {
-	maxN           int
-	maxNPE         int
-	maxPageSize    int
-	maxCacheElems  int
 	maxSweepPoints int
 	// reg resolves kernel keys: built-ins via loops.ByKey, compiled
 	// "u:" ids via the registry. A nil registry still resolves
@@ -231,8 +237,8 @@ func canonPoint(req ClassifyRequest, lim limits) (point, error) {
 	if req.N < 0 {
 		return point{}, fmt.Errorf("n must be >= 0 (0 selects the kernel default), got %d", req.N)
 	}
-	if req.N > lim.maxN {
-		return point{}, fmt.Errorf("n %d exceeds the server limit %d", req.N, lim.maxN)
+	if req.N > maxN {
+		return point{}, fmt.Errorf("n %d exceeds the server limit %d", req.N, maxN)
 	}
 	cfg := sim.Config{
 		NPE:              req.NPE,
@@ -271,12 +277,12 @@ func canonPoint(req ClassifyRequest, lim limits) (point, error) {
 		return point{}, err
 	}
 	switch {
-	case cfg.NPE > lim.maxNPE:
-		return point{}, fmt.Errorf("npe %d exceeds the server limit %d", cfg.NPE, lim.maxNPE)
-	case cfg.PageSize > lim.maxPageSize:
-		return point{}, fmt.Errorf("page_size %d exceeds the server limit %d", cfg.PageSize, lim.maxPageSize)
-	case cfg.CacheElems > lim.maxCacheElems:
-		return point{}, fmt.Errorf("cache_elems %d exceeds the server limit %d", cfg.CacheElems, lim.maxCacheElems)
+	case cfg.NPE > maxNPE:
+		return point{}, fmt.Errorf("npe %d exceeds the server limit %d", cfg.NPE, maxNPE)
+	case cfg.PageSize > maxPageSize:
+		return point{}, fmt.Errorf("page_size %d exceeds the server limit %d", cfg.PageSize, maxPageSize)
+	case cfg.CacheElems > maxCacheElems:
+		return point{}, fmt.Errorf("cache_elems %d exceeds the server limit %d", cfg.CacheElems, maxCacheElems)
 	}
 	return point{
 		kernel:  k,

@@ -46,7 +46,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// source (\n, \"), so allow 2x the registry's source limit plus
 	// envelope headroom; the registry still enforces the exact limit on
 	// the decoded source.
-	maxBody := int64(2*s.eng.Registry().Limits().MaxSourceBytes + 4096)
+	maxBody := int64(2*kernelreg.MaxSourceBytes + 4096)
 	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 
 	sp := tr.Start("decode")

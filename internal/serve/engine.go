@@ -112,13 +112,9 @@ type Options struct {
 	// StreamCacheEntries bounds the shared reference-stream cache
 	// (<= 0 means refstream.DefaultCacheEntries).
 	StreamCacheEntries int
-	// MaxN / MaxNPE / MaxPageSize / MaxCacheElems / MaxSweepPoints bound
-	// what one request may ask for (<= 0 selects 1<<20, 1024, 1<<20,
-	// 1<<24 and 4096 respectively).
-	MaxN           int
-	MaxNPE         int
-	MaxPageSize    int
-	MaxCacheElems  int
+	// MaxSweepPoints bounds the grid one sweep request may expand to
+	// (<= 0 means 4096); the other per-request bounds are the maxN,
+	// maxNPE, maxPageSize and maxCacheElems constants.
 	MaxSweepPoints int
 	// DefaultDeadline is the per-request deadline when the request does
 	// not set deadline_ms. <= 0 derives it per request from the
@@ -133,9 +129,6 @@ type Options struct {
 	// /v1/sweep request (request ID, route, status, cache behavior,
 	// per-stage timings). nil selects os.Stderr; io.Discard disables.
 	AccessLog io.Writer
-	// TraceRingEntries bounds the recent-trace ring served at
-	// GET /debug/trace (<= 0 selects trace.DefaultRingEntries).
-	TraceRingEntries int
 	// CaptureStore, when set, backs the in-memory stream cache with a
 	// durable tier: cache misses consult it before executing a capture,
 	// and fresh captures are persisted to it. Shards of a cluster point
@@ -172,18 +165,6 @@ func (o Options) withDefaults() Options {
 	if o.ResultCacheEntries <= 0 {
 		o.ResultCacheEntries = 4096
 	}
-	if o.MaxN <= 0 {
-		o.MaxN = 1 << 20
-	}
-	if o.MaxNPE <= 0 {
-		o.MaxNPE = 1024
-	}
-	if o.MaxPageSize <= 0 {
-		o.MaxPageSize = 1 << 20
-	}
-	if o.MaxCacheElems <= 0 {
-		o.MaxCacheElems = 1 << 24
-	}
 	if o.MaxSweepPoints <= 0 {
 		o.MaxSweepPoints = 4096
 	}
@@ -194,14 +175,7 @@ func (o Options) withDefaults() Options {
 }
 
 func (o Options) limits() limits {
-	return limits{
-		maxN:           o.MaxN,
-		maxNPE:         o.MaxNPE,
-		maxPageSize:    o.MaxPageSize,
-		maxCacheElems:  o.MaxCacheElems,
-		maxSweepPoints: o.MaxSweepPoints,
-		reg:            o.Registry,
-	}
+	return limits{maxSweepPoints: o.MaxSweepPoints, reg: o.Registry}
 }
 
 // task is one unit of worker-pool execution: the points of one

@@ -79,7 +79,7 @@ func New(opts Options) *Server {
 		eng:         eng,
 		reg:         reg,
 		mux:         http.NewServeMux(),
-		ring:        trace.NewRing(opts.TraceRingEntries),
+		ring:        trace.NewRing(),
 		alog:        newAccessLogger(opts.AccessLog),
 		health:      healthBody(),
 		cClassify:   reg.Counter(MetricClassifyRequests),

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/refstream"
 	"repro/internal/sim"
 )
@@ -190,10 +191,12 @@ func TestAccessLogLines(t *testing.T) {
 }
 
 // TestTraceRingBound pins the /debug/trace listing: newest first,
-// bounded by the configured capacity.
+// bounded by the ring's trace.RingEntries.
 func TestTraceRingBound(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{TraceRingEntries: 4})
-	for i := 0; i < 7; i++ {
+	_, ts, _ := newTestService(t, Options{})
+	const extra = 3
+	total := trace.RingEntries + extra
+	for i := 0; i < total; i++ {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/classify",
 			strings.NewReader(`{"kernel":"k1","npe":16,"page_size":32}`))
 		if err != nil {
@@ -206,7 +209,7 @@ func TestTraceRingBound(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	st, body := get(t, ts, "/debug/trace")
+	st, body := get(t, ts, fmt.Sprintf("/debug/trace?n=%d", total))
 	if st != http.StatusOK {
 		t.Fatalf("/debug/trace = %d", st)
 	}
@@ -216,11 +219,11 @@ func TestTraceRingBound(t *testing.T) {
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatalf("listing not JSON: %v", err)
 	}
-	if len(list) != 4 {
-		t.Fatalf("ring retained %d traces, want 4", len(list))
+	if len(list) != trace.RingEntries {
+		t.Fatalf("ring retained %d traces, want %d", len(list), trace.RingEntries)
 	}
-	if list[0].ID != "req-6" || list[3].ID != "req-3" {
-		t.Fatalf("listing order wrong: %+v", list)
+	if first, last := fmt.Sprintf("req-%d", total-1), fmt.Sprintf("req-%d", extra); list[0].ID != first || list[len(list)-1].ID != last {
+		t.Fatalf("listing runs %s..%s, want %s..%s", list[0].ID, list[len(list)-1].ID, first, last)
 	}
 	// Evicted IDs are gone.
 	if st, _ := get(t, ts, "/debug/trace?id=req-0"); st != http.StatusNotFound {

@@ -99,8 +99,7 @@ func TestReplayModesBitIdentical(t *testing.T) {
 // workers drain the queue, every point is accounted replay or direct,
 // only distinct representatives are classified, and the batch
 // replayer's group counters count capture groups — one per group that
-// is cut. Progress and the point counters count points, not
-// representatives.
+// is cut. The point counters count points, not representatives.
 func TestReplayPlanCounters(t *testing.T) {
 	pts := mixedGrid(t)
 	// mixedGrid has groups (k1,200) and (k24,200) of 4 points and 3
@@ -108,14 +107,11 @@ func TestReplayPlanCounters(t *testing.T) {
 	// one ineligible point.
 	const captures, replayed, distinct, batched = 2, 8, 6, 2
 	reg := obs.NewRegistry()
-	var last Progress
-	opts := Options{Workers: 8, Metrics: reg, Progress: func(p Progress) { last = p }}
-	if _, err := RunOpts(context.Background(), pts, opts); err != nil {
+	if _, err := RunOpts(context.Background(), pts, Options{Workers: 8, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	if last.Done != len(pts) || reg.Counter(MetricPointsDone).Value() != int64(len(pts)) {
-		t.Errorf("progress %+v, %s = %d; want every one of %d points done",
-			last, MetricPointsDone, reg.Counter(MetricPointsDone).Value(), len(pts))
+	if got := reg.Counter(MetricPointsDone).Value(); got != int64(len(pts)) {
+		t.Errorf("%s = %d; want every one of %d points done", MetricPointsDone, got, len(pts))
 	}
 	for name, want := range map[string]int64{
 		MetricStreamCaptures:        captures,

@@ -68,7 +68,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/loops"
@@ -184,34 +183,10 @@ func (g Grid) Points() []Point {
 	return pts
 }
 
-// Progress is a point-in-time view of a running sweep, delivered to
-// the Options.Progress callback after every point start and finish.
-type Progress struct {
-	Total   int // points in the sweep
-	Started int // points handed to a worker (a chunk's points start together)
-	Done    int // points completed successfully
-	Failed  int // points that returned an error
-
-	Elapsed time.Duration // since the sweep began
-	// ETA estimates the remaining wall time by extrapolating the mean
-	// per-point rate so far; zero until at least one point is done and
-	// once the sweep is complete.
-	ETA time.Duration
-}
-
-// ProgressFunc receives live sweep progress. Calls are serialized (the
-// engine never invokes it concurrently) and ordered: Started is
-// non-decreasing across calls, as is Done+Failed.
-type ProgressFunc func(Progress)
-
 // Options configures a sweep beyond its point list.
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Progress, when non-nil, is invoked after every point start and
-	// finish. Keep it cheap: it runs on the worker's goroutine under
-	// the tracker lock.
-	Progress ProgressFunc
 	// Metrics, when non-nil, receives sweep counters (points total /
 	// started / done / failed — see the Metric* names) and is handed to
 	// each worker's sim.Scratch for per-run signals. When nil, the
@@ -366,59 +341,14 @@ func planTasks(pts []Point) (groups []*replayGroup, direct []int) {
 	return groups, direct
 }
 
-// tracker serializes progress accounting and callback delivery.
-type tracker struct {
-	mu sync.Mutex
-	cb ProgressFunc
-	p  Progress
-	t0 time.Time
-}
-
-func newTracker(total int, cb ProgressFunc) *tracker {
-	if cb == nil {
-		return nil
-	}
-	return &tracker{cb: cb, p: Progress{Total: total}, t0: time.Now()}
-}
-
-// update applies f to the progress state and delivers the callback.
-// Holding the lock through the callback is what guarantees serialized,
-// ordered delivery.
-func (t *tracker) update(f func(*Progress)) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f(&t.p)
-	t.p.Elapsed = time.Since(t.t0)
-	t.p.ETA = 0
-	if finished := t.p.Done + t.p.Failed; t.p.Done > 0 && finished < t.p.Total {
-		t.p.ETA = time.Duration(float64(t.p.Elapsed) / float64(finished) * float64(t.p.Total-finished))
-	}
-	t.cb(t.p)
-}
-
-// Run sweeps the points over runtime.GOMAXPROCS(0) workers. See RunN.
-func Run(ctx context.Context, pts []Point) ([]*sim.Result, error) {
-	return RunN(ctx, 0, pts)
-}
-
-// RunN sweeps the points over a pool of `workers` goroutines
-// (workers <= 0 means runtime.GOMAXPROCS(0)) and returns the results
-// in grid order: results[i] is the simulation of pts[i]. Each worker
-// reuses one sim.Scratch across its points. On failure the lowest-index
-// error is returned and the remaining queued points are abandoned; on
-// external cancellation the context error is returned.
-func RunN(ctx context.Context, workers int, pts []Point) ([]*sim.Result, error) {
-	return RunOpts(ctx, pts, Options{Workers: workers})
-}
-
-// RunOpts is RunN with live progress reporting and metrics: the same
-// deterministic grid-order results and lowest-index error contract,
-// plus per-point Progress callbacks and registry counters. The
-// instrumentation observes without participating — results do not
-// depend on any Options field.
+// RunOpts sweeps the points over a pool of opts.Workers goroutines
+// (<= 0 means runtime.GOMAXPROCS(0)) and returns the results in grid
+// order: results[i] is the simulation of pts[i]. Each worker reuses one
+// sim.Scratch across its points. On failure the lowest-index error is
+// returned and the remaining queued points are abandoned; on external
+// cancellation the context error is returned. opts.Metrics receives the
+// live sweep.points_* counters; the instrumentation observes without
+// participating — results do not depend on any Options field.
 func RunOpts(ctx context.Context, pts []Point, opts Options) ([]*sim.Result, error) {
 	s := newRun(pts, opts)
 	if err := runQueue(ctx, opts.Workers, s.groups, s.direct, s.reg.Counter(MetricCaptureOverlap), s.worker); err != nil {
@@ -437,7 +367,6 @@ type run struct {
 	results []*sim.Result
 
 	reg *obs.Registry
-	tr  *tracker
 
 	cStarted, cDone, cFailed, cCaptures, cReplay, cDistinct, cDirect *obs.Counter
 }
@@ -448,8 +377,9 @@ func newRun(pts []Point, opts Options) *run {
 		reg = obs.Default()
 	}
 	s := &run{
-		pts: pts, results: make([]*sim.Result, len(pts)),
-		reg: reg, tr: newTracker(len(pts), opts.Progress),
+		pts:       pts,
+		results:   make([]*sim.Result, len(pts)),
+		reg:       reg,
 		cStarted:  reg.Counter(MetricPointsStarted),
 		cDone:     reg.Counter(MetricPointsDone),
 		cFailed:   reg.Counter(MetricPointsFailed),
@@ -465,22 +395,16 @@ func newRun(pts []Point, opts Options) *run {
 
 // started and done account n points; failed accounts the one point a
 // failure is blamed on and returns the error the sweep reports for it.
-// A chunk's points start together, so after a failing chunk Started
-// stays ahead of Done+Failed by the chunk's other points — and by
-// nothing else: chunks and points skipped by the cut never start.
-func (s *run) started(n int) {
-	s.cStarted.Add(int64(n))
-	s.tr.update(func(p *Progress) { p.Started += n })
-}
+// A chunk's points start together, so after a failing chunk
+// points_started stays ahead of points_done + points_failed by the
+// chunk's other points — and by nothing else: chunks and points skipped
+// by the cut never start.
+func (s *run) started(n int) { s.cStarted.Add(int64(n)) }
 
-func (s *run) done(n int) {
-	s.cDone.Add(int64(n))
-	s.tr.update(func(p *Progress) { p.Done += n })
-}
+func (s *run) done(n int) { s.cDone.Add(int64(n)) }
 
 func (s *run) failed(i int, err error) error {
 	s.cFailed.Inc()
-	s.tr.update(func(p *Progress) { p.Failed++ })
 	return fmt.Errorf("sweep: point %d (%s): %w", i, s.pts[i], err)
 }
 
@@ -759,17 +683,17 @@ func (q *queue) fail(i int, err error) {
 
 // Map applies f to every item over a bounded worker pool and returns
 // the outputs in input order. It is the experiment-level counterpart of
-// RunN, on the same queue with every item a direct point: f(ctx, i,
-// item) runs concurrently with at most `workers` calls in flight
-// (workers <= 0 means runtime.GOMAXPROCS(0)); the first error (lowest
-// index) cancels the pool's context and is returned.
-func Map[T, R any](ctx context.Context, workers int, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
+// RunOpts, on the same queue with every item a direct point: f(ctx, i,
+// item) runs concurrently with at most runtime.GOMAXPROCS(0) calls in
+// flight; the first error (lowest index) cancels the pool's context and
+// is returned.
+func Map[T, R any](ctx context.Context, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	idxs := make([]int, len(items))
 	for i := range idxs {
 		idxs[i] = i
 	}
-	err := runQueue(ctx, workers, nil, idxs, nil, func(ctx context.Context) worker {
+	err := runQueue(ctx, 0, nil, idxs, nil, func(ctx context.Context) worker {
 		return worker{point: func(i int) error {
 			r, err := f(ctx, i, items[i])
 			if err != nil {

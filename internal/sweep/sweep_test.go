@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -74,15 +75,15 @@ func TestGridOrderAndDefaults(t *testing.T) {
 // other.
 func TestRunMatchesSerial(t *testing.T) {
 	pts := testGrid(t)
-	par1, err := RunN(context.Background(), 8, pts)
+	par1, err := RunOpts(context.Background(), pts, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par2, err := RunN(context.Background(), 3, pts)
+	par2, err := RunOpts(context.Background(), pts, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunN(context.Background(), 1, pts)
+	serial, err := RunOpts(context.Background(), pts, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestFirstErrorPropagation(t *testing.T) {
 	pts[1].Config = bad    // first failure
 	pts[3].Config.NPE = -1 // second failure, must not win
 	for _, workers := range []int{1, 4} {
-		_, err := RunN(context.Background(), workers, pts)
+		_, err := RunOpts(context.Background(), pts, Options{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: failing grid succeeded", workers)
 		}
@@ -141,7 +142,7 @@ func TestRunCancellation(t *testing.T) {
 	var res []*sim.Result
 	var runErr error
 	go func() {
-		res, runErr = RunN(ctx, 2, pts)
+		res, runErr = RunOpts(ctx, pts, Options{Workers: 2})
 		close(done)
 	}()
 	cancel()
@@ -159,11 +160,18 @@ func TestRunCancellation(t *testing.T) {
 }
 
 // TestMap covers the experiment-level fan-out: input order preserved,
-// bounded workers, lowest-index error wins.
+// at most GOMAXPROCS calls in flight, lowest-index error wins.
 func TestMap(t *testing.T) {
-	items := []int{10, 20, 30, 40, 50}
+	// More items than workers on every host, so the bound is exercised.
+	workers := runtime.GOMAXPROCS(0)
+	items := make([]int, 2*workers+1)
+	want := make([]int, len(items))
+	for i := range items {
+		items[i] = 10 * (i + 1)
+		want[i] = 2 * items[i]
+	}
 	var inFlight, peak atomic.Int32
-	out, err := Map(context.Background(), 2, items, func(ctx context.Context, i, item int) (int, error) {
+	out, err := Map(context.Background(), items, func(ctx context.Context, i, item int) (int, error) {
 		cur := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -178,14 +186,14 @@ func TestMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, []int{20, 40, 60, 80, 100}) {
-		t.Errorf("out = %v", out)
+	if !reflect.DeepEqual(out, want) {
+		t.Errorf("out = %v, want %v", out, want)
 	}
-	if peak.Load() > 2 {
-		t.Errorf("concurrency peaked at %d with 2 workers", peak.Load())
+	if peak.Load() > int32(workers) {
+		t.Errorf("concurrency peaked at %d with %d workers", peak.Load(), workers)
 	}
 
-	_, err = Map(context.Background(), 4, items, func(ctx context.Context, i, item int) (int, error) {
+	_, err = Map(context.Background(), items, func(ctx context.Context, i, item int) (int, error) {
 		if i >= 2 {
 			return 0, fmt.Errorf("boom at %d", i)
 		}
@@ -199,11 +207,11 @@ func TestMap(t *testing.T) {
 // TestRunEmptyAndDegenerate covers the edges: empty grids succeed with
 // no results; nil kernels are reported, not dereferenced.
 func TestRunEmptyAndDegenerate(t *testing.T) {
-	res, err := Run(context.Background(), nil)
+	res, err := RunOpts(context.Background(), nil, Options{})
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty sweep: %v, %v", res, err)
 	}
-	_, err = Run(context.Background(), []Point{{N: 10, Config: sim.PaperConfig(4, 32)}})
+	_, err = RunOpts(context.Background(), []Point{{N: 10, Config: sim.PaperConfig(4, 32)}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "nil kernel") {
 		t.Errorf("nil kernel error = %v", err)
 	}

@@ -167,7 +167,8 @@ func ParseProgram(src string) (*Program, error) { return ir.Parse(src) }
 type Server = serve.Server
 
 // ServeOptions sizes a Server: worker pool, admission bound, result
-// and stream cache capacities, request limits, deadlines, metrics.
+// and stream cache capacities, the sweep-size limit, deadlines,
+// metrics.
 // The zero value serves with defaults scaled from GOMAXPROCS.
 type ServeOptions = serve.Options
 

@@ -103,11 +103,8 @@ func publishAddr(path string, addr net.Addr) error {
 	return os.Rename(tmp, path)
 }
 
-// openStore attaches a disk-backed capture store when dir is set. The
-// kernel registry's resolver lets persisted captures of compiled
-// ("u:...") kernels decode once their kernel is re-registered, turning
-// compile-after-restart into a warm start.
-func openStore(opts *serve.Options, dir string, reg *obs.Registry, kreg *kernelreg.Registry) error {
+// openStore attaches a disk-backed capture store when dir is set.
+func openStore(opts *serve.Options, dir string, reg *obs.Registry) error {
 	if dir == "" {
 		return nil
 	}
@@ -115,9 +112,8 @@ func openStore(opts *serve.Options, dir string, reg *obs.Registry, kreg *kernelr
 	if err != nil {
 		return fmt.Errorf("opening capture store: %w", err)
 	}
-	st.SetResolver(kreg.Resolve)
 	opts.CaptureStore = st
-	fmt.Fprintf(os.Stderr, "lfksimd: capture store %s (%d streams on disk)\n", st.Dir(), st.Len())
+	fmt.Fprintf(os.Stderr, "lfksimd: capture store %s (%d capture files)\n", st.Dir(), st.Len())
 	return nil
 }
 
@@ -129,7 +125,7 @@ func runDaemon(opts serve.Options, addr string, drain time.Duration, captureDir,
 	obs.SetDefault(reg)
 	opts.Metrics = reg
 	opts.Registry = kernelreg.New(kernelreg.Limits{}, reg)
-	if err := openStore(&opts, captureDir, reg, opts.Registry); err != nil {
+	if err := openStore(&opts, captureDir, reg); err != nil {
 		return err
 	}
 	srv := serve.New(opts)
@@ -178,9 +174,10 @@ func runDaemon(opts serve.Options, addr string, drain time.Duration, captureDir,
 func shardArgs(opts serve.Options, addrFile, captureDir string) []string {
 	args := []string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}
 	if captureDir != "" {
-		// All shards share one content-addressed store directory:
-		// writes are temp+rename and peers pick up each other's
-		// captures on rescan, so sharing is safe and maximizes reuse.
+		// All shards share one store directory: a capture's file is
+		// named by its (kernel, N), writes are temp+rename, and every
+		// load reads the directory afresh, so sharing is safe and a
+		// peer's capture serves the next load.
 		args = append(args, "-capture-dir", captureDir)
 	}
 	for _, f := range []struct {

@@ -35,10 +35,12 @@ type Cache struct {
 	// Loader, when set, is consulted before executing a capture: a
 	// persisted stream for (k, clamped n) short-circuits the execution
 	// (and is not counted in Captures). Saver, when set, receives every
-	// freshly-executed capture. Together they back the cache with a
-	// durable tier — internal/refstream/store — without the cache
-	// knowing about files. Both must be set before first use and be
-	// safe for concurrent calls.
+	// freshly-executed capture, called by the goroutine that captured
+	// after the stream is published to the entry: callers sharing the
+	// entry return without waiting for the write. Together they back
+	// the cache with a durable tier — internal/refstream/store —
+	// without the cache knowing about files. Both must be set before
+	// first use and be safe for concurrent calls.
 	Loader func(k *loops.Kernel, n int) (*Stream, bool)
 	Saver  func(st *Stream)
 
@@ -94,6 +96,7 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 		c.Hits.Inc()
 	}
 
+	captured := false
 	e.once.Do(func() {
 		if c.Loader != nil {
 			if st, ok := c.Loader(k, key.n); ok {
@@ -102,10 +105,8 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 			}
 		}
 		c.Captures.Inc()
+		captured = true
 		e.st, e.err = CaptureScratch(sc, k, key.n)
-		if e.err == nil && c.Saver != nil {
-			c.Saver(e.st)
-		}
 		if e.err != nil {
 			// Drop the failed entry (if still ours) so a later call
 			// retries instead of replaying a stale error forever.
@@ -116,6 +117,9 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 			c.mu.Unlock()
 		}
 	})
+	if captured && e.err == nil && c.Saver != nil {
+		c.Saver(e.st)
+	}
 	return e.st, e.err
 }
 

@@ -3,6 +3,7 @@ package refstream
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/loops"
 	"repro/internal/obs"
@@ -115,5 +116,48 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if got := c.Captures.Value(); got != 3 {
 		t.Fatalf("captures after re-Get = %d, want 3", got)
+	}
+}
+
+// TestSaverOffWaitersPath: the goroutine that captured persists the
+// stream after publishing it, so a second Get of the same key returns
+// while the Saver is still blocked (on a slow disk, an fsync).
+func TestSaverOffWaitersPath(t *testing.T) {
+	k := mustKernel(t, "k1")
+	c := NewCache(8)
+	entered, release := make(chan struct{}), make(chan struct{})
+	c.Saver = func(*Stream) {
+		close(entered)
+		<-release
+	}
+	first := make(chan *Stream)
+	go func() {
+		st, err := c.GetScratch(nil, k, k.MinN)
+		if err != nil {
+			t.Error(err)
+		}
+		first <- st
+	}()
+	<-entered
+
+	second := make(chan *Stream)
+	go func() {
+		st, err := c.GetScratch(nil, k, k.MinN)
+		if err != nil {
+			t.Error(err)
+		}
+		second <- st
+	}()
+	select {
+	case st := <-second:
+		close(release)
+		if st != <-first {
+			t.Fatal("second Get returned a different stream")
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		<-first
+		<-second
+		t.Fatal("second Get of the key waited for the first capture's Saver")
 	}
 }

@@ -114,8 +114,7 @@ func streamDigestLines(t *testing.T) []string {
 
 // TestStreamDigestsPinned requires every capture to reproduce the
 // marshalled bytes recorded in testdata/stream_digests.txt, so capture
-// directories written before a capture-path change still
-// content-address and load.
+// directories written before a capture-path change still load.
 func TestStreamDigestsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default problem sizes are slow in -short mode")

@@ -10,10 +10,9 @@ package refstream
 //
 // The encoding is canonical: one Stream has exactly one byte string
 // (the columns are deterministic functions of the capture, and the
-// header carries no ordering freedom), which is what makes
-// content-addressing by checksum sound — two shards that capture the
-// same (kernel, N) pair independently produce the same bytes and
-// therefore the same address.
+// header carries no ordering freedom): two shards that capture the
+// same (kernel, N) pair independently produce the same bytes, so
+// either one's file serves both.
 //
 // UnmarshalStream is paranoid by contract: it is fed files that may
 // have been truncated by a crash or corrupted on disk, and must fail
@@ -24,9 +23,7 @@ package refstream
 // array lengths before the stream is accepted.
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -81,13 +78,6 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// ContentAddress returns the hex SHA-256 of the stream's canonical
-// encoding: the name the capture store files it under.
-func ContentAddress(encoded []byte) string {
-	sum := sha256.Sum256(encoded)
-	return hex.EncodeToString(sum[:])
-}
-
 func appendUvarintString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -137,17 +127,11 @@ func UnmarshalStream(data []byte) (*Stream, error) {
 	return UnmarshalStreamKernels(data, loops.ByKey)
 }
 
-// ErrUnknownKernel reports that a stream's kernel key did not resolve.
-// Unlike the structural defects wrapping ErrCorruptStream, this is a
-// recoverable condition: a disk store holding captures of
-// registry-compiled kernels sees it at boot, before the registry has
-// been repopulated, and simply retries on a later scan.
-var ErrUnknownKernel = errors.New("refstream: unknown kernel")
-
 // UnmarshalStreamKernels is UnmarshalStream with an explicit kernel
-// resolver, so streams captured from registry-compiled kernels
-// ("u:..." keys) decode against the registry instead of only the
-// built-in table.
+// resolver, so a stream of a registry-compiled ("u:...") kernel
+// decodes against a kernel the built-in table does not hold; the
+// capture store passes one that accepts only the kernel it was asked
+// to load. A key the resolver rejects is corruption.
 func UnmarshalStreamKernels(data []byte, resolve func(key string) (*loops.Kernel, error)) (*Stream, error) {
 	r := &streamReader{buf: data}
 	if len(r.buf) < len(streamMagic) || string(r.bytes(len(streamMagic))) != string(streamMagic[:]) {
@@ -160,11 +144,7 @@ func UnmarshalStreamKernels(data []byte, resolve func(key string) (*loops.Kernel
 	kernelKey := string(r.bytes(keyLen))
 	k, err := resolve(kernelKey)
 	if err != nil {
-		// Wraps both sentinels: structurally the stream is unusable
-		// (ErrCorruptStream, what generic callers check), but the
-		// specific cause is a key that failed to resolve
-		// (ErrUnknownKernel), which the disk store treats as retryable.
-		return nil, fmt.Errorf("%w: %w %q", ErrCorruptStream, ErrUnknownKernel, kernelKey)
+		return nil, corruptf("unknown kernel %q", kernelKey)
 	}
 	nv, err := r.uvarint("problem size")
 	if err != nil {

@@ -56,17 +56,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 			}
 		}
 		// The encoding must be canonical: re-marshaling the decoded
-		// stream reproduces the exact bytes, so content addresses agree
-		// across nodes.
+		// stream reproduces the exact bytes, so captures agree across
+		// nodes.
 		enc2, err := got.MarshalBinary()
 		if err != nil {
 			t.Fatalf("%s: re-marshal: %v", key, err)
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("%s: re-marshal produced different bytes (%d vs %d)", key, len(enc), len(enc2))
-		}
-		if ContentAddress(enc) != ContentAddress(enc2) {
-			t.Fatalf("%s: content addresses diverge", key)
 		}
 
 		// The decoded stream must replay identically to the original.

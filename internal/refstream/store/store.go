@@ -1,28 +1,34 @@
-// Package store is the disk-backed, content-addressed capture store:
-// the cluster-scale version of the in-process stream cache. A shard
-// that captures a reference stream persists its canonical encoding
-// under the hex SHA-256 of the bytes (<sum>.rsc), and any shard that
-// restarts — or any peer pointed at the same directory — warm-starts
-// from those files instead of re-executing the capture. Because a
-// stream is immutable and its encoding canonical, k nodes sharing one
-// directory share one capture the way k requests already share one
-// in-memory stream.
+// Package store is the disk-backed capture store: the cluster-scale
+// version of the in-process stream cache. Under single assignment a
+// reference stream is an immutable, pure function of its (kernel,
+// clamped N) pair, so the pair names the file: a shard that captures a
+// stream persists its canonical encoding as <kernel key>-<n>.rsc, and
+// any shard that restarts — or any peer pointed at the same directory
+// — warm-starts from that file instead of re-executing the capture.
+// The store keeps no stream and no index in memory; each Load reads
+// one file, and the caller's bounded refstream.Cache is the only place
+// a decoded stream lives.
 //
-// Crash safety is write-temp-then-rename: a file appears under its
-// final name only after its bytes are fully on disk, so a SIGKILL
-// mid-write leaves a ".tmp-*" orphan that scans ignore. Reads verify
-// the filename against the content hash and fully validate the
-// encoding before trusting it; a corrupt or truncated file is counted
-// and skipped, never served.
+// Crash safety is write-temp, fsync, then rename: a file appears under
+// its final name only after its bytes are on disk, so a SIGKILL
+// mid-write leaves a ".tmp-*" orphan that nothing reads. Each file
+// ends in the SHA-256 of its encoding; Load checks that digest and
+// fully validates the encoding before trusting it. A truncated or
+// corrupt file is counted and missed, never served, and the next
+// capture of its key overwrites it.
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/loops"
 	"repro/internal/obs"
@@ -32,23 +38,20 @@ import (
 // Metric names for the store family. Counters except where noted.
 const (
 	MetricHits       = "store.hits"        // loads served from disk
-	MetricMisses     = "store.misses"      // loads with no matching capture
+	MetricMisses     = "store.misses"      // loads with no usable capture file
 	MetricPuts       = "store.puts"        // captures persisted
 	MetricPutErrors  = "store.put_errors"  // failed persists (disk errors)
-	MetricLoadErrors = "store.load_errors" // unreadable/corrupt files skipped
-	MetricUnresolved = "store.unresolved"  // well-formed files whose kernel key did not resolve (yet)
-	MetricEntries    = "store.entries"     // gauge: distinct (kernel, N) streams indexed
+	MetricLoadErrors = "store.load_errors" // unreadable/corrupt files missed
+	MetricEntries    = "store.entries"     // gauge: capture files on disk, as this process has seen them
 )
 
-// ext is the suffix of a persisted capture; the name stem is the hex
-// SHA-256 of the file contents.
+// ext is the suffix of a persisted capture.
 const ext = ".rsc"
 
-// Store is a directory of persisted captures plus an in-memory index
-// by (kernel, clamped N). Safe for concurrent use; multiple processes
-// may share one directory (writes are atomic renames, and Load falls
-// back to a directory rescan before declaring a miss, so captures
-// persisted by a peer after Open become visible).
+// Store is a directory of persisted captures, one file per (kernel,
+// clamped N). Safe for concurrent use; multiple processes may share
+// one directory (writes are atomic renames, and every Load reads the
+// directory afresh, so a peer's capture is visible to the next Load).
 type Store struct {
 	dir string
 
@@ -57,34 +60,14 @@ type Store struct {
 	puts       *obs.Counter
 	putErrors  *obs.Counter
 	loadErrors *obs.Counter
-	unresolved *obs.Counter
 	entries    *obs.Gauge
-
-	mu      sync.Mutex
-	resolve func(key string) (*loops.Kernel, error)
-	streams map[streamKey]*refstream.Stream
-	known   map[string]bool // content addresses already indexed or written
-
-	// Rescan singleflight: concurrent Load misses share one directory
-	// walk instead of each issuing their own. scanDone is non-nil while
-	// a rescan is in flight (closed on completion); scanGen counts
-	// completed rescans, so a waiter knows whether any walk finished
-	// since it observed its miss.
-	scanGen  uint64
-	scanDone chan struct{}
 }
 
-type streamKey struct {
-	kernel string
-	n      int
-}
-
-// Open creates dir if needed, scans it for persisted captures, and
-// returns the store. Unreadable, misnamed, or corrupt files (including
-// temp files left by a crashed writer) are counted as load errors and
-// ignored — a damaged store degrades to re-capturing, never to serving
-// bad streams. reg may be nil (metrics become no-ops via the nil-safe
-// obs instruments).
+// Open creates dir if needed and returns the store, with store.entries
+// set to the capture files already there. It reads none of them:
+// damage is found, counted and missed by the Load that reads the
+// file. reg may be nil (metrics become no-ops via the nil-safe obs
+// instruments).
 func Open(dir string, reg *obs.Registry) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -99,187 +82,51 @@ func Open(dir string, reg *obs.Registry) (*Store, error) {
 		puts:       reg.Counter(MetricPuts),
 		putErrors:  reg.Counter(MetricPutErrors),
 		loadErrors: reg.Counter(MetricLoadErrors),
-		unresolved: reg.Counter(MetricUnresolved),
 		entries:    reg.Gauge(MetricEntries),
-		resolve:    loops.ByKey,
-		streams:    map[streamKey]*refstream.Stream{},
-		known:      map[string]bool{},
 	}
-	found, errs, unresolved, err := s.scanDir()
-	if err != nil {
-		return nil, err
-	}
-	s.loadErrors.Add(errs)
-	s.unresolved.Add(unresolved)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mergeLocked(found)
+	s.Len()
 	return s, nil
 }
 
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetResolver replaces the kernel resolver used to decode scanned
-// files (default: the built-in table via loops.ByKey). A daemon with a
-// kernel registry installs the registry's Resolve here so persisted
-// captures of compiled ("u:...") kernels decode once their kernel is
-// re-registered. Files whose key does not resolve are skipped — and,
-// because they never enter the index, retried on every later rescan,
-// which is what turns "compile after restart" into a warm start
-// instead of a re-capture.
-func (s *Store) SetResolver(resolve func(key string) (*loops.Kernel, error)) {
-	if s == nil || resolve == nil {
-		return
-	}
-	s.mu.Lock()
-	s.resolve = resolve
-	s.mu.Unlock()
-}
-
-// Len returns the number of distinct (kernel, N) streams indexed.
+// Len counts the capture files on disk (temp files and directories
+// excluded) and refreshes store.entries with the count.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.streams)
-}
-
-// scanned is one well-formed capture discovered by a directory walk,
-// in directory (sorted-name) order so merges stay deterministic.
-type scanned struct {
-	addr string
-	st   *refstream.Stream
-}
-
-// scanDir walks the directory and parses every well-formed capture
-// file, holding s.mu only long enough to snapshot the known-address
-// set — the reads, hash checks and decodes all run with the lock
-// released, so hits keep flowing during a rescan. Files whose name is
-// not a content address, whose hash does not match their bytes, or
-// whose encoding fails validation are skipped and counted in the
-// returned error tally.
-func (s *Store) scanDir() ([]scanned, int64, int64, error) {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("store: scanning %s: %w", s.dir, err)
-	}
-	s.mu.Lock()
-	known := make(map[string]bool, len(s.known))
-	for addr := range s.known {
-		known[addr] = true
-	}
-	resolve := s.resolve
-	s.mu.Unlock()
-	var (
-		found      []scanned
-		errs       int64
-		unresolved int64
-	)
-	for _, de := range names {
-		name := de.Name()
-		if de.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ext) {
-			continue // temp files, editors' droppings, unrelated files
-		}
-		addr := strings.TrimSuffix(name, ext)
-		if known[addr] {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			errs++
-			continue
-		}
-		if refstream.ContentAddress(data) != addr {
-			// Name/content mismatch: bit rot or a partial copy under a
-			// final name. Never trust it.
-			errs++
-			continue
-		}
-		st, err := refstream.UnmarshalStreamKernels(data, resolve)
-		if err != nil {
-			// An unknown kernel key is not damage: the file may belong
-			// to a compiled kernel that has not been re-registered yet.
-			// It stays out of the index, so a later rescan retries it.
-			if errors.Is(err, refstream.ErrUnknownKernel) {
-				unresolved++
-			} else {
-				errs++
-			}
-			continue
-		}
-		found = append(found, scanned{addr: addr, st: st})
-	}
-	return found, errs, unresolved, nil
-}
-
-// mergeLocked indexes a walk's discoveries, rechecking known under the
-// lock so a Save (or another walk) that landed the same address first
-// wins and the late copy is dropped. Callers hold s.mu.
-func (s *Store) mergeLocked(found []scanned) {
-	for _, f := range found {
-		if s.known[f.addr] {
-			continue
-		}
-		s.known[f.addr] = true
-		key := streamKey{kernel: f.st.Kernel.Key, n: f.st.N}
-		if _, ok := s.streams[key]; !ok {
-			s.streams[key] = f.st
-			s.entries.Set(int64(len(s.streams)))
+	des, _ := os.ReadDir(s.dir) // unreadable counts as empty: Load and Save count their own failures
+	n := 0
+	for _, de := range des {
+		if name := de.Name(); !de.IsDir() && !strings.HasPrefix(name, ".") && strings.HasSuffix(name, ext) {
+			n++
 		}
 	}
+	s.entries.Set(int64(n))
+	return n
 }
 
-// rescanLocked makes sure at least one directory rescan completes
-// after the call begins, then returns with s.mu still held. Concurrent
-// misses singleflight the walk: the first becomes the scanner (I/O
-// with the lock released), the rest wait for its completion and use
-// its result instead of queuing their own full walk — the stampede of
-// N misses costing N scans becomes one scan shared N ways. A waiter
-// that arrives while a walk is already in flight accepts that walk's
-// view of the directory; a capture persisted by a peer mid-walk simply
-// becomes visible on the next miss's rescan.
-func (s *Store) rescanLocked() {
-	entered := s.scanGen
-	for s.scanGen == entered {
-		if done := s.scanDone; done != nil {
-			s.mu.Unlock()
-			<-done
-			s.mu.Lock()
-			continue
-		}
-		done := make(chan struct{})
-		s.scanDone = done
-		s.mu.Unlock()
-		found, errs, unresolved, err := s.scanDir()
-		s.loadErrors.Add(errs)
-		s.unresolved.Add(unresolved)
-		s.mu.Lock()
-		if err == nil {
-			s.mergeLocked(found)
-		}
-		s.scanGen++
-		s.scanDone = nil
-		close(done)
-	}
+// path is the file of (key, n). The key is path-escaped so no kernel
+// key can name a file outside the directory; every real key ("k1",
+// "u:<hex>") escapes to itself.
+func (s *Store) path(key string, n int) string {
+	return filepath.Join(s.dir, url.PathEscape(key)+"-"+strconv.Itoa(n)+ext)
 }
 
-// Load returns the persisted stream for (k, n), if any. On an index
-// miss it rescans the directory — captures persisted by another
-// process since the last scan become visible — before counting a miss;
-// concurrent misses share a single rescan (see rescanLocked).
+// Load returns the persisted stream for (k, n), if any: one file read,
+// a digest check, and a full decode against k itself, so a compiled
+// kernel's capture loads with no resolver. A missing file is a miss;
+// any other failure — unreadable, digest mismatch, corrupt encoding, a
+// different kernel or problem size inside — is a miss counted in
+// store.load_errors.
 func (s *Store) Load(k *loops.Kernel, n int) (*refstream.Stream, bool) {
 	if s == nil || k == nil {
 		return nil, false
 	}
-	key := streamKey{kernel: k.Key, n: k.ClampN(n)}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.streams[key]
-	if !ok {
-		s.rescanLocked()
-		st, ok = s.streams[key]
-	}
-	if !ok {
+	st, err := s.read(k, k.ClampN(n))
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.loadErrors.Inc()
+		}
 		s.misses.Inc()
 		return nil, false
 	}
@@ -287,12 +134,42 @@ func (s *Store) Load(k *loops.Kernel, n int) (*refstream.Stream, bool) {
 	return st, true
 }
 
-// Save persists st under its content address, atomically: the bytes
-// are written to a ".tmp-*" file in the same directory and renamed
-// into place, so a crash at any instant leaves either the complete
-// file or an ignorable orphan. Saving a stream whose address is
-// already present is a no-op. Disk errors are counted and swallowed —
-// persistence is an optimization; the capture in hand is still good.
+func (s *Store) read(k *loops.Kernel, n int) (*refstream.Stream, error) {
+	data, err := os.ReadFile(s.path(k.Key, n))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < sha256.Size {
+		return nil, fmt.Errorf("store: %d-byte file has no digest", len(data))
+	}
+	enc, digest := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	if sum := sha256.Sum256(enc); !bytes.Equal(sum[:], digest) {
+		return nil, fmt.Errorf("store: digest mismatch")
+	}
+	st, err := refstream.UnmarshalStreamKernels(enc, func(key string) (*loops.Kernel, error) {
+		if key != k.Key {
+			return nil, fmt.Errorf("store: file holds kernel %q", key)
+		}
+		return k, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if st.N != n {
+		return nil, fmt.Errorf("store: file holds n=%d, want %d", st.N, n)
+	}
+	return st, nil
+}
+
+// Save persists st under its key's name: the canonical encoding and
+// its SHA-256, written to a ".tmp-*" file in the same directory,
+// fsynced and renamed into place, so a crash at any instant leaves
+// either the complete file or an ignorable orphan. The fsync is the
+// store's crash-safety guarantee: without it a rename can reach disk
+// before the bytes it names. An existing file of the key — a damaged
+// one, or a peer's identical capture — is replaced. Disk errors are
+// counted and swallowed: persistence is an optimization; the capture
+// in hand is still good.
 func (s *Store) Save(st *refstream.Stream) {
 	if s == nil || st == nil {
 		return
@@ -302,40 +179,24 @@ func (s *Store) Save(st *refstream.Stream) {
 		s.putErrors.Inc()
 		return
 	}
-	addr := refstream.ContentAddress(data)
-	key := streamKey{kernel: st.Kernel.Key, n: st.N}
-
-	s.mu.Lock()
-	if s.known[addr] {
-		if _, ok := s.streams[key]; !ok {
-			s.streams[key] = st
-			s.entries.Set(int64(len(s.streams)))
-		}
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
-	if err := writeAtomic(s.dir, addr+ext, data); err != nil {
+	sum := sha256.Sum256(data)
+	path := s.path(st.Kernel.Key, st.N)
+	_, statErr := os.Lstat(path)
+	if err := writeAtomic(path, append(data, sum[:]...)); err != nil {
 		s.putErrors.Inc()
 		return
 	}
 	s.puts.Inc()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.known[addr] = true
-	if _, ok := s.streams[key]; !ok {
-		s.streams[key] = st
-		s.entries.Set(int64(len(s.streams)))
+	if statErr != nil {
+		s.entries.Add(1)
 	}
 }
 
-// writeAtomic lands data at dir/name via a same-directory temp file
+// writeAtomic lands data at path via a temp file in the same directory
 // and rename, fsyncing the file before the rename so the final name
 // never refers to partial contents.
-func writeAtomic(dir, name string, data []byte) error {
-	f, err := os.CreateTemp(dir, ".tmp-*")
+func writeAtomic(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -354,7 +215,7 @@ func writeAtomic(dir, name string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}

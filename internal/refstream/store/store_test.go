@@ -1,18 +1,19 @@
 package store
 
 // store_test.go — the warm-start contract: captures persisted by one
-// Store are visible to a fresh Open of the same directory (and to a
-// concurrently-open peer via the rescan path), temp files and corrupt
-// files left behind by crashes are ignored, and identical captures
-// deduplicate to one file.
+// Store are visible to a fresh Open of the same directory and to a
+// concurrently-open peer, temp files and damaged files left behind by
+// crashes are counted and never served, identical captures share one
+// file, and the store retains no decoded stream.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,6 +41,17 @@ func counter(reg *obs.Registry, name string) int64 {
 	return v
 }
 
+// sealed is st's file contents: the canonical encoding and its digest.
+func sealed(t *testing.T, st *refstream.Stream) []byte {
+	t.Helper()
+	enc, err := st.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(enc)
+	return append(enc, sum[:]...)
+}
+
 func TestSaveThenWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	regA := obs.NewRegistry()
@@ -53,14 +65,14 @@ func TestSaveThenWarmStart(t *testing.T) {
 		t.Fatalf("puts = %d, want 1", got)
 	}
 
-	// A fresh Open — the restarted shard — indexes the persisted file.
+	// A fresh Open — the restarted shard — sees the persisted file.
 	regB := obs.NewRegistry()
 	b, err := Open(dir, regB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 1 {
-		t.Fatalf("warm-start indexed %d streams, want 1", b.Len())
+		t.Fatalf("warm-start found %d capture files, want 1", b.Len())
 	}
 	got, ok := b.Load(st.Kernel, st.N)
 	if !ok {
@@ -79,12 +91,14 @@ func TestSaveThenWarmStart(t *testing.T) {
 		t.Fatal("warm-started stream encodes differently from the original capture")
 	}
 
-	// Loading via an unclamped problem size resolves to the same entry.
+	// Loading via an unclamped problem size resolves to the same file.
 	if _, ok := b.Load(st.Kernel, 0); !ok {
 		t.Fatal("clamped-N lookup missed")
 	}
 }
 
+// TestPeerVisibilityViaRescan: a peer opened before the save sees the
+// capture at its very next Load, because every Load reads the file.
 func TestPeerVisibilityViaRescan(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir, nil)
@@ -97,143 +111,96 @@ func TestPeerVisibilityViaRescan(t *testing.T) {
 	}
 	st := capture(t, "k2")
 	a.Save(st)
-	// b opened before the save; its Load must rescan and find the file.
 	if _, ok := b.Load(st.Kernel, st.N); !ok {
-		t.Fatal("peer store did not rescan to find a fresh capture")
+		t.Fatal("peer store did not find a fresh capture")
 	}
 }
 
+// TestCrashArtifactsIgnored: a temp file is never read; a truncated
+// file and a bit-flipped file (with a digest matching its flipped
+// bytes) under their keys' names are each counted once by the Load
+// that reads them and never served; the next Save repairs the
+// truncated one.
 func TestCrashArtifactsIgnored(t *testing.T) {
 	dir := t.TempDir()
-	st := capture(t, "k1")
-	enc, _ := st.MarshalBinary()
-
-	// A partial temp file: the shape a SIGKILL mid-Save leaves behind.
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-1234"), enc[:len(enc)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A truncated file under a final-looking (but now wrong) name.
-	half := enc[:len(enc)/2]
-	if err := os.WriteFile(filepath.Join(dir, refstream.ContentAddress(enc)+".rsc"), half, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A corrupt file correctly named for its (corrupt) contents: the
-	// address matches, so only full validation can reject it.
-	bad := append([]byte(nil), enc...)
-	bad[len(bad)-1] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, refstream.ContentAddress(bad)+".rsc"), bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	k1, k2 := capture(t, "k1"), capture(t, "k2")
 	reg := obs.NewRegistry()
 	s, err := Open(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("indexed %d streams from crash artifacts, want 0", s.Len())
+	file1 := sealed(t, k1)
+
+	// A partial temp file: the shape a SIGKILL mid-Save leaves behind.
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-1234"), file1[:len(file1)/2], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// The temp file is skipped silently; the two damaged .rsc files are
-	// counted. A miss after the artifacts proves nothing was served.
+	// A truncated file under k1's name.
+	if err := os.WriteFile(s.path(k1.Kernel.Key, k1.N), file1[:len(file1)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A corrupt encoding under k2's name whose digest matches it, so
+	// only full validation can reject it.
+	enc, _ := k2.MarshalBinary()
+	enc[len(enc)-1] ^= 0xff
+	sum := sha256.Sum256(enc)
+	if err := os.WriteFile(s.path(k2.Kernel.Key, k2.N), append(enc, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := s.Len(); got != 2 {
+		t.Fatalf("Len = %d, want 2 (the temp file is not a capture)", got)
+	}
+	for i, st := range []*refstream.Stream{k1, k2} {
+		if _, ok := s.Load(st.Kernel, st.N); ok {
+			t.Fatalf("a crash artifact of %s was served as a stream", st.Kernel.Key)
+		}
+		if got := counter(reg, MetricLoadErrors); got != int64(i+1) {
+			t.Fatalf("load_errors = %d after loading %s, want %d", got, st.Kernel.Key, i+1)
+		}
+	}
+	// A clean Save replaces the truncated file.
+	s.Save(k1)
+	if _, ok := s.Load(k1.Kernel, k1.N); !ok {
+		t.Fatal("save over a truncated file not loadable")
+	}
 	if got := counter(reg, MetricLoadErrors); got != 2 {
-		t.Fatalf("load_errors = %d, want 2", got)
-	}
-	if _, ok := s.Load(st.Kernel, st.N); ok {
-		t.Fatal("a crash artifact was served as a stream")
-	}
-	// A clean Save still works alongside the debris.
-	s.Save(st)
-	if _, ok := s.Load(st.Kernel, st.N); !ok {
-		t.Fatal("save after crash debris not loadable")
+		t.Fatalf("load_errors = %d after the repair, want 2", got)
 	}
 }
 
-// TestRescanSingleflight is the stampede regression test: Load misses
-// that arrive while a directory walk is in flight must ride on that
-// walk instead of issuing their own. The test installs the in-flight
-// marker by hand (white box) so every loader deterministically takes
-// the ride-along path; marker files whose name does not hash-match
-// their content make walk counts observable — every completed walk
-// re-reads them and re-counts them in store.load_errors.
-func TestRescanSingleflight(t *testing.T) {
+// TestRenameFailureCounted: a directory squatting a capture's final
+// name makes the rename fail. Save counts a put error and leaves no
+// temp file, and Load misses.
+func TestRenameFailureCounted(t *testing.T) {
 	dir := t.TempDir()
-	st := capture(t, "k1")
-	enc, _ := st.MarshalBinary()
-	const markers = 4
-	for i := 0; i < markers; i++ {
-		name := refstream.ContentAddress(append(enc, byte(i))) + ".rsc" // distinct, but wrong for the content
-		if err := os.WriteFile(filepath.Join(dir, name), enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	reg := obs.NewRegistry()
 	s, err := Open(dir, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := counter(reg, MetricLoadErrors) // Open's walk: one full marker count
-	if base != markers {
-		t.Fatalf("open counted %d load errors, want %d", base, markers)
-	}
-
-	// Pose as the scanner: with scanDone set, every concurrent miss
-	// must park on it rather than walk the directory itself.
-	done := make(chan struct{})
-	s.mu.Lock()
-	s.scanDone = done
-	s.mu.Unlock()
-
-	const loaders = 32
-	var wg sync.WaitGroup
-	wg.Add(loaders)
-	for i := 0; i < loaders; i++ {
-		go func() {
-			defer wg.Done()
-			if _, ok := s.Load(st.Kernel, st.N); ok {
-				t.Error("missing capture reported as loaded")
-			}
-		}()
-	}
-	// Let every loader reach the ride-along wait (they have nowhere
-	// else to block), then complete the fake walk.
-	time.Sleep(50 * time.Millisecond)
-	s.mu.Lock()
-	s.scanGen++
-	s.scanDone = nil
-	s.mu.Unlock()
-	close(done)
-	wg.Wait()
-
-	if got := counter(reg, MetricMisses); got != loaders {
-		t.Errorf("misses = %d, want %d", got, loaders)
-	}
-	// Every loader shared the (fake) in-flight walk: pre-singleflight
-	// each of the 32 misses walked the directory itself and recounted
-	// the markers; now at most a straggler that arrived after the walk
-	// completed may have issued one of its own.
-	walks := (counter(reg, MetricLoadErrors) - base) / markers
-	if walks > 2 {
-		t.Errorf("%d concurrent misses performed %d directory walks on top of the shared one, want <= 2", loaders, walks)
-	}
-
-	// The real rescan path still finds fresh captures: land the actual
-	// file like a peer process would, then miss-load it concurrently.
-	if err := os.WriteFile(filepath.Join(dir, refstream.ContentAddress(enc)+".rsc"), enc, 0o644); err != nil {
+	st := capture(t, "k1")
+	if err := os.Mkdir(s.path(st.Kernel.Key, st.N), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var hits int64
-	wg.Add(loaders)
-	for i := 0; i < loaders; i++ {
-		go func() {
-			defer wg.Done()
-			if _, ok := s.Load(st.Kernel, st.N); ok {
-				atomic.AddInt64(&hits, 1)
-			}
-		}()
+	s.Save(st)
+	if got := counter(reg, MetricPutErrors); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricPutErrors, got)
 	}
-	wg.Wait()
-	if hits != loaders {
-		t.Errorf("%d of %d loads found the peer-persisted capture", hits, loaders)
+	if got := counter(reg, MetricPuts); got != 0 {
+		t.Fatalf("%s = %d, want 0", MetricPuts, got)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if strings.HasPrefix(de.Name(), ".tmp-") {
+			t.Fatalf("failed Save left %s behind", de.Name())
+		}
+	}
+	if _, ok := s.Load(st.Kernel, st.N); ok {
+		t.Fatal("Load hit a name squatted by a directory")
 	}
 }
 
@@ -247,30 +214,20 @@ func TestContentDedup(t *testing.T) {
 	s.Save(st)
 	s.Save(st)
 	// An independent capture of the same (kernel, N) has the same
-	// canonical bytes, so it dedups to the same file.
+	// canonical bytes, so it lands in the same file.
 	s.Save(capture(t, "k6"))
 
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, de := range files {
-		if strings.HasSuffix(de.Name(), ".rsc") {
-			n++
-		}
-	}
-	if n != 1 {
+	if n := s.Len(); n != 1 {
 		t.Fatalf("%d capture files after duplicate saves, want 1", n)
 	}
 }
 
-// TestCompiledKernelWarmStart is the registry/store handshake: a
-// capture of a compiled ("u:...") kernel persists like any other, a
-// restarted store without the kernel counts the file as unresolved
-// (not a load error) and leaves it on disk, and once the kernel is
-// re-registered — a compile after restart — the next rescan indexes it
-// and Load warm-starts from the old bytes.
+// TestCompiledKernelWarmStart: a capture of a compiled ("u:...")
+// kernel persists like any other, and once a restarted process
+// compiles the same source, Load warm-starts from the old bytes with
+// no resolver — the kernel in hand is the only one the file may name.
+// A file under a key's name that holds another kernel's stream is
+// counted and never served.
 func TestCompiledKernelWarmStart(t *testing.T) {
 	source := "PROGRAM warm\n  ARRAY A(n+1) OUTPUT\n  ARRAY B(n+1) INPUT\n" +
 		"  DO i = 1, n\n    A(i) = 2*B(i)\n  END DO\nEND\n"
@@ -293,32 +250,24 @@ func TestCompiledKernelWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetResolver(krA.Resolve)
 	a.Save(st)
 
-	// Restart without the registry: the file is unresolved, not broken.
+	// Restart: the file is on disk, and opening reads none of it.
 	regB := obs.NewRegistry()
 	b, err := Open(dir, regB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("store indexed %d streams with no resolver for %q", b.Len(), resp.Kernel)
-	}
-	if got := counter(regB, MetricUnresolved); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricUnresolved, got)
-	}
-	if got := counter(regB, MetricLoadErrors); got != 0 {
-		t.Fatalf("%s = %d, want 0 — unresolved kernels are not corruption", MetricLoadErrors, got)
+	if b.Len() != 1 {
+		t.Fatalf("store found %d capture files, want 1", b.Len())
 	}
 
 	// The operator compiles the same source after restart; the very
-	// next Load miss rescans and finds the old capture.
+	// next Load finds the old capture.
 	krB := kernelreg.New(kernelreg.Limits{}, nil)
 	if _, err := krB.Compile(kernelreg.CompileRequest{Source: source}); err != nil {
 		t.Fatal(err)
 	}
-	b.SetResolver(krB.Resolve)
 	k2, err := krB.Resolve(resp.Kernel)
 	if err != nil {
 		t.Fatal(err)
@@ -332,4 +281,82 @@ func TestCompiledKernelWarmStart(t *testing.T) {
 	if !bytes.Equal(want, gotBytes) {
 		t.Fatal("warm-started stream bytes differ from the original capture")
 	}
+	if got := counter(regB, MetricLoadErrors); got != 0 {
+		t.Fatalf("%s = %d, want 0", MetricLoadErrors, got)
+	}
+
+	// The compiled kernel's intact file, copied under k1's name, is
+	// another kernel's stream to a Load of k1.
+	k1, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b.path(k1.Key, k1.ClampN(0)), sealed(t, st), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Load(k1, 0); ok {
+		t.Fatal("a compiled kernel's stream was served for k1")
+	}
+	if got := counter(regB, MetricLoadErrors); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricLoadErrors, got)
+	}
+}
+
+// TestStoreRetainsNoStream saves more distinct streams than a small
+// refstream.Cache holds, through the cache with the store as its
+// Loader and Saver, and requires every stream the LRU evicted to be
+// collected: the cache is the only place a decoded stream lives.
+func TestStoreRetainsNoStream(t *testing.T) {
+	s, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := refstream.NewCache(2)
+	c.Loader, c.Saver = s.Load, s.Save
+	k, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const streams = 6
+	var (
+		mu        sync.Mutex
+		collected = map[int]bool{}
+	)
+	for n := 1; n <= streams; n++ {
+		st, err := c.GetScratch(nil, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(st, func(*refstream.Stream) {
+			mu.Lock()
+			collected[n] = true
+			mu.Unlock()
+		})
+	}
+	if got := s.Len(); got != streams {
+		t.Fatalf("store holds %d capture files, want %d", got, streams)
+	}
+
+	// The LRU holds the last two; the first four are garbage unless
+	// something else pins them.
+	evicted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		done := 0
+		for n := 1; n <= streams-2; n++ {
+			if collected[n] {
+				done++
+			}
+		}
+		return done
+	}
+	for deadline := time.Now().Add(5 * time.Second); evicted() < streams-2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d evicted streams collected: something outside the cache retains them", evicted(), streams-2)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	runtime.KeepAlive(c)
 }

@@ -2,15 +2,19 @@ package serve
 
 // store_test.go — the engine against a durable capture tier: a second
 // engine warm-starting from the first's store directory serves the
-// same sweep with zero capture executions and bit-identical bodies,
-// and the drain path reports 503 + Retry-After (never 504) so a
+// same sweep with zero capture executions and bit-identical bodies, a
+// store that cannot write still answers, and the drain path reports 503 + Retry-After (never 504) so a
 // router can tell "retry on a peer" from "the work is too slow".
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/loops"
 	"repro/internal/obs"
 	"repro/internal/refstream/store"
 )
@@ -61,6 +65,44 @@ func TestWarmStartFromCaptureStore(t *testing.T) {
 	}
 	if !bytes.Equal(bodyA, bodyB) {
 		t.Error("warm-started sweep body differs from the original")
+	}
+}
+
+// TestStoreWriteFailureStillServes: a directory squatting the capture
+// file's name makes every Save fail. The classify still answers 200
+// with the body of a server that has no store, and the failure is
+// counted in store.put_errors.
+func TestStoreWriteFailureStillServes(t *testing.T) {
+	const req = `{"kernel":"k1","npe":8,"page_size":32}`
+	_, tsPlain, _ := newTestService(t, Options{})
+	code, _, want := post(t, tsPlain, "/v1/classify", req)
+	if code != http.StatusOK {
+		t.Fatalf("classify without a store: %d: %s", code, want)
+	}
+
+	k, err := loops.ByKey("k1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, fmt.Sprintf("%s-%d.rsc", k.Key, k.ClampN(0))), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st, err := store.Open(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, _ := newTestService(t, Options{Metrics: reg, CaptureStore: st})
+	code, _, got := post(t, ts, "/v1/classify", req)
+	if code != http.StatusOK {
+		t.Fatalf("classify over a failing store: %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("body over a failing store differs:\n got %s\nwant %s", got, want)
+	}
+	if got := counter(reg, store.MetricPutErrors); got != 1 {
+		t.Errorf("%s = %d, want 1", store.MetricPutErrors, got)
 	}
 }
 

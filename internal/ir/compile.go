@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/loops"
 )
@@ -100,14 +101,23 @@ func (p *Program) LinearizeRef(r Ref, n int) (coeffs map[string]int, konst int, 
 	return coeffs, konst, true
 }
 
+// inputSeeds holds one loops.Series per array ordinal, shared by every
+// compiled kernel in the process.
+var inputSeeds sync.Map // int → *loops.Series
+
 // InputSeed gives each input array a distinct, bounded, deterministic
 // value stream; values must be usable as indirection indices into
-// arrays of length >= 2, so they stay small and positive.
+// arrays of length >= 2, so they stay small and positive. The stream of
+// an ordinal is computed once per process (loops.Series).
 func InputSeed(ordinal int) func(i int) float64 {
-	phase := float64(ordinal+1) * 0.61803398875
-	return func(i int) float64 {
-		return 1.0 + 0.5*math.Sin(0.7*float64(i+1)+phase)
+	s, ok := inputSeeds.Load(ordinal)
+	if !ok {
+		phase := float64(ordinal+1) * 0.61803398875
+		s, _ = inputSeeds.LoadOrStore(ordinal, loops.NewSeries(func(i int) float64 {
+			return 1.0 + 0.5*math.Sin(0.7*float64(i+1)+phase)
+		}))
 	}
+	return s.(*loops.Series).At
 }
 
 // Kernel compiles the program into a runnable loops.Kernel: names are

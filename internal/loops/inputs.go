@@ -6,13 +6,19 @@ import "math"
 // arrays with bland positive data; exact values are immaterial to the
 // access-pattern measurements, but they must be reproducible across
 // engines, bounded (so recurrences do not overflow), and bounded away
-// from zero where used as divisors.
+// from zero where used as divisors. inA and inB read tables computed
+// once per process (see Series).
+
+var (
+	seriesA = NewSeries(func(i int) float64 { return 0.5 + 0.25*math.Sin(0.7*float64(i+1)) })
+	seriesB = NewSeries(func(i int) float64 { return 1.0 + 0.5*math.Cos(0.3*float64(i+1)) })
+)
 
 // inA returns a value in [0.25, 0.75].
-func inA(i int) float64 { return 0.5 + 0.25*math.Sin(0.7*float64(i+1)) }
+func inA(i int) float64 { return seriesA.At(i) }
 
 // inB returns a value in [0.5, 1.5], safe as a divisor.
-func inB(i int) float64 { return 1.0 + 0.5*math.Cos(0.3*float64(i+1)) }
+func inB(i int) float64 { return seriesB.At(i) }
 
 // inSmall returns a small positive value in (0, 7.5e-4], used for
 // recurrence coefficients that must not amplify.

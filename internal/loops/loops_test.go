@@ -539,3 +539,21 @@ func TestKernel22PlanckianValues(t *testing.T) {
 		}
 	}
 }
+
+// TestInputGeneratorsMatchExpressions: the table-backed input
+// generators return their expressions' values bit for bit, across
+// several table growths and for an index below the table.
+func TestInputGeneratorsMatchExpressions(t *testing.T) {
+	for i := -1; i < 5*minTable; i++ {
+		a := 0.5 + 0.25*math.Sin(0.7*float64(i+1))
+		b := 1.0 + 0.5*math.Cos(0.3*float64(i+1))
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{{"inA", inA(i), a}, {"inB", inB(i), b}, {"inSmall", inSmall(i), 1e-3 * a}} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("%s(%d) = %v, want %v", c.name, i, c.got, c.want)
+			}
+		}
+	}
+}

@@ -161,6 +161,27 @@ func BenchmarkReplayMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkCapture is the capture rung per paper kernel: one op is one
+// CaptureScratch at the kernel's DefaultN on a fresh sim.Scratch, as a
+// sweep's first capture of a group pays it (slabs, event columns and
+// bound context all cold; the process's input tables warm after the
+// first op). ns/event divides an op by the stream's events.
+func BenchmarkCapture(b *testing.B) {
+	for _, k := range loops.PaperSet() {
+		b.Run(k.Key, func(b *testing.B) {
+			var events int
+			for i := 0; i < b.N; i++ {
+				st, err := CaptureScratch(sim.NewScratch(), k, k.DefaultN)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = st.Events()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(events, 1)), "ns/event")
+		})
+	}
+}
+
 // TestBatchNoSlowerThanSingleReplay is the CI perf gate: classifying a
 // capture group in one batch pass must never regress below classifying
 // it in one-configuration calls (Run, each walking the stream's events

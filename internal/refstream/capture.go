@@ -17,7 +17,7 @@ func Capture(k *loops.Kernel, n int) (*Stream, error) {
 }
 
 // CaptureScratch is Capture against a reusable simulator scratch: the
-// execution borrows sc's value slabs, initialization memo and event
+// execution borrows sc's value slabs, bound context and event
 // columns instead of allocating fresh ones, which leaves a capture
 // costing one execution of the kernel plus a copy of its events (sweep
 // workers and the serving engine hold a scratch per worker for exactly

@@ -51,7 +51,7 @@ func TestCaptureSteadyStateAllocs(t *testing.T) {
 		}
 		capture(c.large + 1) // grow the slabs and the event columns once
 		// Each measured run captures two sizes back to back, so every
-		// capture rebinds: the memoized case is strictly cheaper.
+		// capture rebinds: a repeat of one size is strictly cheaper.
 		atSmall := testing.AllocsPerRun(10, func() { capture(c.small); capture(c.small + 1) }) / 2
 		atLarge := testing.AllocsPerRun(10, func() { capture(c.large); capture(c.large + 1) }) / 2
 		if atSmall != atLarge {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/loops"
 )
 
-// maxResultAllocs bounds the allocations of one memoized Scratch.Run.
+// maxResultAllocs bounds the allocations of one repeat Scratch.Run.
 // The access path (classify, Reduce, cache probes) is allocation-free
 // in the steady state — the reduction scratch, the bound context and
 // every slab are retained by the Scratch — so what remains is the O(1)
@@ -19,8 +19,8 @@ import (
 const maxResultAllocs = 10
 
 // TestScratchRunSteadyStateAllocs guards the sweep hot path: after the
-// first run of a (kernel, n) pair, repeat runs — the memoized case that
-// dominates a grid sweep — must not allocate beyond Result
+// first run of a (kernel, n) pair, repeat runs — which refill the slabs
+// from the input tables and reuse the bound context — must not allocate beyond Result
 // construction. Covers a plain kernel, a reduction-heavy kernel (the
 // per-call `participated` scratch used to allocate here), and a wide
 // machine so the bound provably does not scale with NPE.
@@ -50,7 +50,7 @@ func TestScratchRunSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		if allocs > maxResultAllocs {
-			t.Errorf("%s n=%d npe=%d: %.0f allocs per memoized Scratch.Run, want <= %d (Result construction only)",
+			t.Errorf("%s n=%d npe=%d: %.0f allocs per repeat Scratch.Run, want <= %d (Result construction only)",
 				c.key, c.n, c.cfg.NPE, allocs, maxResultAllocs)
 		}
 	}

@@ -45,20 +45,20 @@ func TestInstrumentedRunsBitIdentical(t *testing.T) {
 				tc.key, plain, instrumented)
 		}
 
-		// A second run through the same scratch exercises the
-		// init-memoization fast path; it too must be bit-identical.
-		memoized, err := s.Run(k, tc.n, cfg)
+		// A second run through the same scratch reuses its bound
+		// context and slabs; it too must be bit-identical.
+		again, err := s.Run(k, tc.n, cfg)
 		if err != nil {
-			t.Fatalf("%s memoized: %v", tc.key, err)
+			t.Fatalf("%s repeat: %v", tc.key, err)
 		}
-		if !reflect.DeepEqual(plain, memoized) {
-			t.Errorf("%s: memoized instrumented result differs from uninstrumented", tc.key)
+		if !reflect.DeepEqual(plain, again) {
+			t.Errorf("%s: repeated instrumented result differs from uninstrumented", tc.key)
 		}
 	}
 }
 
-// TestScratchRecordsMetrics checks the per-run signals: run counts,
-// memoization hit/miss accounting, and a populated timing histogram.
+// TestScratchRecordsMetrics checks the per-run signals: run counts and
+// a populated timing histogram.
 func TestScratchRecordsMetrics(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
@@ -74,13 +74,6 @@ func TestScratchRecordsMetrics(t *testing.T) {
 	}
 	if got := reg.Counter(MetricRuns).Value(); got != 3 {
 		t.Errorf("%s = %d, want 3", MetricRuns, got)
-	}
-	// First run misses the memo; the two repeats hit it.
-	if got := reg.Counter(MetricMemoMisses).Value(); got != 1 {
-		t.Errorf("%s = %d, want 1", MetricMemoMisses, got)
-	}
-	if got := reg.Counter(MetricMemoHits).Value(); got != 2 {
-		t.Errorf("%s = %d, want 2", MetricMemoHits, got)
 	}
 	if got := reg.Histogram(MetricRunMicros, obs.MicrosBuckets).Count(); got != 3 {
 		t.Errorf("%s observations = %d, want 3", MetricRunMicros, got)

@@ -124,13 +124,11 @@ func (r *recorder) Reduce(op loops.Op, driver *loops.Arr, lo, hi int, term func(
 // engine, validating single assignment exactly as Run does. The
 // Recording's event columns are views of Scratch-owned buffers, valid
 // until the next Record; everything else in it is freshly allocated.
-// Record shares Run's bound-context and initialization memo, so
-// recording a (kernel, n) pair and then running it pays for its Init
-// functions once.
+// Record shares Run's bound-context memo.
 func (s *Scratch) Record(k *loops.Kernel, n int) (Recording, error) {
 	n = k.ClampN(n)
 	r := &s.rec
-	ctx, _, err := s.load(k, n, r)
+	ctx, err := s.load(k, n, r)
 	if err != nil {
 		return Recording{}, err
 	}

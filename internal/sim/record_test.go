@@ -67,11 +67,10 @@ func TestRecordAndRunShareAScratch(t *testing.T) {
 	}
 }
 
-// TestRecordSharesInitMemo: a recording is not a simulator run (no
-// sim.runs, no sim.run_us), but it primes the initialization memo, so
-// the direct run that follows it on the same (kernel, n) restores the
-// post-init slabs by copy.
-func TestRecordSharesInitMemo(t *testing.T) {
+// TestRecordCountsNoRun: a recording is not a simulator run (no
+// sim.runs, no sim.run_us); the direct run that follows it on the same
+// Scratch and (kernel, n) counts as one.
+func TestRecordCountsNoRun(t *testing.T) {
 	k, err := loops.ByKey("k1")
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +87,8 @@ func TestRecordSharesInitMemo(t *testing.T) {
 	if _, err := s.Run(k, 300, PaperConfig(8, 32)); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := reg.Counter(MetricMemoHits).Value(), reg.Counter(MetricMemoMisses).Value(); hits != 1 || misses != 0 {
-		t.Errorf("run after a recording: %d memo hits, %d misses, want 1 and 0", hits, misses)
+	if got := reg.Counter(MetricRuns).Value(); got != 1 {
+		t.Errorf("%s = %d after a recording and a run, want 1", MetricRuns, got)
 	}
 	if got := reg.Histogram(MetricRunMicros, obs.MicrosBuckets).Count(); got != 1 {
 		t.Errorf("%s observations = %d, want 1", MetricRunMicros, got)

@@ -24,7 +24,7 @@ func TestScratchReuseMatchesFreshRuns(t *testing.T) {
 	var pts []point
 	add := func(key string, n int, cfg Config) { pts = append(pts, point{key, n, cfg}) }
 	add("k1", 200, PaperConfig(8, 32))
-	add("k1", 200, PaperConfig(8, 32)) // exact repeat (memoized init path)
+	add("k1", 200, PaperConfig(8, 32)) // exact repeat (bound context reused)
 	add("k1", 200, NoCacheConfig(16, 64))
 	add("k1", 300, PaperConfig(4, 8)) // same kernel, new n
 	add("k2", 256, PaperConfig(16, 32))

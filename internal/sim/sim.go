@@ -354,26 +354,18 @@ type Scratch struct {
 	rec recorder // the recording engine (Record), on the same slabs
 
 	// Metrics, when non-nil, receives per-run observability signals
-	// (run count, wall time, init-memoization hits); when nil the
-	// process-wide obs.Default() is consulted, which is itself nil
-	// unless a front end enabled it. Instrumentation is per-run, not
-	// per-access, and never influences the computed Result.
+	// (run count, wall time); when nil the process-wide obs.Default()
+	// is consulted, which is itself nil unless a front end enabled it.
+	// Instrumentation is per-run, not per-access, and never influences
+	// the computed Result.
 	Metrics *obs.Registry
 
-	// Memoized initialization state: consecutive executions of the same
-	// kernel at the same problem size (the common case in a sweep,
-	// whose grid order is kernel-major) restore the post-init slabs
-	// with a copy instead of re-evaluating every Init function, and
-	// reuse the bound loops.Ctx (array handles are pure functions of
-	// the kernel and the problem size; Rebind points them at whichever
-	// of the two engines executes next).
-	initKernel *loops.Kernel
-	initN      int
-	initVals   []float64
-	initDef    []bool
-	// The bound-context memo is keyed separately from the init slabs:
-	// a failed run may have bound a context without ever reaching the
-	// init snapshot, and the two must never disagree about (kernel, n).
+	// The bound loops.Ctx of the last (kernel, n) executed: array
+	// handles are pure functions of the kernel and the problem size, so
+	// consecutive executions of one pair reuse them (Rebind points them
+	// at whichever of the two engines executes next). Every execution
+	// refills the slabs from the Init functions, whose input generators
+	// read tables computed once per process (loops.Series).
 	ctxKernel *loops.Kernel
 	ctxN      int
 	ctxSpecs  []loops.Spec
@@ -382,10 +374,8 @@ type Scratch struct {
 
 // Observability signal names recorded by Scratch.Run.
 const (
-	MetricRuns       = "sim.runs"
-	MetricMemoHits   = "sim.init_memo_hits"
-	MetricMemoMisses = "sim.init_memo_misses"
-	MetricRunMicros  = "sim.run_us"
+	MetricRuns      = "sim.runs"
+	MetricRunMicros = "sim.run_us"
 )
 
 // registry resolves the effective metrics registry for this Scratch.
@@ -413,14 +403,13 @@ func grown[T int | int32 | int64 | float64 | bool](buf []T, n int) []T {
 // load prepares the ground-truth storage both engines execute against:
 // it binds kernel k at (already clamped) problem size n to eng, lays the
 // arrays out in the value and defined-bit slabs, and applies the
-// initialization data — by copy when the previous execution on this
-// Scratch, counted or recorded, was the same (kernel, n).
-func (s *Scratch) load(k *loops.Kernel, n int, eng loops.Engine) (ctx *loops.Ctx, memoized bool, err error) {
+// initialization data.
+func (s *Scratch) load(k *loops.Kernel, n int, eng loops.Engine) (*loops.Ctx, error) {
 	if s.ctxKernel != k || s.ctxN != n {
 		specs := k.Arrays(n)
 		ctx, err := loops.Bind(eng, specs)
 		if err != nil {
-			return nil, false, fmt.Errorf("sim: %s: %w", k.Key, err)
+			return nil, fmt.Errorf("sim: %s: %w", k.Key, err)
 		}
 		s.ctxSpecs, s.ctx = specs, ctx
 		s.ctxKernel, s.ctxN = k, n
@@ -437,11 +426,6 @@ func (s *Scratch) load(k *loops.Kernel, n int, eng loops.Engine) (ctx *loops.Ctx
 	}
 	e.vals = grown(e.vals, totalElems)
 	e.defined = grown(e.defined, totalElems)
-	if s.initKernel == k && s.initN == n && len(s.initVals) == totalElems {
-		copy(e.vals, s.initVals)
-		copy(e.defined, s.initDef)
-		return s.ctx, true, nil
-	}
 	for i, a := range arrs {
 		init := s.ctxSpecs[i].Init
 		if init == nil {
@@ -455,10 +439,7 @@ func (s *Scratch) load(k *loops.Kernel, n int, eng loops.Engine) (ctx *loops.Ctx
 			}
 		}
 	}
-	s.initKernel, s.initN = k, n
-	s.initVals = append(s.initVals[:0], e.vals...)
-	s.initDef = append(s.initDef[:0], e.defined...)
-	return s.ctx, false, nil
+	return s.ctx, nil
 }
 
 // checksums sums the defined cells of each of k's output arrays as the
@@ -500,7 +481,7 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	e.err = nil
 	e.reduceS, e.reduceB = 0, 0
 
-	ctx, memoized, err := s.load(k, n, e)
+	ctx, err := s.load(k, n, e)
 	if err != nil {
 		return nil, err
 	}
@@ -585,11 +566,6 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	res.Checksums = s.checksums(k)
 	if reg != nil {
 		reg.Counter(MetricRuns).Inc()
-		if memoized {
-			reg.Counter(MetricMemoHits).Inc()
-		} else {
-			reg.Counter(MetricMemoMisses).Inc()
-		}
 		reg.Histogram(MetricRunMicros, obs.MicrosBuckets).Observe(time.Since(runStart).Microseconds())
 	}
 	return res, nil

@@ -139,8 +139,6 @@ func (g Grid) Size() int {
 
 // Points expands the grid in deterministic order: kernels outermost,
 // then NPEs, page sizes, cache sizes, layouts, policies innermost.
-// Kernel-major order also maximizes the per-worker init memoization in
-// sim.Scratch.
 func (g Grid) Points() []Point {
 	npes := g.NPEs
 	if len(npes) == 0 {

@@ -2,10 +2,7 @@ package repro
 
 import (
 	"context"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -153,135 +150,56 @@ var goRefRE = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z
 // lower-case letter (`LRU`, `NPE`), which are mostly not Go.
 var bareRefRE = regexp.MustCompile("`([A-Z][A-Za-z0-9_]*)(?:\\([^()`]*\\))?`")
 
-// goDecls indexes what the tree's Go files declare: each package
-// name's top-level names, each type's fields, methods and embedded
-// types (keyed "pkg.Type"), and every one of those names on its own.
+// goDecls indexes what the tree's type-checked packages declare, tests
+// and the benchmark module included (repoSurface): the packages by
+// name, the type names, and every top-level, field and method name.
 type goDecls struct {
-	pkgs    map[string]map[string]bool
-	members map[string]map[string]bool
-	embeds  map[string][]string
-	types   map[string][]string // type name → packages declaring it
-	names   map[string]bool
+	pkgs  map[string][]*types.Package
+	types map[string][]*types.TypeName
+	names map[string]bool
 }
 
-// loadGoDecls parses every Go file under the repository root, tests
-// and the benchmark module included, skipping dot-directories and
-// testdata.
 func loadGoDecls(t *testing.T) *goDecls {
 	t.Helper()
-	d := &goDecls{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{},
-		embeds: map[string][]string{}, types: map[string][]string{}, names: map[string]bool{}}
-	member := func(typ, name string) {
-		if d.members[typ] == nil {
-			d.members[typ] = map[string]bool{}
-		}
-		d.members[typ][name] = true
-		d.names[name] = true
-	}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := f.Name.Name
-		if d.pkgs[pkg] == nil {
-			d.pkgs[pkg] = map[string]bool{}
-		}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if decl.Recv == nil {
-					d.pkgs[pkg][decl.Name.Name] = true
-					d.names[decl.Name.Name] = true
-				} else {
-					member(pkg+"."+typeName(decl.Recv.List[0].Type), decl.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.ValueSpec:
-						for _, n := range spec.Names {
-							d.pkgs[pkg][n.Name] = true
-							d.names[n.Name] = true
-						}
-					case *ast.TypeSpec:
-						typ := spec.Name.Name
-						d.pkgs[pkg][typ] = true
-						d.names[typ] = true
-						d.types[typ] = append(d.types[typ], pkg)
-						var fields []*ast.Field
-						switch st := spec.Type.(type) {
-						case *ast.StructType:
-							fields = st.Fields.List
-						case *ast.InterfaceType:
-							fields = st.Methods.List
-						}
-						for _, fl := range fields {
-							if len(fl.Names) == 0 { // embedded
-								emb := typeName(fl.Type)
-								member(pkg+"."+typ, emb)
-								d.embeds[pkg+"."+typ] = append(d.embeds[pkg+"."+typ], emb)
-							}
-							for _, n := range fl.Names {
-								member(pkg+"."+typ, n.Name)
-							}
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
+	s, err := repoSurface()
 	if err != nil {
 		t.Fatal(err)
+	}
+	d := &goDecls{pkgs: map[string][]*types.Package{}, types: map[string][]*types.TypeName{}, names: map[string]bool{}}
+	for _, u := range s.units {
+		d.pkgs[u.pkg.Name()] = append(d.pkgs[u.pkg.Name()], u.pkg)
+		for _, name := range u.pkg.Scope().Names() {
+			d.names[name] = true
+			tn, ok := u.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			d.types[name] = append(d.types[name], tn)
+			if n, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < n.NumMethods(); i++ {
+					d.names[n.Method(i).Name()] = true
+				}
+			}
+			switch typ := tn.Type().Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < typ.NumFields(); i++ {
+					d.names[typ.Field(i).Name()] = true
+				}
+			case *types.Interface:
+				for i := 0; i < typ.NumMethods(); i++ {
+					d.names[typ.Method(i).Name()] = true
+				}
+			}
+		}
 	}
 	return d
 }
 
-// typeName returns the name of a receiver or embedded type expression:
-// T, *T, T[P] and pkg.T all name T.
-func typeName(x ast.Expr) string {
-	switch x := x.(type) {
-	case *ast.StarExpr:
-		return typeName(x.X)
-	case *ast.IndexExpr:
-		return typeName(x.X)
-	case *ast.IndexListExpr:
-		return typeName(x.X)
-	case *ast.SelectorExpr:
-		return x.Sel.Name
-	case *ast.Ident:
-		return x.Name
-	}
-	return ""
-}
-
-// hasMember reports whether pkg's type typ has a field or method name,
-// directly or through a type it embeds from the same package.
-func (d *goDecls) hasMember(pkg, typ, name string) bool {
-	key := pkg + "." + typ
-	if d.members[key][name] {
-		return true
-	}
-	for _, emb := range d.embeds[key] {
-		if emb != typ && d.hasMember(pkg, emb, name) {
-			return true
-		}
-	}
-	return false
+// hasMember reports whether type tn has a field or method name,
+// promoted ones included.
+func hasMember(tn *types.TypeName, name string) bool {
+	obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), name)
+	return obj != nil
 }
 
 // checkRef reports whether a dotted code span that names Go code names
@@ -295,28 +213,26 @@ func (d *goDecls) hasMember(pkg, typ, name string) bool {
 // name and passes.
 func (d *goDecls) checkRef(ref string) bool {
 	segs := strings.Split(ref, ".")
-	if names, ok := d.pkgs[segs[0]]; ok && segs[0] != "main" {
+	if pkgs, ok := d.pkgs[segs[0]]; ok && segs[0] != "main" {
 		if !strings.ContainsFunc(segs[1], unicode.IsUpper) {
 			return true
 		}
-		if !names[segs[1]] {
-			return false
+		for _, pkg := range pkgs {
+			obj := pkg.Scope().Lookup(segs[1])
+			if obj == nil {
+				continue
+			}
+			if tn, ok := obj.(*types.TypeName); !ok || len(segs) == 2 || hasMember(tn, segs[2]) {
+				return true
+			}
 		}
-		if len(segs) == 3 && slices.Contains(d.types[segs[1]], segs[0]) {
-			return d.hasMember(segs[0], segs[1], segs[2])
-		}
+		return false
+	}
+	tns := d.types[segs[0]]
+	if len(segs) != 2 || len(tns) == 0 || !unicode.IsUpper(rune(segs[0][0])) {
 		return true
 	}
-	pkgs := d.types[segs[0]]
-	if len(segs) != 2 || len(pkgs) == 0 || !unicode.IsUpper(rune(segs[0][0])) {
-		return true
-	}
-	for _, pkg := range pkgs {
-		if d.hasMember(pkg, segs[0], segs[1]) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(tns, func(tn *types.TypeName) bool { return hasMember(tn, segs[1]) })
 }
 
 // checkBare reports whether a bare code span names something the tree
@@ -469,90 +385,6 @@ func TestCommandFlags(t *testing.T) {
 	for line, want := range cases {
 		if got := commandFlags(line); !reflect.DeepEqual(got, want) {
 			t.Errorf("commandFlags(%q) = %v, want %v", line, got, want)
-		}
-	}
-}
-
-// optionStructs are the library's option structs, by package directory.
-var optionStructs = []struct{ dir, pkg, typ string }{
-	{"internal/serve", "serve", "Options"},
-	{"internal/cluster", "cluster", "RouterOptions"},
-	{"internal/cluster", "cluster", "SupervisorOptions"},
-	{"internal/sweep", "sweep", "Options"},
-	{"internal/kernelreg", "kernelreg", "Limits"},
-}
-
-// TestOptionsHaveCallers holds the option structs to fields somebody
-// sets: each field must be named (`Field:` or `.Field =`) in a non-test
-// Go file outside its own package that imports it — a command, the
-// benchmark or another package. A field only tests set is a constant with a knob
-// on it: it doubles the configurations tests and docs must cover and
-// changes nothing a user can reach.
-func TestOptionsHaveCallers(t *testing.T) {
-	sources := map[string]string{} // non-test Go file → contents
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			sources[path] = string(b)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, o := range optionStructs {
-		found := false
-		var fields []string
-		for path, src := range sources {
-			if filepath.Dir(path) != filepath.FromSlash(o.dir) {
-				continue
-			}
-			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == o.typ {
-					found = true
-					for _, fl := range ts.Type.(*ast.StructType).Fields.List {
-						for _, name := range fl.Names {
-							fields = append(fields, name.Name)
-						}
-					}
-				}
-				return true
-			})
-		}
-		if !found {
-			t.Fatalf("%s.%s: type not found in %s", o.pkg, o.typ, o.dir)
-		}
-		for _, field := range fields {
-			id := o.pkg + "." + o.typ + "." + field
-			set := regexp.MustCompile(`\b` + field + `:|\.` + field + `\s*=[^=]`)
-			imports := `"repro/` + o.dir + `"`
-			called := false
-			for _, src := range sources {
-				if strings.Contains(src, imports) && set.MatchString(src) {
-					called = true
-					break
-				}
-			}
-			if !called {
-				t.Errorf("%s is set by no non-test file outside %s: make it a constant", id, o.dir)
-			}
 		}
 	}
 }

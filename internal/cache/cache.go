@@ -165,9 +165,6 @@ func Validate(capElems, pageSize int, policy Policy) error {
 	return nil
 }
 
-// MaxPages returns the number of page frames.
-func (c *Cache) MaxPages() int { return c.maxPages }
-
 // Len returns the number of cached pages.
 func (c *Cache) Len() int {
 	if c.entries == nil {
@@ -178,13 +175,6 @@ func (c *Cache) Len() int {
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Contains reports whether the page is cached, without touching recency
-// state or statistics.
-func (c *Cache) Contains(key Key) bool {
-	_, ok := c.entries[key]
-	return ok
-}
 
 // Lookup probes the cache for cell off of the keyed page. On Hit the
 // snapshot value is returned. On PartialMiss the page is cached but the

@@ -33,8 +33,8 @@ func TestFrameCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.MaxPages() != cse.want {
-			t.Errorf("cap=%d ps=%d frames=%d, want %d", cse.capElems, cse.ps, c.MaxPages(), cse.want)
+		if c.maxPages != cse.want {
+			t.Errorf("cap=%d ps=%d frames=%d, want %d", cse.capElems, cse.ps, c.maxPages, cse.want)
 		}
 	}
 }
@@ -242,7 +242,7 @@ func TestPolicyAndOutcomeStrings(t *testing.T) {
 
 func TestPropertyNeverExceedsCapacity(t *testing.T) {
 	// Property: for any insert sequence and any policy, the cache never
-	// holds more than MaxPages pages and repeated lookups of an inserted
+	// holds more than maxPages pages and repeated lookups of an inserted
 	// value are consistent.
 	f := func(pages []uint8, policyRaw uint8) bool {
 		policy := []Policy{LRU, FIFO, Clock, Random}[int(policyRaw)%4]
@@ -253,7 +253,7 @@ func TestPropertyNeverExceedsCapacity(t *testing.T) {
 		for _, p := range pages {
 			k := Key{Page: int(p % 32)}
 			c.Insert(k, []float64{float64(p), 0, 0, 0}, nil)
-			if c.Len() > c.MaxPages() {
+			if c.Len() > c.maxPages {
 				return false
 			}
 			if v, out := c.Lookup(k, 0); out != Hit || v != float64(p) {

@@ -453,7 +453,7 @@ func (rt *Router) finish(tr *trace.Trace, status int) {
 func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
 	tr, reqID := rt.begin(w, r, path)
-	raw, err := io.ReadAll(r.Body)
+	raw, err := rt.readBody(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("reading request body: %w", err)))
 		rt.finish(tr, http.StatusBadRequest)
@@ -479,6 +479,20 @@ func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) {
 	root.End()
 	writeJSON(w, status, body)
 	rt.finish(tr, status)
+}
+
+// readBody reads a request body up to the bound a single node puts on
+// its path (serve.Server.BodyLimit). A longer body keeps its first
+// BodyLimit bytes plus one: whichever server then decodes it, shard or
+// local, meets the bound where a single node would and writes the
+// single node's bytes (a 413 unless the JSON value ended in time).
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.local.BodyLimit(r.URL.Path)))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return append(raw, ' '), nil
+	}
+	return raw, err
 }
 
 // place decodes a classify or sweep body and returns the group key it
@@ -526,7 +540,7 @@ func (rt *Router) place(path string, raw []byte) (key string, kernels []string) 
 // triggers re-replication and one dispatch retry (healUnknown).
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	tr, reqID := rt.begin(w, r, "/v1/compile")
-	raw, err := io.ReadAll(r.Body)
+	raw, err := rt.readBody(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("reading request body: %w", err)))
 		rt.finish(tr, http.StatusBadRequest)

@@ -301,6 +301,7 @@ func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 		{"/v1/sweep", `{"kernels":["nope"]}`},
 		{"/v1/sweep", `{"kernels":["k1","nope"]}`},
 		{"/v1/sweep", overLimitSweep()},
+		{"/v1/classify", oversizeBody()},
 	}
 	s := serve.New(serve.Options{Metrics: obs.NewRegistry(), AccessLog: io.Discard})
 	single := httptest.NewServer(s.Handler())
@@ -313,6 +314,50 @@ func TestBadRequestsMatchSingleNodeBytes(t *testing.T) {
 			t.Errorf("%s %q: single-node %d %s vs routed %d %s", tc.path, tc.body, wantCode, want, gotCode, got)
 		}
 	}
+}
+
+// TestRouterReadsBodiesWithinBound feeds the router an 8 MB classify
+// and compile body and requires a 413 after it has read no more than
+// one byte past the single-node bound (serve.Server.BodyLimit).
+func TestRouterReadsBodiesWithinBound(t *testing.T) {
+	c := newTestCluster(t, 2)
+	for _, path := range []string{"/v1/classify", "/v1/compile"} {
+		body := &countingReader{r: io.MultiReader(strings.NewReader(`{"kernel":"k1","pad":"`), io.LimitReader(xs{}, 8<<20))}
+		rec := httptest.NewRecorder()
+		c.router.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		limit := c.router.local.BodyLimit(path)
+		if rec.Code != http.StatusRequestEntityTooLarge || body.n > limit+1 {
+			t.Errorf("%s: status %d after reading %d bytes; want 413 within %d", path, rec.Code, body.n, limit+1)
+		}
+	}
+}
+
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// xs is an endless stream of 'x'.
+type xs struct{}
+
+func (xs) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// oversizeBody is a classify body with an unknown field, past the
+// default bound on a classify body (serve.Server.BodyLimit): a single
+// node answers it 413 before it reads the whole body.
+func oversizeBody() string {
+	return `{"kernel":"k1","pad":"` + strings.Repeat("x", 1<<20) + `"}`
 }
 
 // overLimitSweep is a one-kernel grid of 7 × 10 × 60 = 4 200 points,

@@ -4,8 +4,9 @@ package cluster
 // local shard processes (each a full lfksimd daemon listening on an
 // ephemeral port), discovers their addresses through per-shard addr
 // files (written temp-then-rename by the shard once its listener is
-// up, so a partial write is never read), and exposes Kill/Restart for
-// chaos tests and operators. It never auto-restarts: deciding whether
+// up, so a partial write is never read), and stops them. The chaos
+// tests kill and restart shards through probes in export_test.go. It
+// never auto-restarts: deciding whether
 // a dead shard comes back is policy, and the Router must stay correct
 // either way — that is the point of the failover path.
 
@@ -137,45 +138,6 @@ func (s *Supervisor) PID(id int) int {
 		return -1
 	}
 	return sp.cmd.Process.Pid
-}
-
-// Kill delivers SIGKILL to shard id and reaps it: the chaos primitive.
-// No drain, no warning — the shard vanishes mid-request, exactly like
-// a machine failure.
-func (s *Supervisor) Kill(id int) error {
-	s.mu.Lock()
-	sp := s.shards[id]
-	if sp.dead {
-		s.mu.Unlock()
-		return nil
-	}
-	sp.dead = true
-	s.mu.Unlock()
-	if err := sp.cmd.Process.Kill(); err != nil {
-		return fmt.Errorf("cluster: killing shard %d: %w", id, err)
-	}
-	<-sp.waitCh // reap; the error is the kill signal, not a failure
-	return nil
-}
-
-// Restart respawns shard id (which must be dead) and waits for its new
-// address: the warm-start primitive — the new process shares the old
-// one's capture-store directory via whatever Command wires up.
-func (s *Supervisor) Restart(id int) error {
-	s.mu.Lock()
-	if !s.shards[id].dead {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: restart of live shard %d (Kill it first)", id)
-	}
-	s.mu.Unlock()
-	sp, err := s.spawn(id)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.shards[id] = sp
-	s.mu.Unlock()
-	return nil
 }
 
 // Stop terminates every live shard — SIGTERM first (shards drain like

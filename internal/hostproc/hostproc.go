@@ -10,14 +10,12 @@
 //     broadcasts a grant, after which A's cells are undefined again and
 //     a new version may be produced.
 //
-// The same synchronization pattern covers deallocation ("deallocation
-// of arrays must be based on the same kind of host processor
-// synchronization"). The compiler spreads host duties evenly over PEs;
-// here hosts default to array ID mod NPE.
+// The compiler spreads host duties evenly over PEs; here hosts default
+// to array ID mod NPE.
 //
 // The package is deliberately independent of the execution engine: it
 // synchronizes any set of goroutine "PEs" over a network.Network, and
-// exposes the version counter that storage and caches key on.
+// returns the version number that storage and caches key on.
 //
 // Host-processor exchanges ride the network's reliable control plane:
 // unlike page requests/replies, re-initialization votes and grants are
@@ -33,48 +31,12 @@ import (
 	"repro/internal/network"
 )
 
-// State tracks one array's lifecycle.
-type State int
-
-// Array lifecycle states.
-const (
-	Live        State = iota // current version readable/writable
-	Reinit                   // re-initialization in progress
-	Deallocated              // storage released
-)
-
-// String returns the state name.
-func (s State) String() string {
-	switch s {
-	case Live:
-		return "live"
-	case Reinit:
-		return "reinit"
-	case Deallocated:
-		return "deallocated"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
-// Hooks let the storage layer react to protocol transitions. All hooks
-// run on the goroutine that completes the transition, exactly once per
-// transition.
-type Hooks struct {
-	// OnReinit runs when the last PE's request arrives, before the
-	// grant is broadcast: reset pages, invalidate cached snapshots.
-	OnReinit func(array int, newVersion int)
-	// OnDealloc runs when a deallocation completes.
-	OnDealloc func(array int)
-}
-
 // Coordinator manages host-processor synchronization for a set of
 // arrays across NPE processing elements. It is safe for concurrent use
 // by one goroutine per PE.
 type Coordinator struct {
-	npe   int
-	net   *network.Network
-	hooks Hooks
+	npe int
+	net *network.Network
 
 	mu      sync.Mutex
 	arrays  map[int]*arrayCtl
@@ -83,7 +45,6 @@ type Coordinator struct {
 
 type arrayCtl struct {
 	host    int
-	state   State
 	version int
 	pending map[int]bool // PEs whose request has arrived this round
 	waiters []chan int   // grant channels, one per blocked PE
@@ -98,9 +59,6 @@ func New(npe int, net *network.Network) (*Coordinator, error) {
 	}
 	return &Coordinator{npe: npe, net: net, arrays: make(map[int]*arrayCtl)}, nil
 }
-
-// SetHooks installs storage callbacks; call before any PE activity.
-func (c *Coordinator) SetHooks(h Hooks) { c.hooks = h }
 
 // Register declares an array and assigns its host processor. The
 // compiler's even-spreading rule is host = array mod NPE; a negative
@@ -117,42 +75,8 @@ func (c *Coordinator) Register(array, host int) error {
 	if host >= c.npe {
 		return fmt.Errorf("hostproc: host %d out of range for %d PEs", host, c.npe)
 	}
-	c.arrays[array] = &arrayCtl{host: host, state: Live, pending: make(map[int]bool)}
+	c.arrays[array] = &arrayCtl{host: host, pending: make(map[int]bool)}
 	return nil
-}
-
-// Host returns the host PE of an array.
-func (c *Coordinator) Host(array int) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctl, ok := c.arrays[array]
-	if !ok {
-		return 0, fmt.Errorf("hostproc: unknown array %d", array)
-	}
-	return ctl.host, nil
-}
-
-// Version returns the array's current version number (0 for the
-// original allocation, incremented by each re-initialization).
-func (c *Coordinator) Version(array int) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctl, ok := c.arrays[array]
-	if !ok {
-		return 0, fmt.Errorf("hostproc: unknown array %d", array)
-	}
-	return ctl.version, nil
-}
-
-// StateOf returns the array's lifecycle state.
-func (c *Coordinator) StateOf(array int) (State, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctl, ok := c.arrays[array]
-	if !ok {
-		return 0, fmt.Errorf("hostproc: unknown array %d", array)
-	}
-	return ctl.state, nil
 }
 
 // MessagesSent returns the number of protocol messages accounted so
@@ -169,96 +93,48 @@ func (c *Coordinator) MessagesSent() int64 {
 // version number. "The host processor acts as a synchronization point
 // for A so that no PE attempts to write to an out-of-date version."
 func (c *Coordinator) RequestReinit(array, pe int) (int, error) {
-	grant, newVersion, err := c.request(array, pe, false)
-	if err != nil {
-		return 0, err
-	}
-	if grant == nil {
-		return newVersion, nil // this PE completed the round
-	}
-	return <-grant, nil
-}
-
-// RequestDealloc is the same barrier with deallocation semantics: after
-// the grant the array is gone and further operations on it fail.
-func (c *Coordinator) RequestDealloc(array, pe int) error {
-	grant, _, err := c.request(array, pe, true)
-	if err != nil {
-		return err
-	}
-	if grant != nil {
-		<-grant
-	}
-	return nil
-}
-
-// request registers PE pe's vote. It returns a non-nil channel if the
-// caller must wait for the grant, or (nil, newVersion) if the caller
-// was the last voter and completed the transition itself.
-func (c *Coordinator) request(array, pe int, dealloc bool) (chan int, int, error) {
 	c.mu.Lock()
 	ctl, ok := c.arrays[array]
 	if !ok {
 		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("hostproc: unknown array %d", array)
+		return 0, fmt.Errorf("hostproc: unknown array %d", array)
 	}
 	if pe < 0 || pe >= c.npe {
 		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("hostproc: PE %d out of range", pe)
-	}
-	if ctl.state == Deallocated {
-		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("hostproc: array %d is deallocated", array)
+		return 0, fmt.Errorf("hostproc: PE %d out of range", pe)
 	}
 	if ctl.pending[pe] {
 		c.mu.Unlock()
-		return nil, 0, fmt.Errorf("hostproc: PE %d voted twice for array %d", pe, array)
+		return 0, fmt.Errorf("hostproc: PE %d voted twice for array %d", pe, array)
 	}
 	ctl.pending[pe] = true
-	ctl.state = Reinit
 	// Model the request message to the host.
 	c.accountLocked(pe, ctl.host, network.ReinitRequest, array)
 
 	if len(ctl.pending) < c.npe {
-		ch := make(chan int, 1)
-		ctl.waiters = append(ctl.waiters, ch)
+		grant := make(chan int, 1)
+		ctl.waiters = append(ctl.waiters, grant)
 		c.mu.Unlock()
-		return ch, 0, nil
+		return <-grant, nil
 	}
 
-	// Last voter: the host completes the round.
+	// Last voter: the host completes the round and broadcasts the
+	// grant to every other PE.
 	waiters := ctl.waiters
 	ctl.waiters = nil
 	ctl.pending = make(map[int]bool)
-	var newVersion int
-	if dealloc {
-		ctl.state = Deallocated
-		newVersion = -1
-	} else {
-		ctl.version++
-		newVersion = ctl.version
-		ctl.state = Live
-	}
-	// Grant broadcast to every other PE.
+	ctl.version++
+	version := ctl.version
 	for other := 0; other < c.npe; other++ {
 		if other != ctl.host {
 			c.accountLocked(ctl.host, other, network.ReinitGrant, array)
 		}
 	}
-	hooks := c.hooks
 	c.mu.Unlock()
-
-	if dealloc {
-		if hooks.OnDealloc != nil {
-			hooks.OnDealloc(array)
-		}
-	} else if hooks.OnReinit != nil {
-		hooks.OnReinit(array, newVersion)
-	}
 	for _, ch := range waiters {
-		ch <- newVersion
+		ch <- version
 	}
-	return nil, newVersion, nil
+	return version, nil
 }
 
 // accountLocked records one protocol message. The caller holds c.mu.

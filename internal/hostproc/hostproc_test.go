@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/network"
-	"repro/internal/samem"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -39,12 +38,6 @@ func TestRegisterAndDefaults(t *testing.T) {
 	}
 	if _, err := c.Version(99); err == nil {
 		t.Error("unknown array version accepted")
-	}
-	if _, err := c.StateOf(99); err == nil {
-		t.Error("unknown array state accepted")
-	}
-	if st, _ := c.StateOf(6); st != Live {
-		t.Errorf("fresh array state = %v", st)
 	}
 }
 
@@ -91,9 +84,6 @@ func TestReinitBarrier(t *testing.T) {
 	if v, _ := c.Version(0); v != 1 {
 		t.Errorf("array version = %d", v)
 	}
-	if st, _ := c.StateOf(0); st != Live {
-		t.Errorf("state after reinit = %v", st)
-	}
 }
 
 func TestReinitMultipleRounds(t *testing.T) {
@@ -137,7 +127,7 @@ func TestDoubleVoteRejected(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if _, _, err := c.request(0, 0, false); err == nil {
+	if _, err := c.RequestReinit(0, 0); err == nil {
 		t.Error("double vote accepted")
 	}
 	// Complete the round so the goroutine exits.
@@ -157,79 +147,6 @@ func TestVoteValidation(t *testing.T) {
 	}
 	if _, err := c.RequestReinit(0, 5); err == nil {
 		t.Error("out-of-range PE accepted")
-	}
-}
-
-func TestReinitHooksResetStorage(t *testing.T) {
-	// The OnReinit hook runs exactly once per round, before any PE is
-	// released, so page resets and cache invalidations are safe.
-	const npe = 4
-	c, _ := New(npe, nil)
-	c.Register(0, -1)
-	page := samem.NewPage("A", 0, 8)
-	for i := 0; i < 8; i++ {
-		if err := page.Write(i, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var hookRuns int32
-	c.SetHooks(Hooks{OnReinit: func(array, newVersion int) {
-		atomic.AddInt32(&hookRuns, 1)
-		if err := page.Reset(); err != nil {
-			t.Error(err)
-		}
-	}})
-	var wg sync.WaitGroup
-	for pe := 0; pe < npe; pe++ {
-		wg.Add(1)
-		go func(pe int) {
-			defer wg.Done()
-			if _, err := c.RequestReinit(0, pe); err != nil {
-				t.Error(err)
-				return
-			}
-			// Past the barrier the page must be reset for everyone.
-			if page.DefinedCount() != 0 {
-				t.Errorf("PE %d observed a non-reset page after grant", pe)
-			}
-		}(pe)
-	}
-	wg.Wait()
-	if hookRuns != 1 {
-		t.Errorf("OnReinit ran %d times, want 1", hookRuns)
-	}
-	// The array is writable again.
-	if err := page.Write(0, 42); err != nil {
-		t.Errorf("write after reinit: %v", err)
-	}
-}
-
-func TestDealloc(t *testing.T) {
-	const npe = 4
-	c, _ := New(npe, nil)
-	c.Register(0, -1)
-	var deallocRuns int32
-	c.SetHooks(Hooks{OnDealloc: func(array int) { atomic.AddInt32(&deallocRuns, 1) }})
-	var wg sync.WaitGroup
-	for pe := 0; pe < npe; pe++ {
-		wg.Add(1)
-		go func(pe int) {
-			defer wg.Done()
-			if err := c.RequestDealloc(0, pe); err != nil {
-				t.Error(err)
-			}
-		}(pe)
-	}
-	wg.Wait()
-	if deallocRuns != 1 {
-		t.Errorf("OnDealloc ran %d times", deallocRuns)
-	}
-	if st, _ := c.StateOf(0); st != Deallocated {
-		t.Errorf("state = %v", st)
-	}
-	// Further operations fail.
-	if _, err := c.RequestReinit(0, 0); err == nil {
-		t.Error("reinit of deallocated array accepted")
 	}
 }
 
@@ -295,14 +212,5 @@ func TestManyArraysIndependentRounds(t *testing.T) {
 		if v, _ := c.Version(a); v != 1 {
 			t.Errorf("array %d version = %d", a, v)
 		}
-	}
-}
-
-func TestStateString(t *testing.T) {
-	if Live.String() != "live" || Reinit.String() != "reinit" || Deallocated.String() != "deallocated" {
-		t.Error("state names wrong")
-	}
-	if State(9).String() == "" {
-		t.Error("unknown state empty")
 	}
 }

@@ -74,9 +74,6 @@ func (e Expr) Plus(o Expr) Expr {
 // PlusC returns e + k.
 func (e Expr) PlusC(k int) Expr { return e.Plus(C(k)) }
 
-// Minus returns e - o.
-func (e Expr) Minus(o Expr) Expr { return e.Plus(o.Times(-1)) }
-
 // Times returns e scaled by k.
 func (e Expr) Times(k int) Expr {
 	if e.Indirect != nil {

@@ -475,21 +475,6 @@ func (r *Registry) Resolve(key string) (*loops.Kernel, error) {
 	return e.k, nil
 }
 
-// Lookup returns the entry metadata for a compiled id without
-// touching LRU order.
-func (r *Registry) Lookup(id string) (Info, bool) {
-	if r == nil {
-		return Info{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries.Peek(id)
-	if !ok {
-		return Info{}, false
-	}
-	return e.info, true
-}
-
 // ReplicationRequest reconstructs the compile request that re-creates
 // a registered kernel bit-for-bit on another node: the canonical
 // source compiled without conversion (it is already SA-clean) at the
@@ -528,14 +513,4 @@ func (r *Registry) List() []Info {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// Len returns the number of registered kernels.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.entries.Len()
 }

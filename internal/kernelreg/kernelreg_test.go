@@ -107,8 +107,8 @@ func TestRecompileIsIdempotentHit(t *testing.T) {
 	if r1.Kernel != r2.Kernel || r2.DefaultN != 48 {
 		t.Fatalf("recompile: id %q->%q default_n %d (want first-wins 48)", r1.Kernel, r2.Kernel, r2.DefaultN)
 	}
-	if reg.Len() != 1 {
-		t.Fatalf("registry holds %d entries after a recompile, want 1", reg.Len())
+	if len(reg.List()) != 1 {
+		t.Fatalf("registry holds %d entries after a recompile, want 1", len(reg.List()))
 	}
 	snap := mreg.Snapshot()
 	if snap.Counters[MetricCompileHits] != 1 {
@@ -266,8 +266,8 @@ func TestEvictionUnderCapacity(t *testing.T) {
 		}
 		ids[i] = resp.Kernel
 	}
-	if reg.Len() != capacity {
-		t.Fatalf("registry holds %d entries, want capacity %d", reg.Len(), capacity)
+	if len(reg.List()) != capacity {
+		t.Fatalf("registry holds %d entries, want capacity %d", len(reg.List()), capacity)
 	}
 	for i, id := range ids {
 		_, err := reg.Resolve(id)

@@ -264,9 +264,6 @@ type Result struct {
 	DefinedOf map[string][]bool
 }
 
-// RemotePercent returns "% of Reads Remote" for the run.
-func (r *Result) RemotePercent() float64 { return r.Totals.RemotePercent() }
-
 // abortError unwinds a PE's compute goroutine when the machine aborts.
 type abortError struct{ cause string }
 

@@ -5,7 +5,7 @@
 // invalidated and a partially-filled page may simply be re-fetched,
 // every page-protocol message is idempotent by construction. A lossy
 // network therefore cannot corrupt a computation, only delay it. The
-// Faults layer makes that claim testable: it intercepts Send and Reply
+// Faults layer makes that claim testable: it intercepts SendAbort and Reply
 // and drops, duplicates, delays or stalls page traffic under a
 // deterministic PRNG keyed by (seed, src, dst, link sequence), so a
 // chaos run is a pure function of the seed and the per-link traffic
@@ -75,11 +75,6 @@ func (c *FaultConfig) Validate() error {
 		return fmt.Errorf("network: negative fault delay/stall bound")
 	}
 	return nil
-}
-
-// enabled reports whether the config injects any fault at all.
-func (c *FaultConfig) enabled() bool {
-	return c != nil && (c.Drop > 0 || c.Dup > 0 || c.Delay > 0 || c.Stall > 0 || len(c.Partition) > 0)
 }
 
 // FaultStats aggregates the injected faults of one run.
@@ -206,7 +201,7 @@ func (f *Faults) Close() {
 }
 
 // InjectFaults attaches a fault injector to the network. Page traffic
-// (PageRequest/PageReply) through Send, SendAbort and Reply is then
+// (PageRequest/PageReply) through SendAbort and Reply is then
 // subject to the injector's fault model; all other message types pass
 // through unfaulted. Not safe to call concurrently with traffic.
 func (nw *Network) InjectFaults(f *Faults) error {
@@ -216,9 +211,6 @@ func (nw *Network) InjectFaults(f *Faults) error {
 	nw.faults = f
 	return nil
 }
-
-// Faults returns the attached fault injector, or nil.
-func (nw *Network) Faults() *Faults { return nw.faults }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche over 64 bits.
 func mix64(x uint64) uint64 {
@@ -295,7 +287,7 @@ func boundedDur(w uint64, max time.Duration) time.Duration {
 	return time.Duration(w%uint64(max)) + 1
 }
 
-// deliverSend routes one Send through the fault model. The message has
+// deliverSend routes one SendAbort through the fault model. The message has
 // already been accounted. abort, when non-nil, unblocks a send into a
 // full inbox (the SendAbort contract).
 func (f *Faults) deliverSend(nw *Network, msg Message, abort <-chan struct{}) error {

@@ -213,7 +213,7 @@ func TestInjectFaultsSizeMismatch(t *testing.T) {
 	if err := nw.InjectFaults(f); err == nil {
 		t.Error("mismatched injector accepted")
 	}
-	if nw.Faults() != nil {
+	if nw.faults != nil {
 		t.Error("mismatched injector attached")
 	}
 }

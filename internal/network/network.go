@@ -96,7 +96,7 @@ type Counters struct {
 }
 
 // Network connects n PEs with per-PE inboxes and traffic accounting.
-// Send and Reply are safe for concurrent use.
+// SendAbort and Reply are safe for concurrent use.
 type Network struct {
 	n      int
 	topo   Topology
@@ -106,7 +106,6 @@ type Network struct {
 	bytes  []atomic.Int64
 	hops   []atomic.Int64
 	byType [Halt + 1]atomic.Int64
-	pair   []atomic.Int64 // n*n traffic matrix (messages)
 
 	// faults, when non-nil, subjects page traffic to the configured
 	// fault model (see faults.go). nil = perfect delivery.
@@ -133,7 +132,7 @@ const (
 
 // Instrument attaches observability instruments from the registry (a
 // nil registry detaches them). Not safe to call concurrently with
-// Send/Reply; instrument before the machine starts.
+// SendAbort/Reply; instrument before the machine starts.
 func (nw *Network) Instrument(r *obs.Registry) {
 	nw.mInboxDepth = r.Histogram(MetricInboxDepth, obs.DepthBuckets)
 	nw.mMsgBytes = r.Histogram(MetricMsgBytes, obs.ByteBuckets)
@@ -159,19 +158,12 @@ func New(n int, topo Topology, inboxDepth int) (*Network, error) {
 		recv:  make([]atomic.Int64, n),
 		bytes: make([]atomic.Int64, n),
 		hops:  make([]atomic.Int64, n),
-		pair:  make([]atomic.Int64, n*n),
 	}
 	for i := range nw.inbox {
 		nw.inbox[i] = make(chan Message, inboxDepth)
 	}
 	return nw, nil
 }
-
-// NPE returns the number of PEs.
-func (nw *Network) NPE() int { return nw.n }
-
-// Topology returns the configured topology.
-func (nw *Network) Topology() Topology { return nw.topo }
 
 // Inbox returns PE pe's receive channel.
 func (nw *Network) Inbox(pe int) <-chan Message { return nw.inbox[pe] }
@@ -188,25 +180,6 @@ func (nw *Network) CloseInboxes() {
 	})
 }
 
-// Send counts and delivers msg to its destination inbox. Delivery blocks
-// if the inbox is full, modeling finite buffering. With a fault injector
-// attached, page traffic may be dropped, duplicated or delayed; the
-// message is accounted either way (it was sent — delivery is the fault
-// layer's business).
-func (nw *Network) Send(msg Message) error {
-	if msg.Dst < 0 || msg.Dst >= nw.n || msg.Src < 0 || msg.Src >= nw.n {
-		return fmt.Errorf("network: message %v from %d to %d out of range [0,%d)",
-			msg.Type, msg.Src, msg.Dst, nw.n)
-	}
-	nw.account(&msg)
-	if nw.faults != nil && faultable(msg.Type) {
-		return nw.faults.deliverSend(nw, msg, nil)
-	}
-	nw.inbox[msg.Dst] <- msg
-	nw.mInboxDepth.Observe(int64(len(nw.inbox[msg.Dst])))
-	return nil
-}
-
 // Account records a message in the traffic counters without delivering
 // it, for protocol layers that resolve exchanges out of band (e.g. the
 // host-processor coordinator) but still want their traffic modeled.
@@ -219,10 +192,13 @@ func (nw *Network) Account(msg Message) error {
 	return nil
 }
 
-// SendAbort is Send with an abort escape: if the destination inbox is
-// full and abort fires, the send is abandoned with an error instead of
-// blocking forever. Used by execution engines tearing down after a
-// failure.
+// SendAbort counts and delivers msg to its destination inbox. Delivery
+// blocks while the inbox is full, modeling finite buffering, unless
+// abort fires (a nil abort never does): the send is then abandoned with
+// an error, so an execution engine tearing down after a failure never
+// blocks forever. With a fault injector attached, page traffic may be
+// dropped, duplicated or delayed; the message is accounted either way
+// (it was sent — delivery is the fault layer's business).
 func (nw *Network) SendAbort(msg Message, abort <-chan struct{}) error {
 	if msg.Dst < 0 || msg.Dst >= nw.n || msg.Src < 0 || msg.Src >= nw.n {
 		return fmt.Errorf("network: message %v from %d to %d out of range [0,%d)",
@@ -283,17 +259,6 @@ func (nw *Network) account(msg *Message) {
 	if int(msg.Type) <= int(Halt) {
 		nw.byType[msg.Type].Add(1)
 	}
-	nw.pair[msg.Src*nw.n+msg.Dst].Add(1)
-}
-
-// PECounters returns the traffic originated/terminated at PE pe.
-func (nw *Network) PECounters(pe int) Counters {
-	return Counters{
-		Sent:     nw.sent[pe].Load(),
-		Received: nw.recv[pe].Load(),
-		Bytes:    nw.bytes[pe].Load(),
-		Hops:     nw.hops[pe].Load(),
-	}
 }
 
 // Totals returns network-wide traffic counters.
@@ -314,19 +279,6 @@ func (nw *Network) CountByType(t MsgType) int64 {
 		return 0
 	}
 	return nw.byType[t].Load()
-}
-
-// TrafficMatrix returns a copy of the n×n message-count matrix
-// (row = source, column = destination).
-func (nw *Network) TrafficMatrix() [][]int64 {
-	m := make([][]int64, nw.n)
-	for s := 0; s < nw.n; s++ {
-		m[s] = make([]int64, nw.n)
-		for d := 0; d < nw.n; d++ {
-			m[s][d] = nw.pair[s*nw.n+d].Load()
-		}
-	}
-	return m
 }
 
 // ContentionReport summarizes analytic link contention for a traffic

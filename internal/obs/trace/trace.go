@@ -96,14 +96,6 @@ func New(id, route string) *Trace {
 	}
 }
 
-// ID returns the trace's request ID ("" on nil).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // SpanRef identifies a span under construction. The zero value (and
 // any ref from a nil trace) is inert except that End still measures:
 // it carries its own start time, so callers can time a stage into a

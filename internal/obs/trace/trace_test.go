@@ -84,9 +84,6 @@ func TestNilSafety(t *testing.T) {
 	if o := tr.Snapshot(); o.ID != "" || len(o.Spans) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", o)
 	}
-	if tr.ID() != "" {
-		t.Fatal("nil ID not empty")
-	}
 
 	var r *Ring
 	r.Add(New("a", "b"))
@@ -165,13 +162,13 @@ func TestRingEvictionAndLookup(t *testing.T) {
 		t.Fatal("evicted traces still retrievable")
 	}
 	newest := fmt.Sprintf("t%d", RingEntries+extra)
-	if tr := r.Get(newest); tr == nil || tr.ID() != newest {
+	if tr := r.Get(newest); tr == nil || tr.id != newest {
 		t.Fatal("newest trace not retrievable")
 	}
 	recent := r.Recent(0)
-	if len(recent) != RingEntries || recent[0].ID() != newest || recent[RingEntries-1].ID() != "t3" {
+	if len(recent) != RingEntries || recent[0].id != newest || recent[RingEntries-1].id != "t3" {
 		t.Fatalf("Recent = %d entries from %s to %s, want %d from %s to t3",
-			len(recent), recent[0].ID(), recent[len(recent)-1].ID(), RingEntries, newest)
+			len(recent), recent[0].id, recent[len(recent)-1].id, RingEntries, newest)
 	}
 	if got := r.Recent(2); len(got) != 2 {
 		t.Fatalf("Recent(2) = %d entries", len(got))

@@ -26,9 +26,6 @@ func NewDims(extents ...int) (Dims, error) {
 	return d, nil
 }
 
-// Rank returns the number of dimensions.
-func (d Dims) Rank() int { return len(d) }
-
 // Elems returns the total number of elements.
 func (d Dims) Elems() int {
 	n := 1
@@ -54,31 +51,6 @@ func (d Dims) Linear(idx ...int) int {
 		lin = lin*d[k] + i
 	}
 	return lin
-}
-
-// Delinear converts a row-major linear offset back to a multi-index.
-func (d Dims) Delinear(lin int) []int {
-	if lin < 0 || lin >= d.Elems() {
-		panic(fmt.Sprintf("partition: linear offset %d out of range [0,%d)", lin, d.Elems()))
-	}
-	idx := make([]int, len(d))
-	for k := len(d) - 1; k >= 0; k-- {
-		idx[k] = lin % d[k]
-		lin /= d[k]
-	}
-	return idx
-}
-
-// Strides returns the row-major stride of each dimension, i.e. the linear
-// distance between consecutive indices along that dimension.
-func (d Dims) Strides() []int {
-	s := make([]int, len(d))
-	acc := 1
-	for k := len(d) - 1; k >= 0; k-- {
-		s[k] = acc
-		acc *= d[k]
-	}
-	return s
 }
 
 // String renders the extents as "[d0 x d1 x ...]".

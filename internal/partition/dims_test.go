@@ -19,8 +19,8 @@ func TestNewDimsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Rank() != 3 || d.Elems() != 60 {
-		t.Errorf("rank=%d elems=%d", d.Rank(), d.Elems())
+	if len(d) != 3 || d.Elems() != 60 {
+		t.Errorf("rank=%d elems=%d", len(d), d.Elems())
 	}
 }
 
@@ -93,24 +93,6 @@ func TestDelinearRoundTrip(t *testing.T) {
 		if got := d.Linear(idx...); got != lin {
 			t.Fatalf("roundtrip failed at %d: idx=%v -> %d", lin, idx, got)
 		}
-	}
-}
-
-func TestStrides(t *testing.T) {
-	d := Dims{2, 3, 4}
-	s := d.Strides()
-	want := []int{12, 4, 1}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Errorf("stride[%d] = %d, want %d", i, s[i], want[i])
-		}
-	}
-	// Stride definition: moving by 1 in dim i moves Linear by s[i].
-	if d.Linear(1, 0, 0)-d.Linear(0, 0, 0) != s[0] {
-		t.Error("stride 0 inconsistent with Linear")
-	}
-	if d.Linear(0, 1, 0)-d.Linear(0, 0, 0) != s[1] {
-		t.Error("stride 1 inconsistent with Linear")
 	}
 }
 

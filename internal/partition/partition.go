@@ -56,12 +56,6 @@ func (g Geometry) PageBounds(p int) (lo, hi int) {
 	return lo, hi
 }
 
-// PageLen returns the number of elements in page p.
-func (g Geometry) PageLen(p int) int {
-	lo, hi := g.PageBounds(p)
-	return hi - lo
-}
-
 // Offset returns the offset of element i within its page.
 func (g Geometry) Offset(i int) int { return i % g.PageSize }
 

@@ -52,11 +52,8 @@ func TestGeometryPageBoundsPartial(t *testing.T) {
 	if lo != 96 || hi != 100 {
 		t.Errorf("partial page bounds = [%d,%d), want [96,100)", lo, hi)
 	}
-	if g.PageLen(3) != 4 {
-		t.Errorf("partial page len = %d, want 4", g.PageLen(3))
-	}
-	if g.PageLen(0) != 32 {
-		t.Errorf("full page len = %d, want 32", g.PageLen(0))
+	if lo, hi := g.PageBounds(0); lo != 0 || hi != 32 {
+		t.Errorf("full page bounds = [%d,%d), want [0,32)", lo, hi)
 	}
 }
 

@@ -122,10 +122,3 @@ func (c *Cache) GetScratch(sc *sim.Scratch, k *loops.Kernel, n int) (*Stream, er
 	}
 	return e.st, e.err
 }
-
-// Len returns the number of cached (resolved or in-flight) streams.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries.Len()
-}

@@ -60,7 +60,7 @@ func TestCacheConcurrentGetCapturesOnce(t *testing.T) {
 	if got := c.Hits.Value(); got != goroutines-1 {
 		t.Fatalf("hits = %d, want %d", got, goroutines-1)
 	}
-	if got := c.Len(); got != 1 {
+	if got := c.entries.Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestCacheEviction(t *testing.T) {
 	if _, err := c.GetScratch(nil, k2, k2.MinN); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Len(); got != 1 {
+	if got := c.entries.Len(); got != 1 {
 		t.Fatalf("Len = %d after overflow, want 1", got)
 	}
 	if got := c.Captures.Value(); got != 2 {

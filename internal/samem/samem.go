@@ -43,7 +43,6 @@ type Page struct {
 	mu      sync.Mutex
 	vals    []float64
 	defined []bool
-	nset    int
 	waiters map[int][]chan<- float64
 
 	array string // for error reporting
@@ -61,9 +60,6 @@ func NewPage(array string, base, n int) *Page {
 	}
 }
 
-// Len returns the number of cells in the page.
-func (p *Page) Len() int { return len(p.vals) }
-
 // Base returns the linear index of the page's first cell.
 func (p *Page) Base() int { return p.base }
 
@@ -78,7 +74,6 @@ func (p *Page) Write(off int, v float64) error {
 	}
 	p.vals[off] = v
 	p.defined[off] = true
-	p.nset++
 	ws := p.waiters[off]
 	if ws != nil {
 		delete(p.waiters, off)
@@ -131,51 +126,6 @@ func (p *Page) Snapshot() (vals []float64, defined []bool) {
 	return vals, defined
 }
 
-// DefinedCount returns the number of defined cells.
-func (p *Page) DefinedCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nset
-}
-
-// Full reports whether every cell of the page is defined.
-func (p *Page) Full() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.nset == len(p.vals)
-}
-
-// PendingWaiters returns the number of queued deferred readers; useful
-// for diagnosing deadlocked programs (reads of never-written cells).
-func (p *Page) PendingWaiters() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, ws := range p.waiters {
-		n += len(ws)
-	}
-	return n
-}
-
-// Reset returns every cell to the undefined state. It is only legal once
-// the host processor has established that all PEs have finished with the
-// current version of the array (§5); resetting with deferred readers
-// still queued indicates a protocol violation and returns an error.
-func (p *Page) Reset() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.waiters) != 0 {
-		return fmt.Errorf("samem: reset of %s page at %d with %d cells awaited",
-			p.array, p.base, len(p.waiters))
-	}
-	for i := range p.defined {
-		p.defined[i] = false
-		p.vals[i] = 0
-	}
-	p.nset = 0
-	return nil
-}
-
 // Fill defines cell off with initialization data, bypassing no rules:
 // it is a plain Write intended for the pre-execution phase ("prior to
 // execution, an array is either undefined or filled with initialization
@@ -188,7 +138,6 @@ func (p *Page) Fill(off int, v float64) error { return p.Write(off, v) }
 type Tracker struct {
 	array   string
 	written []bool
-	count   int
 }
 
 // NewTracker returns a Tracker for n elements of the named array.
@@ -203,23 +152,5 @@ func (t *Tracker) Mark(i int) error {
 		return &DoubleWriteError{Array: t.array, Index: i}
 	}
 	t.written[i] = true
-	t.count++
 	return nil
-}
-
-// Written reports whether linear index i has been written.
-func (t *Tracker) Written(i int) bool { return t.written[i] }
-
-// Count returns the number of written elements.
-func (t *Tracker) Count() int { return t.count }
-
-// Len returns the tracked array length.
-func (t *Tracker) Len() int { return len(t.written) }
-
-// Reset clears all write marks (array re-initialization).
-func (t *Tracker) Reset() {
-	for i := range t.written {
-		t.written[i] = false
-	}
-	t.count = 0
 }

@@ -173,34 +173,8 @@ func TestPageFullAndDefinedCount(t *testing.T) {
 	if !p.Full() {
 		t.Error("full page not Full")
 	}
-	if p.Len() != 3 || p.Base() != 0 {
-		t.Errorf("Len/Base = %d/%d", p.Len(), p.Base())
-	}
-}
-
-func TestPageReset(t *testing.T) {
-	p := NewPage("X", 0, 4)
-	if err := p.Write(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.TryRead(0); ok {
-		t.Error("cell still defined after Reset")
-	}
-	// Cell is writable again — this is the §5 re-initialization.
-	if err := p.Write(0, 6); err != nil {
-		t.Errorf("write after reset rejected: %v", err)
-	}
-}
-
-func TestPageResetWithWaitersFails(t *testing.T) {
-	p := NewPage("X", 0, 4)
-	ch := make(chan float64, 1)
-	p.ReadOrWait(0, ch)
-	if err := p.Reset(); err == nil {
-		t.Error("reset with queued readers accepted")
+	if len(p.vals) != 3 || p.Base() != 0 {
+		t.Errorf("len/Base = %d/%d", len(p.vals), p.Base())
 	}
 }
 
@@ -222,14 +196,14 @@ func TestPageFill(t *testing.T) {
 
 func TestTrackerBasics(t *testing.T) {
 	tr := NewTracker("Z", 10)
-	if tr.Len() != 10 || tr.Count() != 0 {
-		t.Errorf("fresh tracker Len=%d Count=%d", tr.Len(), tr.Count())
+	if len(tr.written) != 10 || tr.Count() != 0 {
+		t.Errorf("fresh tracker len=%d Count=%d", len(tr.written), tr.Count())
 	}
 	if err := tr.Mark(4); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Written(4) || tr.Written(5) {
-		t.Error("Written bits wrong")
+	if !tr.written[4] || tr.written[5] {
+		t.Error("written bits wrong")
 	}
 	if tr.Count() != 1 {
 		t.Errorf("Count = %d", tr.Count())
@@ -241,22 +215,6 @@ func TestTrackerBasics(t *testing.T) {
 	dw, ok := err.(*DoubleWriteError)
 	if !ok || dw.Array != "Z" || dw.Index != 4 {
 		t.Errorf("error = %v", err)
-	}
-}
-
-func TestTrackerReset(t *testing.T) {
-	tr := NewTracker("Z", 4)
-	for i := 0; i < 4; i++ {
-		if err := tr.Mark(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr.Reset()
-	if tr.Count() != 0 {
-		t.Errorf("Count after reset = %d", tr.Count())
-	}
-	if err := tr.Mark(2); err != nil {
-		t.Errorf("mark after reset rejected: %v", err)
 	}
 }
 

@@ -42,12 +42,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.hCompileReq.Observe(time.Since(start).Microseconds()) }()
 	tr := trace.FromContext(r.Context())
 
-	// Bound the body before decoding: JSON escaping can inflate the
-	// source (\n, \"), so allow 2x the registry's source limit plus
-	// envelope headroom; the registry still enforces the exact limit on
-	// the decoded source.
-	maxBody := int64(2*kernelreg.MaxSourceBytes + 4096)
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, s.BodyLimit(r.URL.Path))
 
 	sp := tr.Start("decode")
 	var req kernelreg.CompileRequest
@@ -55,12 +50,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.eng.hDecode.Observe(sp.End().Microseconds())
 	if err != nil {
 		s.cBad.Inc()
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
+		writeError(w, badStatus(err), err)
 		return
 	}
 

@@ -540,10 +540,6 @@ func (e *Engine) deadline(deadlineMS int64, maxNPE, maxN int) time.Duration {
 	return machine.DefaultDeadline(maxNPE, maxN)
 }
 
-// CacheLen returns the number of cached result bodies, not counting
-// pending entries (for tests and introspection).
-func (e *Engine) CacheLen() int { return e.results.resolvedLen() }
-
 // Closing reports whether Close has begun: admitted requests may still
 // be draining, but new work is refused. The HTTP layer uses it to
 // report drain (503, retryable on a peer) instead of deadline overrun

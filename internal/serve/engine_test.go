@@ -137,7 +137,7 @@ func TestSweepParallelBatchByteIdentical(t *testing.T) {
 func pinWorkers(s *Server) (entered chan struct{}, release chan struct{}) {
 	entered = make(chan struct{}, 64)
 	release = make(chan struct{})
-	s.Engine().execHook = func() {
+	s.eng.execHook = func() {
 		entered <- struct{}{}
 		<-release
 	}
@@ -264,7 +264,7 @@ func TestDeadlineReturns504(t *testing.T) {
 	// The abandoned execution still lands in the cache.
 	close(release)
 	deadlineWait := time.Now().Add(5 * time.Second)
-	for s.Engine().CacheLen() == 0 {
+	for s.eng.CacheLen() == 0 {
 		if time.Now().After(deadlineWait) {
 			t.Fatal("abandoned execution never populated the result cache")
 		}
@@ -367,7 +367,7 @@ func TestEvictedPendingEntryStrandsNoWaiter(t *testing.T) {
 			t.Fatalf("%s: status %d body %s, want 200 %s", c.name, r.code, r.body, want)
 		}
 	}
-	if n := s.Engine().CacheLen(); n != 1 {
+	if n := s.eng.CacheLen(); n != 1 {
 		t.Fatalf("cached bodies = %d, want 1 (b; a was evicted while pending)", n)
 	}
 	if code, _, _ := post(t, ts, "/v1/classify", a); code != http.StatusOK {
@@ -395,7 +395,7 @@ func TestFailedFlightRetriedNotCached(t *testing.T) {
 	}
 	<-entered
 	close(release)
-	waitFor(t, "the queued groups to settle", func() bool { return s.Engine().CacheLen() == 2 })
+	waitFor(t, "the queued groups to settle", func() bool { return s.eng.CacheLen() == 2 })
 
 	code, _, body = post(t, ts, "/v1/sweep", sweep)
 	if code != http.StatusOK {

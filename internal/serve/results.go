@@ -72,16 +72,3 @@ func (t *resultTable) settle(key string, fl *flight, body []byte, err error) {
 	t.mu.Unlock()
 	close(fl.done)
 }
-
-// resolvedLen returns the number of resolved entries.
-func (t *resultTable) resolvedLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	t.entries.Each(func(_ string, fl *flight) {
-		if fl.resolved {
-			n++
-		}
-	})
-	return n
-}

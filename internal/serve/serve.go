@@ -106,9 +106,6 @@ func New(opts Options) *Server {
 // Handler returns the server's route tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Engine exposes the execution core (tests, embedders).
-func (s *Server) Engine() *Engine { return s.eng }
-
 // Registry exposes the compiled-kernel registry (always non-nil). The
 // cluster router shares it into its routing options so compiled ids
 // resolve for group-key derivation.
@@ -144,6 +141,31 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 func writeError(w http.ResponseWriter, status int, err error) {
 	body, _ := json.Marshal(ErrorBody{Error: err.Error()})
 	writeJSON(w, status, body)
+}
+
+// BodyLimit is the largest request body the server reads on path. A
+// compile body may hold twice the registry's source limit, because
+// JSON escaping can inflate the source (\n, \"), plus envelope
+// headroom; the registry still enforces the exact limit on the decoded
+// source. A classify or sweep body gets a 4 KiB envelope plus 128
+// bytes per point a sweep may expand to (MaxSweepPoints): a sweep's
+// lists hold at most that many values each. Past the bound, decode
+// fails and the request is answered 413.
+func (s *Server) BodyLimit(path string) int64 {
+	if path == "/v1/compile" {
+		return 2*kernelreg.MaxSourceBytes + 4096
+	}
+	return 4096 + 128*int64(s.eng.opts.MaxSweepPoints)
+}
+
+// badStatus is the status of a request that failed to decode or
+// validate: 413 when its body passed BodyLimit, 400 otherwise.
+func badStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // decode strictly parses a request body: unknown fields are rejected
@@ -245,15 +267,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // failure is written here, with its status code.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, parse func(limits) ([]point, int64, error), write func([]json.RawMessage)) {
 	tr := trace.FromContext(r.Context())
+	r.Body = http.MaxBytesReader(w, r.Body, s.BodyLimit(r.URL.Path))
 	sp := tr.Start("decode")
 	pts, deadlineMS, err := parse(s.eng.opts.limits())
 	s.eng.hDecode.Observe(sp.End().Microseconds())
 	if err != nil {
 		s.cBad.Inc()
 		// Unknown compiled ("u:") kernels carry a structured 404 +
-		// unknown_kernel code; every other validation failure keeps its
-		// pre-existing 400 body bytes.
-		writeStructured(w, http.StatusBadRequest, err)
+		// unknown_kernel code; an oversize body is a 413; every other
+		// validation failure keeps its pre-existing 400 body bytes.
+		writeStructured(w, badStatus(err), err)
 		return
 	}
 	asp := tr.Start("admit_wait")

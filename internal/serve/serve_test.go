@@ -245,15 +245,60 @@ func TestSweepBodiesMatchClassify(t *testing.T) {
 	}
 }
 
-// TestSweepPointLimit bounds grid expansion server-side.
+// TestSweepPointLimit bounds grid expansion server-side, also (at the
+// default limit, whose body bound admits it) for a grid whose point
+// count wraps to 0 in int arithmetic.
 func TestSweepPointLimit(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{MaxSweepPoints: 4})
-	st, _, body := post(t, ts, "/v1/sweep", `{"kernels":["k1"],"npes":[1,2,4,8,16]}`)
-	if st != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400 (body %s)", st, body)
+	_, small, _ := newTestService(t, Options{MaxSweepPoints: 4})
+	_, dflt, _ := newTestService(t, Options{})
+	for _, tc := range []struct {
+		ts  *httptest.Server
+		req string
+	}{{small, `{"kernels":["k1"],"npes":[1,2,4,8,16]}`}, {dflt, wrappingSweep()}} {
+		st, _, body := post(t, tc.ts, "/v1/sweep", tc.req)
+		if st != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400 (body %s)", st, body)
+		}
+		if !bytes.Contains(body, []byte("limit")) {
+			t.Fatalf("error body should name the limit: %s", body)
+		}
 	}
-	if !bytes.Contains(body, []byte("limit")) {
-		t.Fatalf("error body should name the limit: %s", body)
+}
+
+// wrappingSweep is a 30 KB sweep whose six axes multiply to 2^64, a
+// count that wraps to 0 in int arithmetic.
+func wrappingSweep() string {
+	list := func(v string, n int) string { return "[" + strings.TrimSuffix(strings.Repeat(v+",", n), ",") + "]" }
+	return fmt.Sprintf(`{"kernels":%s,"npes":%s,"page_sizes":%s,"cache_elems":%s,"layouts":%s,"policies":%s}`,
+		list(`"k1"`, 1<<11), list("1", 1<<11), list("32", 1<<11), list("256", 1<<11),
+		list(`"modulo"`, 1<<10), list(`"lru"`, 1<<10))
+}
+
+// TestOversizeBodyIs413 holds classify and sweep bodies to BodyLimit:
+// past it the request is answered 413 whatever the body holds, and a
+// valid body padded to just under it is served.
+func TestOversizeBodyIs413(t *testing.T) {
+	s, ts, reg := newTestService(t, Options{MaxSweepPoints: 4})
+	limit := int(s.BodyLimit("/v1/sweep"))
+	if limit != 4096+4*128 {
+		t.Fatalf("BodyLimit = %d, want %d", limit, 4096+4*128)
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/classify", `{"kernel":"k1","pad":"` + strings.Repeat("x", limit) + `"}`},
+		{"/v1/sweep", `{"kernels":["k1"],"npes":[` + strings.Repeat("1,", limit/2) + `1]}`},
+	} {
+		st, _, body := post(t, ts, tc.path, tc.body)
+		if st != http.StatusRequestEntityTooLarge || !bytes.Contains(body, []byte("too large")) {
+			t.Errorf("%s with a %d-byte body: status %d, body %s; want 413", tc.path, len(tc.body), st, body)
+		}
+	}
+	if bad := counter(reg, MetricBadRequests); bad != 2 {
+		t.Errorf("bad_requests = %d, want 2", bad)
+	}
+	padded := `{"kernel":"k1","npe":4}`
+	padded += strings.Repeat(" ", limit-len(padded))
+	if st, _, body := post(t, ts, "/v1/classify", padded); st != http.StatusOK {
+		t.Errorf("a %d-byte classify body: status %d, body %s; want 200", len(padded), st, body)
 	}
 }
 

@@ -112,7 +112,7 @@ func TestStoreWriteFailureStillServes(t *testing.T) {
 // request will succeed on a peer.
 func TestDrainReports503NotRetryableAs504(t *testing.T) {
 	s, ts, _ := newTestService(t, Options{})
-	s.Engine().Close()
+	s.eng.Close()
 	code, hdr, body := post(t, ts, "/v1/classify", `{"kernel":"k1","npe":4}`)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("classify against closed engine: %d (%s), want 503", code, body)

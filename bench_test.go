@@ -371,17 +371,17 @@ func BenchmarkEngineMachine(b *testing.B) {
 
 // BenchmarkEngineCacheLookup measures the page-cache hot path.
 func BenchmarkEngineCacheLookup(b *testing.B) {
-	c, err := cache.New(256, 32, cache.LRU)
+	c, err := cache.New(256, 32, cache.LRU, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	page := make([]float64, 32)
 	for p := 0; p < 8; p++ {
-		c.Insert(cache.Key{Page: p}, page, nil)
+		c.Insert(p, page, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Lookup(cache.Key{Page: i & 7}, i&31)
+		c.Lookup(i&7, i&31)
 	}
 }
 

@@ -12,15 +12,20 @@
 // re-fetch of the page (§4 and §8: "a single page might have to be
 // fetched more than once if that page is only partially filled at the
 // time of the first request").
+//
+// The caller resolves every page to a dense page id before asking, so
+// the index is one slice from page id to frame. Values are optional: the
+// execution engine (internal/machine) inserts each reply's payload and
+// reads hits from it, while the counting simulator (internal/sim)
+// inserts nil values, because access classification needs only which
+// pages are resident and which of their cells were defined at snapshot
+// time. Both run the same replacement code, so they evict in the same
+// order on the same reference stream. Frames and their defined-bit
+// buffers are recycled on eviction and across Reset calls, so a long
+// parameter sweep reaches a zero-allocation steady state.
 package cache
 
 import "fmt"
-
-// Key identifies one page of one array.
-type Key struct {
-	Array int // array identifier, assigned by the caller
-	Page  int // page number within the array's linear space
-}
 
 // Policy selects the replacement policy.
 type Policy int
@@ -83,73 +88,89 @@ type Stats struct {
 	Evictions     int64 // pages displaced by capacity pressure
 }
 
-type entry struct {
-	key     Key
-	vals    []float64
-	defined []bool // nil means every cell defined
-	// Intrusive list links (LRU/FIFO order). head side = most recent.
-	prev, next *entry
-	ref        bool // Clock reference bit
-	// Slot-mode fields (see slots.go).
-	slot   int32  // dense page id currently cached in this frame
-	frame  int32  // this frame's index in Cache.frames
-	defBuf []bool // retained buffer backing defined, recycled on reuse
+// RandomSeed is the generator state of the Random policy on a fresh
+// cache; fixed so runs are reproducible and Reset restores a
+// fresh-cache state exactly.
+const RandomSeed = 0x9e3779b97f4a7c15
+
+// NextRandom advances the Random policy's generator, Marsaglia's 64-bit
+// xorshift with the shift triple (13, 7, 17): x ^= x<<13, x ^= x>>7,
+// x ^= x<<17. A full cache draws one value per eviction and evicts its
+// page of rank value mod resident pages, counted from the most recent.
+func NextRandom(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x
 }
 
-func (e *entry) definedAt(off int) bool {
-	return e.defined == nil || (off < len(e.defined) && e.defined[off])
+// frame holds one cached page snapshot.
+type frame struct {
+	page    int32     // dense page id cached in this frame
+	index   int32     // this frame's index in Cache.frames
+	vals    []float64 // snapshot values; nil in a count-only cache
+	defined []bool    // nil means every cell defined; else backed by defBuf
+	defBuf  []bool    // retained buffer backing defined, recycled on reuse
+	// Intrusive list links (LRU/FIFO order). head side = most recent.
+	prev, next *frame
+	ref        bool // Clock reference bit
+}
+
+func (f *frame) definedAt(off int) bool {
+	return f.defined == nil || (off < len(f.defined) && f.defined[off])
+}
+
+// snapshot records the defined bits of a page snapshot, collapsing
+// fully defined pages to nil (the definedAt fast path) and otherwise
+// copying them into the frame's own buffer, so the caller may keep
+// mutating its slice.
+func (f *frame) snapshot(defined []bool) {
+	f.defined = nil
+	for _, d := range defined {
+		if !d {
+			f.defBuf = append(f.defBuf[:0], defined...)
+			f.defined = f.defBuf
+			return
+		}
+	}
 }
 
 // Cache is a single PE's page cache. Not safe for concurrent use; in the
 // execution engine each PE owns exactly one Cache.
 type Cache struct {
-	capElems int
-	pageSize int
 	maxPages int
 	policy   Policy
 
-	entries map[Key]*entry
-	// Doubly-linked sentinel list in recency order (head.next = MRU).
-	head, tail *entry
-	clockHand  *entry
-	rng        uint64
+	// index maps a dense page id to its frame's index in frames, -1
+	// when absent. nil when the cache has no frames.
+	index  []int32
+	frames []*frame
+	free   []int32 // indexes of unused frames
+	used   int     // resident pages
 
-	// Slot-mode index (see slots.go): dense page id -> frame index in
-	// frames, -1 when absent. nil in Key mode and in frameless caches.
-	slots      []int32
-	frames     []*entry
-	freeFrames []int32
-	used       int // resident pages in slot mode
+	// Doubly-linked sentinel list in recency order (head.next = MRU).
+	head, tail *frame
+	clockHand  *frame
+	rng        uint64
 
 	stats Stats
 }
 
 // New returns a cache holding capElems elements of pages of pageSize
-// elements under the given policy. A capacity smaller than one page
-// yields a degenerate cache that caches nothing (every lookup misses),
-// matching the paper's observation that an over-large page size leaves
-// no cache frames.
-func New(capElems, pageSize int, policy Policy) (*Cache, error) {
-	if err := Validate(capElems, pageSize, policy); err != nil {
+// elements under the given policy, over a dense page-id space of pages
+// pages. A capacity smaller than one page yields a degenerate cache
+// that caches nothing (every lookup misses), matching the paper's
+// observation that an over-large page size leaves no cache frames.
+func New(capElems, pageSize int, policy Policy, pages int) (*Cache, error) {
+	c := &Cache{head: &frame{}, tail: &frame{}}
+	if err := c.Reset(capElems, pageSize, policy, pages); err != nil {
 		return nil, err
 	}
-	c := &Cache{
-		capElems: capElems,
-		pageSize: pageSize,
-		maxPages: capElems / pageSize,
-		policy:   policy,
-		entries:  make(map[Key]*entry),
-		rng:      RandomSeed,
-	}
-	c.head = &entry{}
-	c.tail = &entry{}
-	c.head.next = c.tail
-	c.tail.prev = c.head
 	return c, nil
 }
 
-// Validate reports the error New returns for these parameters, without
-// building a cache.
+// Validate reports the error New returns for these cache parameters,
+// without building a cache.
 func Validate(capElems, pageSize int, policy Policy) error {
 	if capElems < 0 {
 		return fmt.Errorf("cache: negative capacity %d", capElems)
@@ -165,62 +186,114 @@ func Validate(capElems, pageSize int, policy Policy) error {
 	return nil
 }
 
-// Len returns the number of cached pages.
-func (c *Cache) Len() int {
-	if c.entries == nil {
-		return c.used
+// Reset returns the cache to a fresh state under new parameters,
+// retaining frame buffers for reuse. It is the sweep engine's per-point
+// reset: after the call the cache behaves bit-for-bit like
+// New(capElems, pageSize, policy, pages).
+func (c *Cache) Reset(capElems, pageSize int, policy Policy, pages int) error {
+	if err := Validate(capElems, pageSize, policy); err != nil {
+		return err
 	}
-	return len(c.entries)
+	if pages < 0 {
+		return fmt.Errorf("cache: negative page count %d", pages)
+	}
+	c.maxPages = capElems / pageSize
+	c.policy = policy
+	c.stats = Stats{}
+	c.head.next = c.tail
+	c.tail.prev = c.head
+	c.clockHand = nil
+	c.rng = RandomSeed
+	c.used = 0
+	c.free = c.free[:0]
+	for i, f := range c.frames {
+		f.prev, f.next = nil, nil
+		f.vals, f.defined = nil, nil
+		f.ref = false
+		c.free = append(c.free, int32(i))
+	}
+	if c.maxPages == 0 || pages == 0 {
+		c.index = nil
+		return nil
+	}
+	if cap(c.index) < pages {
+		c.index = make([]int32, pages)
+	}
+	c.index = c.index[:pages]
+	for i := range c.index {
+		c.index[i] = -1
+	}
+	return nil
 }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Lookup probes the cache for cell off of the keyed page. On Hit the
-// snapshot value is returned. On PartialMiss the page is cached but the
-// cell was undefined at snapshot time; the caller must re-fetch and call
-// Insert with the fresher snapshot. On Miss the page is absent.
-func (c *Cache) Lookup(key Key, off int) (float64, Outcome) {
-	e, ok := c.entries[key]
-	if !ok {
+// resident returns the frame caching page, or nil.
+func (c *Cache) resident(page int) *frame {
+	if c.index == nil || c.index[page] < 0 {
+		return nil
+	}
+	return c.frames[c.index[page]]
+}
+
+// Lookup probes the cache for cell off of the page. On Hit the
+// snapshot value is returned (0 in a count-only cache). On PartialMiss
+// the page is cached but the cell was undefined at snapshot time; the
+// caller must re-fetch and call Insert with the fresher snapshot. On
+// Miss the page is absent.
+func (c *Cache) Lookup(page, off int) (float64, Outcome) {
+	f := c.resident(page)
+	if f == nil {
 		c.stats.Misses++
 		return 0, Miss
 	}
-	if !e.definedAt(off) {
+	if !f.definedAt(off) {
 		c.stats.PartialMisses++
 		return 0, PartialMiss
 	}
-	c.touch(e)
+	c.touch(f)
 	c.stats.Hits++
-	return e.vals[off], Hit
+	var v float64
+	if f.vals != nil {
+		v = f.vals[off]
+	}
+	return v, Hit
 }
 
-// Insert caches a page snapshot. defined may be nil to indicate a fully
-// defined page; otherwise it must parallel vals. Inserting a key that is
-// already cached refreshes its snapshot in place (the re-fetch path for
-// partially filled pages). If the cache has no frames the call is a
-// no-op. The slices are retained by the cache; callers must not mutate
-// them afterwards.
-func (c *Cache) Insert(key Key, vals []float64, defined []bool) {
-	if defined != nil && len(defined) != len(vals) {
+// Insert caches a page snapshot. vals is the page's values, retained by
+// the cache (the caller must not mutate it afterwards), or nil in a
+// count-only cache. defined is the page's defined bitmap at snapshot
+// time, nil for a fully defined page; it is copied, so the caller may
+// keep mutating it. When both are given they must be the same length.
+// Inserting a resident page refreshes its snapshot in place (the §4
+// re-fetch path for partially filled pages). With no frames the call
+// is a no-op.
+func (c *Cache) Insert(page int, vals []float64, defined []bool) {
+	if vals != nil && defined != nil && len(defined) != len(vals) {
 		panic(fmt.Sprintf("cache: defined length %d != vals length %d", len(defined), len(vals)))
 	}
-	if e, ok := c.entries[key]; ok {
-		e.vals = vals
-		e.defined = normalizeDefined(defined)
-		c.touch(e)
+	if c.index == nil {
+		return
+	}
+	if f := c.resident(page); f != nil {
+		f.vals = vals
+		f.snapshot(defined)
+		c.touch(f)
 		c.stats.Refreshes++
 		return
 	}
-	if c.maxPages == 0 {
-		return
-	}
-	for len(c.entries) >= c.maxPages {
+	for c.used >= c.maxPages {
 		c.evict()
 	}
-	e := &entry{key: key, vals: vals, defined: normalizeDefined(defined), ref: true}
-	c.entries[key] = e
-	c.pushFront(e)
+	f := c.takeFrame()
+	f.page = int32(page)
+	f.vals = vals
+	f.snapshot(defined)
+	f.ref = true
+	c.index[page] = f.index
+	c.used++
+	c.pushFront(f)
 	c.stats.Inserts++
 }
 
@@ -232,110 +305,115 @@ func (c *Cache) Insert(key Key, vals []float64, defined []bool) {
 // requester-side absorption path for stale or duplicate replies on a
 // lossy interconnect, where a late reply may carry an older (more
 // sparsely filled) snapshot than the one already cached. Absent pages
-// insert as usual. Key mode only (the execution engine's mode); a
-// slot-mode cache tracks no values to merge and ignores the call.
-func (c *Cache) Merge(key Key, vals []float64, defined []bool) {
-	if c.entries == nil {
+// insert as usual. vals and defined cover the same page as the cached
+// snapshot. Merge writes only the cache's own copy of the defined bits
+// and the values the cache already holds.
+func (c *Cache) Merge(page int, vals []float64, defined []bool) {
+	f := c.resident(page)
+	if f == nil {
+		c.Insert(page, vals, defined)
 		return
 	}
-	e, ok := c.entries[key]
-	if !ok {
-		c.Insert(key, vals, defined)
-		return
-	}
-	if e.defined == nil {
+	if f.defined == nil {
 		return // cached copy already fully defined: nothing to gain
 	}
-	for off := range e.vals {
-		if !e.defined[off] && (defined == nil || (off < len(defined) && defined[off])) && off < len(vals) {
-			e.vals[off] = vals[off]
-			e.defined[off] = true
+	for off, d := range f.defined {
+		if d || (defined != nil && !defined[off]) {
+			continue
 		}
+		if f.vals != nil {
+			f.vals[off] = vals[off]
+		}
+		f.defined[off] = true
 	}
-	e.defined = normalizeDefined(e.defined)
-	c.touch(e)
+	f.snapshot(f.defined) // collapses to nil once every cell is defined
+	c.touch(f)
 	c.stats.Refreshes++
 }
 
-// normalizeDefined collapses an all-true defined slice to nil so that
-// fully defined pages take the fast path in definedAt.
-func normalizeDefined(defined []bool) []bool {
-	if defined == nil {
-		return nil
+// Pages returns the resident page ids in recency order (most recent
+// first). Intended for tests and diagnostics.
+func (c *Cache) Pages() []int {
+	pages := make([]int, 0, c.used)
+	for f := c.head.next; f != c.tail; f = f.next {
+		pages = append(pages, int(f.page))
 	}
-	for _, d := range defined {
-		if !d {
-			return defined
-		}
-	}
-	return nil
+	return pages
 }
 
-func (c *Cache) pushFront(e *entry) {
-	e.prev = c.head
-	e.next = c.head.next
-	c.head.next.prev = e
-	c.head.next = e
-}
-
-func (c *Cache) remove(e *entry) {
-	if c.clockHand == e {
-		c.clockHand = e.next
+// takeFrame returns a recycled frame, or grows the frame pool.
+func (c *Cache) takeFrame() *frame {
+	if n := len(c.free); n > 0 {
+		fi := c.free[n-1]
+		c.free = c.free[:n-1]
+		return c.frames[fi]
 	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
+	f := &frame{index: int32(len(c.frames))}
+	c.frames = append(c.frames, f)
+	return f
 }
 
-func (c *Cache) touch(e *entry) {
-	e.ref = true
+func (c *Cache) pushFront(f *frame) {
+	f.prev = c.head
+	f.next = c.head.next
+	c.head.next.prev = f
+	c.head.next = f
+}
+
+func (c *Cache) remove(f *frame) {
+	if c.clockHand == f {
+		c.clockHand = f.next
+	}
+	f.prev.next = f.next
+	f.next.prev = f.prev
+	f.prev, f.next = nil, nil
+}
+
+func (c *Cache) touch(f *frame) {
+	f.ref = true
 	if c.policy != LRU {
 		return // FIFO/Clock/Random order is insertion order
 	}
-	c.remove(e)
-	c.pushFront(e)
+	c.remove(f)
+	c.pushFront(f)
 }
 
 func (c *Cache) evict() {
-	var victim *entry
+	var victim *frame
 	switch c.policy {
 	case LRU, FIFO:
 		victim = c.tail.prev
 	case Clock:
 		victim = c.clockSweep()
 	case Random:
-		victim = c.randomEntry()
+		victim = c.randomFrame()
 	}
 	if victim == nil || victim == c.head || victim == c.tail {
 		return
 	}
 	c.remove(victim)
-	if c.entries != nil {
-		delete(c.entries, victim.key)
-	} else {
-		c.slots[victim.slot] = -1
-		c.freeFrames = append(c.freeFrames, victim.frame)
-		c.used--
-		victim.defined = nil
-	}
+	c.index[victim.page] = -1
+	c.free = append(c.free, victim.index)
+	c.used--
+	victim.vals, victim.defined = nil, nil
 	c.stats.Evictions++
 }
 
-func (c *Cache) clockSweep() *entry {
+func (c *Cache) clockSweep() *frame {
 	if c.clockHand == nil || c.clockHand == c.head || c.clockHand == c.tail {
 		c.clockHand = c.tail.prev
 	}
-	for i := 0; i < 2*c.Len()+2; i++ {
-		e := c.clockHand
-		if e == c.head || e == c.tail {
+	for i := 0; i < 2*c.used+2; i++ {
+		f := c.clockHand
+		if f == c.head || f == c.tail {
 			c.clockHand = c.tail.prev
 			continue
 		}
-		if !e.ref {
-			return e
+		if !f.ref {
+			return f
 		}
-		e.ref = false
-		c.clockHand = e.prev
+		f.ref = false
+		c.clockHand = f.prev
 		if c.clockHand == c.head {
 			c.clockHand = c.tail.prev
 		}
@@ -343,31 +421,15 @@ func (c *Cache) clockSweep() *entry {
 	return c.tail.prev
 }
 
-func (c *Cache) randomEntry() *entry {
+func (c *Cache) randomFrame() *frame {
 	c.rng = NextRandom(c.rng)
-	n := c.Len()
-	if n == 0 {
+	if c.used == 0 {
 		return nil
 	}
-	skip := int(c.rng % uint64(n))
-	e := c.head.next
-	for i := 0; i < skip && e.next != c.tail; i++ {
-		e = e.next
+	skip := int(c.rng % uint64(c.used))
+	f := c.head.next
+	for i := 0; i < skip && f.next != c.tail; i++ {
+		f = f.next
 	}
-	return e
-}
-
-// Keys returns the cached page keys in recency order (most recent
-// first). Intended for tests and diagnostics. In slot mode the dense
-// page id is reported as Key.Page.
-func (c *Cache) Keys() []Key {
-	keys := make([]Key, 0, c.Len())
-	for e := c.head.next; e != c.tail; e = e.next {
-		if c.entries == nil {
-			keys = append(keys, Key{Page: int(e.slot)})
-		} else {
-			keys = append(keys, e.key)
-		}
-	}
-	return keys
+	return f
 }

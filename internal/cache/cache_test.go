@@ -1,20 +1,25 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func page(vals ...float64) []float64 { return vals }
 
+// nPages is the page-id space of the caches under test.
+const nPages = 128
+
 func TestNewValidation(t *testing.T) {
-	if _, err := New(-1, 32, LRU); err == nil {
+	if _, err := New(-1, 32, LRU, nPages); err == nil {
 		t.Error("negative capacity accepted")
 	}
-	if _, err := New(256, 0, LRU); err == nil {
+	if _, err := New(256, 0, LRU, nPages); err == nil {
 		t.Error("zero page size accepted")
 	}
-	if _, err := New(256, 32, Policy(99)); err == nil {
+	if _, err := New(256, 32, Policy(99), nPages); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -29,7 +34,7 @@ func TestFrameCount(t *testing.T) {
 		{0, 32, 0},    // no cache
 	}
 	for _, cse := range cases {
-		c, err := New(cse.capElems, cse.ps, LRU)
+		c, err := New(cse.capElems, cse.ps, LRU, nPages)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,8 +45,8 @@ func TestFrameCount(t *testing.T) {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c, _ := New(64, 2, LRU)
-	k := Key{Array: 1, Page: 3}
+	c, _ := New(64, 2, LRU, nPages)
+	k := 3
 	if _, out := c.Lookup(k, 0); out != Miss {
 		t.Fatalf("first lookup = %v, want Miss", out)
 	}
@@ -57,8 +62,8 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestPartialMissAndRefresh(t *testing.T) {
-	c, _ := New(64, 2, LRU)
-	k := Key{Array: 0, Page: 0}
+	c, _ := New(64, 2, LRU, nPages)
+	k := 0
 	c.Insert(k, page(7, 0), []bool{true, false})
 	if v, out := c.Lookup(k, 0); out != Hit || v != 7 {
 		t.Errorf("defined cell = (%v,%v)", v, out)
@@ -81,8 +86,8 @@ func TestPartialMissAndRefresh(t *testing.T) {
 }
 
 func TestMergeIsMonotone(t *testing.T) {
-	c, _ := New(64, 4, LRU)
-	k := Key{Array: 0, Page: 0}
+	c, _ := New(64, 4, LRU, nPages)
+	k := 0
 	c.Insert(k, page(1, 2, 0, 0), []bool{true, true, false, false})
 	// A stale snapshot (fewer defined cells, different junk in the
 	// undefined slots) must never erase what the cache already holds.
@@ -109,7 +114,7 @@ func TestMergeIsMonotone(t *testing.T) {
 		t.Errorf("merge into complete page overwrote: %v", v)
 	}
 	// Merging an absent page inserts it.
-	k2 := Key{Array: 0, Page: 1}
+	k2 := 1
 	c.Merge(k2, page(5, 0, 0, 0), []bool{true, false, false, false})
 	if v, out := c.Lookup(k2, 0); out != Hit || v != 5 {
 		t.Errorf("merge of absent page = (%v,%v)", v, out)
@@ -117,8 +122,8 @@ func TestMergeIsMonotone(t *testing.T) {
 }
 
 func TestNormalizeAllTrueDefined(t *testing.T) {
-	c, _ := New(64, 2, LRU)
-	k := Key{}
+	c, _ := New(64, 2, LRU, nPages)
+	k := 0
 	c.Insert(k, page(1, 2), []bool{true, true})
 	if _, out := c.Lookup(k, 1); out != Hit {
 		t.Errorf("all-true defined snapshot outcome = %v", out)
@@ -126,18 +131,18 @@ func TestNormalizeAllTrueDefined(t *testing.T) {
 }
 
 func TestInsertMismatchedDefinedPanics(t *testing.T) {
-	c, _ := New(64, 2, LRU)
+	c, _ := New(64, 2, LRU, nPages)
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched defined slice accepted")
 		}
 	}()
-	c.Insert(Key{}, page(1, 2), []bool{true})
+	c.Insert(0, page(1, 2), []bool{true})
 }
 
 func TestLRUEviction(t *testing.T) {
-	c, _ := New(4, 2, LRU) // 2 frames
-	k1, k2, k3 := Key{Page: 1}, Key{Page: 2}, Key{Page: 3}
+	c, _ := New(4, 2, LRU, nPages) // 2 frames
+	k1, k2, k3 := 1, 2, 3
 	c.Insert(k1, page(1, 1), nil)
 	c.Insert(k2, page(2, 2), nil)
 	// Touch k1 so k2 becomes LRU.
@@ -157,8 +162,8 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFIFOEvictionIgnoresTouches(t *testing.T) {
-	c, _ := New(4, 2, FIFO)
-	k1, k2, k3 := Key{Page: 1}, Key{Page: 2}, Key{Page: 3}
+	c, _ := New(4, 2, FIFO, nPages)
+	k1, k2, k3 := 1, 2, 3
 	c.Insert(k1, page(1, 1), nil)
 	c.Insert(k2, page(2, 2), nil)
 	c.Lookup(k1, 0) // FIFO must not promote k1
@@ -172,8 +177,8 @@ func TestFIFOEvictionIgnoresTouches(t *testing.T) {
 }
 
 func TestClockSecondChance(t *testing.T) {
-	c, _ := New(4, 2, Clock)
-	k1, k2, k3 := Key{Page: 1}, Key{Page: 2}, Key{Page: 3}
+	c, _ := New(4, 2, Clock, nPages)
+	k1, k2, k3 := 1, 2, 3
 	c.Insert(k1, page(1, 1), nil)
 	c.Insert(k2, page(2, 2), nil)
 	// Reference both, then insert: clock clears ref bits on first sweep
@@ -190,9 +195,9 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestRandomEvictionBounded(t *testing.T) {
-	c, _ := New(8, 2, Random)
+	c, _ := New(8, 2, Random, nPages)
 	for p := 0; p < 100; p++ {
-		c.Insert(Key{Page: p}, page(float64(p), 0), nil)
+		c.Insert(p, page(float64(p), 0), nil)
 		if c.Len() > 4 {
 			t.Fatalf("cache exceeded capacity: %d pages", c.Len())
 		}
@@ -203,8 +208,8 @@ func TestRandomEvictionBounded(t *testing.T) {
 }
 
 func TestZeroFrameCacheNeverCaches(t *testing.T) {
-	c, _ := New(16, 32, LRU) // frame count 0
-	k := Key{Page: 0}
+	c, _ := New(16, 32, LRU, nPages) // frame count 0
+	k := 0
 	c.Insert(k, make([]float64, 32), nil)
 	if c.Len() != 0 {
 		t.Error("zero-frame cache stored a page")
@@ -214,14 +219,14 @@ func TestZeroFrameCacheNeverCaches(t *testing.T) {
 	}
 }
 
-func TestKeysRecencyOrder(t *testing.T) {
-	c, _ := New(8, 2, LRU)
-	c.Insert(Key{Page: 0}, page(0, 0), nil)
-	c.Insert(Key{Page: 1}, page(1, 1), nil)
-	c.Lookup(Key{Page: 0}, 0) // promote page 0
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != (Key{Page: 0}) || keys[1] != (Key{Page: 1}) {
-		t.Errorf("Keys = %v", keys)
+func TestPagesRecencyOrder(t *testing.T) {
+	c, _ := New(8, 2, LRU, nPages)
+	c.Insert(0, page(0, 0), nil)
+	c.Insert(1, page(1, 1), nil)
+	c.Lookup(0, 0) // promote page 0
+	pages := c.Pages()
+	if len(pages) != 2 || pages[0] != 0 || pages[1] != 1 {
+		t.Errorf("Pages = %v", pages)
 	}
 }
 
@@ -246,12 +251,12 @@ func TestPropertyNeverExceedsCapacity(t *testing.T) {
 	// value are consistent.
 	f := func(pages []uint8, policyRaw uint8) bool {
 		policy := []Policy{LRU, FIFO, Clock, Random}[int(policyRaw)%4]
-		c, err := New(16, 4, policy) // 4 frames
+		c, err := New(16, 4, policy, nPages) // 4 frames
 		if err != nil {
 			return false
 		}
 		for _, p := range pages {
-			k := Key{Page: int(p % 32)}
+			k := int(p % 32)
 			c.Insert(k, []float64{float64(p), 0, 0, 0}, nil)
 			if c.Len() > c.maxPages {
 				return false
@@ -270,10 +275,10 @@ func TestPropertyNeverExceedsCapacity(t *testing.T) {
 func TestPropertyConservationOfLookups(t *testing.T) {
 	// Property: hits + misses + partial-misses equals total lookups.
 	f := func(ops []uint16) bool {
-		c, _ := New(32, 4, LRU)
+		c, _ := New(32, 4, LRU, nPages)
 		lookups := int64(0)
 		for _, op := range ops {
-			k := Key{Page: int(op % 16)}
+			k := int(op % 16)
 			if op%3 == 0 {
 				def := []bool{true, op%2 == 0, true, true}
 				c.Insert(k, []float64{1, 2, 3, 4}, def)
@@ -287,5 +292,171 @@ func TestPropertyConservationOfLookups(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCountOnlyMatchesValued drives a count-only cache (nil values) and
+// a valued cache with the same reference stream under every policy,
+// partially defined pages included, and requires identical outcomes,
+// statistics and recency order: the counting simulator and the
+// execution engine run one cache. The count-only cache is handed one
+// defined slice that the test rewrites before every insert, as the
+// simulator rewrites its defined slab in place; the valued cache gets a
+// fresh copy each time, so a cache that kept the caller's slice instead
+// of copying it would diverge.
+func TestCountOnlyMatchesValued(t *testing.T) {
+	const (
+		nPages   = 40
+		pageSize = 8
+		capElems = 4 * pageSize // 4 frames
+		steps    = 5000
+	)
+	for _, pol := range []Policy{LRU, FIFO, Clock, Random} {
+		t.Run(pol.String(), func(t *testing.T) {
+			counted, err := New(capElems, pageSize, pol, nPages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			valued, err := New(capElems, pageSize, pol, nPages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(pol) + 1))
+			defined := make([]bool, pageSize)
+			for s := 0; s < steps; s++ {
+				p := rng.Intn(nPages)
+				off := rng.Intn(pageSize)
+				_, vOut := valued.Lookup(p, off)
+				_, cOut := counted.Lookup(p, off)
+				if vOut != cOut {
+					t.Fatalf("step %d page %d off %d: valued %v, count-only %v", s, p, off, vOut, cOut)
+				}
+				if vOut != Hit {
+					var def []bool
+					if p%2 == 0 { // alternate partially filled pages
+						for i := range defined {
+							defined[i] = (i+s)%3 != 0
+						}
+						def = defined
+					}
+					valued.Insert(p, make([]float64, pageSize), slices.Clone(def))
+					counted.Insert(p, nil, def)
+				}
+			}
+			if valued.Stats() != counted.Stats() {
+				t.Errorf("stats diverged:\nvalued     %+v\ncount-only %+v", valued.Stats(), counted.Stats())
+			}
+			if vp, cp := valued.Pages(), counted.Pages(); !slices.Equal(vp, cp) {
+				t.Errorf("recency order diverged: valued %v, count-only %v", vp, cp)
+			}
+		})
+	}
+}
+
+// TestSnapshotsOwnTheirDefinedBits: after Insert, the caller's defined
+// slice is the caller's again. Rewriting it changes no cached snapshot,
+// and a Merge adds cells to the cache's copy alone.
+func TestSnapshotsOwnTheirDefinedBits(t *testing.T) {
+	for _, vals := range [][]float64{nil, page(1, 0, 3, 0)} {
+		c, _ := New(64, 4, LRU, nPages)
+		def := []bool{true, false, true, false}
+		c.Insert(0, vals, def)
+		def[1] = true
+		if _, out := c.Lookup(0, 1); out != PartialMiss {
+			t.Errorf("vals %v: rewritten caller slice changed the snapshot: %v", vals, out)
+		}
+		c.Merge(0, page(1, 2, 3, 0), []bool{true, true, true, false})
+		if def[3] || !def[1] {
+			t.Errorf("vals %v: Merge wrote the inserted slice: %v", vals, def)
+		}
+		if _, out := c.Lookup(0, 1); out != Hit {
+			t.Errorf("vals %v: merged cell outcome %v, want Hit", vals, out)
+		}
+		if _, out := c.Lookup(0, 3); out != PartialMiss {
+			t.Errorf("vals %v: never-defined cell outcome %v, want PartialMiss", vals, out)
+		}
+	}
+}
+
+// TestResetRestoresFreshState verifies that a reset cache behaves
+// exactly like a newly created one, including the Random policy's
+// deterministic seed.
+func TestResetRestoresFreshState(t *testing.T) {
+	for _, pol := range []Policy{LRU, Random} {
+		used, err := New(64, 8, pol, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Dirty it.
+		for p := 0; p < 16; p++ {
+			used.Lookup(p, 0)
+			used.Insert(p, nil, nil)
+		}
+		if err := used.Reset(32, 4, pol, 24); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(32, 4, pol, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for s := 0; s < 2000; s++ {
+			p := rng.Intn(24)
+			_, a := used.Lookup(p, rng.Intn(4))
+			_, b := fresh.Lookup(p, 0)
+			if a != b {
+				t.Fatalf("%s: step %d: reset %v, fresh %v", pol, s, a, b)
+			}
+			if a != Hit {
+				used.Insert(p, nil, nil)
+				fresh.Insert(p, nil, nil)
+			}
+		}
+		if used.Stats() != fresh.Stats() {
+			t.Errorf("%s: stats diverged: %+v vs %+v", pol, used.Stats(), fresh.Stats())
+		}
+	}
+}
+
+// TestCountOnlyNoFrames pins the degenerate no-cache configuration
+// of a count-only cache: every lookup misses and inserts are no-ops.
+func TestCountOnlyNoFrames(t *testing.T) {
+	c, err := New(0, 32, LRU, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, out := c.Lookup(i, 0); out != Miss {
+			t.Fatalf("lookup %d: %v, want Miss", i, out)
+		}
+		c.Insert(i, nil, nil)
+	}
+	st := c.Stats()
+	if st.Misses != 5 || st.Inserts != 0 || c.Len() != 0 {
+		t.Errorf("no-frame cache stats %+v len %d", st, c.Len())
+	}
+}
+
+// TestNextRandomKnownAnswer pins the Random policy's generator: the
+// first eight states from RandomSeed under the (13, 7, 17) xorshift,
+// computed independently of NextRandom. Every Random eviction in the
+// simulator and in replay's policy rows draws from this sequence, so a
+// changed shift must fail here, in the generator's own package.
+func TestNextRandomKnownAnswer(t *testing.T) {
+	want := []uint64{
+		0xdc1b77ae0bf34dad,
+		0x64f0eeb9026e6076,
+		0x7b07ce91e5906136,
+		0x305f050c368dcc74,
+		0x2ceb16e0a1c54aec,
+		0x97101dce4e7bfb79,
+		0x9ad2e144d6e8f2cf,
+		0xd9aa792e1af470ea,
+	}
+	x := uint64(RandomSeed)
+	for i, w := range want {
+		if x = NextRandom(x); x != w {
+			t.Fatalf("state %d = %#016x, want %#016x", i+1, x, w)
+		}
 	}
 }

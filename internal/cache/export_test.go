@@ -2,7 +2,7 @@ package cache
 
 // Contains reports whether the page is cached, without touching recency
 // state or statistics.
-func (c *Cache) Contains(key Key) bool {
-	_, ok := c.entries[key]
-	return ok
-}
+func (c *Cache) Contains(page int) bool { return c.resident(page) != nil }
+
+// Len returns the number of cached pages.
+func (c *Cache) Len() int { return c.used }

@@ -90,7 +90,7 @@ func TestCompileRoutedByteIdentity(t *testing.T) {
 			t.Fatalf("shard %d classify after replication: %d: %s", i, scode, sbody)
 		}
 	}
-	if got := c.router.reg.Counter(MetricReplications).Value(); got == 0 {
+	if got := c.router.cReplications.Value(); got == 0 {
 		t.Fatalf("%s = 0 after a routed compile", MetricReplications)
 	}
 

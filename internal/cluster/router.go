@@ -110,7 +110,6 @@ type Router struct {
 	opts  RouterOptions
 	ring  *ring
 	local *serve.Server
-	reg   *obs.Registry
 	mux   *http.ServeMux
 	tring *trace.Ring
 	hc    *http.Client
@@ -148,7 +147,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		opts:            opts,
 		ring:            newRing(opts.Shards),
 		local:           serve.New(opts.Local),
-		reg:             reg,
 		mux:             http.NewServeMux(),
 		tring:           trace.NewRing(),
 		hc:              &http.Client{},

@@ -46,13 +46,11 @@ type Supervisor struct {
 }
 
 type shardProc struct {
-	id       int
-	addrFile string
-	addr     string
-	cmd      *exec.Cmd
-	waitCh   chan struct{} // closed once cmd.Wait returns (child reaped)
-	waitErr  error         // cmd.Wait's result; read only after <-waitCh
-	dead     bool
+	addr    string
+	cmd     *exec.Cmd
+	waitCh  chan struct{} // closed once cmd.Wait returns (child reaped)
+	waitErr error         // cmd.Wait's result; read only after <-waitCh
+	dead    bool
 }
 
 // StartSupervisor spawns every shard and waits until each has
@@ -90,7 +88,7 @@ func (s *Supervisor) spawn(id int) (*shardProc, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("cluster: starting shard %d: %w", id, err)
 	}
-	sp := &shardProc{id: id, addrFile: addrFile, cmd: cmd, waitCh: make(chan struct{})}
+	sp := &shardProc{cmd: cmd, waitCh: make(chan struct{})}
 	go func() { sp.waitErr = cmd.Wait(); close(sp.waitCh) }()
 
 	deadline := time.Now().Add(startTimeout)

@@ -37,7 +37,6 @@ type Check struct {
 
 // Outcome is the result of running one experiment.
 type Outcome struct {
-	ID     string
 	Title  string
 	Paper  string // what the paper reports
 	Figure *stats.Figure

@@ -105,7 +105,7 @@ func Figure1() (*Outcome, error) {
 	nc64 := at(fig, "No Cache, ps 64", 8)
 	c64 := at(fig, "Cache, ps 64", 8)
 	o := &Outcome{
-		ID: "fig1", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "no-cache ps32 ~22%; cache cuts it to ~1%; ps 64 halves the no-cache ratio",
 		Figure: fig,
 		Text:   fig.Table(),
@@ -133,7 +133,7 @@ func Figure2() (*Outcome, error) {
 		return nil, err
 	}
 	o := &Outcome{
-		ID: "fig2", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "no-cache rises toward 100%; with cache the percentage is reduced significantly",
 		Figure: fig,
 		Text:   fig.Table(),
@@ -172,7 +172,7 @@ func Figure3() (*Outcome, error) {
 		return nil, err
 	}
 	o := &Outcome{
-		ID: "fig3", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "remote percentage is low (0-8%) and decreases as PEs increase, aided further by caching",
 		Figure: fig,
 		Text:   fig.Table(),
@@ -202,7 +202,7 @@ func Figure4() (*Outcome, error) {
 		return nil, err
 	}
 	o := &Outcome{
-		ID: "fig4", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "RD exhibits large remote ratios regardless of the presence or absence of caching (20-70% band)",
 		Figure: fig,
 		Text:   fig.Table(),
@@ -282,7 +282,7 @@ func Figure5() (*Outcome, error) {
 		fmt.Fprintf(&txt, "%-28s %10d %10.0f %10d %8.3f\n", s.Label, b.Min, b.Mean, b.Max, b.CV)
 	}
 	return &Outcome{
-		ID: "fig5", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "evenly balanced loads result from the area-of-responsibility concept",
 		Figure: fig,
 		Text:   txt.String(),
@@ -312,7 +312,7 @@ func TableA() (*Outcome, error) {
 		}
 	}
 	return &Outcome{
-		ID: "tableA", Title: "Table A: access-distribution classes",
+		Title: "Table A: access-distribution classes",
 		Paper: "MD: 1-D PIC fragment; SD: hydro, tri-diag, EOS, hydro-frag, first sum, first diff; CD: ICCG, 2-D hydro; RD: GLR, ADI",
 		Text:  txt.String(),
 		Notes: "The kernels the paper does not classify are reported with " +
@@ -384,7 +384,7 @@ func TableB() (*Outcome, error) {
 		nc.RemotePercent() > 20 && nc.RemotePercent() < 23 && wc.RemotePercent() < 1.5,
 		"measured %.2f%% -> %.2f%%", nc.RemotePercent(), wc.RemotePercent()))
 	return &Outcome{
-		ID: "tableB", Title: "Table B: §8 conclusions summary (16 PEs, ps 32)",
+		Title:  "Table B: §8 conclusions summary (16 PEs, ps 32)",
 		Paper:  "percentages of remote accesses are less than 10% for most access distributions; SD 1-10%; 22%->1% for large skew",
 		Text:   txt.String(),
 		Checks: checks,
@@ -430,7 +430,7 @@ func AblationLayout() (*Outcome, error) {
 	}
 	checks = append(checks, check("division beats modulo on some loops", anyBlockWins, "see table"))
 	return &Outcome{
-		ID: "ablation-layout", Title: fig.Title,
+		Title: fig.Title,
 		Paper: "modulo performs worse for certain loops than a division scheme (§9)",
 		Text:  txt.String(),
 		Notes: "Division (block) halves k1 and k5 and helps k18, while k2 is " +
@@ -479,7 +479,7 @@ func AblationCacheSize() (*Outcome, error) {
 			"series %v", s.Y))
 	}
 	return &Outcome{
-		ID: "ablation-cache", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "increasing the cache size will help by allowing a complete cycle to reside in the cache (§7.1.4)",
 		Figure: fig,
 		Text:   fig.Table(),
@@ -530,7 +530,7 @@ func AblationPageSize() (*Outcome, error) {
 	checks = append(checks, check("k1 improves from ps 8 to ps 64",
 		k1.Y[3] < k1.Y[0], "%.2f%% -> %.2f%%", k1.Y[0], k1.Y[3]))
 	return &Outcome{
-		ID: "ablation-pagesize", Title: fig.Title,
+		Title:  fig.Title,
 		Paper:  "selecting the page size might prove useful for reducing communication overhead (§9)",
 		Figure: fig,
 		Text:   fig.Table(),
@@ -587,7 +587,7 @@ func AblationPolicy() (*Outcome, error) {
 			"lru=%.2f%% min=%.2f%%", vals[cache.LRU], minOf(vals)))
 	}
 	return &Outcome{
-		ID: "ablation-policy", Title: "Ablation δ: replacement policy vs % remote (16 PEs, ps 32, 256-elem cache)",
+		Title: "Ablation δ: replacement policy vs % remote (16 PEs, ps 32, 256-elem cache)",
 		Paper: "the paper fixes LRU; this quantifies the sensitivity of that choice",
 		Text:  txt.String(),
 		Notes: "LRU (the paper's choice) is within noise of FIFO/Clock/Random on CD " +

@@ -62,7 +62,6 @@ func ExtSpeedup() (*Outcome, error) {
 		fig.Series = append(fig.Series, s)
 	}
 	o := &Outcome{
-		ID:     "ext-speedup",
 		Title:  fig.Title,
 		Paper:  "§9 future work: execution-time modeling; §1: MIMD has 'the greatest potential for large-scale parallelism'",
 		Figure: fig,
@@ -144,7 +143,6 @@ func ExtContention() (*Outcome, error) {
 			"bus %.4f vs mesh %.4f", record["k6/bus"], record["k6/mesh4x4"]),
 	)
 	return &Outcome{
-		ID:    "ext-contention",
 		Title: "Extension: link contention per class and topology (16 PEs, ps 32)",
 		Paper: "abstract: 'the degradation in network performance due to multiprocessing is minimal'; §9: network contention is future work",
 		Text:  txt.String(),
@@ -217,7 +215,6 @@ func ExtAdvisor() (*Outcome, error) {
 			"chosen %.2f%%, best %.2f%%", chosen, best))
 	}
 	return &Outcome{
-		ID:    "ext-advisor",
 		Title: "Extension: class-driven partitioning advisor (§9 selectable schemes)",
 		Paper: "§9: 'allow the selection of one or the other scheme based on the access distribution class'",
 		Text:  txt.String(),

@@ -89,24 +89,6 @@ func (e Expr) Times(k int) Expr {
 // IsAffine reports whether the expression is affine (no indirection).
 func (e Expr) IsAffine() bool { return e.Indirect == nil }
 
-// Eval evaluates the expression under a variable binding; reads
-// resolves indirections.
-func (e Expr) Eval(env map[string]int, reads func(array string, idx int) float64) int {
-	if e.Indirect != nil {
-		idx := e.Indirect.Index.Eval(env, reads)
-		return int(reads(e.Indirect.Array, idx))
-	}
-	v := e.Const
-	for name, c := range e.Coeffs {
-		b, ok := env[name]
-		if !ok {
-			panic(fmt.Sprintf("ir: unbound variable %q", name))
-		}
-		v += c * b
-	}
-	return v
-}
-
 // FreeVars returns the variables the expression depends on, sorted.
 func (e Expr) FreeVars() []string {
 	set := map[string]bool{}

@@ -18,6 +18,25 @@ import (
 	"repro/internal/refstream"
 )
 
+// Eval evaluates the expression under a variable binding; reads
+// resolves indirections. It is the walker's definition of an affine
+// value, and the reference the compiled body's index code is held to.
+func (e Expr) Eval(env map[string]int, reads func(array string, idx int) float64) int {
+	if e.Indirect != nil {
+		idx := e.Indirect.Index.Eval(env, reads)
+		return int(reads(e.Indirect.Array, idx))
+	}
+	v := e.Const
+	for name, c := range e.Coeffs {
+		b, ok := env[name]
+		if !ok {
+			panic(fmt.Sprintf("ir: unbound variable %q", name))
+		}
+		v += c * b
+	}
+	return v
+}
+
 // walkerKernel is p.Kernel with the tree walker as its Run.
 func walkerKernel(t testing.TB, p *Program, defaultN int) *loops.Kernel {
 	t.Helper()

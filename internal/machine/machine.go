@@ -277,6 +277,7 @@ type arrayState struct {
 	layout partition.Layout
 	pages  []*samem.Page
 	host   int // host processor for reductions and re-initialization (§5)
+	base   int // dense id of page 0 in the PE caches' page-id space
 }
 
 type machine struct {
@@ -406,8 +407,7 @@ func (e *peEngine) Read(a *loops.Arr, lin int) float64 {
 		e.m.perPE[e.pe].LocalReads++
 		return e.localRead(st, a, page, off)
 	}
-	key := cache.Key{Array: a.ID, Page: page}
-	if v, out := e.m.caches[e.pe].Lookup(key, off); out == cache.Hit {
+	if v, out := e.m.caches[e.pe].Lookup(st.base+page, off); out == cache.Hit {
 		e.m.perPE[e.pe].CachedReads++
 		return v
 	}
@@ -427,9 +427,9 @@ func (e *peEngine) Read(a *loops.Arr, lin int) float64 {
 		// Monotone merge: a reply can never carry less than the cache
 		// already holds for the requested cell, but under reordering it
 		// may be older elsewhere in the page — merging only ever adds.
-		e.m.caches[e.pe].Merge(key, rep.Payload, rep.Defined)
+		e.m.caches[e.pe].Merge(st.base+page, rep.Payload, rep.Defined)
 	} else {
-		e.m.caches[e.pe].Insert(key, rep.Payload, rep.Defined)
+		e.m.caches[e.pe].Insert(st.base+page, rep.Payload, rep.Defined)
 	}
 	return rep.Payload[off]
 }
@@ -552,7 +552,7 @@ func (e *peEngine) mergeReply(rep network.Message) {
 	if rep.Type != network.PageReply || rep.Payload == nil {
 		return
 	}
-	e.m.caches[e.pe].Merge(cache.Key{Array: rep.Array, Page: rep.Page}, rep.Payload, rep.Defined)
+	e.m.caches[e.pe].Merge(e.m.arrays[rep.Array].base+rep.Page, rep.Payload, rep.Defined)
 }
 
 func (e *peEngine) localRead(st *arrayState, a *loops.Arr, page, off int) float64 {
@@ -876,6 +876,7 @@ func Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine: %s: %w", k.Key, err)
 	}
+	pages := 0 // the PE caches' page-id space, every array's pages in turn
 	for i, a := range protoCtx.Arrays() {
 		g, err := partition.NewGeometry(a.Len(), cfg.PageSize)
 		if err != nil {
@@ -885,7 +886,8 @@ func Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := &arrayState{geom: g, layout: l, host: i % cfg.NPE}
+		st := &arrayState{geom: g, layout: l, host: i % cfg.NPE, base: pages}
+		pages += g.Pages()
 		for p := 0; p < g.Pages(); p++ {
 			lo, hi := g.PageBounds(p)
 			st.pages = append(st.pages, samem.NewPage(a.Name, lo, hi-lo))
@@ -907,7 +909,7 @@ func Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	m.perPE = make([]stats.Counters, cfg.NPE)
 	m.reduceC = make([]chan network.Message, cfg.NPE)
 	for pe := 0; pe < cfg.NPE; pe++ {
-		c, err := cache.New(cfg.CacheElems, cfg.PageSize, cfg.Policy)
+		c, err := cache.New(cfg.CacheElems, cfg.PageSize, cfg.Policy, pages)
 		if err != nil {
 			return nil, err
 		}

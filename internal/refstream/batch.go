@@ -623,8 +623,7 @@ func (r *Replayer) runChunk(st *Stream, cfgs []sim.Config, results []*sim.Result
 				owners := b.owners[b.ownOff[first]:b.ownOff[first+1]] // every member's table is this one
 				reg.Counter(MetricBatchOwnerMaps).Inc()
 				if single {
-					heads, _ := st.decoded()
-					r.two.buildEvents(heads, st.gidColumn(ps), m.key.npe, owners)
+					r.two.buildEvents(st.dheads, st.gidColumn(ps), m.key.npe, owners)
 				} else {
 					r.two.build(col, m.key.npe, owners)
 				}

@@ -2,11 +2,17 @@ package refstream
 
 // marshal.go — the wire encoding of a captured Stream: the format the
 // disk-backed capture store (internal/refstream/store) persists and
-// shards exchange. The payload is the compressed columnar form the
-// replayer already shares read-only across workers — a varint header
-// (kernel key, problem size, array lengths, validation checksums,
-// event count) followed by the heads and lins byte columns verbatim —
-// so serialization adds no second encoding scheme, only framing.
+// shards exchange. A varint header (kernel key, problem size, array
+// lengths, validation checksums, event count) is followed by the event
+// columns in compressed form, each prefixed by its byte length. Per
+// event, the heads column holds one varint packing (arrayID << 3 |
+// opcode); the lins column holds, for opcodes that carry an element
+// index, the zigzag-varint delta against the previous index seen for
+// that array. Livermore access patterns are overwhelmingly sequential
+// per array, so a typical event costs two bytes against the eight of
+// the in-memory columns. MarshalBinary encodes the fixed-width columns
+// straight into its output and UnmarshalStream decodes straight from
+// its input; a Stream never holds the compressed form.
 //
 // The encoding is canonical: one Stream has exactly one byte string
 // (the columns are deterministic functions of the capture, and the
@@ -20,13 +26,14 @@ package refstream
 // return a stream whose replay would index out of bounds. Every length
 // is bounded by the remaining input before allocation, and the event
 // columns are fully walked and range-checked against the declared
-// array lengths before the stream is accepted.
+// array lengths as they are decoded, before the stream is accepted.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/loops"
 	"repro/internal/partition"
@@ -46,17 +53,13 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorruptStream, fmt.Sprintf(format, args...))
 }
 
-// MarshalBinary renders the stream's canonical byte encoding,
-// building the compressed columns first if the stream has only the
-// capture-time fixed-width form. Safe for concurrent use alongside
-// replays; the stream is not mutated beyond its usual lazy memos.
+// MarshalBinary renders the stream's canonical byte encoding. Safe
+// for concurrent use alongside replays; the stream is not mutated.
 func (s *Stream) MarshalBinary() ([]byte, error) {
 	if s.Kernel == nil {
 		return nil, fmt.Errorf("refstream: marshal: stream has no kernel")
 	}
-	s.EncodedBytes() // force-build heads/lins from the capture columns
-	buf := make([]byte, 0, 64+len(s.heads)+len(s.lins))
-	buf = append(buf, streamMagic[:]...)
+	buf := append([]byte(nil), streamMagic[:]...)
 	buf = appendUvarintString(buf, s.Kernel.Key)
 	buf = binary.AppendUvarint(buf, uint64(s.N))
 	buf = binary.AppendUvarint(buf, uint64(len(s.ArrayLens)))
@@ -71,12 +74,48 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(cs.Sum))
 	}
 	buf = binary.AppendUvarint(buf, uint64(s.events))
-	buf = binary.AppendUvarint(buf, uint64(len(s.heads)))
-	buf = append(buf, s.heads...)
-	buf = binary.AppendUvarint(buf, uint64(len(s.lins)))
-	buf = append(buf, s.lins...)
-	return buf, nil
+	return appendColumns(buf, s.dheads, s.dlins, len(s.ArrayLens)), nil
 }
+
+// columnSizes returns the byte lengths of the compressed heads and lins
+// columns of the given events over arrays arrays.
+func columnSizes(heads []uint32, lins []int32, arrays int) (headsLen, linsLen int) {
+	last := make([]int32, arrays)
+	for i, h := range heads {
+		headsLen += uvarintLen(uint64(h))
+		if a := h >> 3; opHasLin(byte(h & 7)) {
+			linsLen += uvarintLen(zigzag(int64(lins[i]) - int64(last[a])))
+			last[a] = lins[i]
+		}
+	}
+	return headsLen, linsLen
+}
+
+// appendColumns appends the compressed heads and lins columns of the
+// given events to buf, each prefixed by its byte length. It grows buf
+// once, to the size columnSizes measures, and writes both columns in
+// one walk.
+func appendColumns(buf []byte, heads []uint32, lins []int32, arrays int) []byte {
+	headsLen, linsLen := columnSizes(heads, lins, arrays)
+	buf = binary.AppendUvarint(buf, uint64(headsLen))
+	h := len(buf)
+	buf = append(buf, make([]byte, headsLen)...)
+	buf = binary.AppendUvarint(buf, uint64(linsLen))
+	l := len(buf)
+	buf = append(buf, make([]byte, linsLen)...)
+	last := make([]int32, arrays)
+	for i, hd := range heads {
+		h += binary.PutUvarint(buf[h:], uint64(hd))
+		if a := hd >> 3; opHasLin(byte(hd & 7)) {
+			l += binary.PutUvarint(buf[l:], zigzag(int64(lins[i])-int64(last[a])))
+			last[a] = lins[i]
+		}
+	}
+	return buf
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func appendUvarintString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -230,31 +269,33 @@ func UnmarshalStreamKernels(data []byte, resolve func(key string) (*loops.Kernel
 		// allocation downstream.
 		return nil, corruptf("%d events in a %d-byte heads column", events, headsLen)
 	}
-	st.heads = append([]byte(nil), r.bytes(headsLen)...)
+	heads := r.bytes(headsLen)
 	linsLen, err := r.length("lins column")
 	if err != nil {
 		return nil, err
 	}
-	st.lins = append([]byte(nil), r.bytes(linsLen)...)
+	lins := r.bytes(linsLen)
 	st.events = int(events)
 	if len(r.buf) != 0 {
 		return nil, corruptf("%d trailing bytes", len(r.buf))
 	}
-	if err := st.validateColumns(); err != nil {
+	if err := st.decodeColumns(heads, lins); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// validateColumns walks the compressed event columns once, checking
-// that every varint decodes, every opcode is known, every array ID has
-// a declaration, every element index lands inside its array, every
-// reduction's terms are consecutive elements of the driver array that
-// closes it, and the event count matches — the precondition that lets
-// replay run with no per-event bounds checks and classify reductions
-// from page ranges (frameAgg).
-func (s *Stream) validateColumns() error {
-	heads, lins := s.heads, s.lins
+// decodeColumns decodes the compressed event columns into the stream's
+// fixed-width ones in one walk, checking as it goes that every varint
+// decodes, every opcode is known, every array ID has a declaration,
+// every element index lands inside its array, every reduction's terms
+// are consecutive elements of the driver array that closes it, and the
+// event count matches — the precondition that lets replay run with no
+// per-event bounds checks and classify reductions from page ranges
+// (frameAgg).
+func (s *Stream) decodeColumns(heads, lins []byte) error {
+	s.dheads = make([]uint32, 0, s.events)
+	s.dlins = make([]int32, 0, s.events)
 	last := make([]int, len(s.ArrayLens))
 	count := 0
 	driver, term := -1, 0 // the open reduction's array (-1: none) and last term
@@ -301,6 +342,8 @@ func (s *Stream) validateColumns() error {
 		if count > s.events {
 			return corruptf("more than the declared %d events", s.events)
 		}
+		s.dheads = append(s.dheads, uint32(h))
+		s.dlins = append(s.dlins, int32(lin))
 	}
 	if count != s.events {
 		return corruptf("%d events decoded, header declared %d", count, s.events)

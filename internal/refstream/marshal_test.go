@@ -106,7 +106,7 @@ func TestUnmarshalCorruptions(t *testing.T) {
 	}
 	// Flip each byte through a few values. Most mutations must error;
 	// the ones that survive must at least decode to a structurally
-	// valid stream (no panics, indexes in range — validateColumns ran).
+	// valid stream (no panics, indexes in range — decodeColumns ran).
 	for i := range enc {
 		for _, delta := range []byte{0x01, 0x80, 0xff} {
 			mut := append([]byte(nil), enc...)
@@ -135,7 +135,7 @@ func TestUnmarshalCorruptions(t *testing.T) {
 func gappedTerms(t testing.TB) []byte {
 	t.Helper()
 	st := captureT(t, "k3", 0)
-	heads, lins := st.decoded()
+	heads, lins := st.dheads, st.dlins
 	gap := &Stream{Kernel: st.Kernel, N: st.N, ArrayLens: st.ArrayLens, Checksums: st.Checksums,
 		events: st.events, dheads: heads, dlins: slices.Clone(lins)}
 	terms := 0

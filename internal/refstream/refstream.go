@@ -40,18 +40,15 @@
 // the measured win, and Eligible for the two configurations that still
 // require direct execution.
 //
-// The encoding is a struct-of-arrays pair of byte columns. Per event,
-// the heads column holds one varint packing (arrayID << 3 | opcode);
-// the lins column holds, for opcodes that carry an element index, the
-// zigzag-varint delta against the previous index seen for that array.
-// Livermore access patterns are overwhelmingly sequential per array,
-// so a typical event costs two bytes — roughly an order of magnitude
-// smaller than a fixed-width trace record — and streams are shared
-// read-only across sweep workers.
+// A Stream holds its events as two fixed-width columns, the form the
+// recording engine writes and every replay path reads: per event, the
+// array ID and opcode packed in one uint32 and the element index in one
+// int32. Streams are shared read-only across sweep workers. The wire
+// form the capture store persists (marshal.go) is a compressed pair of
+// byte columns derived from these on demand and never kept.
 package refstream
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -94,20 +91,14 @@ type Stream struct {
 	Checksums []loops.ArraySum
 
 	events int
-	heads  []byte // per event: varint(arrayID<<3 | opcode)
-	lins   []byte // per payload-carrying event: zigzag varint delta of lin, keyed per array
+	dheads []uint32 // per event: arrayID<<3 | opcode
+	dlins  []int32  // per event: absolute element index (0 when the opcode has none)
 
 	// Replay-side memos, built lazily on first use and shared by every
 	// Replayer of this stream (a group replays one stream dozens of
-	// times, so decoding pays for itself after the first replay). The
-	// compressed columns above stay the storage format; these are
-	// hot-loop views. Each view is built single-flight per page size
-	// (memo), which keeps the Stream safe for concurrent replays.
-	decodeOnce sync.Once
-	encodeOnce sync.Once
-	dheads     []uint32 // per event: arrayID<<3 | opcode, fixed width
-	dlins      []int32  // per event: absolute element index (0 when the opcode has none)
-
+	// times, so each view pays for itself after the first replay). Each
+	// view is built single-flight per page size (memo), which keeps the
+	// Stream safe for concurrent replays.
 	gidCols  memo[[]int32]    // page size → per-event global page id
 	aggCols  memo[*frameAgg]  // page size → structural summary (writes, reduces, read totals)
 	histCols memo[*readsHist] // page size → run-length read histogram
@@ -167,41 +158,12 @@ func (m *memo[T]) slow(s *Stream, pageSize int, build func(*Stream, int) T) *mem
 // Events returns the number of captured events.
 func (s *Stream) Events() int { return s.events }
 
-// EncodedBytes returns the stream's compressed footprint in bytes,
-// building the compressed columns on first call (capture records the
-// fixed-width form and defers compression until someone asks).
+// EncodedBytes returns the byte length of the stream's compressed
+// event columns, the bulk of its wire form (marshal.go). It computes
+// the length without building or keeping the columns.
 func (s *Stream) EncodedBytes() int {
-	s.encodeOnce.Do(func() {
-		if s.heads == nil && s.dheads != nil {
-			s.compress()
-		}
-	})
-	return len(s.heads) + len(s.lins)
-}
-
-// emit appends one event to the stream's compressed columns. last is
-// the caller-maintained per-array delta state.
-func (s *Stream) emit(op byte, array, lin int, last []int) {
-	s.heads = binary.AppendUvarint(s.heads, uint64(array)<<3|uint64(op))
-	if opHasLin(op) {
-		delta := int64(lin - last[array])
-		last[array] = lin
-		s.lins = binary.AppendUvarint(s.lins, zigzag(delta))
-	}
-	s.events++
-}
-
-// compress batch-builds the compressed columns from the recorded
-// fixed-width ones, by replaying them through emit — the one encoding
-// definition — after the capture run finishes.
-func (s *Stream) compress() {
-	last := make([]int, len(s.ArrayLens))
-	s.heads = make([]byte, 0, s.events)
-	s.lins = make([]byte, 0, s.events)
-	s.events = 0 // emit re-counts
-	for i, h := range s.dheads {
-		s.emit(byte(h&7), int(h>>3), int(s.dlins[i]), last)
-	}
+	heads, lins := columnSizes(s.dheads, s.dlins, len(s.ArrayLens))
+	return heads + lins
 }
 
 // zigzag maps a signed delta to the unsigned varint space.
@@ -209,57 +171,6 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// cursor streams events back out of the columns. Each replay owns its
-// cursor (and delta state), so concurrent replays of one Stream never
-// share mutable state.
-type cursor struct {
-	heads, lins []byte
-	last        []int // per-array delta state, reset to zero per replay
-}
-
-// next decodes one event. ok is false at end of stream.
-func (c *cursor) next() (op byte, array, lin int, ok bool) {
-	if len(c.heads) == 0 {
-		return 0, 0, 0, false
-	}
-	h, n := binary.Uvarint(c.heads)
-	c.heads = c.heads[n:]
-	op = byte(h & 7)
-	array = int(h >> 3)
-	if opHasLin(op) {
-		d, n := binary.Uvarint(c.lins)
-		c.lins = c.lins[n:]
-		lin = c.last[array] + int(unzigzag(d))
-		c.last[array] = lin
-	}
-	return op, array, lin, true
-}
-
-// decoded returns the stream's fixed-width event columns. Captured
-// streams already carry them (the recording engine writes that form);
-// a stream built from its compressed columns alone decompresses here,
-// exactly once.
-func (s *Stream) decoded() (heads []uint32, lins []int32) {
-	s.decodeOnce.Do(func() {
-		if s.dheads != nil {
-			return
-		}
-		dh := make([]uint32, 0, s.events)
-		dl := make([]int32, 0, s.events)
-		c := cursor{heads: s.heads, lins: s.lins, last: make([]int, len(s.ArrayLens))}
-		for {
-			op, a, lin, ok := c.next()
-			if !ok {
-				break
-			}
-			dh = append(dh, uint32(a)<<3|uint32(op))
-			dl = append(dl, int32(lin))
-		}
-		s.dheads, s.dlins = dh, dl
-	})
-	return s.dheads, s.dlins
-}
 
 // appendPageTable writes each array's base page id into dst (reusing
 // its capacity) and returns the table plus the total page count under
@@ -294,7 +205,7 @@ func (s *Stream) gidColumn(pageSize int) []int32 {
 }
 
 func (s *Stream) buildGidColumn(pageSize int) []int32 {
-	heads, lins := s.decoded()
+	heads, lins := s.dheads, s.dlins
 	bases, _ := appendPageTable(nil, s.ArrayLens, pageSize)
 	col := make([]int32, len(heads))
 	ps := int32(pageSize)
@@ -351,7 +262,7 @@ func (s *Stream) frameAgg(pageSize int) *frameAgg {
 }
 
 func (s *Stream) buildFrameAgg(pageSize int) *frameAgg {
-	heads, _ := s.decoded()
+	heads := s.dheads
 	gids := s.gidColumn(pageSize)
 	a := &frameAgg{}
 	inCtx := false // an assignment or term page is open
@@ -433,7 +344,7 @@ func (s *Stream) readsHist(pageSize int) *readsHist {
 }
 
 func (s *Stream) buildReadsHist(pageSize int) *readsHist {
-	heads, _ := s.decoded()
+	heads := s.dheads
 	gids := s.gidColumn(pageSize)
 	a := &readsHist{}
 	cur := int32(-1) // open context page, -1 when none
@@ -557,7 +468,7 @@ func (s *Stream) readColumn(pageSize int) []readRec {
 }
 
 func (s *Stream) buildReadColumn(pageSize int) []readRec {
-	heads, _ := s.decoded()
+	heads := s.dheads
 	gids := s.gidColumn(pageSize)
 	col := make([]readRec, 0, s.events)
 	cur := int32(-1)
@@ -612,7 +523,7 @@ func (s *Stream) foldTable(pageSize int) *foldTable {
 }
 
 func (s *Stream) buildFoldTable(pageSize int) *foldTable {
-	heads, lins := s.decoded()
+	heads, lins := s.dheads, s.dlins
 	t := &foldTable{}
 	ps := int32(pageSize)
 	cur := int32(-1) // folded key of the open context page, -1 when none

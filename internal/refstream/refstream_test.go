@@ -405,19 +405,17 @@ func TestReplayInvalidConfigs(t *testing.T) {
 }
 
 // TestStreamEncodingRoundTrip feeds randomized events through the
-// columnar encoder and a cursor and requires exact reconstruction —
-// including negative deltas, large jumps and payload-less opcodes.
+// wire form's column encoder and decoder and requires exact
+// reconstruction — including negative deltas, large jumps and
+// payload-less opcodes — and the byte length EncodedBytes reports.
+// Reduction terms are kept consecutive on their driver array, as the
+// decoder requires.
 func TestStreamEncodingRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1989))
 	const arrays = 11
-	type ev struct {
-		op  byte
-		a   int
-		lin int
-	}
-	var evs []ev
-	st := &Stream{}
-	last := make([]int, arrays)
+	var heads []uint32
+	var lins []int32
+	driver, term := -1, 0 // the open reduction's array (-1: none) and last term
 	for i := 0; i < 5000; i++ {
 		op := byte(rng.Intn(5))
 		a := rng.Intn(arrays)
@@ -425,28 +423,64 @@ func TestStreamEncodingRoundTrip(t *testing.T) {
 		if opHasLin(op) {
 			lin = rng.Intn(1 << 20)
 		}
-		if op == opEnd {
+		switch {
+		case op == opEnd:
 			a = 0
+		case op == opTerm && driver >= 0:
+			a, lin = driver, term+1
+		case op == opEndReduce && driver >= 0:
+			a = driver
 		}
-		evs = append(evs, ev{op, a, lin})
-		st.emit(op, a, lin, last)
-	}
-	if st.Events() != len(evs) {
-		t.Fatalf("Events() = %d, want %d", st.Events(), len(evs))
-	}
-	c := cursor{heads: st.heads, lins: st.lins, last: make([]int, arrays)}
-	for i, want := range evs {
-		op, a, lin, ok := c.next()
-		if !ok {
-			t.Fatalf("stream ended at event %d of %d", i, len(evs))
+		switch op {
+		case opTerm:
+			driver, term = a, lin
+		case opEndReduce:
+			driver = -1
 		}
-		if op != want.op || a != want.a || (opHasLin(op) && lin != want.lin) {
-			t.Fatalf("event %d: got (op=%d a=%d lin=%d), want (op=%d a=%d lin=%d)",
-				i, op, a, lin, want.op, want.a, want.lin)
+		heads = append(heads, uint32(a)<<3|uint32(op))
+		lins = append(lins, int32(lin))
+	}
+	lens := make([]int, arrays)
+	for i := range lens {
+		lens[i] = 1 << 21
+	}
+	enc := &Stream{ArrayLens: lens, events: len(heads), dheads: heads, dlins: lins}
+	r := &streamReader{buf: appendColumns(nil, heads, lins, arrays)}
+	headsLen, err := r.length("heads column")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headsCol := r.bytes(headsLen)
+	linsLen, err := r.length("lins column")
+	if err != nil {
+		t.Fatal(err)
+	}
+	linsCol := r.bytes(linsLen)
+	if len(r.buf) != 0 {
+		t.Fatalf("%d bytes past the lins column", len(r.buf))
+	}
+	if got := enc.EncodedBytes(); got != headsLen+linsLen {
+		t.Errorf("EncodedBytes() = %d, columns hold %d bytes", got, headsLen+linsLen)
+	}
+	dec := &Stream{ArrayLens: lens, events: len(heads)}
+	if err := dec.decodeColumns(headsCol, linsCol); err != nil {
+		t.Fatal(err)
+	}
+	if dec.Events() != len(heads) {
+		t.Fatalf("Events() = %d, want %d", dec.Events(), len(heads))
+	}
+	for i, h := range heads {
+		want := lins[i]
+		if !opHasLin(byte(h & 7)) {
+			want = 0
+		}
+		if dec.dheads[i] != h || dec.dlins[i] != want {
+			t.Fatalf("event %d: got (head=%#x lin=%d), want (head=%#x lin=%d)",
+				i, dec.dheads[i], dec.dlins[i], h, want)
 		}
 	}
-	if _, _, _, ok := c.next(); ok {
-		t.Error("cursor yields events past the end")
+	if len(dec.dheads) != len(heads) || len(dec.dlins) != len(heads) {
+		t.Errorf("decoded %d heads and %d lins, want %d", len(dec.dheads), len(dec.dlins), len(heads))
 	}
 }
 

@@ -14,13 +14,13 @@ import (
 	"repro/internal/sim"
 )
 
-// cacheStep is one read of a page string against a real slot cache,
-// with replay's discipline: look up, insert on a miss.
+// cacheStep is one read of a page string against a real count-only
+// cache, with replay's discipline: look up, insert on a miss.
 func cacheStep(c *cache.Cache, g int32) bool {
-	if c.LookupSlot(int(g), 0) == cache.Hit {
+	if _, out := c.Lookup(int(g), 0); out == cache.Hit {
 		return true
 	}
-	c.InsertSlot(int(g), nil)
+	c.Insert(int(g), nil, nil)
 	return false
 }
 
@@ -32,8 +32,8 @@ func closedStats(hits, misses int64, frames int) cache.Stats {
 
 // FuzzPolicyRowsMatchCache holds level 2's rows to cache.Cache step by
 // step: over a fuzzed page string, a frame count from 1 to 130 and
-// every policy, each read must hit or miss exactly as the slot cache's
-// LookupSlot/InsertSlot does, and the closed-form statistics must equal
+// every policy, each read must hit or miss exactly as the count-only
+// cache's Lookup/Insert does, and the closed-form statistics must equal
 // the cache's own. LRU runs the stack row with a single size.
 func FuzzPolicyRowsMatchCache(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(7), []byte{0, 1, 2, 0, 3, 1, 4, 5, 0, 2, 6, 1})
@@ -51,7 +51,7 @@ func FuzzPolicyRowsMatchCache(f *testing.F) {
 		pol := cache.Policy(policy % 4)
 		fr := int(frames)%130 + 1
 		np := int(pages)%200 + 1
-		c, err := cache.NewSlots(fr, 1, pol, np)
+		c, err := cache.New(fr, 1, pol, np)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func FuzzPolicyRowsMatchCache(f *testing.F) {
 // TestPolicyRowsPinned pins the two decisions the rows reproduce
 // without cache.Cache's list: where Clock's hand rests after an
 // eviction, and which page each of Random's draws evicts. Every step
-// is also checked against the slot cache's resident set.
+// is also checked against the count-only cache's resident set.
 func TestPolicyRowsPinned(t *testing.T) {
 	const A, B, C, D, E, F, G, H = 0, 1, 2, 3, 4, 5, 6, 7
 	type step struct {
@@ -109,7 +109,7 @@ func TestPolicyRowsPinned(t *testing.T) {
 		{H, []int32{E, F, G, H}, 0},
 	}
 	var two twoLevel
-	c, err := cache.NewSlots(4, 1, cache.Clock, 8)
+	c, err := cache.New(4, 1, cache.Clock, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPolicyRowsPinned(t *testing.T) {
 	// evictions, by page, as cache.NextRandom from cache.RandomSeed
 	// draws them.
 	wantVictims := []int32{2, 3, 4, 5, 0, 7, 6}
-	c, err = cache.NewSlots(3, 1, cache.Random, 10)
+	c, err = cache.New(3, 1, cache.Random, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestPolicyRowsPinned(t *testing.T) {
 	}
 }
 
-// residentOldestFirst lists a FIFO/Clock/Random slot cache's pages in
-// insertion order (Keys lists them newest first).
+// residentOldestFirst lists a FIFO/Clock/Random cache's pages in
+// insertion order (Pages lists them newest first).
 func residentOldestFirst(c *cache.Cache) []int32 {
-	keys := c.Keys()
-	out := make([]int32, len(keys))
-	for i, k := range keys {
-		out[len(keys)-1-i] = int32(k.Page)
+	pages := c.Pages()
+	out := make([]int32, len(pages))
+	for i, p := range pages {
+		out[len(pages)-1-i] = int32(p)
 	}
 	return out
 }

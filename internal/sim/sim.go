@@ -18,12 +18,12 @@
 // The hot path is fully slice-indexed: array storage lives in one slab,
 // page ownership is precomputed into a dense page-id -> PE table
 // (replacing a layout interface call per access), and the per-PE caches
-// run in the count-only slot mode of internal/cache (replacing a map
-// lookup per access). Every PE's counters are private to the run and
-// merged once at the end, so parallel sweeps over independent runs
-// share no mutable state. A Scratch retains all of these allocations
-// between runs; internal/sweep gives one to each worker so a parameter
-// sweep reaches a near-zero-allocation steady state.
+// are count-only caches indexed by that dense page id. Every PE's
+// counters are private to the run and merged once at the end, so
+// parallel sweeps over independent runs share no mutable state. A
+// Scratch retains all of these allocations between runs;
+// internal/sweep gives one to each worker so a parameter sweep reaches
+// a near-zero-allocation steady state.
 //
 // The package hosts a second loops.Engine on the same storage: the
 // recording engine (record.go, Scratch.Record) executes a kernel with
@@ -265,7 +265,7 @@ func (e *engine) classify(pe int, a *loops.Arr, lin int) {
 		e.perPE[pe].LocalReads++
 		return
 	}
-	switch e.caches[pe].LookupSlot(int(gid), g.Offset(lin)) {
+	switch _, out := e.caches[pe].Lookup(int(gid), g.Offset(lin)); out {
 	case cache.Hit:
 		e.perPE[pe].CachedReads++
 	case cache.Miss, cache.PartialMiss:
@@ -281,7 +281,7 @@ func (e *engine) classify(pe int, a *loops.Arr, lin int) {
 			base := e.valBase[a.ID]
 			def = e.defined[base+lo : base+hi]
 		}
-		e.caches[pe].InsertSlot(int(gid), def)
+		e.caches[pe].Insert(int(gid), nil, def)
 	}
 }
 
@@ -344,7 +344,7 @@ func foldTerm(op loops.Op, first bool, acc float64, at int, v float64, i int) (f
 }
 
 // Scratch owns the simulator's reusable allocations: the value and
-// defined-bit slabs, the owner tables, the per-PE slot caches (whose
+// defined-bit slabs, the owner tables, the per-PE caches (whose
 // frames are recycled across runs), the traffic matrix and the
 // recording engine's event columns. Reusing a Scratch across runs
 // removes nearly all steady-state allocation from a parameter sweep. A
@@ -526,12 +526,12 @@ func (s *Scratch) Run(k *loops.Kernel, n int, cfg Config) (*Result, error) {
 	}
 	for pe := 0; pe < cfg.NPE; pe++ {
 		if e.caches[pe] == nil {
-			c, err := cache.NewSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages)
+			c, err := cache.New(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages)
 			if err != nil {
 				return nil, fmt.Errorf("sim: %s: %w", k.Key, err)
 			}
 			e.caches[pe] = c
-		} else if err := e.caches[pe].ReconfigureSlots(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages); err != nil {
+		} else if err := e.caches[pe].Reset(cfg.CacheElems, cfg.PageSize, cfg.Policy, totalPages); err != nil {
 			return nil, fmt.Errorf("sim: %s: %w", k.Key, err)
 		}
 	}

@@ -278,7 +278,9 @@ func objKey(obj types.Object) string {
 // uses returns the keys of every object with a use that counts: any
 // reference from non-test code, from an Example function, or from the
 // tests of another package. A package's own tests do not count: a name
-// only they reach belongs in its export_test.go.
+// only they reach belongs in its export_test.go. Nor does a reference
+// inside the object's own declaration, such as a recursive call: it
+// keeps nothing but the object itself alive.
 func (s *surface) uses() map[string]bool {
 	used := map[string]bool{}
 	for _, u := range s.units {
@@ -287,12 +289,20 @@ func (s *surface) uses() map[string]bool {
 			if u.test && !test {
 				continue // counted by the non-test unit
 			}
-			var examples []ast.Node
+			var examples, decls []ast.Node
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && test && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
 					examples = append(examples, fd)
 				}
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, spec := range gd.Specs {
+						decls = append(decls, spec)
+					}
+				} else {
+					decls = append(decls, d)
+				}
 			}
+			within := func(n ast.Node, pos token.Pos) bool { return n.Pos() <= pos && pos < n.End() }
 			ast.Inspect(f, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
 				if !ok {
@@ -309,9 +319,12 @@ func (s *surface) uses() map[string]bool {
 					obj = o.Origin()
 				}
 				counts := !test || obj.Pkg().Path() != u.home || slices.ContainsFunc(examples, func(ex ast.Node) bool {
-					return ex.Pos() <= id.Pos() && id.Pos() < ex.End()
+					return within(ex, id.Pos())
 				})
-				if counts {
+				self := slices.ContainsFunc(decls, func(d ast.Node) bool {
+					return within(d, id.Pos()) && within(d, obj.Pos())
+				})
+				if counts && !self {
 					used[objKey(obj)] = true
 				}
 				return true
@@ -546,8 +559,9 @@ func TestSurfaceHasUses(t *testing.T) {
 
 // TestSurfaceCensusFixture runs the census over testdata/surface, a
 // module of three packages with one case of each rule: it must flag
-// the unused method and the option field set only through another
-// struct's same-named field, and nothing else.
+// the unused method, the function only its own body calls and the
+// option field set only through another struct's same-named field, and
+// nothing else.
 func TestSurfaceCensusFixture(t *testing.T) {
 	s, err := loadSurface([]moduleRoot{{filepath.Join("testdata", "surface"), "fixture", false}})
 	if err != nil {
@@ -558,7 +572,7 @@ func TestSurfaceCensusFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := append(s.unused(), fields...)
-	want := []string{"fixture/a.T.Unused", "fixture/a.Options.Workers"}
+	want := []string{"fixture/a.Countdown", "fixture/a.T.Unused", "fixture/a.Options.Workers"}
 	if !slices.Equal(got, want) {
 		t.Errorf("census flags %q, want %q", got, want)
 	}

@@ -15,6 +15,14 @@ type T struct{}
 // Unused has no use: flagged.
 func (T) Unused() {}
 
+// Countdown has no use but its own recursive call: flagged.
+func Countdown(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Countdown(n - 1)
+}
+
 // Size implements b.Sizer.
 func (T) Size() int { return 0 }
 
